@@ -19,7 +19,6 @@ __all__ = [
     "PeriodicCF",
     "Cylinder",
     "convergents",
-    "cylinder_interval",
     "expand_quadratic",
     "gauss_map",
     "one_minus",
@@ -177,7 +176,8 @@ class Cylinder:
         _check_digits(word)
         self.word = word
         self.p1, self.q1, self.p, self.q = convergents(word)
-        assert self.p * self.q1 - self.p1 * self.q == (-1) ** (len(word) + 1)
+        if self.p * self.q1 - self.p1 * self.q != (-1) ** (len(word) + 1):
+            raise AssertionError(f"convergent determinant of {word} is not +-1")
 
     @property
     def lo(self):
@@ -215,10 +215,6 @@ class Cylinder:
     def __repr__(self):
         br = "[)" if self.closed_end == "lo" else "(]"
         return f"I{self.word} = {br[0]}{self.lo}, {self.hi}{br[1]}"
-
-
-def cylinder_interval(word):
-    return Cylinder(word)
 
 
 def expand_quadratic(x, max_iter=10**6):

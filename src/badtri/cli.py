@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .gifs import (
     patch_doc,
     patch_from_doc,
     point_set,
+    recurs_in,
     stationary_nesting_ok,
     stationary_sequence,
 )
@@ -78,10 +78,10 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run exact verification suites")
     ver_sub = p_ver.add_subparsers(dest="verify_command")
     ver_sub.add_parser("main", help="the two sum-to-one triples").set_defaults(
-        func=cmd_verify_main
+        func=cmd_verify_main, triples=MAIN_SOLUTIONS, relation="sum_is_one", label="sum=1"
     )
     ver_sub.add_parser("main2", help="the four x+y=z triples").set_defaults(
-        func=cmd_verify_main2
+        func=cmd_verify_main, triples=MAIN2_SOLUTIONS, relation="x_plus_y_is_z", label="x+y=z"
     )
     p_tab = ver_sub.add_parser("tables", help="case tables and exclusion sweeps")
     p_tab.add_argument("--n-max", type=int, default=20)
@@ -162,37 +162,20 @@ def _word_text(cf):
 
 
 def cmd_verify_main(args):
+    """Exact relation, CF round-trip and B_2 class for each solution triple."""
     failures = 0
-    for triple in MAIN_SOLUTIONS:
+    for triple in args.triples:
         x, y, z = triple.values()
-        exact = x + y + z == 1
+        exact = x + y + z == 1 if args.relation == "sum_is_one" else x + y == z
         roundtrip = all(
             expand_quadratic(w.value()).canonical() == w.canonical()
             for w in (triple.x, triple.y, triple.z)
         )
-        classes = check_sum(triple, "sum_is_one", b=2)
+        classes = check_sum(triple, args.relation, b=2)
         ok = exact and roundtrip and classes
         failures += not ok
         words = ", ".join(_word_text(w) for w in (triple.x, triple.y, triple.z))
-        print(f"{'PASS' if ok else 'FAIL'} sum=1 exact={exact} "
-              f"roundtrip={roundtrip} class_B2={classes}  {words}")
-    return 1 if failures else 0
-
-
-def cmd_verify_main2(args):
-    failures = 0
-    for triple in MAIN2_SOLUTIONS:
-        x, y, z = triple.values()
-        exact = x + y == z
-        roundtrip = all(
-            expand_quadratic(w.value()).canonical() == w.canonical()
-            for w in (triple.x, triple.y, triple.z)
-        )
-        classes = check_sum(triple, "x_plus_y_is_z", b=2)
-        ok = exact and roundtrip and classes
-        failures += not ok
-        words = ", ".join(_word_text(w) for w in (triple.x, triple.y, triple.z))
-        print(f"{'PASS' if ok else 'FAIL'} x+y=z exact={exact} "
+        print(f"{'PASS' if ok else 'FAIL'} {args.label} exact={exact} "
               f"roundtrip={roundtrip} class_B2={classes}  {words}")
     return 1 if failures else 0
 
@@ -323,6 +306,8 @@ def _load_patches(path):
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, list):
+        if not doc:
+            raise ValueError(f"{path} holds no patches")
         return [patch_from_doc(d) for d in doc]
     return [patch_from_doc(doc)]
 
@@ -370,7 +355,10 @@ def export_svg(patch, gifs=None, prev_patch=None):
     span = max(x1 - x0, y1 - y0)
     stroke = 0.003 * span
     radius = 0.008 * span
-    prev_tiles = list(prev_patch.tiles) if prev_patch is not None else []
+    if prev_patch is None:
+        in_prev = [False] * len(patch.tiles)
+    else:
+        in_prev = recurs_in(patch, prev_patch, gifs)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',
@@ -378,33 +366,14 @@ def export_svg(patch, gifs=None, prev_patch=None):
         f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
         f".pt{{fill:#1a1a1a}}</style>",
     ]
-    for tile, poly in zip(patch.tiles, polys):
-        cls = "tile prev" if _in_previous(tile, prev_tiles, gifs) else "tile"
+    for poly, prev in zip(polys, in_prev):
+        cls = "tile prev" if prev else "tile"
         path = "M" + " L".join(f"{x} {y}" for x, y in poly) + " Z"
         lines.append(f'<path class="{cls}" d="{path}"/>')
     for x, y in pts:
         lines.append(f'<circle class="pt" cx="{x}" cy="{y}" r="{radius}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _in_previous(tile, prev_tiles, gifs, tol=1e-6):
-    c = tile.centroid(gifs)
-    for p in prev_tiles:
-        if (
-            p.kind == tile.kind
-            and p.parity == tile.parity
-            and abs(p.transform.scale - tile.transform.scale) <= tol
-            and _angle_gap(p.orientation, tile.orientation) <= tol
-            and float(np.linalg.norm(p.centroid(gifs) - c)) <= tol
-        ):
-            return True
-    return False
-
-
-def _angle_gap(x, y):
-    d = abs(x - y) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 def export_csv(patch, gifs=None):

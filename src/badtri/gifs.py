@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "Angles",
@@ -37,12 +38,12 @@ __all__ = [
     "epsilon_rule",
     "point_set",
     "stationary_sequence",
+    "recurs_in",
     "stationary_nesting_ok",
     "orientation_angles",
     "patch_doc",
     "patch_to_json",
     "patch_from_doc",
-    "patch_from_json",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -112,7 +113,8 @@ def derive_constants(angles):
     if not all(math.isfinite(v) and v > 0 for v in (s, t, u, C, a, b)):
         raise ValueError("degenerate angles: constants not finite positive")
     # C = (b/a)^2 is an algebraic consequence; drift means transcription rot
-    assert abs(C - (b / a) ** 2) <= 1e-9 * C
+    if abs(C - (b / a) ** 2) > 1e-9 * C:
+        raise AssertionError("C != (b/a)^2: constants drifted apart")
     return DerivedConstants(s, t, u, C, a, b, u_alt, abs(u - u_alt) <= 1e-9 * max(u, u_alt))
 
 
@@ -210,7 +212,8 @@ def build_prototiles(angles):
     )
     for tile in (t1, t2):
         area = _triangle_area(tile.vertices)
-        assert abs(area - 1.0) <= 1e-12
+        if abs(area - 1.0) > 1e-12:
+            raise AssertionError(f"prototile {tile.kind} has area {area}, not 1")
     return t1, t2
 
 
@@ -387,7 +390,6 @@ class Patch:
     epsilon: float
     angles: Angles
     tiles: tuple
-    inflated: bool
     a_min: float
 
     def areas(self):
@@ -454,7 +456,7 @@ def epsilon_rule(start, epsilon, angles, gifs=None):
         )
         for t in tiles
     )
-    return Patch(epsilon, angles, inflated, True, gifs.a_min)
+    return Patch(epsilon, angles, inflated, gifs.a_min)
 
 
 def point_set(patch, gifs=None):
@@ -496,38 +498,45 @@ def stationary_sequence(angles, n, gifs=None):
             TileInstance(t.kind, world.compose(t.transform), t.depth, t.area / threshold)
             for t in tiles
         )
-        patches.append(Patch(float(eps0**k), angles, placed, True, gifs.a_min))
+        patches.append(Patch(float(eps0**k), angles, placed, gifs.a_min))
         anchor = f3.apply(anchor)
     return patches
+
+
+def recurs_in(patch, other, gifs=None, tol=1e-6):
+    """Per tile of `patch`: does `other` hold a tile in the same pose?
+
+    Same pose means the same kind and reflection parity, with scale,
+    orientation (mod 2*pi) and centroid each within tol.  A KD-tree over
+    the centroids of `other` yields the candidates, so only tiles within
+    tol of each other are compared.
+    """
+    if gifs is None:
+        gifs = build_gifs(patch.angles, validate=False)
+    near = cKDTree(point_set(other, gifs)).query_ball_point(point_set(patch, gifs), tol)
+
+    def same_pose(a, b):
+        gap = abs(a.orientation - b.orientation) % _TWO_PI
+        return (
+            a.kind == b.kind
+            and a.parity == b.parity
+            and abs(a.transform.scale - b.transform.scale) <= tol
+            and min(gap, _TWO_PI - gap) <= tol
+        )
+
+    return [
+        any(same_pose(tile, other.tiles[j]) for j in cands)
+        for tile, cands in zip(patch.tiles, near)
+    ]
 
 
 def stationary_nesting_ok(patches, gifs=None, tol=1e-6):
     """Does every tile of P_(k-1) recur in P_k (kind, pose, position)?"""
     if gifs is None:
         gifs = build_gifs(patches[0].angles, validate=False)
-    for prev, cur in zip(patches, patches[1:]):
-        cur_index = [
-            (t.kind, t.parity, t.orientation, t.centroid(gifs), t.transform.scale)
-            for t in cur.tiles
-        ]
-        for tile in prev.tiles:
-            c = tile.centroid(gifs)
-            hit = any(
-                kind == tile.kind
-                and parity == tile.parity
-                and _angle_close(orient, tile.orientation, tol)
-                and abs(scale - tile.transform.scale) <= tol
-                and float(np.linalg.norm(cc - c)) <= tol
-                for kind, parity, orient, cc, scale in cur_index
-            )
-            if not hit:
-                return False
-    return True
-
-
-def _angle_close(x, y, tol):
-    d = abs(x - y) % _TWO_PI
-    return min(d, _TWO_PI - d) <= tol
+    return all(
+        all(recurs_in(prev, cur, gifs, tol)) for prev, cur in zip(patches, patches[1:])
+    )
 
 
 def orientation_angles(patch):
@@ -562,8 +571,48 @@ def patch_to_json(patch, points=None, gifs=None):
     return json.dumps(patch_doc(patch, points, gifs), indent=2)
 
 
+_TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_patch_doc(doc):
+    """Raise ValueError unless doc has the shape patch_doc writes."""
+    if not isinstance(doc, dict):
+        raise ValueError("patch document must be a JSON object")
+    missing = [k for k in ("angles", "epsilon", "tiles") if k not in doc]
+    if missing:
+        raise ValueError(f"patch document lacks {', '.join(missing)}")
+    angles = doc["angles"]
+    if not (isinstance(angles, list) and len(angles) == 3 and all(map(_is_number, angles))):
+        raise ValueError("patch angles must be a list of 3 numbers")
+    if not _is_number(doc["epsilon"]):
+        raise ValueError("patch epsilon must be a number")
+    if not isinstance(doc["tiles"], list):
+        raise ValueError("patch tiles must be a list")
+    for i, t in enumerate(doc["tiles"]):
+        if not isinstance(t, dict) or any(k not in t for k in _TILE_KEYS):
+            raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")
+        tr = t["translation"]
+        if (
+            t["kind"] not in (1, 2)
+            or not (_is_number(t["scale"]) and t["scale"] > 0)
+            or not _is_number(t["rotation"])
+            or not isinstance(t["reflect"], bool)
+            or not (isinstance(tr, list) and len(tr) == 2 and all(map(_is_number, tr)))
+            or not (isinstance(t["depth"], int) and t["depth"] >= 0)
+        ):
+            raise ValueError(f"tile {i} is malformed: {t}")
+
+
 def patch_from_doc(doc):
-    """Rebuild a Patch from its JSON dict; tile area is scale squared."""
+    """Rebuild a Patch from its JSON dict; tile area is scale squared.
+
+    Raises ValueError when the document does not have patch_doc's shape.
+    """
+    _check_patch_doc(doc)
     angles = Angles(*doc["angles"])
     gifs = build_gifs(angles, validate=False)
     tiles = tuple(
@@ -572,18 +621,13 @@ def patch_from_doc(doc):
             Similitude(
                 float(t["scale"]),
                 float(t["rotation"]),
-                bool(t["reflect"]),
+                t["reflect"],
                 float(t["translation"][0]),
                 float(t["translation"][1]),
             ),
-            int(t["depth"]),
+            t["depth"],
             Fraction(t["scale"]) ** 2,
         )
         for t in doc["tiles"]
     )
-    return Patch(float(doc["epsilon"]), angles, tiles, True, gifs.a_min)
-
-
-def patch_from_json(text):
-    doc = json.loads(text)
-    return patch_from_doc(doc)
+    return Patch(float(doc["epsilon"]), angles, tiles, gifs.a_min)

@@ -17,10 +17,6 @@ Rat = Fraction
 _ALLOWED_D = (2, 3, 5)
 
 
-def _isqrt(n: int) -> int:
-    return math.isqrt(n)
-
-
 @total_ordering
 class QuadRat:
     """(a + b*sqrt(d)) / c, normalized so c > 0 and gcd(a, b, c) == 1."""
@@ -197,7 +193,7 @@ class QuadRat:
         a, b, c, d = self.a, self.b, self.c, self.d
         if b == 0:
             return a // c
-        m = _isqrt(d * b * b)
+        m = math.isqrt(d * b * b)
         if b < 0:
             m = -m - 1  # d*b^2 is never a perfect square for squarefree d
         q = (a + m) // c

@@ -8,8 +8,6 @@ families, and an independent branch-and-bound search over digit cylinders.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,8 +249,7 @@ def verify_case21_symbolic(n):
     )
 
 
-def _row_entry(task):
-    row, n = task
+def _row_entry(row, n):
     left = _endpoint_value(row.left_suffix, n)
     right = _endpoint_value(row.right_suffix, n)
     pat = _match_pattern(row, n)
@@ -266,41 +263,21 @@ def _row_entry(task):
     }, (left, right)
 
 
-def default_workers():
-    try:
-        return max(1, int(os.environ.get("BADTRI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _fan_out(fn, tasks, workers):
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-def verify_tables(n_max=20, exclusion_depth=30, workers=None):
+def verify_tables(n_max=20, exclusion_depth=30):
     """Run every row at every admissible n up to n_max, plus the exclusion oracle.
 
     Returns a report dict: per-(row, n) pass flags, one exclusion verdict per
-    distinct pattern hull, and an overall `ok`.  Rows fan out over
-    BADTRI_THREADS workers; the report order is deterministic regardless.
+    distinct pattern hull, and an overall `ok`.
     """
-    if workers is None:
-        workers = default_workers()
-    tasks = [
-        (row, n)
+    pairs = [
+        _row_entry(row, n)
         for parity, start in (("even", 0), ("odd", 1))
         for row in table_rows(parity)
         for n in range(start, n_max + 1, 2)
     ]
-    pairs = _fan_out(_row_entry, tasks, workers)
     entries = [entry for entry, _ in pairs]
     hull_set = sorted({hull for _, hull in pairs})
-    verdicts = _fan_out(
-        lambda h: excludes_b2(h[0], h[1], exclusion_depth), hull_set, workers
-    )
+    verdicts = [excludes_b2(lo, hi, exclusion_depth) for lo, hi in hull_set]
     exclusions = [
         {"interval": [str(lo), str(hi)], "status": res.status}
         for (lo, hi), res in zip(hull_set, verdicts)
@@ -497,7 +474,7 @@ _X_BLOCKS = {"2": (2,), "11211": (3, 1, 3)}
 _Z_BLOCKS = {"2": (2,), "11211": (1, 1, 2, 1, 1)}
 
 
-def generate_solutions(code=(), base="sqrt2"):
+def generate_solutions(code=()):
     """Compose insertions over the code alphabet {"2", "11211"}.
 
     Starting from the base solution ([3,per(2)], [3,per(2)], [per(2)]),
@@ -505,14 +482,7 @@ def generate_solutions(code=(), base="sqrt2"):
     and z words; values are carried exactly through the Möbius transforms,
     so the sum stays 1 exactly.  Digits never exceed 3, and a length-L
     all-"2" code keeps the triple inside B_{2,L+1}.
-
-    Only the sqrt2-based family ships; base="sqrt3" is a reserved
-    extension point (the matching insertion words are not pinned down).
     """
-    if base != "sqrt2":
-        raise NotImplementedError(
-            "only the sqrt2 base family is implemented; sqrt3 is an extension point"
-        )
     code = tuple(code)
     if len(code) > 40:
         raise ValueError("code length capped at 40")

@@ -14,7 +14,6 @@ from badtri.cf import (
     bad_class,
     cf_compare,
     convergents,
-    cylinder_interval,
     expand_quadratic,
     expand_real,
     format_cf,
@@ -163,13 +162,13 @@ def test_one_minus_value_law_and_involution():
 
 
 def test_cylinder_pinned():
-    c = cylinder_interval([3])
+    c = Cylinder([3])
     assert (c.lo, c.hi) == (Fraction(1, 4), Fraction(1, 3))
     assert c.closed_end == "lo"
-    c = cylinder_interval([1])
+    c = Cylinder([1])
     assert (c.lo, c.hi) == (Fraction(1, 2), Fraction(1, 1))
     assert c.closed_end == "lo"
-    c = cylinder_interval([2, 1])
+    c = Cylinder([2, 1])
     assert (c.lo, c.hi) == (Fraction(1, 3), Fraction(2, 5))
     assert c.closed_end == "hi"
 

@@ -170,3 +170,32 @@ def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "main", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1},  # no tiles
+    [{"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1}],
+    5,
+    [],
+    {"angles": [1.0, 2.1415926535897931], "epsilon": 0.1, "tiles": []},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": None, "tiles": []},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": {}},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 3, "scale": 1.0, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0], "depth": 0}]},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
+         "translation": [0.0], "depth": 0}]},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 1, "scale": None, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0], "depth": 0}]},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0]}]},
+])
+def test_analyze_rejects_malformed_patch(tmp_path, capsys, doc):
+    bad = tmp_path / "f.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "analyze", "delone", "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error:")

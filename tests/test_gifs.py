@@ -1,5 +1,6 @@
 """Tests for the two-prototile graph-directed IFS engine."""
 
+import dataclasses
 import json
 import math
 import random
@@ -8,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from badtri.cli import export_svg
 from badtri.gifs import (
     PRESETS,
     Angles,
+    Patch,
     Similitude,
     build_gifs,
     build_prototiles,
@@ -20,6 +23,7 @@ from badtri.gifs import (
     orientation_angles,
     patch_to_json,
     point_set,
+    recurs_in,
     stationary_nesting_ok,
     stationary_sequence,
     subdivide,
@@ -294,7 +298,7 @@ def test_epsilon_rule_validation():
     with pytest.raises(ValueError):
         epsilon_rule(3, 0.5, ang)
     p = epsilon_rule(2, 0.3, ang)
-    assert p.inflated and len(p.tiles) == 4
+    assert len(p.tiles) == 4
 
 
 def test_epsilon_rule_deterministic():
@@ -322,6 +326,56 @@ def test_stationary_sequence_nesting():
         sizes = [len(p.tiles) for p in seq]
         assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
         assert stationary_nesting_ok(seq, tol=1e-6)
+
+
+def _alter(tile, gifs, shift=(0.0, 0.0), kind=None, **transform):
+    """The tile with its kind or transform fields changed, centroid kept + shift."""
+    m = dataclasses.replace(tile.transform, **transform)
+    moved = dataclasses.replace(tile, kind=kind or tile.kind, transform=m)
+    dx, dy = tile.centroid(gifs) - moved.centroid(gifs) + np.asarray(shift)
+    return dataclasses.replace(
+        moved, transform=dataclasses.replace(m, tx=m.tx + dx, ty=m.ty + dy)
+    )
+
+
+TOL = 1e-6
+CHANGES = {
+    "rotate": lambda t, g: _alter(t, g, rotation=t.transform.rotation + 10 * TOL),
+    "parity": lambda t, g: _alter(t, g, reflect=not t.transform.reflect),
+    "kind": lambda t, g: _alter(t, g, kind=3 - t.kind),
+    "move": lambda t, g: _alter(t, g, shift=(10 * TOL, 0.0)),
+    "scale": lambda t, g: _alter(t, g, scale=t.transform.scale + 10 * TOL),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_recurrence_rejects_changed_tile(change):
+    g = build_gifs(PRESETS["optimal1"], validate=False)
+    seq = stationary_sequence(PRESETS["optimal1"], 2, gifs=g)
+    prev, cur = seq[1], seq[2]
+    i = recurs_in(cur, prev, g, TOL).index(True)
+    tiles = list(cur.tiles)
+    tiles[i] = CHANGES[change](tiles[i], g)
+    bad = dataclasses.replace(cur, tiles=tuple(tiles))
+    assert stationary_nesting_ok(seq, g, TOL)
+    assert not stationary_nesting_ok(seq[:2] + [bad], g, TOL)
+    marked = export_svg(cur, gifs=g, prev_patch=prev).count("tile prev")
+    assert marked == len(prev.tiles)
+    assert export_svg(bad, gifs=g, prev_patch=prev).count("tile prev") == marked - 1
+
+
+def test_recurrence_orientation_wraps_at_zero():
+    g = build_gifs(PRESETS["optimal2"], validate=False)
+    tile = stationary_sequence(PRESETS["optimal2"], 1, gifs=g)[1].tiles[0]
+
+    def single(rotation):
+        t = _alter(tile, g, rotation=rotation)
+        return Patch(1.0, PRESETS["optimal2"], (t,), g.a_min)
+
+    below, above = single(2 * math.pi - TOL / 4), single(TOL / 4)
+    assert recurs_in(below, above, g, TOL) == [True]
+    assert recurs_in(above, below, g, TOL) == [True]
+    assert recurs_in(single(2 * math.pi - 1.5 * TOL), above, g, TOL) == [False]
 
 
 def test_stationary_sequence_guard():
