@@ -2,9 +2,10 @@
 
 Point sets produced by the tiling engine are finite, so every check here
 is either an exact reduction (uniform discreteness), a certified
-two-sided grid test with an explicit inconclusive band (relative
-denseness), or a bisection against a monotone set-inclusion predicate
-(the Chabauty-Fell metric restricted to finite sets).
+two-sided grid test with an explicit inconclusive band over the convex
+hull of a patch (relative denseness), or a closed form from one
+nearest-neighbour query per set (the Chabauty-Fell metric restricted to
+finite sets).
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .gifs import build_gifs, point_set
 
 __all__ = [
     "PointSet",
     "DiskRegion",
-    "TriangleUnionRegion",
+    "ConvexRegion",
     "patch_region",
     "delone_radii",
     "UniformDiscreteResult",
@@ -89,55 +90,50 @@ class DiskRegion:
         c, r = self.center, self.radius
         return (c[0] - r, c[1] - r, c[0] + r, c[1] + r)
 
+    def excess(self, pts):
+        """Signed distance from the boundary circle, negative inside."""
+        return np.linalg.norm(np.atleast_2d(pts) - self.center, axis=1) - self.radius
+
     def contains(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + 1e-12
+        return self.excess(pts) <= 1e-12
 
 
-class TriangleUnionRegion:
-    """Union of closed triangles, e.g. the footprint of a patch."""
+class ConvexRegion:
+    """Closed convex hull of a point set, e.g. of a patch's tile vertices."""
 
-    def __init__(self, triangles):
-        tris = [np.asarray(t, dtype=float) for t in triangles]
-        if not tris:
-            raise ValueError("region empty")
-        ccw = []
-        for t in tris:
-            e1, e2 = t[1] - t[0], t[2] - t[0]
-            ccw.append(t if e1[0] * e2[1] - e1[1] * e2[0] >= 0 else t[::-1])
-        self.triangles = ccw
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        try:
+            hull = ConvexHull(pts)
+        except (QhullError, ValueError) as exc:
+            raise ValueError("region empty") from exc
+        self.vertices = pts[hull.vertices]
+        # rows (n_x, n_y, c) with unit outward normal n: n.p + c <= 0 inside
+        self.equations = hull.equations
 
     def bbox(self):
-        allv = np.concatenate(self.triangles)
-        return (
-            float(allv[:, 0].min()),
-            float(allv[:, 1].min()),
-            float(allv[:, 0].max()),
-            float(allv[:, 1].max()),
-        )
+        lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+
+    def excess(self, pts):
+        """Largest signed distance past an edge line: <= 0 inside, and
+        outside positive but at most the distance to the region."""
+        eq = self.equations
+        return (np.atleast_2d(pts) @ eq[:, :2].T + eq[:, 2]).max(axis=1)
 
     def contains(self, pts):
-        pts = np.atleast_2d(pts)
-        inside = np.zeros(len(pts), dtype=bool)
-        for t in self.triangles:
-            todo = ~inside
-            if not todo.any():
-                break
-            sub = pts[todo]
-            ok = np.ones(len(sub), dtype=bool)
-            for i in range(3):
-                e0, e1 = t[i], t[(i + 1) % 3]
-                d = e1 - e0
-                cross = d[0] * (sub[:, 1] - e0[1]) - d[1] * (sub[:, 0] - e0[0])
-                ok &= cross >= -1e-12
-            inside[np.flatnonzero(todo)[ok]] = True
-        return inside
+        return self.excess(pts) <= 1e-12
 
 
 def patch_region(patch, gifs=None):
+    """Convex hull of the tile vertices, a superset of the footprint.
+
+    Epsilon-rule and stationary patches tile one prototile image, so for them
+    the hull is the footprint itself.
+    """
     if gifs is None:
         gifs = build_gifs(patch.angles, validate=False)
-    return TriangleUnionRegion([t.polygon(gifs) for t in patch.tiles])
+    return ConvexRegion([v for t in patch.tiles for v in t.polygon(gifs)])
 
 
 def delone_radii(gifs):
@@ -183,40 +179,44 @@ class RelativeDenseResult:
 
 def _dense_pass(ps, R, region, h):
     x0, y0, x1, y1 = region.bbox()
-    nx = int(math.floor((x1 - x0) / h)) + 1
-    ny = int(math.floor((y1 - y0) / h)) + 1
+    nx = int(math.floor((x1 - x0) / h)) + 2
+    ny = int(math.floor((y1 - y0) / h)) + 2
     if nx * ny > 3 * 10**7:
         raise ValueError("grid too fine; enlarge h")
     tree = cKDTree(ps.points)
     margin = h * math.sqrt(2) / 2
-    worst_d, worst_pt = -math.inf, None
+    worst_d, worst_in = -math.inf, (-math.inf, None)
     xs = x0 + h * np.arange(nx)
     chunk = max(1, 10**6 // max(nx, 1))
     for j0 in range(0, ny, chunk):
         ys = y0 + h * np.arange(j0, min(j0 + chunk, ny))
         gx, gy = np.meshgrid(xs, ys)
         nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        nodes = nodes[region.contains(nodes)]
+        nodes = nodes[region.excess(nodes) <= margin]
         if len(nodes) == 0:
             continue
         d, _ = tree.query(nodes)
+        worst_d = max(worst_d, float(d.max()))
+        d[~region.contains(nodes)] = -math.inf  # witnesses lie in the region
         k = int(np.argmax(d))
-        if d[k] > worst_d:
-            worst_d, worst_pt = float(d[k]), tuple(nodes[k])
-    if worst_pt is None:
+        if d[k] > worst_in[0]:
+            worst_in = (float(d[k]), tuple(nodes[k]))
+    if worst_d == -math.inf:
         return RelativeDenseResult("inconclusive", None, h, math.nan)
     if worst_d <= R - margin:
         return RelativeDenseResult("certified", None, h, worst_d)
-    if worst_d > R + margin:
-        return RelativeDenseResult("counterexample", worst_pt, h, worst_d)
+    if worst_in[0] > R + margin:
+        return RelativeDenseResult("counterexample", worst_in[1], h, worst_in[0])
     return RelativeDenseResult("inconclusive", None, h, worst_d)
 
 
 def check_relatively_dense(ps, R, region, h=None):
     """Grid-certified covering test with a two-sided inconclusive band.
 
-    A grid node within R - h*sqrt(2)/2 of the set covers its whole cell;
-    one farther than R + h*sqrt(2)/2 is a genuine uncovered witness.
+    The grid runs one step past the bounding box, so each region point
+    lies in the cell of a node with excess <= h*sqrt(2)/2.  Such a node
+    within R - h*sqrt(2)/2 of the set covers its whole cell; a node in the
+    region farther than R + h*sqrt(2)/2 is a genuine uncovered witness.
     With h=None the step starts at R/10 and halves until conclusive or
     h < 1e-4 * R.
     """
@@ -255,29 +255,25 @@ def _cf_predicate(a_pts, a_norms, b_pts, b_norms, eps):
     return True
 
 
-def chabauty_fell_distance(a, b, tol=1e-9):
-    """Chabauty-Fell distance between finite sets, by bisection in [0, 1].
+def chabauty_fell_distance(a, b):
+    """Exact Chabauty-Fell distance between finite sets, capped at 1.
 
-    The predicate "each set, windowed to B(0, 1/eps), lies within eps of
-    the other" is monotone in eps; the infimum is approached from above
-    and capped at 1.
+    A point p of one set, at distance delta_p from the other, passes the
+    windowed predicate exactly when eps >= delta_p or eps > 1/|p|.  So the
+    infimum is the largest min(delta_p, 1/|p|) over both sets, with
+    1/0 = inf and delta_p = inf against an empty set.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a_pts = a.points if isinstance(a, PointSet) else np.asarray(a, float).reshape(-1, 2)
     b_pts = b.points if isinstance(b, PointSet) else np.asarray(b, float).reshape(-1, 2)
-    a_norms = np.linalg.norm(a_pts, axis=1)
-    b_norms = np.linalg.norm(b_pts, axis=1)
-    if not _cf_predicate(a_pts, a_norms, b_pts, b_norms, 1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _cf_predicate(a_pts, a_norms, b_pts, b_norms, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    worst = 0.0
+    for s_pts, t_pts in ((a_pts, b_pts), (b_pts, a_pts)):
+        if len(s_pts) == 0:
+            continue
+        delta = cKDTree(t_pts).query(s_pts)[0] if len(t_pts) else math.inf
+        with np.errstate(divide="ignore"):
+            inv_norm = 1.0 / np.linalg.norm(s_pts, axis=1)
+        worst = max(worst, float(np.minimum(delta, inv_norm).max()))
+    return min(1.0, worst)
 
 
 def cf_distance_brute(a, b):
@@ -307,8 +303,8 @@ def cf_distance_brute(a, b):
     return 1.0
 
 
-def restricted_convergence_check(ps, radii, tol=1e-6):
-    """d(A, A cut to B(0, R_n)) for increasing R_n; each is <= max(tol, 1/R_n)."""
+def restricted_convergence_check(ps, radii):
+    """d(A, A cut to B(0, R_n)) for increasing R_n; each is <= 1/R_n."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii) or any(
         r2 <= r1 for r1, r2 in zip(radii, radii[1:])
@@ -316,9 +312,8 @@ def restricted_convergence_check(ps, radii, tol=1e-6):
         raise ValueError("radii must be positive and increasing")
     distances, bounds = [], []
     for r in radii:
-        d = chabauty_fell_distance(ps, ps.restrict(r), tol=tol)
-        distances.append(d)
-        bounds.append(max(tol, 1.0 / r))
+        distances.append(chabauty_fell_distance(ps, ps.restrict(r)))
+        bounds.append(1.0 / r)
     return {
         "radii": radii,
         "distances": distances,
@@ -359,7 +354,7 @@ def orientation_discrepancy(patch):
     return len(xs), star_discrepancy(xs)
 
 
-def analysis_report(patch, gifs=None, radii=(5.0, 10.0, 20.0), tol=1e-6):
+def analysis_report(patch, gifs=None, radii=(5.0, 10.0, 20.0)):
     """Full Delone/metric/discrepancy report for one patch, JSON-shaped."""
     if gifs is None:
         gifs = build_gifs(patch.angles, validate=False)
@@ -367,7 +362,7 @@ def analysis_report(patch, gifs=None, radii=(5.0, 10.0, 20.0), tol=1e-6):
     r, big_r = delone_radii(gifs)
     ud = check_uniform_discrete(ps, r)
     rd = check_relatively_dense(ps, big_r, patch_region(patch, gifs))
-    conv = restricted_convergence_check(ps, radii, tol=tol)
+    conv = restricted_convergence_check(ps, radii)
     n, dstar = orientation_discrepancy(patch)
     return {
         "r_certified": ud.status == "certified",

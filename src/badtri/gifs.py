@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+MAX_EPSILON_TILES = 10**6  # a priori tile count allowed in epsilon_rule
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,8 @@ def epsilon_rule(start, epsilon, angles, gifs=None):
     """Subdivide the start prototile while Area > epsilon, then inflate.
 
     Inflation by 1/sqrt(epsilon) about the origin brings every tile area
-    into [a_min, 1] and the total to 1/epsilon.
+    into [a_min, 1] and the total to 1/epsilon, so there are at most
+    1/(a_min*epsilon) tiles; that count is capped at MAX_EPSILON_TILES.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -438,6 +440,11 @@ def epsilon_rule(start, epsilon, angles, gifs=None):
         raise ValueError("start prototile must be 1 or 2")
     if gifs is None:
         gifs = build_gifs(angles, validate=False)
+    bound = 1 / (gifs.a_min * epsilon)
+    if bound > MAX_EPSILON_TILES:
+        raise ValueError(
+            f"epsilon={epsilon} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
+        )
     eps = Fraction(epsilon)
     tiles = _subdivide_to_threshold(gifs, start, eps)
     lam = 1 / math.sqrt(epsilon)
@@ -590,8 +597,8 @@ def _check_patch_doc(doc):
         raise ValueError("patch angles must be a list of 3 numbers")
     if not _is_number(doc["epsilon"]):
         raise ValueError("patch epsilon must be a number")
-    if not isinstance(doc["tiles"], list):
-        raise ValueError("patch tiles must be a list")
+    if not isinstance(doc["tiles"], list) or not doc["tiles"]:
+        raise ValueError("patch tiles must be a non-empty list")
     for i, t in enumerate(doc["tiles"]):
         if not isinstance(t, dict) or any(k not in t for k in _TILE_KEYS):
             raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")

@@ -113,6 +113,12 @@ def test_tile_argument_errors(capsys):
     assert code == 2  # epsilon missing
 
 
+def test_tile_rejects_runaway_epsilon(capsys):
+    # 1/(a_min * epsilon) is about 6e9 tiles, far above the cap
+    code, _, err = run(capsys, "tile", "--preset", "optimal1", "--epsilon", "1e-9")
+    assert code == 2 and "error:" in err
+
+
 def test_tile_custom_angles(tmp_path, capsys):
     out_file = tmp_path / "c.json"
     code, _, _ = run(capsys, "tile", "--angles", "0.9,1.2,1.0415926535897932",
@@ -197,5 +203,20 @@ def test_analyze_rejects_malformed_patch(tmp_path, capsys, doc):
     bad = tmp_path / "f.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "analyze", "delone", "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "cfdist"],
+    ["export", "--csv", "{tmp}/p.csv"],
+])
+def test_empty_patch_is_rejected(tmp_path, capsys, argv):
+    empty = tmp_path / "f.json"
+    empty.write_text(json.dumps(
+        {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": []}
+    ))
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--in", str(empty)]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")

@@ -5,11 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badtri.delone import (
+    ConvexRegion,
     DiskRegion,
     PointSet,
-    TriangleUnionRegion,
     analysis_report,
     cf_distance_brute,
     chabauty_fell_distance,
@@ -101,15 +102,24 @@ def test_region_validation():
     with pytest.raises(ValueError):
         DiskRegion((0, 0), 0.0)
     with pytest.raises(ValueError):
-        TriangleUnionRegion([])
+        ConvexRegion([])
     with pytest.raises(ValueError):
         check_relatively_dense(PointSet([]), 1.0, DiskRegion((0, 0), 1.0))
 
 
+def test_relatively_dense_covers_region_between_grid_nodes():
+    # every grid node inside this triangle lies within R of (1, 1), but
+    # the region vertex (0, 1) is at distance 1 > R; nodes outside the
+    # region whose cells reach into it must be tested too
+    reg, one = ConvexRegion([(0, 1), (1, 0), (1, 1)]), PointSet([(1, 1)])
+    assert check_relatively_dense(one, 0.95, reg, h=0.3).status == "inconclusive"
+    res = check_relatively_dense(one, 0.95, reg)
+    assert res.status == "counterexample"
+    assert reg.contains(res.counterexample).all()
+
+
 def test_triangle_union_region_membership():
-    reg = TriangleUnionRegion(
-        [[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]]
-    )
+    reg = ConvexRegion([(0, 0), (1, 0), (0, 1), (1, 0), (1, 1), (0, 1)])
     inside = reg.contains([(0.5, 0.5), (0.1, 0.1), (0.9, 0.9), (1.5, 0.5)])
     assert inside.tolist() == [True, True, True, False]
     assert reg.bbox() == (0.0, 0.0, 1.0, 1.0)
@@ -135,10 +145,10 @@ def test_cf_distance_metric_axioms():
         a = PointSet(random_points(rng, rng.randint(1, 10)))
         b = PointSet(random_points(rng, rng.randint(1, 10)))
         c = PointSet(random_points(rng, rng.randint(1, 10)))
-        dab = chabauty_fell_distance(a, b, tol=tol)
-        assert dab == chabauty_fell_distance(b, a, tol=tol)  # exact symmetry
-        dac = chabauty_fell_distance(a, c, tol=tol)
-        dbc = chabauty_fell_distance(b, c, tol=tol)
+        dab = chabauty_fell_distance(a, b)
+        assert dab == chabauty_fell_distance(b, a)  # exact symmetry
+        dac = chabauty_fell_distance(a, c)
+        dbc = chabauty_fell_distance(b, c)
         assert dac <= dab + dbc + 3 * tol
 
 
@@ -147,8 +157,29 @@ def test_cf_distance_bisection_matches_bruteforce():
     for _ in range(50):
         a = PointSet(random_points(rng, rng.randint(1, 30)))
         b = PointSet(random_points(rng, rng.randint(1, 30)))
-        fast = chabauty_fell_distance(a, b, tol=1e-9)
+        fast = chabauty_fell_distance(a, b)
         assert abs(fast - cf_distance_brute(a, b)) <= 1e-6
+
+
+# distinct points at least 1e-9 apart, so PointSet sees no duplicate
+coords = st.floats(-4, 4).map(lambda x: round(x, 9) + 0.0)
+point_sets = st.lists(
+    st.tuples(coords, coords), max_size=20, unique=True
+).map(PointSet)
+
+
+@settings(deadline=None, derandomize=True)
+@given(point_sets, point_sets)
+def test_cf_distance_closed_form_properties(a, b):
+    d = chabauty_fell_distance(a, b)
+    assert d == cf_distance_brute(a, b)
+    assert d == chabauty_fell_distance(b, a)
+
+
+@settings(deadline=None, derandomize=True)
+@given(point_sets, st.floats(0.01, 10.0))
+def test_cf_distance_restriction_bound(a, radius):
+    assert chabauty_fell_distance(a, a.restrict(radius)) <= 1.0 / radius
 
 
 def test_cf_predicate_monotone():
