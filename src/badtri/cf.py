@@ -19,6 +19,7 @@ __all__ = [
     "PeriodicCF",
     "Cylinder",
     "convergents",
+    "word_map",
     "expand_quadratic",
     "gauss_map",
     "one_minus",
@@ -67,8 +68,7 @@ class FiniteCF:
         return FiniteCF(d)
 
     def value(self):
-        p1, q1, p, q = convergents(self.digits)
-        return Fraction(p, q)
+        return word_map(self.digits, 0)
 
     def __str__(self):
         return format_cf(self)
@@ -114,7 +114,7 @@ class PeriodicCF:
 
         The purely periodic tail y satisfies a quadratic with integer
         coefficients read off the period's convergents; the root in (0, 1)
-        is the positive one.
+        is the positive one.  The preperiod then acts on y by its word map.
         """
         p1, q1, p, q = convergents(self.period)
         # q1*y^2 + (q - p1)*y - p = 0
@@ -123,16 +123,10 @@ class PeriodicCF:
         if root * root == disc:
             raise ValueError("period is degenerate (rational fixed point)")
         for d in _EVAL_RADICANDS:
-            if disc % d == 0:
-                m = math.isqrt(disc // d)
-                if m * m * d == disc:
-                    y = QuadRat(p1 - q, m, 2 * q1, d)
-                    break
-        else:
-            raise ValueError(f"discriminant {disc} is not d*square for d in {_EVAL_RADICANDS}")
-        for b in reversed(self.pre):
-            y = (b + y).inverse()
-        return y
+            m = math.isqrt(disc // d)
+            if m * m * d == disc:
+                return word_map(self.pre, QuadRat(p1 - q, m, 2 * q1, d))
+        raise ValueError(f"discriminant {disc} is not d*square for d in {_EVAL_RADICANDS}")
 
     def digit(self, k):
         """1-indexed digit a_k."""
@@ -159,6 +153,19 @@ def convergents(word):
     return p1, q1, p, q
 
 
+def word_map(word, t):
+    """[word, t]: the value of the word followed by a tail of value t.
+
+    The word acts on t by the Mobius map of its convergent matrix,
+    (P_{n-1} t + P_n) / (Q_{n-1} t + Q_n), exactly for int, Fraction and
+    QuadRat tails; an int tail gives a Fraction, never a float.
+    """
+    p1, q1, p, q = convergents(word)
+    if isinstance(t, int):
+        return Fraction(p1 * t + p, q1 * t + q)
+    return (p1 * t + p) / (q1 * t + q)
+
+
 class Cylinder:
     """The interval of values whose expansion starts with a given word.
 
@@ -181,22 +188,16 @@ class Cylinder:
 
     @property
     def lo(self):
-        return min(self._value(), self._mediant())
+        return self.hull()[0]
 
     @property
     def hi(self):
-        return max(self._value(), self._mediant())
+        return self.hull()[1]
 
     @property
     def closed_end(self):
         """'lo' or 'hi': the closed endpoint is always the mediant."""
         return "lo" if len(self.word) % 2 == 1 else "hi"
-
-    def _value(self):
-        return Fraction(self.p, self.q)
-
-    def _mediant(self):
-        return Fraction(self.p + self.p1, self.q + self.q1)
 
     @property
     def width(self):
@@ -204,7 +205,9 @@ class Cylinder:
 
     def hull(self):
         """Closed hull (lo, hi) — what downstream containment checks use."""
-        return self.lo, self.hi
+        value = Fraction(self.p, self.q)
+        mediant = Fraction(self.p + self.p1, self.q + self.q1)
+        return (mediant, value) if self.closed_end == "lo" else (value, mediant)
 
     def __contains__(self, x):
         lo, hi = self.lo, self.hi

@@ -39,17 +39,14 @@ __all__ = [
 
 
 class PointSet:
-    """A finite planar point set; duplicate points are rejected."""
+    """A finite planar point set; equal points (0.0 == -0.0) are rejected."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if len(pts) > 1:
-            tree = cKDTree(pts)
-            d, _ = tree.query(pts, k=2)
-            if float(d[:, 1].min()) <= 0:
-                raise ValueError("duplicate points")
+        if len(np.unique(pts, axis=0)) < len(pts):
+            raise ValueError("duplicate points")
         pts.flags.writeable = False
         self.points = pts
 

@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 
-Rat = Fraction
-
 _ALLOWED_D = (2, 3, 5)
 
 
@@ -47,15 +45,6 @@ class QuadRat:
         raise AttributeError("QuadRat is immutable")
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("irrational QuadRat has no Fraction value")
-        return Fraction(self.a, self.c)
 
     @staticmethod
     def _coerce(x, d):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import Cylinder, FiniteCF, PeriodicCF, bad_class, convergents, in_bad_class
+from .cf import Cylinder, FiniteCF, PeriodicCF, bad_class, in_bad_class, word_map
 from .quadfield import QuadRat, sqrt2, sqrt3
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "search_triples",
     "word_contains",
 ]
-
-SLIVER = Fraction(1, 10**15)
-
 
 # ------------------------------------------------------------------ patterns
 
@@ -85,8 +82,8 @@ def excludes_b2(lo, hi, depth=30):
     Recursive sweep over {1,2}-digit cylinders.  A cylinder wholly inside
     [lo, hi] is a witness (its all-2s extension is such a number, inside
     the interval); cylinders disjoint from [lo, hi] are pruned; straddling
-    cylinders are split.  At the depth limit, leftover overlaps thinner
-    than 1e-15 are endpoint slivers and do not block certification.
+    cylinders are split.  A cylinder that still straddles [lo, hi] at the
+    depth cap, however thin the overlap, makes the verdict `inconclusive`.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 < lo < hi < 1:
@@ -98,15 +95,13 @@ def excludes_b2(lo, hi, depth=30):
 
     def visit(word):
         nonlocal inconclusive
-        c = Cylinder(word)
-        clo, chi = c.hull()
+        clo, chi = Cylinder(word).hull()
         if chi < lo or hi < clo:
             return None
         if lo <= clo and chi <= hi:
             return word
         if len(word) >= depth:
-            if min(chi, hi) - max(clo, lo) >= SLIVER:
-                inconclusive = True
+            inconclusive = True
             return None
         for b in (1, 2):
             w = visit(word + (b,))
@@ -266,21 +261,35 @@ def _row_entry(row, n):
 def verify_tables(n_max=20, exclusion_depth=30):
     """Run every row at every admissible n up to n_max, plus the exclusion oracle.
 
-    Returns a report dict: per-(row, n) pass flags, one exclusion verdict per
-    distinct pattern hull, and an overall `ok`.
+    `excludes_b2` sweeps only the distinct hulls at n = 0 and n = 1, to depth
+    `exclusion_depth`, and each verdict is carried up its row exactly: from
+    n to n + 2 both endpoint words gain two leading 2s, so the hull moves by
+    M(t) = [2,2,t].  M maps the numbers whose digits are all 1 or 2 onto
+    those in I(2,2), so the image holds such a number iff the hull does (a
+    witness w becomes (2,2)+w).  Each carried hull must equal the row's own
+    endpoints.  Returns a report dict: per-(row, n) pass flags, one
+    exclusion verdict per distinct pattern hull, and an overall `ok`.
     """
-    pairs = [
-        _row_entry(row, n)
-        for parity, start in (("even", 0), ("odd", 1))
+    rows = [
+        [_row_entry(row, n) for n in range(start, n_max + 1, 2)]
+        for parity, start in (("even", 0), ("odd", 1)) if start <= n_max
         for row in table_rows(parity)
-        for n in range(start, n_max + 1, 2)
     ]
-    entries = [entry for entry, _ in pairs]
-    hull_set = sorted({hull for _, hull in pairs})
-    verdicts = [excludes_b2(lo, hi, exclusion_depth) for lo, hi in hull_set]
+    base = sorted({pairs[0][1] for pairs in rows})
+    swept = {hull: excludes_b2(*hull, exclusion_depth) for hull in base}
+    verdicts = {}
+    for pairs in rows:
+        hull = pairs[0][1]
+        status = swept[hull].status
+        for entry, own in pairs:
+            if own != hull:
+                raise AssertionError(f"row {entry['id']}: carried hull {hull} != {own}")
+            verdicts[own] = status
+            hull = tuple(word_map((2, 2), t) for t in hull)
+    entries = [entry for pairs in rows for entry, _ in pairs]
     exclusions = [
-        {"interval": [str(lo), str(hi)], "status": res.status}
-        for (lo, hi), res in zip(hull_set, verdicts)
+        {"interval": [str(lo), str(hi)], "status": verdicts[lo, hi]}
+        for lo, hi in sorted(verdicts)
     ]
     ok = all(e["pass"] for e in entries) and all(
         e["status"] == "certified-empty" for e in exclusions
@@ -387,12 +396,12 @@ def insertion(kind, x, y, z):
     if x + y + z != 1:
         raise ValueError("insertion requires x + y + z = 1")
     try:
-        if kind in ("2", "two"):
+        if kind == "2":
             bx = _inv(3 + _inv(_inv(x) - 1))
             by = _inv(3 + _inv(_inv(y) - 1))
             bz = _inv(2 + z)
             rhs = (x - y) ** 2 / ((3 - 2 * x) * (3 - 2 * y) * (3 - x - y))
-        elif kind in ("11211", "one1211"):
+        elif kind == "11211":
             bx = _inv(3 + _inv(3 + _inv(1 + x)))
             by = _inv(3 + _inv(3 + _inv(1 + y)))
             bz = _inv(2 + _inv(1 + _inv(1 + _inv(2 + _inv(1 + _inv(_inv(z) - 1))))))
@@ -408,11 +417,8 @@ def insertion(kind, x, y, z):
 
 
 def _bracket(cs, w):
-    """[c1,...,cm, w] — fold the digits around a final reciprocal slot."""
-    v = w
-    for c in reversed(cs):
-        v = c + _inv(v)
-    return _inv(v)
+    """[c1,...,cm, w] — the word cs acting on the tail 1/w."""
+    return word_map(cs, _inv(w))
 
 
 _IDENTITIES = {
@@ -546,13 +552,10 @@ def _constrained_hull(word, first_digit_max, cache):
     s3 = sqrt3()
     t_lo, t_hi = (s3 - 1) / 2, s3 - 1
     if not word:
-        lo = 1 / (first_digit_max + t_hi)
-        hi = 1 / (1 + t_lo)
-    else:
-        p1, q1, p, q = convergents(word)
-        e1 = (p1 * t_lo + p) / (q1 * t_lo + q)
-        e2 = (p1 * t_hi + p) / (q1 * t_hi + q)
-        lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
+        lo, hi = word_map((first_digit_max,), t_hi), word_map((1,), t_lo)
+    else:  # the word's map is increasing iff the word has even length
+        ends = word_map(word, t_lo), word_map(word, t_hi)
+        lo, hi = ends if len(word) % 2 == 0 else ends[::-1]
     cache[word] = (lo, hi)
     return lo, hi
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badtri.cf import (
     Cylinder,
@@ -311,3 +312,61 @@ def test_convergents_identity():
     p1, q1, p, q = convergents([2, 2, 1, 3])
     assert Fraction(p, q) == Fraction(11, 26)
     assert p * q1 - p1 * q in (-1, 1)
+
+
+# ---------------------------------------------------------------- properties
+
+# primitive periods whose value lies in Q(sqrt d) for a d PeriodicCF.value knows
+PERIODS_BY_FIELD = {
+    5: [(1,), (4,)],
+    2: [(2,), (1, 4), (4, 1)],
+    3: [(1, 2), (2, 1), (3, 4), (4, 3)],
+}
+
+
+def _words(periods):
+    return st.builds(
+        PeriodicCF, st.lists(st.integers(1, 4), max_size=12), st.sampled_from(periods)
+    )
+
+
+words = _words([p for ps in PERIODS_BY_FIELD.values() for p in ps])
+word_pairs = st.sampled_from(sorted(PERIODS_BY_FIELD.values())).flatmap(
+    lambda periods: st.tuples(_words(periods), _words(periods))
+)
+
+
+def _fold_value(w):
+    """[pre, y] one digit at a time, y the purely periodic tail."""
+    y = PeriodicCF((), w.period).value()
+    for b in reversed(w.pre):
+        y = (b + y).inverse()
+    return y
+
+
+@settings(deadline=None, derandomize=True)
+@given(words)
+def test_value_matches_digit_fold(w):
+    assert w.value() == _fold_value(w)
+
+
+@settings(deadline=None, derandomize=True)
+@given(words)
+def test_expand_and_text_roundtrip(w):
+    assert expand_quadratic(w.value()) == w.canonical()
+    assert parse_cf(format_cf(w)) == w.canonical()
+
+
+@settings(deadline=None, derandomize=True)
+@given(words)
+def test_one_minus_involution_and_value(w):
+    m = one_minus(w)
+    assert one_minus(m) == w.canonical()
+    assert m.value() == 1 - w.value()
+
+
+@settings(deadline=None, derandomize=True)
+@given(word_pairs)
+def test_compare_is_sign_of_difference(pair):
+    x, y = pair
+    assert cf_compare(x, y) == (x.value() - y.value()).sign()

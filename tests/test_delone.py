@@ -285,3 +285,12 @@ def test_analysis_report_shape():
     }
     assert rep["discrepancy"]["N"] == len(p.tiles)
     assert all(0 <= d <= 1 for d in rep["cf_distances"])
+
+
+def test_pointset_duplicates_are_equal_rows():
+    # a tiny separation is still two points; its squared distance underflows
+    ps = PointSet([(0, 0), (0, 1e-170)])
+    assert len(ps) == 2
+    for pts in ([(1, 2), (1, 2)], [(0.0, 0), (-0.0, 0)]):
+        with pytest.raises(ValueError, match="duplicate points"):
+            PointSet(pts)

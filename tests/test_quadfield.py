@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 
@@ -124,3 +125,44 @@ def test_hash_consistency():
     assert hash(QuadRat(Fraction(2, 3))) == hash(Fraction(2, 3))
     s = {sqrt2() - 1, sqrt2() - 1, QuadRat(1, -1, 1, 2) * -1}
     assert len(s) == 1
+
+
+# ---------------------------------------------------------------- properties
+
+# |a|, |b| <= 10^5 keep float's error near 1e-11, well inside the 1e-9 guard
+_INTS = st.integers(-10**5, 10**5)
+
+
+def _quadrats(d):
+    return st.builds(QuadRat, _INTS, _INTS, st.integers(1, 10**5), st.just(d))
+
+
+same_field_triples = st.sampled_from((2, 3, 5)).flatmap(
+    lambda d: st.tuples(_quadrats(d), _quadrats(d), _quadrats(d))
+)
+
+
+@settings(deadline=None, derandomize=True)
+@given(same_field_triples)
+def test_field_laws(xyz):
+    x, y, z = xyz
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == 0
+    assert x - y == -(y - x)
+    if x != 0:
+        assert x * x.inverse() == 1
+    if y != 0:
+        assert (x / y) * y == x
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 5)).flatmap(_quadrats))
+def test_sign_agrees_with_float(x):
+    f = float(x)
+    if abs(f) > 1e-9:
+        assert x.sign() == (1 if f > 0 else -1)
+    assert (x.sign() == 0) == (x == 0)

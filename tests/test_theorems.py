@@ -444,3 +444,66 @@ def test_search_rejects_bad_args():
         search_triples("sum_is_one", 17)
     with pytest.raises(ValueError):
         search_triples("difference", 4)
+
+
+# ------------------------------------------------------ exclusion carry
+
+
+def _just_above_b2_min():
+    """x0 = (sqrt3-1)/2 = [per(2,1)], the least number with digits in {1,2},
+    and h = x0 rounded up at the 25th decimal place."""
+    x0 = PeriodicCF((), (2, 1)).value()
+    num = int(x0.to_decimal(25).replace("0.", ""))
+    return x0, Fraction(num + 1, 10**25)
+
+
+def test_excludes_b2_never_certifies_a_thin_overlap():
+    # [3/10, h] holds x0, whose digits are all 1 or 2; near h the sweep's
+    # cylinders overlap the interval by less than 1e-25 at depth 30 and 40
+    x0, h = _just_above_b2_min()
+    assert Fraction(3, 10) < x0 < h
+    for depth in (8, 30, 40):
+        assert excludes_b2(Fraction(3, 10), h, depth).status != "certified-empty"
+    res = excludes_b2(Fraction(3, 10), h, 60)
+    assert res.status == "found-witness"
+    lo, hi = Cylinder(res.witness).hull()
+    assert Fraction(3, 10) <= lo and hi <= h
+
+
+def test_verify_tables_carried_status_matches_direct_sweep():
+    rep = verify_tables(20)
+    assert len(rep["exclusions"]) > 22
+    for e in rep["exclusions"]:
+        lo, hi = (Fraction(v) for v in e["interval"])
+        assert e["status"] == excludes_b2(lo, hi, 30).status, e["interval"]
+
+
+def test_verify_tables_sweeps_only_the_base_hulls(monkeypatch):
+    import badtri.theorems as theorems
+
+    calls = []
+    sweep = theorems.excludes_b2
+
+    def counted(lo, hi, depth=30):
+        calls.append((lo, hi))
+        return sweep(lo, hi, depth)
+
+    monkeypatch.setattr(theorems, "excludes_b2", counted)
+    rep = verify_tables(60, 30)
+    assert rep["ok"]
+    assert len(rep["exclusions"]) == 671
+    assert len(calls) == len(set(calls)) == 22
+
+
+def test_verify_tables_carry_checks_row_endpoints(monkeypatch):
+    import badtri.theorems as theorems
+
+    endpoint = theorems._endpoint_value
+
+    def drifted(suffix, n):
+        v = endpoint(suffix, n)
+        return v + Fraction(1, 10**40) if n == 4 else v
+
+    monkeypatch.setattr(theorems, "_endpoint_value", drifted)
+    with pytest.raises(AssertionError, match="carried hull"):
+        verify_tables(6)
