@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadfield import QuadRat
+from .quadfield import _ALLOWED_D, QuadRat
 
 __all__ = [
     "FiniteCF",
@@ -31,8 +31,6 @@ __all__ = [
     "parse_cf",
     "format_cf",
 ]
-
-_EVAL_RADICANDS = (2, 3, 5)
 
 
 def _check_digits(digits):
@@ -122,11 +120,11 @@ class PeriodicCF:
         root = math.isqrt(disc)
         if root * root == disc:
             raise ValueError("period is degenerate (rational fixed point)")
-        for d in _EVAL_RADICANDS:
+        for d in _ALLOWED_D:
             m = math.isqrt(disc // d)
             if m * m * d == disc:
                 return word_map(self.pre, QuadRat(p1 - q, m, 2 * q1, d))
-        raise ValueError(f"discriminant {disc} is not d*square for d in {_EVAL_RADICANDS}")
+        raise ValueError(f"discriminant {disc} is not d*square for d in {_ALLOWED_D}")
 
     def digit(self, k):
         """1-indexed digit a_k."""

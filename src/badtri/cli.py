@@ -24,7 +24,6 @@ from .gifs import (
     epsilon_rule,
     patch_doc,
     patch_from_doc,
-    point_set,
     recurs_in,
     stationary_nesting_ok,
     stationary_sequence,
@@ -276,19 +275,18 @@ def _angles_from_args(args):
 
 
 def cmd_tile(args):
-    angles = _angles_from_args(args)
-    gifs = build_gifs(angles)
+    gifs = build_gifs(_angles_from_args(args))
     if args.stationary is not None:
-        patches = stationary_sequence(angles, args.stationary, gifs=gifs)
-        text = json.dumps([patch_doc(p, gifs=gifs) for p in patches], indent=2)
+        patches = stationary_sequence(gifs, args.stationary)
+        text = json.dumps([patch_doc(p) for p in patches], indent=2)
         n = sum(len(p.tiles) for p in patches)
         summary = (f"stationary sequence P_0..P_{args.stationary}: {n} tiles, "
-                   f"nesting={'ok' if stationary_nesting_ok(patches, gifs=gifs) else 'BROKEN'}")
+                   f"nesting={'ok' if stationary_nesting_ok(patches) else 'BROKEN'}")
     else:
         if args.epsilon is None:
             raise ValueError("--epsilon is required unless --stationary is given")
-        patch = epsilon_rule(args.start, args.epsilon, angles, gifs=gifs)
-        text = json.dumps(patch_doc(patch, gifs=gifs), indent=2)
+        patch = epsilon_rule(args.start, args.epsilon, gifs)
+        text = json.dumps(patch_doc(patch), indent=2)
         summary = f"patch: {len(patch.tiles)} tiles, epsilon={args.epsilon}"
     if args.out:
         with open(args.out, "w") as fh:
@@ -320,7 +318,7 @@ def cmd_analyze(args):
         if args.what == "delone":
             out.append(analysis_report(patch, radii=radii))
         elif args.what == "cfdist":
-            ps = PointSet(point_set(patch))
+            ps = PointSet(patch.points)
             out.append(restricted_convergence_check(ps, radii))
         else:
             n, dstar = orientation_discrepancy(patch)
@@ -336,18 +334,10 @@ def cmd_analyze(args):
 # ------------------------------------------------------------------ export
 
 
-def _patch_geometry(patch, gifs):
-    polys = [t.polygon(gifs) for t in patch.tiles]
-    pts = point_set(patch, gifs)
-    return polys, pts
-
-
-def export_svg(patch, gifs=None, prev_patch=None):
+def export_svg(patch, prev_patch=None):
     """Stroke-only tile outlines plus one disk per point, 2% margin."""
-    if gifs is None:
-        gifs = build_gifs(patch.angles, validate=False)
-    polys, pts = _patch_geometry(patch, gifs)
-    allv = np.concatenate(polys + [pts]) if len(pts) else np.concatenate(polys)
+    polys, pts = patch.vertices, patch.points
+    allv = np.concatenate([polys.reshape(-1, 2), pts])
     x0, y0 = allv.min(axis=0)
     x1, y1 = allv.max(axis=0)
     mx, my = 0.02 * (x1 - x0), 0.02 * (y1 - y0)
@@ -358,7 +348,7 @@ def export_svg(patch, gifs=None, prev_patch=None):
     if prev_patch is None:
         in_prev = [False] * len(patch.tiles)
     else:
-        in_prev = recurs_in(patch, prev_patch, gifs)
+        in_prev = recurs_in(patch, prev_patch)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',
@@ -376,12 +366,9 @@ def export_svg(patch, gifs=None, prev_patch=None):
     return "\n".join(lines) + "\n"
 
 
-def export_csv(patch, gifs=None):
+def export_csv(patch):
     """Point set as x,y rows with 17-significant-digit decimals."""
-    if gifs is None:
-        gifs = build_gifs(patch.angles, validate=False)
-    pts = point_set(patch, gifs)
-    rows = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in pts]
+    rows = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in patch.points]
     return "\n".join(rows) + "\n"
 
 
@@ -389,9 +376,8 @@ def cmd_export(args):
     patches = _load_patches(args.infile)
     if not (args.svg or args.json_out or args.csv):
         raise ValueError("choose at least one of --svg/--json/--csv")
-    gifs = build_gifs(patches[0].angles, validate=False)
     if args.json_out:
-        docs = [patch_doc(p, gifs=gifs) for p in patches]
+        docs = [patch_doc(p) for p in patches]
         text = json.dumps(docs[0] if len(docs) == 1 else docs, indent=2)
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
@@ -400,12 +386,12 @@ def cmd_export(args):
         if len(patches) > 1:
             raise ValueError("csv export takes a single-patch file")
         with open(args.csv, "w") as fh:
-            fh.write(export_csv(patches[0], gifs=gifs))
+            fh.write(export_csv(patches[0]))
         print(f"csv -> {args.csv}")
     if args.svg:
         if len(patches) == 1:
             with open(args.svg, "w") as fh:
-                fh.write(export_svg(patches[0], gifs=gifs))
+                fh.write(export_svg(patches[0]))
             print(f"svg -> {args.svg}")
         else:
             stem, dot, ext = args.svg.rpartition(".")
@@ -415,7 +401,7 @@ def cmd_export(args):
                 prev = patches[k - 1] if k else None
                 name = f"{stem}-{k}.{ext}"
                 with open(name, "w") as fh:
-                    fh.write(export_svg(patch, gifs=gifs, prev_patch=prev))
+                    fh.write(export_svg(patch, prev_patch=prev))
                 print(f"svg -> {name}")
     return 0
 

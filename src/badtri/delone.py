@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .gifs import build_gifs, point_set
-
 __all__ = [
     "PointSet",
     "DiskRegion",
@@ -122,15 +120,13 @@ class ConvexRegion:
         return self.excess(pts) <= 1e-12
 
 
-def patch_region(patch, gifs=None):
+def patch_region(patch):
     """Convex hull of the tile vertices, a superset of the footprint.
 
     Epsilon-rule and stationary patches tile one prototile image, so for them
     the hull is the footprint itself.
     """
-    if gifs is None:
-        gifs = build_gifs(patch.angles, validate=False)
-    return ConvexRegion([v for t in patch.tiles for v in t.polygon(gifs)])
+    return ConvexRegion(patch.vertices)
 
 
 def delone_radii(gifs):
@@ -351,14 +347,12 @@ def orientation_discrepancy(patch):
     return len(xs), star_discrepancy(xs)
 
 
-def analysis_report(patch, gifs=None, radii=(5.0, 10.0, 20.0)):
+def analysis_report(patch, radii=(5.0, 10.0, 20.0)):
     """Full Delone/metric/discrepancy report for one patch, JSON-shaped."""
-    if gifs is None:
-        gifs = build_gifs(patch.angles, validate=False)
-    ps = PointSet(point_set(patch, gifs))
-    r, big_r = delone_radii(gifs)
+    ps = PointSet(patch.points)
+    r, big_r = delone_radii(patch.gifs)
     ud = check_uniform_discrete(ps, r)
-    rd = check_relatively_dense(ps, big_r, patch_region(patch, gifs))
+    rd = check_relatively_dense(ps, big_r, patch_region(patch))
     conv = restricted_convergence_check(ps, radii)
     n, dstar = orientation_discrepancy(patch)
     return {

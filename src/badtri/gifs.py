@@ -3,8 +3,9 @@
 Given an angle triple (alpha, beta, gamma) with gamma < pi/2, this module
 builds the scalene/isosceles prototile pair of unit area, the eight
 contractive similitudes whose unions reproduce the prototiles, and runs
-the area-threshold subdivision that yields finite patches, their centroid
-point sets, and the rotated stationary patch sequence.
+the area-threshold subdivision that yields finite patches and the rotated
+stationary patch sequence.  A patch holds its tiling system and places
+its tile vertices and centroid point set once, when it is built.
 
 All geometry is double precision; subdivision stopping areas are tracked
 as exact Fractions of the float scale factors so patch shape never
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "closure_report",
     "subdivide",
     "epsilon_rule",
-    "point_set",
     "stationary_sequence",
     "recurs_in",
     "stationary_nesting_ok",
@@ -230,10 +230,17 @@ T2_EDGES = (("g2", 2), ("g3", 2), ("f4", 1), ("f5", 1))
 
 @dataclass(frozen=True)
 class Gifs:
+    """A tiling system: angles, constants, prototiles and the eight maps.
+
+    The prototiles (arrays) and maps (a dict) follow from the angles, so
+    equality and hashing leave them out; patches of equal systems then
+    compare and hash by value.
+    """
+
     angles: Angles
     consts: DerivedConstants
-    prototiles: tuple
-    maps: dict
+    prototiles: tuple = field(compare=False)
+    maps: dict = field(compare=False)
     a_min: float
 
     def prototile(self, kind):
@@ -243,7 +250,7 @@ class Gifs:
         return T1_EDGES if kind == 1 else T2_EDGES
 
 
-def build_gifs(angles, validate=True, samples=10**4):
+def build_gifs(angles, validate=True):
     """Construct the eight similitudes and (optionally) validate closure.
 
     Validation checks, per parent: child scale^2 sums to 1 within 1e-12;
@@ -299,7 +306,7 @@ def build_gifs(angles, validate=True, samples=10**4):
         min(m.scale**2 for m in maps.values()),
     )
     if validate:
-        report = closure_report(gifs, samples=samples)
+        report = closure_report(gifs)
         if not report["ok"]:
             raise ValueError(f"GIFS closure validation failed: {report}")
     return gifs
@@ -379,19 +386,51 @@ class TileInstance:
     def parity(self):
         return self.transform.reflect
 
-    def polygon(self, gifs):
-        return self.transform.apply(gifs.prototile(self.kind).vertices)
 
-    def centroid(self, gifs):
-        return self.transform.apply(gifs.prototile(self.kind).centroid)
+def _place(transforms, local):
+    """Similitude.apply for many tiles at once: local[i] (K x 2) under transforms[i].
+
+    The arithmetic is apply's, operation for operation, with c and s from
+    math.cos and math.sin of each rotation, so every coordinate is
+    bit-identical to a per-tile apply.
+    """
+    params = np.array(
+        [(m.scale, math.cos(m.rotation), math.sin(m.rotation), m.tx, m.ty, m.reflect)
+         for m in transforms],
+        dtype=float,
+    ).reshape(-1, 6)
+    scale, c, s, tx, ty, reflect = params.T[:, :, None]
+    xs = np.where(reflect != 0, -local[..., 0], local[..., 0])
+    ys = local[..., 1]
+    out = np.empty_like(local)
+    out[..., 0] = scale * (c * xs - s * ys) + tx
+    out[..., 1] = scale * (s * xs + c * ys) + ty
+    return out
 
 
 @dataclass(frozen=True)
 class Patch:
+    """Tiles of one tiling system, with their geometry placed once.
+
+    `vertices` (N x 3 x 2) and `points` (N x 2, the tile centroids) are
+    derived from the tiles at construction, so `dataclasses.replace`
+    keeps them in step with the tiles.
+    """
+
     epsilon: float
-    angles: Angles
+    gifs: Gifs
     tiles: tuple
-    a_min: float
+    vertices: np.ndarray = field(init=False, compare=False, repr=False)
+    points: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # each prototile's three vertices and its centroid, placed together
+        local = np.stack([np.vstack([p.vertices, p.centroid]) for p in self.gifs.prototiles])
+        kinds = np.array([t.kind - 1 for t in self.tiles], dtype=int)
+        placed = _place([t.transform for t in self.tiles], local[kinds])
+        placed.flags.writeable = False
+        object.__setattr__(self, "vertices", placed[:, :3])
+        object.__setattr__(self, "points", placed[:, 3])
 
     def areas(self):
         return [float(t.area) for t in self.tiles]
@@ -427,7 +466,7 @@ def _subdivide_to_threshold(gifs, start, threshold):
     return out
 
 
-def epsilon_rule(start, epsilon, angles, gifs=None):
+def epsilon_rule(start, epsilon, gifs):
     """Subdivide the start prototile while Area > epsilon, then inflate.
 
     Inflation by 1/sqrt(epsilon) about the origin brings every tile area
@@ -438,8 +477,6 @@ def epsilon_rule(start, epsilon, angles, gifs=None):
         raise ValueError("epsilon must be in (0, 1)")
     if start not in (1, 2):
         raise ValueError("start prototile must be 1 or 2")
-    if gifs is None:
-        gifs = build_gifs(angles, validate=False)
     bound = 1 / (gifs.a_min * epsilon)
     if bound > MAX_EPSILON_TILES:
         raise ValueError(
@@ -463,19 +500,10 @@ def epsilon_rule(start, epsilon, angles, gifs=None):
         )
         for t in tiles
     )
-    return Patch(epsilon, angles, inflated, gifs.a_min)
+    return Patch(epsilon, gifs, inflated)
 
 
-def point_set(patch, gifs=None):
-    """One point per tile: the image of its prototile's centroid."""
-    if gifs is None:
-        gifs = build_gifs(patch.angles, validate=False)
-    if not patch.tiles:
-        return np.empty((0, 2))
-    return np.stack([t.centroid(gifs) for t in patch.tiles])
-
-
-def stationary_sequence(angles, n, gifs=None):
+def stationary_sequence(gifs, n):
     """Patches P_0..P_n that reproduce each other under the e0-rule.
 
     e0 = scale(f3)^2; P_k is the e0^k patch of the scalene tile, re-anchored
@@ -486,9 +514,7 @@ def stationary_sequence(angles, n, gifs=None):
         raise ValueError("n capped at 6 (tile count grows like e0^-n)")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if gifs is None:
-        gifs = build_gifs(angles, validate=False)
-    ga = angles.gamma
+    ga = gifs.angles.gamma
     f3 = gifs.maps["f3"]
     eps0 = f3.scale**2
     patches = []
@@ -505,12 +531,12 @@ def stationary_sequence(angles, n, gifs=None):
             TileInstance(t.kind, world.compose(t.transform), t.depth, t.area / threshold)
             for t in tiles
         )
-        patches.append(Patch(float(eps0**k), angles, placed, gifs.a_min))
+        patches.append(Patch(float(eps0**k), gifs, placed))
         anchor = f3.apply(anchor)
     return patches
 
 
-def recurs_in(patch, other, gifs=None, tol=1e-6):
+def recurs_in(patch, other, tol=1e-6):
     """Per tile of `patch`: does `other` hold a tile in the same pose?
 
     Same pose means the same kind and reflection parity, with scale,
@@ -518,9 +544,7 @@ def recurs_in(patch, other, gifs=None, tol=1e-6):
     the centroids of `other` yields the candidates, so only tiles within
     tol of each other are compared.
     """
-    if gifs is None:
-        gifs = build_gifs(patch.angles, validate=False)
-    near = cKDTree(point_set(other, gifs)).query_ball_point(point_set(patch, gifs), tol)
+    near = cKDTree(other.points).query_ball_point(patch.points, tol)
 
     def same_pose(a, b):
         gap = abs(a.orientation - b.orientation) % _TWO_PI
@@ -537,13 +561,9 @@ def recurs_in(patch, other, gifs=None, tol=1e-6):
     ]
 
 
-def stationary_nesting_ok(patches, gifs=None, tol=1e-6):
+def stationary_nesting_ok(patches, tol=1e-6):
     """Does every tile of P_(k-1) recur in P_k (kind, pose, position)?"""
-    if gifs is None:
-        gifs = build_gifs(patches[0].angles, validate=False)
-    return all(
-        all(recurs_in(prev, cur, gifs, tol)) for prev, cur in zip(patches, patches[1:])
-    )
+    return all(all(recurs_in(prev, cur, tol)) for prev, cur in zip(patches, patches[1:]))
 
 
 def orientation_angles(patch):
@@ -551,13 +571,11 @@ def orientation_angles(patch):
     return [(t.orientation, t.parity) for t in patch.tiles]
 
 
-def patch_doc(patch, points=None, gifs=None):
+def patch_doc(patch):
     """The patch as a JSON-ready dict (tile transforms plus centroid points)."""
-    if points is None:
-        points = point_set(patch, gifs)
     return {
         "epsilon": patch.epsilon,
-        "angles": list(patch.angles.as_tuple()),
+        "angles": list(patch.gifs.angles.as_tuple()),
         "tiles": [
             {
                 "kind": t.kind,
@@ -569,13 +587,13 @@ def patch_doc(patch, points=None, gifs=None):
             }
             for t in patch.tiles
         ],
-        "points": [[float(x), float(y)] for x, y in np.asarray(points)],
+        "points": patch.points.tolist(),
     }
 
 
-def patch_to_json(patch, points=None, gifs=None):
+def patch_to_json(patch):
     """Serialize a patch (and its centroid points) as deterministic JSON."""
-    return json.dumps(patch_doc(patch, points, gifs), indent=2)
+    return json.dumps(patch_doc(patch), indent=2)
 
 
 _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
@@ -583,6 +601,10 @@ _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_patch_doc(doc):
@@ -604,12 +626,12 @@ def _check_patch_doc(doc):
             raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")
         tr = t["translation"]
         if (
-            t["kind"] not in (1, 2)
+            not (_is_int(t["kind"]) and t["kind"] in (1, 2))
             or not (_is_number(t["scale"]) and t["scale"] > 0)
             or not _is_number(t["rotation"])
             or not isinstance(t["reflect"], bool)
             or not (isinstance(tr, list) and len(tr) == 2 and all(map(_is_number, tr)))
-            or not (isinstance(t["depth"], int) and t["depth"] >= 0)
+            or not (_is_int(t["depth"]) and t["depth"] >= 0)
         ):
             raise ValueError(f"tile {i} is malformed: {t}")
 
@@ -620,11 +642,10 @@ def patch_from_doc(doc):
     Raises ValueError when the document does not have patch_doc's shape.
     """
     _check_patch_doc(doc)
-    angles = Angles(*doc["angles"])
-    gifs = build_gifs(angles, validate=False)
+    gifs = build_gifs(Angles(*doc["angles"]), validate=False)
     tiles = tuple(
         TileInstance(
-            int(t["kind"]),
+            t["kind"],
             Similitude(
                 float(t["scale"]),
                 float(t["rotation"]),
@@ -637,4 +658,4 @@ def patch_from_doc(doc):
         )
         for t in doc["tiles"]
     )
-    return Patch(float(doc["epsilon"]), angles, tiles, gifs.a_min)
+    return Patch(float(doc["epsilon"]), gifs, tiles)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the real quadratic fields Q(sqrt(2)) and Q(sqrt(3)).
+"""Exact arithmetic in the real quadratic fields Q(sqrt(2)), Q(sqrt(3)), Q(sqrt(5)).
 
 A :class:`QuadRat` is an element (a + b*sqrt(d))/c with integer a, b and a
 positive integer c, kept in lowest terms (gcd(a, b, c) == 1).  All

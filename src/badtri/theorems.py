@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import Cylinder, FiniteCF, PeriodicCF, bad_class, in_bad_class, word_map
+from .cf import Cylinder, PeriodicCF, bad_class, in_bad_class, word_map
 from .quadfield import QuadRat, sqrt2, sqrt3
 
 __all__ = [
@@ -59,11 +59,11 @@ class ForbiddenPattern:
 def forbidden_interval(form, k, ell, s):
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
-    if k < 1 or ell < 0 or s < 3:
-        raise ValueError("need k >= 1, ell >= 0, s >= 3")
+    if not all(isinstance(v, int) for v in (k, ell, s)) or k < 1 or ell < 0 or s < 3:
+        raise ValueError("need integers k >= 1, ell >= 0, s >= 3")
     run = 2 * k - 1 if form == 1 else 2 * k
-    plain = FiniteCF((2,) * run).value()
-    deep = FiniteCF((2,) * run + (2, 1) * ell + (s,)).value()
+    plain = word_map((2,) * run, 0)
+    deep = word_map((2,) * run + (2, 1) * ell + (s,), 0)
     r1, r2 = (deep, plain) if form == 1 else (plain, deep)
     if not r1 < r2:
         raise AssertionError("pattern endpoints out of order")
@@ -190,7 +190,23 @@ def _match_pattern(row, n):
 
 
 def _endpoint_value(suffix, n):
-    return FiniteCF((2,) * (n + 1) + suffix).value()
+    """[(2)^(n+1), suffix, inf]: one endpoint of a row's interval at n."""
+    return word_map((2,) * (n + 1) + suffix, 0)
+
+
+def _check_row(row, n):
+    """(left, right, pattern, ok) for one table row at one n; see verify_case_row."""
+    if n < 0 or n % 2 != (0 if row.parity == "even" else 1):
+        raise ValueError(f"row {row.id} needs n = {row.parity}, got {n}")
+    left = _endpoint_value(row.left_suffix, n)
+    right = _endpoint_value(row.right_suffix, n)
+    pattern = _match_pattern(row, n)
+    ok = left < right and pattern.r1 <= left and right <= pattern.r2
+    if ok:
+        hx = Cylinder((3,) + (2,) * n + row.x_suffix).hull()
+        hy = Cylinder((3,) + (2,) * n + row.y_suffix).hull()
+        ok = left <= 1 - hx[1] - hy[1] and 1 - hx[0] - hy[0] <= right
+    return left, right, pattern, ok
 
 
 def verify_case_row(row, n):
@@ -200,20 +216,7 @@ def verify_case_row(row, n):
     inside the row's endpoint interval, which itself must instantiate a
     forbidden pattern of the correct parity.
     """
-    if n < 0 or n % 2 != (0 if row.parity == "even" else 1):
-        raise ValueError(f"row {row.id} needs n = {row.parity}, got {n}")
-    hx = Cylinder((3,) + (2,) * n + row.x_suffix).hull()
-    hy = Cylinder((3,) + (2,) * n + row.y_suffix).hull()
-    z_lo = 1 - hx[1] - hy[1]
-    z_hi = 1 - hx[0] - hy[0]
-    left = _endpoint_value(row.left_suffix, n)
-    right = _endpoint_value(row.right_suffix, n)
-    if not left < right:
-        return False
-    pattern = _match_pattern(row, n)
-    if not (pattern.r1 <= left and right <= pattern.r2):
-        return False
-    return left <= z_lo and z_hi <= right
+    return _check_row(row, n)[3]
 
 
 def case21_endpoints(n):
@@ -245,14 +248,12 @@ def verify_case21_symbolic(n):
 
 
 def _row_entry(row, n):
-    left = _endpoint_value(row.left_suffix, n)
-    right = _endpoint_value(row.right_suffix, n)
-    pat = _match_pattern(row, n)
+    left, right, pat, ok = _check_row(row, n)
     return {
         "id": row.id,
         "parity": row.parity,
         "n": n,
-        "pass": verify_case_row(row, n),
+        "pass": ok,
         "z_interval": [str(left), str(right)],
         "pattern": {"form": pat.form, "k": pat.k, "ell": pat.ell, "s": pat.s},
     }, (left, right)

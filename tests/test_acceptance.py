@@ -33,7 +33,6 @@ from badtri.gifs import (
     build_gifs,
     closure_report,
     epsilon_rule,
-    point_set,
     stationary_nesting_ok,
     stationary_sequence,
 )
@@ -226,12 +225,12 @@ def test_c09_epsilon_rule_windows():
     for name in ("optimal1", "optimal2"):
         gifs = build_gifs(PRESETS[name], validate=False)
         for eps in (0.2, 0.08, 0.04, 0.02):
-            patch = epsilon_rule(1, eps, PRESETS[name], gifs=gifs)
+            patch = epsilon_rule(1, eps, gifs)
             areas = patch.areas()
             n = len(areas)
-            ok &= min(areas) >= patch.a_min - 1e-12
+            ok &= min(areas) >= patch.gifs.a_min - 1e-12
             ok &= max(areas) <= 1 + 1e-12
-            ok &= 1 / eps <= n <= 1 / (patch.a_min * eps)
+            ok &= 1 / eps <= n <= 1 / (patch.gifs.a_min * eps)
             ok &= abs(sum(areas) - 1 / eps) <= 1e-9 * n
     _report(9, ok, t0, 10)
 
@@ -243,10 +242,10 @@ def test_c10_delone_certification():
         gifs = build_gifs(PRESETS[name], validate=False)
         r, big_r = delone_radii(gifs)
         for eps in (0.08, 0.04, 0.02):
-            patch = epsilon_rule(1, eps, PRESETS[name], gifs=gifs)
-            ps = PointSet(point_set(patch, gifs))
+            patch = epsilon_rule(1, eps, gifs)
+            ps = PointSet(patch.points)
             ok &= check_uniform_discrete(ps, r).status == "certified"
-            dense = check_relatively_dense(ps, big_r, patch_region(patch, gifs))
+            dense = check_relatively_dense(ps, big_r, patch_region(patch))
             ok &= dense.status == "certified"
     _report(10, ok, t0, 60)
 
@@ -259,8 +258,8 @@ def test_c11_stationary_nesting():
         t = gifs.consts.t
         eps0 = t**2 / (1 + t**2) ** 2
         ok &= abs(gifs.maps["f3"].scale ** 2 - eps0) <= 1e-15
-        seq = stationary_sequence(PRESETS[name], 4, gifs=gifs)
-        ok &= stationary_nesting_ok(seq, gifs=gifs, tol=1e-6)
+        seq = stationary_sequence(gifs, 4)
+        ok &= stationary_nesting_ok(seq, tol=1e-6)
     _report(11, ok, t0, 60)
 
 
@@ -299,7 +298,7 @@ def test_c13_discrepancy_sanity():
     gifs = build_gifs(PRESETS["optimal1"], validate=False)
     dstars = [
         orientation_discrepancy(
-            epsilon_rule(1, eps, PRESETS["optimal1"], gifs=gifs)
+            epsilon_rule(1, eps, gifs)
         )[1]
         for eps in (0.08, 0.04, 0.02)
     ]

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import re
 
 import pytest
 
@@ -166,6 +167,31 @@ def test_export_stationary_highlights(tmp_path, capsys):
     assert step2.count("tile prev") == len(docs[1]["tiles"])
 
 
+def test_export_draws_each_patch_with_its_own_system(tmp_path, capsys):
+    docs = []
+    for name in ("optimal1", "optimal2"):
+        f = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "tile", "--preset", name, "--epsilon", "0.2",
+                         "--out", str(f))
+        assert code == 0
+        docs.append(json.loads(f.read_text()))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(docs))
+    code, _, _ = run(capsys, "export", "--in", str(mixed), "--svg", str(tmp_path / "m.svg"),
+                     "--json", str(tmp_path / "m.json"))
+    assert code == 0
+    code, _, _ = run(capsys, "export", "--in", str(tmp_path / "optimal2.json"),
+                     "--svg", str(tmp_path / "o2.svg"))
+    assert code == 0
+
+    def shapes(path):
+        text = path.read_text()
+        return re.findall(r' d="[^"]*"', text), re.findall(r"<circle [^>]*>", text)
+
+    assert shapes(tmp_path / "m-1.svg") == shapes(tmp_path / "o2.svg")
+    assert json.loads((tmp_path / "m.json").read_text())[1]["points"] == docs[1]["points"]
+
+
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2
@@ -198,6 +224,15 @@ def test_unknown_flag_exits_nonzero():
     {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
         {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
          "translation": [0.0, 0.0]}]},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": True, "scale": 1.0, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0], "depth": 0}]},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 1.0, "scale": 1.0, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0], "depth": 0}]},
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0], "depth": True}]},
 ])
 def test_analyze_rejects_malformed_patch(tmp_path, capsys, doc):
     bad = tmp_path / "f.json"

@@ -27,7 +27,6 @@ from badtri.gifs import (
     PRESETS,
     build_gifs,
     epsilon_rule,
-    point_set,
     stationary_sequence,
 )
 
@@ -210,8 +209,8 @@ def test_restricted_convergence():
 
 def test_restricted_convergence_on_patch():
     g = build_gifs(PRESETS["optimal1"], validate=False)
-    p = epsilon_rule(1, 0.02, PRESETS["optimal1"], gifs=g)
-    ps = PointSet(point_set(p, g))
+    p = epsilon_rule(1, 0.02, g)
+    ps = PointSet(p.points)
     rep = restricted_convergence_check(ps, [5.0, 10.0, 20.0])
     assert rep["ok"]
     assert all(d <= b for d, b in zip(rep["distances"], rep["bounds"]))
@@ -243,7 +242,7 @@ def test_star_discrepancy_matches_bruteforce():
 
 
 def test_orientation_discrepancy_single_tile():
-    p0 = stationary_sequence(PRESETS["optimal1"], 0)[0]
+    p0 = stationary_sequence(build_gifs(PRESETS["optimal1"], validate=False), 0)[0]
     n, d = orientation_discrepancy(p0)
     assert (n, d) == (1, 1.0)
 
@@ -252,13 +251,13 @@ def test_orientation_discrepancy_trend_and_atoms():
     g = build_gifs(PRESETS["optimal1"], validate=False)
     vals = []
     for eps in (0.08, 0.04, 0.02):
-        p = epsilon_rule(1, eps, PRESETS["optimal1"], gifs=g)
+        p = epsilon_rule(1, eps, g)
         vals.append(orientation_discrepancy(p)[1])
     assert vals[0] > vals[1] > vals[2]
     # rational-angle triangle: orientations form finitely many atoms,
     # so the discrepancy stays bounded away from zero
     ge = build_gifs(PRESETS["equilateral"], validate=False)
-    pe = epsilon_rule(1, 0.02, PRESETS["equilateral"], gifs=ge)
+    pe = epsilon_rule(1, 0.02, ge)
     assert orientation_discrepancy(pe)[1] >= 0.05
 
 
@@ -268,17 +267,17 @@ def test_delone_certification(name):
     r, big_r = delone_radii(g)
     assert 0 < r < big_r
     for eps in (0.08, 0.04):
-        p = epsilon_rule(1, eps, PRESETS[name], gifs=g)
-        ps = PointSet(point_set(p, g))
+        p = epsilon_rule(1, eps, g)
+        ps = PointSet(p.points)
         assert check_uniform_discrete(ps, r).status == "certified"
-        res = check_relatively_dense(ps, big_r, patch_region(p, g))
+        res = check_relatively_dense(ps, big_r, patch_region(p))
         assert res.status == "certified"
 
 
 def test_analysis_report_shape():
     g = build_gifs(PRESETS["optimal2"], validate=False)
-    p = epsilon_rule(1, 0.04, PRESETS["optimal2"], gifs=g)
-    rep = analysis_report(p, gifs=g)
+    p = epsilon_rule(1, 0.04, g)
+    rep = analysis_report(p)
     assert rep["r_certified"] and rep["R_certified"]
     assert set(rep) == {
         "r_certified", "R_certified", "r", "R", "cf_distances", "discrepancy",

@@ -21,8 +21,8 @@ from badtri.gifs import (
     derive_constants,
     epsilon_rule,
     orientation_angles,
+    patch_from_doc,
     patch_to_json,
-    point_set,
     recurs_in,
     stationary_nesting_ok,
     stationary_sequence,
@@ -245,7 +245,7 @@ def test_subdivide_child_kinds_and_areas():
         assert abs(total - 1.0) <= 1e-12
         # geometric area agrees with the tracked exact area
         for k in kids:
-            poly = k.polygon(g)
+            poly = k.transform.apply(g.prototile(k.kind).vertices)
             geo = abs(cross2(poly[1] - poly[0], poly[2] - poly[0])) / 2
             assert abs(geo - float(k.area)) <= 1e-12
 
@@ -279,47 +279,87 @@ def test_orientation_additivity():
 
 @pytest.mark.parametrize("eps", [0.2, 0.08, 0.04, 0.02])
 def test_epsilon_rule_windows(eps):
-    ang = PRESETS["optimal1"]
-    p = epsilon_rule(1, eps, ang)
+    g = build_gifs(PRESETS["optimal1"], validate=False)
+    p = epsilon_rule(1, eps, g)
     areas = p.areas()
-    assert min(areas) >= p.a_min - 1e-12
+    assert min(areas) >= p.gifs.a_min - 1e-12
     assert max(areas) <= 1 + 1e-12
     n = len(p.tiles)
-    assert 1 / eps <= n <= 1 / (p.a_min * eps)
+    assert 1 / eps <= n <= 1 / (p.gifs.a_min * eps)
     assert abs(sum(areas) - 1 / eps) <= 1e-9 * n
 
 
 def test_epsilon_rule_validation():
-    ang = PRESETS["equilateral"]
+    g = build_gifs(PRESETS["equilateral"], validate=False)
     with pytest.raises(ValueError):
-        epsilon_rule(1, 1.0, ang)
+        epsilon_rule(1, 1.0, g)
     with pytest.raises(ValueError):
-        epsilon_rule(1, 0.0, ang)
+        epsilon_rule(1, 0.0, g)
     with pytest.raises(ValueError):
-        epsilon_rule(3, 0.5, ang)
-    p = epsilon_rule(2, 0.3, ang)
+        epsilon_rule(3, 0.5, g)
+    p = epsilon_rule(2, 0.3, g)
     assert len(p.tiles) == 4
 
 
 def test_epsilon_rule_deterministic():
-    a = epsilon_rule(1, 0.05, PRESETS["optimal2"])
-    b = epsilon_rule(1, 0.05, PRESETS["optimal2"])
+    a = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"], validate=False))
+    b = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"], validate=False))
     assert [t.transform for t in a.tiles] == [t.transform for t in b.tiles]
     assert [t.area for t in a.tiles] == [t.area for t in b.tiles]
 
 
 def test_point_set_inside_tiles():
     g = build_gifs(PRESETS["optimal2"], validate=False)
-    p = epsilon_rule(1, 0.05, PRESETS["optimal2"], gifs=g)
-    pts = point_set(p, g)
+    p = epsilon_rule(1, 0.05, g)
+    pts = p.points
     assert pts.shape == (len(p.tiles), 2)
-    for point, tile in zip(pts, p.tiles):
-        assert _inside(point, tile.polygon(g))
+    for point, poly in zip(pts, p.vertices):
+        assert _inside(point, poly)
+
+
+def _assert_placed_exactly(patch):
+    # the batched placement reproduces Similitude.apply bit for bit
+    g = patch.gifs
+    assert patch.points.shape == (len(patch.tiles), 2)
+    assert patch.vertices.shape == (len(patch.tiles), 3, 2)
+    for t, point, verts in zip(patch.tiles, patch.points, patch.vertices):
+        proto = g.prototile(t.kind)
+        assert np.array_equal(point, t.transform.apply(proto.centroid))
+        assert np.array_equal(verts, t.transform.apply(proto.vertices))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_patch_geometry_placed_exactly(name):
+    g = build_gifs(PRESETS[name], validate=False)
+    p = epsilon_rule(2, 0.05, g)
+    _assert_placed_exactly(p)
+    for q in stationary_sequence(g, 3):
+        _assert_placed_exactly(q)
+    back = patch_from_doc(json.loads(patch_to_json(p)))
+    _assert_placed_exactly(back)
+    assert np.array_equal(back.points, p.points)
+    assert np.array_equal(back.vertices, p.vertices)
+
+
+def test_replaced_tiles_carry_their_geometry():
+    g = build_gifs(PRESETS["optimal1"], validate=False)
+    p = epsilon_rule(1, 0.1, g)
+    q = dataclasses.replace(p, tiles=p.tiles[::-2])
+    _assert_placed_exactly(q)
+    assert np.array_equal(q.points, p.points[::-2])
+    assert np.array_equal(q.vertices, p.vertices[::-2])
+
+
+def test_patches_of_equal_systems_compare_and_hash_equal():
+    a, b = (epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal2"], validate=False))
+            for _ in range(2))
+    assert a.gifs is not b.gifs
+    assert a == b and hash(a) == hash(b)
 
 
 def test_stationary_sequence_nesting():
     for name in ("optimal1", "equilateral"):
-        seq = stationary_sequence(PRESETS[name], 4)
+        seq = stationary_sequence(build_gifs(PRESETS[name], validate=False), 4)
         assert len(seq) == 5
         assert len(seq[0].tiles) == 1
         assert orientation_angles(seq[0]) == [(0.0, False)]
@@ -328,11 +368,15 @@ def test_stationary_sequence_nesting():
         assert stationary_nesting_ok(seq, tol=1e-6)
 
 
+def _centroid(tile, gifs):
+    return tile.transform.apply(gifs.prototile(tile.kind).centroid)
+
+
 def _alter(tile, gifs, shift=(0.0, 0.0), kind=None, **transform):
     """The tile with its kind or transform fields changed, centroid kept + shift."""
     m = dataclasses.replace(tile.transform, **transform)
     moved = dataclasses.replace(tile, kind=kind or tile.kind, transform=m)
-    dx, dy = tile.centroid(gifs) - moved.centroid(gifs) + np.asarray(shift)
+    dx, dy = _centroid(tile, gifs) - _centroid(moved, gifs) + np.asarray(shift)
     return dataclasses.replace(
         moved, transform=dataclasses.replace(m, tx=m.tx + dx, ty=m.ty + dy)
     )
@@ -351,51 +395,52 @@ CHANGES = {
 @pytest.mark.parametrize("change", sorted(CHANGES))
 def test_recurrence_rejects_changed_tile(change):
     g = build_gifs(PRESETS["optimal1"], validate=False)
-    seq = stationary_sequence(PRESETS["optimal1"], 2, gifs=g)
+    seq = stationary_sequence(g, 2)
     prev, cur = seq[1], seq[2]
-    i = recurs_in(cur, prev, g, TOL).index(True)
+    i = recurs_in(cur, prev, TOL).index(True)
     tiles = list(cur.tiles)
     tiles[i] = CHANGES[change](tiles[i], g)
     bad = dataclasses.replace(cur, tiles=tuple(tiles))
-    assert stationary_nesting_ok(seq, g, TOL)
-    assert not stationary_nesting_ok(seq[:2] + [bad], g, TOL)
-    marked = export_svg(cur, gifs=g, prev_patch=prev).count("tile prev")
+    assert stationary_nesting_ok(seq, TOL)
+    assert not stationary_nesting_ok(seq[:2] + [bad], TOL)
+    marked = export_svg(cur, prev_patch=prev).count("tile prev")
     assert marked == len(prev.tiles)
-    assert export_svg(bad, gifs=g, prev_patch=prev).count("tile prev") == marked - 1
+    assert export_svg(bad, prev_patch=prev).count("tile prev") == marked - 1
 
 
 def test_recurrence_orientation_wraps_at_zero():
     g = build_gifs(PRESETS["optimal2"], validate=False)
-    tile = stationary_sequence(PRESETS["optimal2"], 1, gifs=g)[1].tiles[0]
+    tile = stationary_sequence(g, 1)[1].tiles[0]
 
     def single(rotation):
         t = _alter(tile, g, rotation=rotation)
-        return Patch(1.0, PRESETS["optimal2"], (t,), g.a_min)
+        return Patch(1.0, g, (t,))
 
     below, above = single(2 * math.pi - TOL / 4), single(TOL / 4)
-    assert recurs_in(below, above, g, TOL) == [True]
-    assert recurs_in(above, below, g, TOL) == [True]
-    assert recurs_in(single(2 * math.pi - 1.5 * TOL), above, g, TOL) == [False]
+    assert recurs_in(below, above, TOL) == [True]
+    assert recurs_in(above, below, TOL) == [True]
+    assert recurs_in(single(2 * math.pi - 1.5 * TOL), above, TOL) == [False]
 
 
 def test_stationary_sequence_guard():
     with pytest.raises(ValueError):
-        stationary_sequence(PRESETS["equilateral"], 7)
+        stationary_sequence(build_gifs(PRESETS["equilateral"], validate=False), 7)
     with pytest.raises(ValueError):
-        stationary_sequence(PRESETS["equilateral"], -1)
+        stationary_sequence(build_gifs(PRESETS["equilateral"], validate=False), -1)
 
 
 def test_orientation_angles_range():
-    p = epsilon_rule(1, 0.1, PRESETS["optimal1"])
+    p = epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal1"], validate=False))
     for rot, parity in orientation_angles(p):
         assert 0 <= rot < 2 * math.pi
         assert isinstance(parity, bool)
 
 
 def test_patch_json_roundtrip_and_stability():
-    p = epsilon_rule(1, 0.2, PRESETS["equilateral"])
+    g = build_gifs(PRESETS["equilateral"], validate=False)
+    p = epsilon_rule(1, 0.2, g)
     s1 = patch_to_json(p)
-    s2 = patch_to_json(epsilon_rule(1, 0.2, PRESETS["equilateral"]))
+    s2 = patch_to_json(epsilon_rule(1, 0.2, g))
     assert s1 == s2
     doc = json.loads(s1)
     assert doc["epsilon"] == 0.2

@@ -72,6 +72,12 @@ def test_forbidden_interval_rejects_bad_params():
             forbidden_interval(*args)
 
 
+def test_forbidden_interval_rejects_non_integers():
+    for args in ((1, 1, 0, 3.5), (1, 1.5, 0, 3), (1, 1, 0.5, 3)):
+        with pytest.raises(ValueError):
+            forbidden_interval(*args)
+
+
 def test_excludes_b2_certified_empty():
     assert excludes_b2(Fraction(3, 7), Fraction(1, 2), 30).status == "certified-empty"
     assert excludes_b2(Fraction(1, 100), Fraction(1, 50), 10).status == "certified-empty"
