@@ -4,30 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .cf import expand_quadratic, expand_real, format_cf, parse_cf, PeriodicCF
-from .delone import (
-    PointSet,
-    analysis_report,
-    orientation_discrepancy,
-    restricted_convergence_check,
-)
-from .gifs import (
-    PRESETS,
-    Angles,
-    build_gifs,
-    epsilon_rule,
-    patch_doc,
-    patch_from_doc,
-    recurs_in,
-    stationary_nesting_ok,
-    stationary_sequence,
-)
 from .theorems import (
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
@@ -40,6 +22,10 @@ from .theorems import (
     verify_tables,
     word_contains,
 )
+
+# gifs.PRESETS's names; the geometry modules (numpy, scipy) load only in
+# the tile, analyze and export handlers, so the exact commands start fast
+PRESET_NAMES = ("equilateral", "optimal1", "optimal2")
 
 
 def main(argv=None):
@@ -100,7 +86,7 @@ def _build_parser():
     p_sea.set_defaults(func=cmd_verify_search)
 
     p_tile = sub.add_parser("tile", help="build a tiling patch")
-    p_tile.add_argument("--preset", choices=sorted(PRESETS))
+    p_tile.add_argument("--preset", choices=PRESET_NAMES)
     p_tile.add_argument("--angles", help="comma-separated alpha,beta,gamma in radians")
     p_tile.add_argument("--epsilon", type=float)
     p_tile.add_argument("--start", type=int, choices=[1, 2], default=1)
@@ -264,6 +250,8 @@ def cmd_verify_search(args):
 
 
 def _angles_from_args(args):
+    from .gifs import PRESETS, Angles
+
     if (args.preset is None) == (args.angles is None):
         raise ValueError("give exactly one of --preset or --angles")
     if args.preset:
@@ -275,10 +263,18 @@ def _angles_from_args(args):
 
 
 def cmd_tile(args):
+    from .gifs import (
+        build_gifs,
+        epsilon_rule,
+        patch_to_json,
+        stationary_nesting_ok,
+        stationary_sequence,
+    )
+
     gifs = build_gifs(_angles_from_args(args))
     if args.stationary is not None:
         patches = stationary_sequence(gifs, args.stationary)
-        text = json.dumps([patch_doc(p) for p in patches], indent=2)
+        text = patch_to_json(patches)
         n = sum(len(p.tiles) for p in patches)
         summary = (f"stationary sequence P_0..P_{args.stationary}: {n} tiles, "
                    f"nesting={'ok' if stationary_nesting_ok(patches) else 'BROKEN'}")
@@ -286,7 +282,7 @@ def cmd_tile(args):
         if args.epsilon is None:
             raise ValueError("--epsilon is required unless --stationary is given")
         patch = epsilon_rule(args.start, args.epsilon, gifs)
-        text = json.dumps(patch_doc(patch), indent=2)
+        text = patch_to_json(patch)
         summary = f"patch: {len(patch.tiles)} tiles, epsilon={args.epsilon}"
     if args.out:
         with open(args.out, "w") as fh:
@@ -301,6 +297,8 @@ def cmd_tile(args):
 
 
 def _load_patches(path):
+    from .gifs import patch_from_doc
+
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, list):
@@ -311,6 +309,13 @@ def _load_patches(path):
 
 
 def cmd_analyze(args):
+    from .delone import (
+        PointSet,
+        analysis_report,
+        orientation_discrepancy,
+        restricted_convergence_check,
+    )
+
     patches = _load_patches(args.infile)
     radii = [float(v) for v in args.radii.split(",")]
     out = []
@@ -336,6 +341,10 @@ def cmd_analyze(args):
 
 def export_svg(patch, prev_patch=None):
     """Stroke-only tile outlines plus one disk per point, 2% margin."""
+    import numpy as np
+
+    from .gifs import recurs_in
+
     polys, pts = patch.vertices, patch.points
     allv = np.concatenate([polys.reshape(-1, 2), pts])
     x0, y0 = allv.min(axis=0)
@@ -356,12 +365,11 @@ def export_svg(patch, prev_patch=None):
         f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
         f".pt{{fill:#1a1a1a}}</style>",
     ]
-    for poly, prev in zip(polys, in_prev):
-        cls = "tile prev" if prev else "tile"
-        path = "M" + " L".join(f"{x} {y}" for x, y in poly) + " Z"
-        lines.append(f'<path class="{cls}" d="{path}"/>')
-    for x, y in pts:
-        lines.append(f'<circle class="pt" cx="{x}" cy="{y}" r="{radius}"/>')
+    lines += [
+        f'<path class="{"tile prev" if prev else "tile"}" d="M{a} {b} L{c} {d} L{e} {f} Z"/>'
+        for ((a, b), (c, d), (e, f)), prev in zip(polys.tolist(), in_prev)
+    ]
+    lines += [f'<circle class="pt" cx="{x}" cy="{y}" r="{radius}"/>' for x, y in pts.tolist()]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -373,12 +381,13 @@ def export_csv(patch):
 
 
 def cmd_export(args):
+    from .gifs import patch_to_json
+
     patches = _load_patches(args.infile)
     if not (args.svg or args.json_out or args.csv):
         raise ValueError("choose at least one of --svg/--json/--csv")
     if args.json_out:
-        docs = [patch_doc(p) for p in patches]
-        text = json.dumps(docs[0] if len(docs) == 1 else docs, indent=2)
+        text = patch_to_json(patches[0] if len(patches) == 1 else patches)
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
         print(f"json -> {args.json_out}")
@@ -394,12 +403,10 @@ def cmd_export(args):
                 fh.write(export_svg(patches[0]))
             print(f"svg -> {args.svg}")
         else:
-            stem, dot, ext = args.svg.rpartition(".")
-            if not dot:
-                stem, ext = args.svg, "svg"
+            stem, ext = os.path.splitext(args.svg)
             for k, patch in enumerate(patches):
                 prev = patches[k - 1] if k else None
-                name = f"{stem}-{k}.{ext}"
+                name = f"{stem}-{k}{ext or '.svg'}"
                 with open(name, "w") as fh:
                     fh.write(export_svg(patch, prev_patch=prev))
                 print(f"svg -> {name}")

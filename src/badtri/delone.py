@@ -74,6 +74,10 @@ def _raw_point_set(pts):
     return ps
 
 
+# a point is in a region when its excess is at most this (Region.contains)
+_INSIDE_TOL = 1e-12
+
+
 class DiskRegion:
     def __init__(self, center, radius):
         if radius <= 0:
@@ -90,7 +94,7 @@ class DiskRegion:
         return np.linalg.norm(np.atleast_2d(pts) - self.center, axis=1) - self.radius
 
     def contains(self, pts):
-        return self.excess(pts) <= 1e-12
+        return self.excess(pts) <= _INSIDE_TOL
 
 
 class ConvexRegion:
@@ -117,7 +121,7 @@ class ConvexRegion:
         return (np.atleast_2d(pts) @ eq[:, :2].T + eq[:, 2]).max(axis=1)
 
     def contains(self, pts):
-        return self.excess(pts) <= 1e-12
+        return self.excess(pts) <= _INSIDE_TOL
 
 
 def patch_region(patch):
@@ -185,12 +189,14 @@ def _dense_pass(ps, R, region, h):
         ys = y0 + h * np.arange(j0, min(j0 + chunk, ny))
         gx, gy = np.meshgrid(xs, ys)
         nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        nodes = nodes[region.excess(nodes) <= margin]
+        ex = region.excess(nodes)
+        keep = ex <= margin
+        nodes, ex = nodes[keep], ex[keep]
         if len(nodes) == 0:
             continue
         d, _ = tree.query(nodes)
         worst_d = max(worst_d, float(d.max()))
-        d[~region.contains(nodes)] = -math.inf  # witnesses lie in the region
+        d[~(ex <= _INSIDE_TOL)] = -math.inf  # witnesses lie in the region
         k = int(np.argmax(d))
         if d[k] > worst_in[0]:
             worst_in = (float(d[k]), tuple(nodes[k]))
@@ -299,6 +305,8 @@ def cf_distance_brute(a, b):
 def restricted_convergence_check(ps, radii):
     """d(A, A cut to B(0, R_n)) for increasing R_n; each is <= 1/R_n."""
     radii = [float(r) for r in radii]
+    if not all(map(math.isfinite, radii)):
+        raise ValueError("radii must be finite")
     if any(r <= 0 for r in radii) or any(
         r2 <= r1 for r1, r2 in zip(radii, radii[1:])
     ):

@@ -10,6 +10,16 @@ its tile vertices and centroid point set once, when it is built.
 All geometry is double precision; subdivision stopping areas are tracked
 as exact Fractions of the float scale factors so patch shape never
 depends on summation order.
+
+Subdivision runs level by level over arrays.  The frontier holds one
+record per tile (kind, transform, depth and an integer *area class*);
+each level replaces every tile whose area exceeds the threshold by its
+four children, in place, so the frontier stays in depth-first order.  A
+tile's area is the product of its maps' squared scales, so few values
+occur: each distinct area is one exact Fraction, shared by every tile of
+its class, and the exact `area > threshold` test runs once per class.
+Child transforms repeat `Similitude.compose`'s arithmetic operation for
+operation, so they are bit-identical to composing tile by tile.
 """
 
 from __future__ import annotations
@@ -20,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Angles",
@@ -452,18 +461,90 @@ def subdivide(tile, gifs):
     return children
 
 
-def _subdivide_to_threshold(gifs, start, threshold):
-    """Depth-first subdivision: split while area > threshold (exact compare)."""
-    root = TileInstance(start, _IDENTITY, 0, Fraction(1))
-    out = []
-    stack = [root]
-    while stack:
-        tile = stack.pop()
-        if tile.area > threshold:
-            stack.extend(reversed(subdivide(tile, gifs)))
-        else:
-            out.append(tile)
-    return out
+# one frontier record per tile; cls indexes the exact area in the areas list
+_FRONTIER = np.dtype([
+    ("kind", np.int64), ("scale", float), ("rotation", float), ("reflect", bool),
+    ("tx", float), ("ty", float), ("depth", np.int64), ("cls", np.int64),
+])
+
+
+def _subdivide(gifs, start, thresholds):
+    """Leaves of the subdivision tree of `start`, cut at each threshold.
+
+    A tile splits while its exact area exceeds the threshold; thresholds
+    must not increase, so each cut refines the one before.  Returns
+    (areas, cuts): cuts[i] is a _FRONTIER array of the leaves for
+    thresholds[i] in depth-first order, and areas[c] is the exact area of
+    class c.
+    """
+    # the eight edges, kind 1's four then kind 2's, in subdivision order
+    edges = [(ck, gifs.maps[e]) for kind in (1, 2) for e, ck in gifs.edges(kind)]
+    e_kind = np.array([ck for ck, _ in edges])
+    e_scale, e_rot, e_tx, e_ty = (
+        np.array([getattr(m, f) for _, m in edges]) for f in ("scale", "rotation", "tx", "ty")
+    )
+    e_reflect = np.array([m.reflect for _, m in edges])
+    e_sq = [Fraction(m.scale) ** 2 for _, m in edges]
+    areas = [Fraction(1)]
+    index = {areas[0]: 0}
+    child_cls = {}  # (class, edge) -> class
+
+    def child_class(key):
+        cls, edge = divmod(key, 8)
+        if (cls, edge) not in child_cls:
+            area = areas[cls] * e_sq[edge]
+            if area not in index:
+                index[area] = len(areas)
+                areas.append(area)
+            child_cls[cls, edge] = index[area]
+        return child_cls[cls, edge]
+
+    tiles = np.array([(start, _IDENTITY.scale, _IDENTITY.rotation, _IDENTITY.reflect,
+                       _IDENTITY.tx, _IDENTITY.ty, 0, 0)], dtype=_FRONTIER)
+    cuts = []
+    for threshold in thresholds:
+        while True:
+            over = np.array([a > threshold for a in areas])
+            split = over[tiles["cls"]]
+            if not split.any():
+                break
+            counts = np.where(split, 4, 1)
+            tiles = np.repeat(tiles, counts)
+            first = (np.cumsum(counts) - counts)[split]
+            at = (first[:, None] + np.arange(4)).ravel()  # children's slots
+            p = tiles[at]  # each split parent, once per child
+            edge = 4 * (p["kind"] - 1) + np.tile(np.arange(4), len(first))
+            # Similitude.compose(parent, edge map), operation for operation
+            c = np.array(list(map(math.cos, p["rotation"].tolist())))
+            s = np.array(list(map(math.sin, p["rotation"].tolist())))
+            xs = np.where(p["reflect"], -e_tx[edge], e_tx[edge])
+            ys = e_ty[edge]
+            kids = p.copy()
+            kids["kind"] = e_kind[edge]
+            kids["scale"] = p["scale"] * e_scale[edge]
+            kids["rotation"] = np.mod(
+                p["rotation"] + np.where(p["reflect"], -e_rot[edge], e_rot[edge]), _TWO_PI
+            )
+            kids["reflect"] = p["reflect"] != e_reflect[edge]
+            kids["tx"] = p["scale"] * (c * xs - s * ys) + p["tx"]
+            kids["ty"] = p["scale"] * (s * xs + c * ys) + p["ty"]
+            kids["depth"] = p["depth"] + 1
+            keys, inverse = np.unique(8 * p["cls"] + edge, return_inverse=True)
+            kids["cls"] = np.array([child_class(k) for k in keys.tolist()])[inverse]
+            tiles[at] = kids
+        cuts.append(tiles)
+    return areas, cuts
+
+
+def _tile_instances(kind, scale, rotation, reflect, tx, ty, depth, area):
+    """TileInstances from columns: arrays of the pose, plus a list of areas."""
+    return tuple(
+        TileInstance(k, Similitude(m, r, f, x, y), d, a)
+        for k, m, r, f, x, y, d, a in zip(
+            kind.tolist(), scale.tolist(), rotation.tolist(), reflect.tolist(),
+            tx.tolist(), ty.tolist(), depth.tolist(), area,
+        )
+    )
 
 
 def epsilon_rule(start, epsilon, gifs):
@@ -483,24 +564,15 @@ def epsilon_rule(start, epsilon, gifs):
             f"epsilon={epsilon} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
         )
     eps = Fraction(epsilon)
-    tiles = _subdivide_to_threshold(gifs, start, eps)
+    areas, (leaves,) = _subdivide(gifs, start, [eps])
     lam = 1 / math.sqrt(epsilon)
-    inflated = tuple(
-        TileInstance(
-            t.kind,
-            Similitude(
-                t.transform.scale * lam,
-                t.transform.rotation,
-                t.transform.reflect,
-                t.transform.tx * lam,
-                t.transform.ty * lam,
-            ),
-            t.depth,
-            t.area / eps,
-        )
-        for t in tiles
+    inflated = [a / eps for a in areas]
+    tiles = _tile_instances(
+        leaves["kind"], leaves["scale"] * lam, leaves["rotation"], leaves["reflect"],
+        leaves["tx"] * lam, leaves["ty"] * lam, leaves["depth"],
+        map(inflated.__getitem__, leaves["cls"].tolist()),
     )
-    return Patch(epsilon, gifs, inflated)
+    return Patch(epsilon, gifs, tiles)
 
 
 def stationary_sequence(gifs, n):
@@ -517,21 +589,29 @@ def stationary_sequence(gifs, n):
     ga = gifs.angles.gamma
     f3 = gifs.maps["f3"]
     eps0 = f3.scale**2
+    thresholds = [Fraction(eps0) ** k for k in range(n + 1)]
+    areas, cuts = _subdivide(gifs, 1, thresholds)
     patches = []
     anchor = np.zeros(2)
-    for k in range(n + 1):
-        threshold = Fraction(eps0) ** k
-        tiles = _subdivide_to_threshold(gifs, 1, threshold)
+    for k, (threshold, t) in enumerate(zip(thresholds, cuts)):
         lam = eps0 ** (-k / 2)
         rot = (-k * ga) % _TWO_PI
         c, s_ = math.cos(rot), math.sin(rot)
         off = lam * np.array([c * anchor[0] - s_ * anchor[1], s_ * anchor[0] + c * anchor[1]])
+        # world.compose(tile transform) for the unreflected world map
         world = Similitude(lam, rot, False, -float(off[0]), -float(off[1]))
-        placed = tuple(
-            TileInstance(t.kind, world.compose(t.transform), t.depth, t.area / threshold)
-            for t in tiles
+        scaled = [a / threshold for a in areas]
+        tiles = _tile_instances(
+            t["kind"],
+            world.scale * t["scale"],
+            np.mod(world.rotation + t["rotation"], _TWO_PI),
+            t["reflect"],
+            world.scale * (c * t["tx"] - s_ * t["ty"]) + world.tx,
+            world.scale * (s_ * t["tx"] + c * t["ty"]) + world.ty,
+            t["depth"],
+            map(scaled.__getitem__, t["cls"].tolist()),
         )
-        patches.append(Patch(float(eps0**k), gifs, placed))
+        patches.append(Patch(float(eps0**k), gifs, tiles))
         anchor = f3.apply(anchor)
     return patches
 
@@ -544,6 +624,8 @@ def recurs_in(patch, other, tol=1e-6):
     the centroids of `other` yields the candidates, so only tiles within
     tol of each other are compared.
     """
+    from scipy.spatial import cKDTree
+
     near = cKDTree(other.points).query_ball_point(patch.points, tol)
 
     def same_pose(a, b):
@@ -591,12 +673,91 @@ def patch_doc(patch):
     }
 
 
-def patch_to_json(patch):
-    """Serialize a patch (and its centroid points) as deterministic JSON."""
-    return json.dumps(patch_doc(patch), indent=2)
+_PLAIN_TEXT = {
+    float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _json_texts(values):
+    """json.dumps's text for each scalar in values.
+
+    json writes a finite float as float.__repr__ and an int as int.__repr__,
+    so a column of one such type maps through that function alone; any
+    other column goes value by value through json.dumps.
+    """
+    types = set(map(type, values))
+    fast = _PLAIN_TEXT.get(types.pop()) if len(types) == 1 else None
+    if fast is float.__repr__ and not all(map(math.isfinite, values)):
+        fast = None
+    return list(map(fast or json.dumps, values))
+
+
+# patch_doc's layout under json.dumps(..., indent=2), one value per %s
+_DOC_TEMPLATE = """{
+  "epsilon": %s,
+  "angles": [
+    %s,
+    %s,
+    %s
+  ],
+  "tiles": %s,
+  "points": %s
+}"""
+_TILE_TEMPLATE = """    {
+      "kind": %s,
+      "scale": %s,
+      "rotation": %s,
+      "reflect": %s,
+      "translation": [
+        %s,
+        %s
+      ],
+      "depth": %s
+    }"""
+_POINT_TEMPLATE = """    [
+      %s,
+      %s
+    ]"""
+
+
+def _indent(text, pad):
+    return pad + text.replace("\n", "\n" + pad)
+
+
+def _doc_text(patch, pad):
+    """patch_doc(patch) as json.dumps(..., indent=2) lays it out, each line
+    indented by `pad` more."""
+    tr = [t.transform for t in patch.tiles]
+    columns = (
+        [t.kind for t in patch.tiles], [m.scale for m in tr], [m.rotation for m in tr],
+        [m.reflect for m in tr], [m.tx for m in tr], [m.ty for m in tr],
+        [t.depth for t in patch.tiles],
+    )
+    tile, point = _indent(_TILE_TEMPLATE, pad), _indent(_POINT_TEMPLATE, pad)
+    tiles = [tile % v for v in zip(*map(_json_texts, columns))]
+    points = [point % v for v in zip(*map(_json_texts, patch.points.T.tolist()))]
+
+    def block(items):
+        return "[\n" + ",\n".join(items) + "\n" + pad + "  ]" if items else "[]"
+
+    return _indent(_DOC_TEMPLATE, pad) % (
+        json.dumps(patch.epsilon), *_json_texts(patch.gifs.angles.as_tuple()),
+        block(tiles), block(points),
+    )
+
+
+def patch_to_json(patches):
+    """A patch, or a list of patches, as json.dumps(patch_doc(...), indent=2)
+    writes it, byte for byte, without the pure-Python encoder's cost."""
+    if isinstance(patches, Patch):
+        return _doc_text(patches, "")
+    if not patches:
+        return "[]"
+    return "[\n" + ",\n".join(_doc_text(p, "  ") for p in patches) + "\n]"
 
 
 _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
+_TILE_KEYS_SET = frozenset(_TILE_KEYS)
 
 
 def _is_number(v):
@@ -607,21 +768,9 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_patch_doc(doc):
-    """Raise ValueError unless doc has the shape patch_doc writes."""
-    if not isinstance(doc, dict):
-        raise ValueError("patch document must be a JSON object")
-    missing = [k for k in ("angles", "epsilon", "tiles") if k not in doc]
-    if missing:
-        raise ValueError(f"patch document lacks {', '.join(missing)}")
-    angles = doc["angles"]
-    if not (isinstance(angles, list) and len(angles) == 3 and all(map(_is_number, angles))):
-        raise ValueError("patch angles must be a list of 3 numbers")
-    if not _is_number(doc["epsilon"]):
-        raise ValueError("patch epsilon must be a number")
-    if not isinstance(doc["tiles"], list) or not doc["tiles"]:
-        raise ValueError("patch tiles must be a non-empty list")
-    for i, t in enumerate(doc["tiles"]):
+def _check_tiles(tiles):
+    """Raise ValueError naming the first tile that is not as patch_doc writes it."""
+    for i, t in enumerate(tiles):
         if not isinstance(t, dict) or any(k not in t for k in _TILE_KEYS):
             raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")
         tr = t["translation"]
@@ -636,26 +785,67 @@ def _check_patch_doc(doc):
             raise ValueError(f"tile {i} is malformed: {t}")
 
 
+def _plain_columns(kind, scale, rotation, reflect, translation, depth):
+    """Column checks that pass only when _check_tiles would pass too.
+
+    They accept the plain JSON types (int, float, bool, list), so a
+    document read by json.load is checked here without a per-tile loop.
+    """
+    if not (set(map(type, translation)) == {list} and set(map(len, translation)) == {2}):
+        return False
+    numbers = (scale, rotation, [p[0] for p in translation], [p[1] for p in translation])
+    if not (
+        set(map(type, kind)) == {int} and set(kind) <= {1, 2}
+        and set(map(type, depth)) == {int} and min(depth) >= 0
+        and set(map(type, reflect)) == {bool}
+        and all(set(map(type, col)) <= {int, float} for col in numbers)
+    ):
+        return False
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:
+        return False
+    return bool(np.isfinite(values).all() and (values[0] > 0).all())
+
+
+def _check_patch_doc(doc):
+    """Raise ValueError unless doc has the shape patch_doc writes.
+
+    Returns the tiles by column: kind, scale, rotation, reflect,
+    translation and depth lists.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("patch document must be a JSON object")
+    missing = [k for k in ("angles", "epsilon", "tiles") if k not in doc]
+    if missing:
+        raise ValueError(f"patch document lacks {', '.join(missing)}")
+    angles = doc["angles"]
+    if not (isinstance(angles, list) and len(angles) == 3 and all(map(_is_number, angles))):
+        raise ValueError("patch angles must be a list of 3 numbers")
+    if not _is_number(doc["epsilon"]):
+        raise ValueError("patch epsilon must be a number")
+    tiles = doc["tiles"]
+    if not isinstance(tiles, list) or not tiles:
+        raise ValueError("patch tiles must be a non-empty list")
+    # _check_tiles runs only when a cheap check fails, to name the first bad tile
+    if not (set(map(type, tiles)) == {dict} and all(map(_TILE_KEYS_SET.issubset, tiles))):
+        _check_tiles(tiles)
+    columns = tuple([t[k] for t in tiles] for k in _TILE_KEYS)
+    if not _plain_columns(*columns):
+        _check_tiles(tiles)
+    return columns
+
+
 def patch_from_doc(doc):
     """Rebuild a Patch from its JSON dict; tile area is scale squared.
 
     Raises ValueError when the document does not have patch_doc's shape.
     """
-    _check_patch_doc(doc)
+    kind, scale, rotation, reflect, translation, depth = _check_patch_doc(doc)
     gifs = build_gifs(Angles(*doc["angles"]), validate=False)
+    area = {v: Fraction(v) ** 2 for v in set(scale)}
     tiles = tuple(
-        TileInstance(
-            t["kind"],
-            Similitude(
-                float(t["scale"]),
-                float(t["rotation"]),
-                t["reflect"],
-                float(t["translation"][0]),
-                float(t["translation"][1]),
-            ),
-            t["depth"],
-            Fraction(t["scale"]) ** 2,
-        )
-        for t in doc["tiles"]
+        TileInstance(k, Similitude(float(m), float(r), f, float(x), float(y)), d, area[m])
+        for k, m, r, f, (x, y), d in zip(kind, scale, rotation, reflect, translation, depth)
     )
     return Patch(float(doc["epsilon"]), gifs, tiles)

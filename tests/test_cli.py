@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from badtri.cli import main
+from badtri.cli import PRESET_NAMES, main
+from badtri.gifs import PRESETS
 
 
 def run(capsys, *argv):
@@ -165,6 +166,31 @@ def test_export_stationary_highlights(tmp_path, capsys):
     # each step highlights exactly the previous patch's tiles
     assert step1.count("tile prev") == len(docs[0]["tiles"])
     assert step2.count("tile prev") == len(docs[1]["tiles"])
+
+
+def test_export_svg_sequence_into_dotted_directory(tmp_path, capsys):
+    # the -k suffix goes before the file's extension, not a directory's dot
+    seq_file = tmp_path / "s.json"
+    run(capsys, "tile", "--preset", "optimal1", "--stationary", "1", "--out", str(seq_file))
+    out_dir = tmp_path / "run.1"
+    out_dir.mkdir()
+    code, _, err = run(capsys, "export", "--in", str(seq_file), "--svg", str(out_dir / "seq"))
+    assert code == 0, err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["seq-0.svg", "seq-1.svg"]
+
+
+def test_preset_names_match_gifs():
+    assert PRESET_NAMES == tuple(sorted(PRESETS))
+
+
+@pytest.mark.parametrize("what", ["cfdist", "delone"])
+@pytest.mark.parametrize("radii", ["nan", "5,inf", "inf"])
+def test_analyze_rejects_non_finite_radii(tmp_path, capsys, what, radii):
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.2", "--out", str(patch_file))
+    code, out, err = run(capsys, "analyze", what, "--in", str(patch_file), "--radii", radii)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_export_draws_each_patch_with_its_own_system(tmp_path, capsys):

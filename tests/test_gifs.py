@@ -11,16 +11,19 @@ import pytest
 
 from badtri.cli import export_svg
 from badtri.gifs import (
+    _IDENTITY,
     PRESETS,
     Angles,
     Patch,
     Similitude,
+    TileInstance,
     build_gifs,
     build_prototiles,
     closure_report,
     derive_constants,
     epsilon_rule,
     orientation_angles,
+    patch_doc,
     patch_from_doc,
     patch_to_json,
     recurs_in,
@@ -450,3 +453,118 @@ def test_patch_json_roundtrip_and_stability():
     }
     # shortest round-trip decimals: re-serializing the parsed doc is stable
     assert json.dumps(doc, indent=2) == s1
+
+
+# the per-tile reference: depth-first subdivision by `subdivide` and
+# Similitude.compose, against which the level-by-level arrays must agree
+
+
+def _dfs_leaves(g, start, threshold):
+    out, stack = [], [TileInstance(start, _IDENTITY, 0, Fraction(1))]
+    while stack:
+        tile = stack.pop()
+        if tile.area > threshold:
+            stack.extend(reversed(subdivide(tile, g)))
+        else:
+            out.append(tile)
+    return out
+
+
+def _dfs_epsilon_tiles(g, start, epsilon):
+    eps, lam = Fraction(epsilon), 1 / math.sqrt(epsilon)
+    return [
+        TileInstance(
+            t.kind,
+            Similitude(t.transform.scale * lam, t.transform.rotation, t.transform.reflect,
+                       t.transform.tx * lam, t.transform.ty * lam),
+            t.depth,
+            t.area / eps,
+        )
+        for t in _dfs_leaves(g, start, eps)
+    ]
+
+
+def _dfs_stationary_tiles(g, n):
+    f3 = g.maps["f3"]
+    eps0 = f3.scale**2
+    anchor, out = np.zeros(2), []
+    for k in range(n + 1):
+        threshold = Fraction(eps0) ** k
+        lam = eps0 ** (-k / 2)
+        rot = (-k * g.angles.gamma) % (2 * math.pi)
+        c, s = math.cos(rot), math.sin(rot)
+        off = lam * np.array([c * anchor[0] - s * anchor[1], s * anchor[0] + c * anchor[1]])
+        world = Similitude(lam, rot, False, -float(off[0]), -float(off[1]))
+        out.append([
+            TileInstance(t.kind, world.compose(t.transform), t.depth, t.area / threshold)
+            for t in _dfs_leaves(g, 1, threshold)
+        ])
+        anchor = f3.apply(anchor)
+    return out
+
+
+def _bits(tiles):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [
+        (t.kind, t.depth, t.area, type(t.transform.reflect), t.transform.reflect,
+         *(float.hex(getattr(t.transform, f)) for f in ("scale", "rotation", "tx", "ty")))
+        for t in tiles
+    ]
+
+
+SYSTEMS = {**PRESETS, "angles": Angles(0.8, 1.1, 1.2415926535897931)}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("start", [1, 2])
+@pytest.mark.parametrize("eps", [0.2, 0.02, 0.003])
+def test_level_subdivision_matches_depth_first(name, start, eps):
+    g = build_gifs(SYSTEMS[name])
+    assert _bits(epsilon_rule(start, eps, g).tiles) == _bits(_dfs_epsilon_tiles(g, start, eps))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_stationary_levels_match_depth_first(name):
+    g = build_gifs(SYSTEMS[name])
+    got = [_bits(p.tiles) for p in stationary_sequence(g, 4)]
+    assert got == [_bits(tiles) for tiles in _dfs_stationary_tiles(g, 4)]
+
+
+def test_patch_to_json_matches_json_dumps():
+    g = build_gifs(PRESETS["optimal2"], validate=False)
+    p, q = epsilon_rule(2, 0.05, g), stationary_sequence(g, 2)[2]
+    # integer-valued JSON numbers load as ints where patch_from_doc keeps them
+    doc = {"angles": [1, 1, 1.1415926535897931], "epsilon": 1, "tiles": [
+        {"kind": 1, "scale": 2, "rotation": 0, "reflect": False,
+         "translation": [0, -0.0], "depth": 0},
+        {"kind": 2, "scale": 0.5, "rotation": 3, "reflect": True,
+         "translation": [1, 2], "depth": 3},
+        # its centroid overflows to inf, which json writes as Infinity
+        {"kind": 1, "scale": 1e308, "rotation": 0, "reflect": False,
+         "translation": [1e308, 0], "depth": 1},
+    ]}
+    with np.errstate(over="ignore"):
+        r = patch_from_doc(doc)
+    assert not np.isfinite(r.points).all()
+    for patch in (p, q, r, patch_from_doc(json.loads(patch_to_json(p)))):
+        assert patch_to_json(patch) == json.dumps(patch_doc(patch), indent=2)
+    for patches in ([p, q], [r, p], [q], []):
+        assert patch_to_json(patches) == json.dumps(
+            [patch_doc(x) for x in patches], indent=2
+        )
+
+
+def test_patch_from_doc_names_first_bad_tile():
+    good = {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
+            "translation": [0.0, 0.0], "depth": 0}
+    angles = [1.0, 1.0, 1.1415926535897931]
+    for bad, message in (
+        (dict(good, kind=3), "tile 1 is malformed"),
+        (dict(good, scale=float("nan")), "tile 1 is malformed"),
+        (dict(good, translation=[0.0, True]), "tile 1 is malformed"),
+        ({k: v for k, v in good.items() if k != "depth"}, "tile 1 needs the keys"),
+        ([1], "tile 1 needs the keys"),
+    ):
+        doc = {"angles": angles, "epsilon": 0.1, "tiles": [good, bad, dict(good, kind=0)]}
+        with pytest.raises(ValueError, match=message):
+            patch_from_doc(doc)

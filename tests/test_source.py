@@ -1,8 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import badtri
 
@@ -28,3 +33,26 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+CLI_VERIFY_MAIN = """
+import runpy
+sys.argv = ["badtri", "verify", "main"]
+try:
+    runpy.run_module("badtri.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+"""
+
+
+@pytest.mark.parametrize("code", ["import badtri.theorems", CLI_VERIFY_MAIN],
+                         ids=["import-theorems", "cli-verify-main"])
+def test_exact_layer_loads_neither_numpy_nor_scipy(code):
+    probe = code + "\nprint(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
