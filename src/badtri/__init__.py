@@ -62,12 +62,11 @@ _LAZY = {
     ),
     "delone": (
         "PointSet",
-        "DiskRegion",
         "ConvexRegion",
         "patch_region",
         "delone_radii",
         "check_uniform_discrete",
-        "check_relatively_dense",
+        "check_covering_radius",
         "chabauty_fell_distance",
         "restricted_convergence_check",
         "star_discrepancy",

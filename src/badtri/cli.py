@@ -52,7 +52,7 @@ def _build_parser():
     cf_sub = p_cf.add_subparsers(dest="cf_command")
     p_exp = cf_sub.add_parser("expand", help="expand a rational/decimal value")
     p_exp.add_argument("value", help="decimal or p/q text, e.g. 0.318309 or 5/7")
-    p_exp.add_argument("--err", type=Fraction, default=None,
+    p_exp.add_argument("--err", default=None,
                        help="input uncertainty; enables digit certification")
     p_exp.add_argument("--terms", type=int, default=64)
     p_exp.set_defaults(func=cmd_cf_expand)
@@ -89,7 +89,8 @@ def _build_parser():
     p_tile.add_argument("--preset", choices=PRESET_NAMES)
     p_tile.add_argument("--angles", help="comma-separated alpha,beta,gamma in radians")
     p_tile.add_argument("--epsilon", type=float)
-    p_tile.add_argument("--start", type=int, choices=[1, 2], default=1)
+    p_tile.add_argument("--start", type=int, choices=[1, 2], default=None,
+                        help="start prototile of the epsilon rule (default 1)")
     p_tile.add_argument("--stationary", type=int, default=None, metavar="N",
                         help="emit the stationary patch sequence P_0..P_N instead")
     p_tile.add_argument("--out", default=None, help="output JSON path (default stdout)")
@@ -114,13 +115,22 @@ def _build_parser():
 # ------------------------------------------------------------------ cf
 
 
+def _fraction(text):
+    """Decimal or p/q text as a Fraction; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def cmd_cf_expand(args):
+    err = None if args.err is None else _fraction(args.err)
     if "/" in args.value:
         # p/q text is exact; expand with a zero error bound
-        res = expand_real(Fraction(args.value), err=args.err or Fraction(0),
+        res = expand_real(_fraction(args.value), err=err or Fraction(0),
                           terms=args.terms)
     else:
-        res = expand_real(args.value, err=args.err, terms=args.terms)
+        res = expand_real(args.value, err=err, terms=args.terms)
     print("digits:", list(res.digits))
     print("certified:", res.certified)
     print("terminated:", res.terminated)
@@ -182,6 +192,8 @@ def cmd_verify_tables(args):
 
 
 def cmd_verify_identities(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     rng = random.Random(args.seed)
     idents = ("A", "B", "C", "lucky1", "lucky2")
     checked = 0
@@ -207,6 +219,8 @@ def cmd_verify_identities(args):
 
 
 def cmd_verify_family(args):
+    if args.l_max < 0:
+        raise ValueError("--l-max must be >= 0")
     failures = 0
     for triple in B22_SOLUTIONS:
         ok = check_sum(triple, "sum_is_one", b=2, j=2)
@@ -273,6 +287,8 @@ def cmd_tile(args):
 
     gifs = build_gifs(_angles_from_args(args))
     if args.stationary is not None:
+        if args.epsilon is not None or args.start is not None:
+            raise ValueError("--epsilon and --start do not apply with --stationary")
         patches = stationary_sequence(gifs, args.stationary)
         text = patch_to_json(patches)
         n = sum(len(p.tiles) for p in patches)
@@ -281,7 +297,7 @@ def cmd_tile(args):
     else:
         if args.epsilon is None:
             raise ValueError("--epsilon is required unless --stationary is given")
-        patch = epsilon_rule(args.start, args.epsilon, gifs)
+        patch = epsilon_rule(args.start or 1, args.epsilon, gifs)
         text = patch_to_json(patch)
         summary = f"patch: {len(patch.tiles)} tiles, epsilon={args.epsilon}"
     if args.out:
@@ -300,7 +316,10 @@ def _load_patches(path):
     from .gifs import patch_from_doc
 
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to be a patch file") from None
     if isinstance(doc, list):
         if not doc:
             raise ValueError(f"{path} holds no patches")

@@ -1,11 +1,12 @@
 """Delone-parameter certification, Chabauty-Fell distances, discrepancy.
 
 Point sets produced by the tiling engine are finite, so every check here
-is either an exact reduction (uniform discreteness), a certified
-two-sided grid test with an explicit inconclusive band over the convex
-hull of a patch (relative denseness), or a closed form from one
-nearest-neighbour query per set (the Chabauty-Fell metric restricted to
-finite sets).
+is an exact reduction over a finite candidate set: uniform discreteness
+from the closest pair; relative denseness from the covering radius over
+the convex hull of a patch, which peaks at a Voronoi vertex, a hull
+vertex or a Voronoi edge's crossing of the hull boundary; and the
+Chabauty-Fell metric restricted to finite sets from one nearest-neighbour
+query per set.
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 __all__ = [
     "PointSet",
-    "DiskRegion",
     "ConvexRegion",
     "patch_region",
     "delone_radii",
     "UniformDiscreteResult",
-    "RelativeDenseResult",
+    "CoveringResult",
     "check_uniform_discrete",
-    "check_relatively_dense",
+    "check_covering_radius",
     "chabauty_fell_distance",
     "cf_distance_brute",
     "restricted_convergence_check",
@@ -78,25 +78,6 @@ def _raw_point_set(pts):
 _INSIDE_TOL = 1e-12
 
 
-class DiskRegion:
-    def __init__(self, center, radius):
-        if radius <= 0:
-            raise ValueError("region empty")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-
-    def bbox(self):
-        c, r = self.center, self.radius
-        return (c[0] - r, c[1] - r, c[0] + r, c[1] + r)
-
-    def excess(self, pts):
-        """Signed distance from the boundary circle, negative inside."""
-        return np.linalg.norm(np.atleast_2d(pts) - self.center, axis=1) - self.radius
-
-    def contains(self, pts):
-        return self.excess(pts) <= _INSIDE_TOL
-
-
 class ConvexRegion:
     """Closed convex hull of a point set, e.g. of a patch's tile vertices."""
 
@@ -109,10 +90,6 @@ class ConvexRegion:
         self.vertices = pts[hull.vertices]
         # rows (n_x, n_y, c) with unit outward normal n: n.p + c <= 0 inside
         self.equations = hull.equations
-
-    def bbox(self):
-        lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
-        return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def excess(self, pts):
         """Largest signed distance past an edge line: <= 0 inside, and
@@ -166,73 +143,104 @@ def check_uniform_discrete(ps, r):
     return UniformDiscreteResult("violation", (i, int(idx[i, 1])), dmin)
 
 
+# location error of a covering candidate; see check_covering_radius
+_TAU = 1e-9
+
+
 @dataclass(frozen=True)
-class RelativeDenseResult:
+class CoveringResult:
     status: str  # "certified" | "counterexample" | "inconclusive"
-    counterexample: tuple | None
-    h: float
-    max_gap: float
+    witness: tuple | None
+    radius: float
 
 
-def _dense_pass(ps, R, region, h):
-    x0, y0, x1, y1 = region.bbox()
-    nx = int(math.floor((x1 - x0) / h)) + 2
-    ny = int(math.floor((y1 - y0) / h)) + 2
-    if nx * ny > 3 * 10**7:
-        raise ValueError("grid too fine; enlarge h")
-    tree = cKDTree(ps.points)
-    margin = h * math.sqrt(2) / 2
-    worst_d, worst_in = -math.inf, (-math.inf, None)
-    xs = x0 + h * np.arange(nx)
-    chunk = max(1, 10**6 // max(nx, 1))
-    for j0 in range(0, ny, chunk):
-        ys = y0 + h * np.arange(j0, min(j0 + chunk, ny))
-        gx, gy = np.meshgrid(xs, ys)
-        nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        ex = region.excess(nodes)
-        keep = ex <= margin
-        nodes, ex = nodes[keep], ex[keep]
-        if len(nodes) == 0:
-            continue
-        d, _ = tree.query(nodes)
-        worst_d = max(worst_d, float(d.max()))
-        d[~(ex <= _INSIDE_TOL)] = -math.inf  # witnesses lie in the region
-        k = int(np.argmax(d))
-        if d[k] > worst_in[0]:
-            worst_in = (float(d[k]), tuple(nodes[k]))
-    if worst_d == -math.inf:
-        return RelativeDenseResult("inconclusive", None, h, math.nan)
-    if worst_d <= R - margin:
-        return RelativeDenseResult("certified", None, h, worst_d)
-    if worst_in[0] > R + margin:
-        return RelativeDenseResult("counterexample", worst_in[1], h, worst_in[0])
-    return RelativeDenseResult("inconclusive", None, h, worst_d)
+def _covering_candidates(pts, region):
+    """Every point where the distance to pts can peak on a convex region.
+
+    On a Voronoi cell the distance is convex, so it peaks at a Voronoi
+    vertex (a Delaunay circumcentre), a region vertex, or a crossing of a
+    region edge with a Voronoi edge: the part of a Delaunay edge pq's
+    bisector where w1 and w2, the vertices facing pq, are no nearer than p.
+    """
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        # under 3 points, or all on one line: there are no Voronoi
+        # vertices, and the Voronoi edges bisect neighbours along the line
+        axis = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)[2][0]
+        order = np.argsort(pts @ axis)
+        p, q = pts[order[:-1]], pts[order[1:]]
+        w1 = w2 = p  # w = p bounds nothing
+        centres = np.empty((0, 2))
+    else:
+        simp, nbr = tri.simplices, tri.neighbors
+        # every Voronoi vertex is the circumcentre of a non-flat triangle
+        a, b, c = (pts[simp[:, k]] for k in range(3))
+        b, c = b - a, c - a
+        det = 2 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        keep = det != 0
+        a, b, c, det = a[keep], b[keep], c[keep], det[keep]
+        b2, c2 = (b**2).sum(axis=1), (c**2).sum(axis=1)
+        centres = a + np.column_stack(
+            [c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2]
+        ) / det[:, None]
+        # the edge facing vertex k of triangle s, once: from its lower
+        # triangle, or from its only one on the hull (nbr = -1)
+        s, k = np.divmod(np.arange(simp.size), 3)
+        n = nbr[s, k]
+        once = (n < 0) | (s < n)
+        s, k, n = s[once], k[once], n[once]
+        i = simp[s, (k + 1) % 3]
+        p, q, w1 = pts[i], pts[simp[s, (k + 2) % 3]], pts[simp[s, k]]
+        w2 = pts[np.where(n < 0, i, simp[n, np.argmax(nbr[n] == s[:, None], axis=1)])]
+    normal, mid = q - p, (p + q) / 2
+    cands = [centres, region.vertices]
+    for v0, v1 in zip(region.vertices, np.roll(region.vertices, -1, axis=0)):
+        # v0 + t (v1 - v0) on the bisector {x : normal . (x - mid) = 0}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((mid - v0) * normal).sum(axis=1) / (normal @ (v1 - v0))
+        on = (t >= 0) & (t <= 1)
+        x = v0 + t[on, None] * (v1 - v0)
+        keep = np.ones(len(x), dtype=bool)
+        for w in (w1[on], w2[on]):  # x within _TAU of p's side of the w-p bisector
+            pw = w - p[on]
+            keep &= ((x - (p[on] + w) / 2) * pw).sum(axis=1) <= _TAU * np.linalg.norm(pw, axis=1)
+        cands.append(x[keep])
+    return np.concatenate(cands)
 
 
-def check_relatively_dense(ps, R, region, h=None):
-    """Grid-certified covering test with a two-sided inconclusive band.
+def check_covering_radius(ps, R, region):
+    """Is every point of a convex region within R of the set?
 
-    The grid runs one step past the bounding box, so each region point
-    lies in the cell of a node with excess <= h*sqrt(2)/2.  Such a node
-    within R - h*sqrt(2)/2 of the set covers its whole cell; a node in the
-    region farther than R + h*sqrt(2)/2 is a genuine uncovered witness.
-    With h=None the step starts at R/10 and halves until conclusive or
-    h < 1e-4 * R.
+    One KD-tree query gives the true distance at each candidate.  One in
+    the region farther than R is a counterexample.  The set is certified
+    when `radius`, the largest distance over candidates with excess <= tau,
+    plus tau is at most R: distance and excess are 1-Lipschitz, so this is
+    sound while tau bounds each candidate's location error.  A candidate
+    solves a 2x2 system relative to a defining point, so its error is about
+    8u(|x| + k*rho) (u = 2**-53, size |x|, distance rho to that point,
+    condition number k), and tau = 1e-9 covers |x| + k*rho up to 10**6.
+    Patches under gifs.MAX_EPSILON_TILES have |x| < 10**4; a Delaunay
+    triangle with sides >= 2r and circumradius rho has k <= 16(rho/2r)**3,
+    which for the preset systems (r > 0.15) covers every rho below 6, six
+    times R; a crossing has k = 1/sin of the angle between its two lines.
+    Anything else is inconclusive.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     if len(ps) == 0:
         raise ValueError("empty point set")
-    if h is not None:
-        if h <= 0:
-            raise ValueError("h must be positive")
-        return _dense_pass(ps, R, region, h)
-    h = R / 10
-    result = _dense_pass(ps, R, region, h)
-    while result.status == "inconclusive" and h / 2 >= 1e-4 * R:
-        h /= 2
-        result = _dense_pass(ps, R, region, h)
-    return result
+    cands = _covering_candidates(ps.points, region)
+    dist = cKDTree(ps.points).query(cands)[0]
+    excess = region.excess(cands)
+    radius = float(dist[excess <= _TAU].max())
+    inside = np.where(excess <= _INSIDE_TOL, dist, -math.inf)
+    k = int(np.argmax(inside))
+    if inside[k] > R:
+        return CoveringResult("counterexample", tuple(cands[k].tolist()), radius)
+    if radius + _TAU <= R:
+        return CoveringResult("certified", None, radius)
+    return CoveringResult("inconclusive", None, radius)
 
 
 def _cf_predicate(a_pts, a_norms, b_pts, b_norms, eps):
@@ -360,7 +368,7 @@ def analysis_report(patch, radii=(5.0, 10.0, 20.0)):
     ps = PointSet(patch.points)
     r, big_r = delone_radii(patch.gifs)
     ud = check_uniform_discrete(ps, r)
-    rd = check_relatively_dense(ps, big_r, patch_region(patch))
+    rd = check_covering_radius(ps, big_r, patch_region(patch))
     conv = restricted_convergence_check(ps, radii)
     n, dstar = orientation_discrepancy(patch)
     return {

@@ -2,8 +2,9 @@
 
 Given an angle triple (alpha, beta, gamma) with gamma < pi/2, this module
 builds the scalene/isosceles prototile pair of unit area, the eight
-contractive similitudes whose unions reproduce the prototiles, and runs
-the area-threshold subdivision that yields finite patches and the rotated
+contractive similitudes whose unions reproduce the prototiles (a closure
+checked on every build, overlaps by separating axes), and runs the
+area-threshold subdivision that yields finite patches and the rotated
 stationary patch sequence.  A patch holds its tiling system and places
 its tile vertices and centroid point set once, when it is built.
 
@@ -259,14 +260,14 @@ class Gifs:
         return T1_EDGES if kind == 1 else T2_EDGES
 
 
-def build_gifs(angles, validate=True):
-    """Construct the eight similitudes and (optionally) validate closure.
+def build_gifs(angles):
+    """Construct the eight similitudes and validate closure.
 
     Validation checks, per parent: child scale^2 sums to 1 within 1e-12;
     every child vertex lies in the closed parent (signed distance
-    >= -1e-9); and no two children share interior points, probed on a
-    deterministic sample grid.  Any defect raises with its magnitude —
-    a failed closure signals a bad placement, not a rendering quirk.
+    >= -1e-9); and no two children overlap deeper than 1e-9 (see
+    closure_report).  Any defect raises with its magnitude — a failed
+    closure signals a bad placement, not a rendering quirk.
     """
     consts = derive_constants(angles)
     al, be, ga = angles.as_tuple()
@@ -314,44 +315,35 @@ def build_gifs(angles, validate=True):
         maps,
         min(m.scale**2 for m in maps.values()),
     )
-    if validate:
-        report = closure_report(gifs)
-        if not report["ok"]:
-            raise ValueError(f"GIFS closure validation failed: {report}")
+    report = closure_report(gifs)
+    if not report["ok"]:
+        raise ValueError(f"GIFS closure validation failed: {report}")
     return gifs
 
 
-def _signed_distances(points, tri):
-    """Min signed edge distance of each point to a triangle (inside > 0)."""
-    v = np.asarray(tri, dtype=float)
-    e1, e2 = v[1] - v[0], v[2] - v[0]
-    if float(e1[0] * e2[1] - e1[1] * e2[0]) < 0:
-        v = v[::-1]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dists = []
-    for i in range(3):
-        e0, e1 = v[i], v[(i + 1) % 3]
-        d = e1 - e0
-        ln = float(np.linalg.norm(d))
-        cross = (d[0] * (pts[:, 1] - e0[1]) - d[1] * (pts[:, 0] - e0[0])) / ln
-        dists.append(cross)
-    return np.min(np.stack(dists, axis=1), axis=1)
+def _edge_normals(tris):
+    """Unit normals of the edges of triangles (... x 3 x 2), outward for
+    counterclockwise ones such as the prototiles."""
+    edges = np.roll(tris, -1, axis=-2) - tris
+    normals = edges[..., ::-1] * [1.0, -1.0]
+    return normals / np.linalg.norm(normals, axis=-1, keepdims=True)
 
 
-def _sample_points(tri, n, seed=0):
-    rng = np.random.default_rng(seed)
-    r = rng.random((n, 2))
-    flip = r.sum(axis=1) > 1
-    r[flip] = 1 - r[flip]
-    v = np.asarray(tri, dtype=float)
-    return v[0] + r[:, :1] * (v[1] - v[0]) + r[:, 1:] * (v[2] - v[0])
+def _overlap_depths(a, b):
+    """How deep triangle a[k] overlaps b[k] (K x 3 x 2 arrays): the least
+    overlap of their projections onto their six edge normals, which is <= 0
+    exactly when one normal separates them (the separating axis theorem)."""
+    tris = np.stack([a, b])
+    axes = np.concatenate(_edge_normals(tris), axis=1)
+    proj = np.einsum("tkvd,kad->tkav", tris, axes)
+    return (proj.max(axis=-1).min(axis=0) - proj.min(axis=-1).max(axis=0)).min(axis=1)
 
 
-def closure_report(gifs, samples=10**4):
+def closure_report(gifs):
     """Measure how well the eight maps partition the two prototiles."""
     area_defect = 0.0
     containment_defect = 0.0
-    overlaps = 0
+    overlap_depth = -math.inf
     for kind in (1, 2):
         parent = gifs.prototile(kind)
         edges = gifs.edges(kind)
@@ -359,22 +351,20 @@ def closure_report(gifs, samples=10**4):
             area_defect,
             abs(sum(gifs.maps[e].scale ** 2 for e, _ in edges) - 1.0),
         )
-        polys = [
-            gifs.maps[e].apply(gifs.prototile(ck).vertices) for e, ck in edges
-        ]
-        for poly in polys:
-            sd = _signed_distances(poly, parent.vertices)
-            containment_defect = max(containment_defect, max(0.0, -float(sd.min())))
-        pts = _sample_points(parent.vertices, samples)
-        inside = np.stack(
-            [_signed_distances(pts, poly) > 1e-9 for poly in polys], axis=1
+        polys = np.stack(
+            [gifs.maps[e].apply(gifs.prototile(ck).vertices) for e, ck in edges]
         )
-        overlaps += int(np.count_nonzero(inside.sum(axis=1) > 1))
+        # how far a child vertex lies past a parent edge
+        normals = _edge_normals(parent.vertices)
+        past = polys @ normals.T - (normals * parent.vertices).sum(axis=1)
+        containment_defect = max(containment_defect, float(past.max()))
+        i, j = np.triu_indices(4, 1)
+        overlap_depth = max(overlap_depth, float(_overlap_depths(polys[i], polys[j]).max()))
     return {
         "area_defect": area_defect,
         "containment_defect": containment_defect,
-        "overlap_samples": overlaps,
-        "ok": area_defect <= 1e-12 and containment_defect <= 1e-9 and overlaps == 0,
+        "overlap_depth": overlap_depth,
+        "ok": area_defect <= 1e-12 and containment_defect <= 1e-9 and overlap_depth <= 1e-9,
     }
 
 
@@ -842,7 +832,7 @@ def patch_from_doc(doc):
     Raises ValueError when the document does not have patch_doc's shape.
     """
     kind, scale, rotation, reflect, translation, depth = _check_patch_doc(doc)
-    gifs = build_gifs(Angles(*doc["angles"]), validate=False)
+    gifs = build_gifs(Angles(*doc["angles"]))
     area = {v: Fraction(v) ** 2 for v in set(scale)}
     tiles = tuple(
         TileInstance(k, Similitude(float(m), float(r), f, float(x), float(y)), d, area[m])

@@ -271,6 +271,8 @@ def verify_tables(n_max=20, exclusion_depth=30):
     endpoints.  Returns a report dict: per-(row, n) pass flags, one
     exclusion verdict per distinct pattern hull, and an overall `ok`.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     rows = [
         [_row_entry(row, n) for n in range(start, n_max + 1, 2)]
         for parity, start in (("even", 0), ("odd", 1)) if start <= n_max
@@ -573,6 +575,8 @@ def search_triples(relation, depth, first_digit_max=3):
     """
     if depth > 16:
         raise ValueError("depth capped at 16")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if relation not in ("sum_is_one", "x_plus_y_is_z"):
         raise ValueError(f"unknown relation {relation!r}")
     survivors = []

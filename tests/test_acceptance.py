@@ -19,7 +19,7 @@ from badtri.delone import (
     PointSet,
     cf_distance_brute,
     chabauty_fell_distance,
-    check_relatively_dense,
+    check_covering_radius,
     check_uniform_discrete,
     delone_radii,
     orientation_discrepancy,
@@ -212,10 +212,10 @@ def test_c08_gifs_partition():
     triples += [_random_angles(rng) for _ in range(20)]
     ok = True
     for ang in triples:
-        rep = closure_report(build_gifs(ang, validate=False), samples=10**4)
+        rep = closure_report(build_gifs(ang))
         ok &= rep["area_defect"] <= 1e-12
         ok &= rep["containment_defect"] <= 1e-9
-        ok &= rep["overlap_samples"] == 0
+        ok &= rep["overlap_depth"] <= 1e-9
     _report(8, ok, t0, 10)
 
 
@@ -223,7 +223,7 @@ def test_c09_epsilon_rule_windows():
     t0 = time.monotonic()
     ok = True
     for name in ("optimal1", "optimal2"):
-        gifs = build_gifs(PRESETS[name], validate=False)
+        gifs = build_gifs(PRESETS[name])
         for eps in (0.2, 0.08, 0.04, 0.02):
             patch = epsilon_rule(1, eps, gifs)
             areas = patch.areas()
@@ -239,13 +239,13 @@ def test_c10_delone_certification():
     t0 = time.monotonic()
     ok = True
     for name in ("optimal1", "optimal2"):
-        gifs = build_gifs(PRESETS[name], validate=False)
+        gifs = build_gifs(PRESETS[name])
         r, big_r = delone_radii(gifs)
         for eps in (0.08, 0.04, 0.02):
             patch = epsilon_rule(1, eps, gifs)
             ps = PointSet(patch.points)
             ok &= check_uniform_discrete(ps, r).status == "certified"
-            dense = check_relatively_dense(ps, big_r, patch_region(patch))
+            dense = check_covering_radius(ps, big_r, patch_region(patch))
             ok &= dense.status == "certified"
     _report(10, ok, t0, 60)
 
@@ -254,7 +254,7 @@ def test_c11_stationary_nesting():
     t0 = time.monotonic()
     ok = True
     for name in ("optimal1", "optimal2"):
-        gifs = build_gifs(PRESETS[name], validate=False)
+        gifs = build_gifs(PRESETS[name])
         t = gifs.consts.t
         eps0 = t**2 / (1 + t**2) ** 2
         ok &= abs(gifs.maps["f3"].scale ** 2 - eps0) <= 1e-15
@@ -295,7 +295,7 @@ def test_c13_discrepancy_sanity():
     golden = (math.sqrt(5) - 1) / 2
     kron = [(k * golden) % 1 for k in range(1, 1001)]
     ok &= star_discrepancy(kron) <= 5 * math.log(1000) / 1000
-    gifs = build_gifs(PRESETS["optimal1"], validate=False)
+    gifs = build_gifs(PRESETS["optimal1"])
     dstars = [
         orientation_discrepancy(
             epsilon_rule(1, eps, gifs)

@@ -74,6 +74,36 @@ def test_cf_expand(capsys):
     assert out.startswith("digits: [2, 2, 2, 2, 2")
 
 
+@pytest.mark.parametrize("argv", [
+    ["1/0"], ["0/0"], ["0.5", "--err", "1/0"],
+])
+def test_cf_expand_rejects_zero_denominator(capsys, argv):
+    code, _, err = run(capsys, "cf", "expand", *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--n-max", "-1"],
+    ["identities", "--samples", "-1"],
+    ["identities", "--samples", "0"],
+    ["family", "--l-max", "-1"],
+    ["search", "--depth", "-3"],
+])
+def test_verify_refuses_empty_runs(capsys, argv):
+    # each would otherwise check nothing and report a pass
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "PASS" not in out
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "0.1"], ["--start", "2"]])
+def test_tile_stationary_refuses_epsilon_rule_flags(capsys, flag):
+    code, out, err = run(capsys, "tile", "--preset", "optimal1", "--stationary", "2", *flag)
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
 def test_tile_and_analyze(tmp_path, capsys):
     patch_file = tmp_path / "p.json"
     code, out, _ = run(capsys, "tile", "--preset", "optimal1",
@@ -264,6 +294,19 @@ def test_analyze_rejects_malformed_patch(tmp_path, capsys, doc):
     bad = tmp_path / "f.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "analyze", "delone", "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "delone"],
+    ["export", "--json", "{tmp}/p.json"],
+])
+def test_deeply_nested_patch_file_is_rejected(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--in", str(deep)]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
 

@@ -5,16 +5,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from badtri.delone import (
     ConvexRegion,
-    DiskRegion,
     PointSet,
     analysis_report,
     cf_distance_brute,
     chabauty_fell_distance,
-    check_relatively_dense,
+    check_covering_radius,
     check_uniform_discrete,
     delone_radii,
     orientation_discrepancy,
@@ -72,56 +72,148 @@ def test_uniform_discrete_matches_midpoint_bruteforce():
         assert (res.status == "violation") == crowded
 
 
+def polygon(radius, n=12):
+    """A regular n-gon inscribed in the circle of this radius about 0."""
+    th = 2 * math.pi * np.arange(n) / n
+    return ConvexRegion(radius * np.column_stack([np.cos(th), np.sin(th)]))
+
+
 def test_relatively_dense_disk():
     one = PointSet([(0, 0)])
-    res = check_relatively_dense(one, 1.0, DiskRegion((0, 0), 0.9), h=0.01)
+    res = check_covering_radius(one, 1.0, polygon(0.9))
     assert res.status == "certified"
-    res = check_relatively_dense(one, 0.09, DiskRegion((0, 0), 0.9))
+    res = check_covering_radius(one, 0.09, polygon(0.9))
     assert res.status == "counterexample"
-    assert np.linalg.norm(res.counterexample) > 0.09
+    assert np.linalg.norm(res.witness) > 0.09
 
 
 def test_relatively_dense_inconclusive_band():
-    # R equal to the exact covering radius sits inside the +-h*sqrt(2)/2
-    # band for every grid step, so the test reports inconclusive, never
-    # a false certificate
+    # R equal to the exact covering radius (attained at the vertices) is
+    # neither exceeded nor cleared by the location-error band, so the
+    # test reports inconclusive, never a false certificate
     one = PointSet([(0, 0)])
-    res = check_relatively_dense(one, 1.0, DiskRegion((0, 0), 1.0), h=0.01)
+    square = ConvexRegion([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    res = check_covering_radius(one, 1.0, square)
     assert res.status == "inconclusive"
+    assert res.radius == 1.0
 
 
 def test_relatively_dense_adaptive_refinement():
+    # a margin of 0.02 certifies, and the radius is the exact one
     one = PointSet([(0, 0)])
-    res = check_relatively_dense(one, 1.0, DiskRegion((0, 0), 0.98))
+    res = check_covering_radius(one, 1.0, polygon(0.98))
     assert res.status == "certified"
-    assert res.h < 1.0 / 10  # first pass was inconclusive, step was halved
+    assert abs(res.radius - 0.98) <= 1e-12
 
 
 def test_region_validation():
     with pytest.raises(ValueError):
-        DiskRegion((0, 0), 0.0)
-    with pytest.raises(ValueError):
         ConvexRegion([])
+    square = ConvexRegion([(1, 0), (0, 1), (-1, 0), (0, -1)])
     with pytest.raises(ValueError):
-        check_relatively_dense(PointSet([]), 1.0, DiskRegion((0, 0), 1.0))
+        check_covering_radius(PointSet([]), 1.0, square)
+    with pytest.raises(ValueError):
+        check_covering_radius(PointSet([(0, 0)]), 0.0, square)
 
 
 def test_relatively_dense_covers_region_between_grid_nodes():
     # every grid node inside this triangle lies within R of (1, 1), but
-    # the region vertex (0, 1) is at distance 1 > R; nodes outside the
-    # region whose cells reach into it must be tested too
+    # the region vertex (0, 1) is at distance 1 > R
     reg, one = ConvexRegion([(0, 1), (1, 0), (1, 1)]), PointSet([(1, 1)])
-    assert check_relatively_dense(one, 0.95, reg, h=0.3).status == "inconclusive"
-    res = check_relatively_dense(one, 0.95, reg)
+    res = check_covering_radius(one, 0.95, reg)
     assert res.status == "counterexample"
-    assert reg.contains(res.counterexample).all()
+    assert reg.contains(res.witness).all()
 
 
 def test_triangle_union_region_membership():
     reg = ConvexRegion([(0, 0), (1, 0), (0, 1), (1, 0), (1, 1), (0, 1)])
     inside = reg.contains([(0.5, 0.5), (0.1, 0.1), (0.9, 0.9), (1.5, 0.5)])
     assert inside.tolist() == [True, True, True, False]
-    assert reg.bbox() == (0.0, 0.0, 1.0, 1.0)
+
+
+UNIT_SQUARE = ConvexRegion([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("points, radius", [
+    ([(0, 0)], math.sqrt(2)),  # one point: the far region vertex
+    ([(0.25, 0.5)], math.hypot(0.75, 0.5)),
+    ([(0, 0), (1, 1)], 1.0),  # two points: the vertices on their bisector
+    ([(0.5, 0.2), (0.5, 0.8)], math.hypot(0.5, 0.3)),
+    # collinear: the bisector crossings (0.25, 0) and (0.25, 1) are farthest
+    ([(0, 0.5), (0.5, 0.5), (1, 0.5)], math.hypot(0.25, 0.5)),
+    ([(0.5, y) for y in np.linspace(0, 1, 9)], math.hypot(0.5, 0.0625)),
+])
+def test_covering_radius_degenerate_sets(points, radius):
+    # under 3 points, or all on one line, Qhull builds no triangulation
+    ps = PointSet(points)
+    res = check_covering_radius(ps, radius + 1e-6, UNIT_SQUARE)
+    assert res.status == "certified"
+    assert abs(res.radius - radius) <= 1e-12
+    res = check_covering_radius(ps, radius - 1e-6, UNIT_SQUARE)
+    assert res.status == "counterexample"
+    assert UNIT_SQUARE.contains(res.witness).all()
+    assert np.linalg.norm(ps.points - res.witness, axis=1).min() > radius - 1e-6
+
+
+def grid_band(ps, region, n=300):
+    """Brute grid oracle: (lo, hi) with lo <= covering radius <= hi.
+
+    lo is the largest distance at a node inside the region.  Every region
+    point lies in the cell of a node with excess <= h*sqrt(2)/2, within
+    h*sqrt(2)/2 of it, so hi is the largest distance at such a node plus
+    h*sqrt(2)/2.
+    """
+    lo_xy, hi_xy = region.vertices.min(axis=0), region.vertices.max(axis=0)
+    h = float((hi_xy - lo_xy).max()) / n
+    xs = np.arange(lo_xy[0], hi_xy[0] + 2 * h, h)
+    ys = np.arange(lo_xy[1], hi_xy[1] + 2 * h, h)
+    nodes = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    margin = h * math.sqrt(2) / 2
+    ex = region.excess(nodes)
+    d = cKDTree(ps.points).query(nodes)[0]
+    lo = float(d[region.contains(nodes)].max())
+    return lo, float(d[ex <= margin].max()) + margin
+
+
+coord = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+point_lists = st.lists(st.tuples(coord, coord), min_size=1, max_size=20, unique=True)
+polygons = st.lists(st.tuples(coord, coord), min_size=3, max_size=10)
+
+
+def convex_region(corners):
+    try:
+        region = ConvexRegion(corners)
+    except ValueError:
+        return None
+    # a sliver's grid cells are too coarse for the oracle's band to mean much
+    span = (region.vertices.max(axis=0) - region.vertices.min(axis=0)).min()
+    return region if span > 0.5 else None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(point_lists, polygons)
+def test_covering_radius_within_grid_band(points, corners):
+    region = convex_region(corners)
+    assume(region is not None)
+    ps = PointSet(points)
+    lo, hi = grid_band(ps, region)
+    radius = check_covering_radius(ps, 100.0, region).radius
+    assert lo - 1e-9 <= radius <= hi + 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(point_lists, polygons, st.floats(0.9, 0.9999))
+def test_covering_radius_never_certifies_an_uncovered_node(points, corners, scale):
+    region = convex_region(corners)
+    assume(region is not None)
+    ps = PointSet(points)
+    lo, _ = grid_band(ps, region)
+    R = lo * scale  # the grid found a node in the region farther than R
+    res = check_covering_radius(ps, R, region)
+    assert res.status != "certified"
+    if res.status == "counterexample":
+        assert region.contains(res.witness).all()
+        assert np.linalg.norm(ps.points - res.witness, axis=1).min() > R
 
 
 def test_cf_distance_examples():
@@ -208,7 +300,7 @@ def test_restricted_convergence():
 
 
 def test_restricted_convergence_on_patch():
-    g = build_gifs(PRESETS["optimal1"], validate=False)
+    g = build_gifs(PRESETS["optimal1"])
     p = epsilon_rule(1, 0.02, g)
     ps = PointSet(p.points)
     rep = restricted_convergence_check(ps, [5.0, 10.0, 20.0])
@@ -242,13 +334,13 @@ def test_star_discrepancy_matches_bruteforce():
 
 
 def test_orientation_discrepancy_single_tile():
-    p0 = stationary_sequence(build_gifs(PRESETS["optimal1"], validate=False), 0)[0]
+    p0 = stationary_sequence(build_gifs(PRESETS["optimal1"]), 0)[0]
     n, d = orientation_discrepancy(p0)
     assert (n, d) == (1, 1.0)
 
 
 def test_orientation_discrepancy_trend_and_atoms():
-    g = build_gifs(PRESETS["optimal1"], validate=False)
+    g = build_gifs(PRESETS["optimal1"])
     vals = []
     for eps in (0.08, 0.04, 0.02):
         p = epsilon_rule(1, eps, g)
@@ -256,26 +348,26 @@ def test_orientation_discrepancy_trend_and_atoms():
     assert vals[0] > vals[1] > vals[2]
     # rational-angle triangle: orientations form finitely many atoms,
     # so the discrepancy stays bounded away from zero
-    ge = build_gifs(PRESETS["equilateral"], validate=False)
+    ge = build_gifs(PRESETS["equilateral"])
     pe = epsilon_rule(1, 0.02, ge)
     assert orientation_discrepancy(pe)[1] >= 0.05
 
 
 @pytest.mark.parametrize("name", ["optimal1", "optimal2"])
 def test_delone_certification(name):
-    g = build_gifs(PRESETS[name], validate=False)
+    g = build_gifs(PRESETS[name])
     r, big_r = delone_radii(g)
     assert 0 < r < big_r
     for eps in (0.08, 0.04):
         p = epsilon_rule(1, eps, g)
         ps = PointSet(p.points)
         assert check_uniform_discrete(ps, r).status == "certified"
-        res = check_relatively_dense(ps, big_r, patch_region(p))
+        res = check_covering_radius(ps, big_r, patch_region(p))
         assert res.status == "certified"
 
 
 def test_analysis_report_shape():
-    g = build_gifs(PRESETS["optimal2"], validate=False)
+    g = build_gifs(PRESETS["optimal2"])
     p = epsilon_rule(1, 0.04, g)
     rep = analysis_report(p)
     assert rep["r_certified"] and rep["R_certified"]

@@ -14,6 +14,7 @@ from badtri.gifs import (
     _IDENTITY,
     PRESETS,
     Angles,
+    Gifs,
     Patch,
     Similitude,
     TileInstance,
@@ -169,18 +170,53 @@ def test_similitude_compose_matches_pointwise():
 
 def test_closure_presets():
     for name, ang in PRESETS.items():
-        rep = closure_report(build_gifs(ang, validate=False))
+        rep = closure_report(build_gifs(ang))
         assert rep["area_defect"] <= 1e-12, name
         assert rep["containment_defect"] <= 1e-9, name
-        assert rep["overlap_samples"] == 0, name
+        assert rep["overlap_depth"] <= 1e-9, name
 
 
 def test_closure_random_triples():
     rng = random.Random(42)
     for _ in range(20):
         ang = random_angles(rng)
-        rep = closure_report(build_gifs(ang, validate=False), samples=2000)
+        rep = closure_report(build_gifs(ang))
         assert rep["ok"], (ang, rep)
+
+
+def _shifted(g, edge, dx, dy):
+    maps = dict(g.maps)
+    m = maps[edge]
+    maps[edge] = dataclasses.replace(m, tx=m.tx + dx, ty=m.ty + dy)
+    return Gifs(g.angles, g.consts, g.prototiles, maps, g.a_min)
+
+
+@pytest.mark.parametrize("name, dx", [("optimal1", 1e-5), ("optimal2", 1e-4)])
+def test_closure_rejects_thin_overlap(name, dx):
+    # areas stay exact and every child stays inside its parent, but f1's
+    # child now overlaps a sibling about dx deep
+    rep = closure_report(_shifted(build_gifs(PRESETS[name]), "f1", dx, 0.0))
+    assert rep["ok"] is False
+    assert rep["area_defect"] <= 1e-12 and rep["containment_defect"] <= 1e-9
+    assert rep["overlap_depth"] > 1e-9
+
+
+@pytest.mark.parametrize("name", ["optimal1", "optimal2"])
+def test_closure_rejects_every_small_shift(name):
+    # a child of an exact partition cannot move without leaving its parent
+    # or overlapping a sibling: 8 maps x 16 directions x 3 sizes
+    g = build_gifs(PRESETS[name])
+    contained = 0
+    for edge in g.maps:
+        for k in range(16):
+            for size in (1e-7, 1e-6, 1e-5):
+                th = k * math.pi / 8
+                rep = closure_report(_shifted(g, edge, size * math.cos(th), size * math.sin(th)))
+                assert rep["ok"] is False, (edge, k, size, rep)
+                if rep["containment_defect"] <= 1e-9:
+                    contained += 1
+                    assert rep["overlap_depth"] > 1e-9, (edge, k, size, rep)
+    assert contained > 0
 
 
 def test_build_gifs_validation_raises_on_bad_map():
@@ -203,7 +239,7 @@ def test_subdivision_vertex_coincidences():
     # interior vertices of the level-1 subdivision, both parents
     rng = random.Random(3)
     for ang in [PRESETS["optimal1"], PRESETS["optimal2"], random_angles(rng)]:
-        g = build_gifs(ang, validate=False)
+        g = build_gifs(ang)
         c = g.consts
         t1, t2 = g.prototiles
         O, X, Y = t1.vertices
@@ -236,7 +272,7 @@ def test_subdivision_vertex_coincidences():
 
 
 def test_subdivide_child_kinds_and_areas():
-    g = build_gifs(PRESETS["optimal2"], validate=False)
+    g = build_gifs(PRESETS["optimal2"])
     from badtri.gifs import TileInstance, _IDENTITY
 
     for start, kinds in ((1, (2, 1, 1, 1)), (2, (2, 2, 1, 1))):
@@ -256,7 +292,7 @@ def test_subdivide_child_kinds_and_areas():
 def test_orientation_additivity():
     # child orientation minus parent orientation depends only on the edge
     # label and the parent's parity
-    g = build_gifs(PRESETS["optimal1"], validate=False)
+    g = build_gifs(PRESETS["optimal1"])
     from badtri.gifs import TileInstance, _IDENTITY
 
     seen = {}
@@ -282,7 +318,7 @@ def test_orientation_additivity():
 
 @pytest.mark.parametrize("eps", [0.2, 0.08, 0.04, 0.02])
 def test_epsilon_rule_windows(eps):
-    g = build_gifs(PRESETS["optimal1"], validate=False)
+    g = build_gifs(PRESETS["optimal1"])
     p = epsilon_rule(1, eps, g)
     areas = p.areas()
     assert min(areas) >= p.gifs.a_min - 1e-12
@@ -293,7 +329,7 @@ def test_epsilon_rule_windows(eps):
 
 
 def test_epsilon_rule_validation():
-    g = build_gifs(PRESETS["equilateral"], validate=False)
+    g = build_gifs(PRESETS["equilateral"])
     with pytest.raises(ValueError):
         epsilon_rule(1, 1.0, g)
     with pytest.raises(ValueError):
@@ -305,14 +341,14 @@ def test_epsilon_rule_validation():
 
 
 def test_epsilon_rule_deterministic():
-    a = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"], validate=False))
-    b = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"], validate=False))
+    a = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"]))
+    b = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"]))
     assert [t.transform for t in a.tiles] == [t.transform for t in b.tiles]
     assert [t.area for t in a.tiles] == [t.area for t in b.tiles]
 
 
 def test_point_set_inside_tiles():
-    g = build_gifs(PRESETS["optimal2"], validate=False)
+    g = build_gifs(PRESETS["optimal2"])
     p = epsilon_rule(1, 0.05, g)
     pts = p.points
     assert pts.shape == (len(p.tiles), 2)
@@ -333,7 +369,7 @@ def _assert_placed_exactly(patch):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_patch_geometry_placed_exactly(name):
-    g = build_gifs(PRESETS[name], validate=False)
+    g = build_gifs(PRESETS[name])
     p = epsilon_rule(2, 0.05, g)
     _assert_placed_exactly(p)
     for q in stationary_sequence(g, 3):
@@ -345,7 +381,7 @@ def test_patch_geometry_placed_exactly(name):
 
 
 def test_replaced_tiles_carry_their_geometry():
-    g = build_gifs(PRESETS["optimal1"], validate=False)
+    g = build_gifs(PRESETS["optimal1"])
     p = epsilon_rule(1, 0.1, g)
     q = dataclasses.replace(p, tiles=p.tiles[::-2])
     _assert_placed_exactly(q)
@@ -354,7 +390,7 @@ def test_replaced_tiles_carry_their_geometry():
 
 
 def test_patches_of_equal_systems_compare_and_hash_equal():
-    a, b = (epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal2"], validate=False))
+    a, b = (epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal2"]))
             for _ in range(2))
     assert a.gifs is not b.gifs
     assert a == b and hash(a) == hash(b)
@@ -362,7 +398,7 @@ def test_patches_of_equal_systems_compare_and_hash_equal():
 
 def test_stationary_sequence_nesting():
     for name in ("optimal1", "equilateral"):
-        seq = stationary_sequence(build_gifs(PRESETS[name], validate=False), 4)
+        seq = stationary_sequence(build_gifs(PRESETS[name]), 4)
         assert len(seq) == 5
         assert len(seq[0].tiles) == 1
         assert orientation_angles(seq[0]) == [(0.0, False)]
@@ -397,7 +433,7 @@ CHANGES = {
 
 @pytest.mark.parametrize("change", sorted(CHANGES))
 def test_recurrence_rejects_changed_tile(change):
-    g = build_gifs(PRESETS["optimal1"], validate=False)
+    g = build_gifs(PRESETS["optimal1"])
     seq = stationary_sequence(g, 2)
     prev, cur = seq[1], seq[2]
     i = recurs_in(cur, prev, TOL).index(True)
@@ -412,7 +448,7 @@ def test_recurrence_rejects_changed_tile(change):
 
 
 def test_recurrence_orientation_wraps_at_zero():
-    g = build_gifs(PRESETS["optimal2"], validate=False)
+    g = build_gifs(PRESETS["optimal2"])
     tile = stationary_sequence(g, 1)[1].tiles[0]
 
     def single(rotation):
@@ -427,20 +463,20 @@ def test_recurrence_orientation_wraps_at_zero():
 
 def test_stationary_sequence_guard():
     with pytest.raises(ValueError):
-        stationary_sequence(build_gifs(PRESETS["equilateral"], validate=False), 7)
+        stationary_sequence(build_gifs(PRESETS["equilateral"]), 7)
     with pytest.raises(ValueError):
-        stationary_sequence(build_gifs(PRESETS["equilateral"], validate=False), -1)
+        stationary_sequence(build_gifs(PRESETS["equilateral"]), -1)
 
 
 def test_orientation_angles_range():
-    p = epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal1"], validate=False))
+    p = epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal1"]))
     for rot, parity in orientation_angles(p):
         assert 0 <= rot < 2 * math.pi
         assert isinstance(parity, bool)
 
 
 def test_patch_json_roundtrip_and_stability():
-    g = build_gifs(PRESETS["equilateral"], validate=False)
+    g = build_gifs(PRESETS["equilateral"])
     p = epsilon_rule(1, 0.2, g)
     s1 = patch_to_json(p)
     s2 = patch_to_json(epsilon_rule(1, 0.2, g))
@@ -531,7 +567,7 @@ def test_stationary_levels_match_depth_first(name):
 
 
 def test_patch_to_json_matches_json_dumps():
-    g = build_gifs(PRESETS["optimal2"], validate=False)
+    g = build_gifs(PRESETS["optimal2"])
     p, q = epsilon_rule(2, 0.05, g), stationary_sequence(g, 2)[2]
     # integer-valued JSON numbers load as ints where patch_from_doc keeps them
     doc = {"angles": [1, 1, 1.1415926535897931], "epsilon": 1, "tiles": [
