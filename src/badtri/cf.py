@@ -369,6 +369,10 @@ def expand_real(value, err=None, terms=64):
         v = Fraction(value)
         if err is None:
             raise ValueError("an explicit error bound is required for non-string input")
+    if err < 0:
+        raise ValueError(f"err must be >= 0, got {err}")
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
     lo, hi = v - err, v + err
     if lo <= 0 or hi >= 1:
         raise ValueError("value with its error bound must lie inside (0, 1)")

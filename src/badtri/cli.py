@@ -26,6 +26,7 @@ from .theorems import (
 # gifs.PRESETS's names; the geometry modules (numpy, scipy) load only in
 # the tile, analyze and export handlers, so the exact commands start fast
 PRESET_NAMES = ("equilateral", "optimal1", "optimal2")
+FAMILY_L_MAX = 1000  # verify family --l-max cap
 
 
 def main(argv=None):
@@ -221,6 +222,9 @@ def cmd_verify_identities(args):
 def cmd_verify_family(args):
     if args.l_max < 0:
         raise ValueError("--l-max must be >= 0")
+    if args.l_max > FAMILY_L_MAX:
+        raise ValueError(f"--l-max capped at {FAMILY_L_MAX}: that run takes ~1.3 s, "
+                         "and the time grows faster than l_max^2")
     failures = 0
     for triple in B22_SOLUTIONS:
         ok = check_sum(triple, "sum_is_one", b=2, j=2)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
+from .gifs import orientation_angles
+
 __all__ = [
     "PointSet",
     "ConvexRegion",
@@ -359,7 +361,7 @@ def star_discrepancy_brute(xs):
 
 def orientation_discrepancy(patch):
     """(N, D*) of the tile orientations scaled to [0, 1)."""
-    xs = [t.orientation / (2 * math.pi) for t in patch.tiles]
+    xs = [rot / (2 * math.pi) for rot, _ in orientation_angles(patch)]
     return len(xs), star_discrepancy(xs)
 
 

@@ -12,19 +12,22 @@ All geometry is double precision; subdivision stopping areas are tracked
 as exact Fractions of the float scale factors so patch shape never
 depends on summation order.
 
-Subdivision runs level by level over arrays.  The frontier holds one
-record per tile (kind, transform, depth and an integer *area class*);
-each level replaces every tile whose area exceeds the threshold by its
-four children, in place, so the frontier stays in depth-first order.  A
-tile's area is the product of its maps' squared scales, so few values
-occur: each distinct area is one exact Fraction, shared by every tile of
-its class, and the exact `area > threshold` test runs once per class.
-Child transforms repeat `Similitude.compose`'s arithmetic operation for
-operation, so they are bit-identical to composing tile by tile.
+A patch's tiles are one numpy record array, one _TILE record per tile
+(kind, pose, depth and an integer *area class*), from subdivision
+through placement, JSON and loading.  Subdivision runs level by level
+over that array: each level replaces every tile whose area exceeds the
+threshold by its four children, in place, so the records stay in
+depth-first order.  A tile's area is the product of its maps' squared
+scales, so few values occur: each distinct area is one exact Fraction,
+shared by every tile of its class, and the exact `area > threshold`
+test runs once per class.  Child transforms repeat `Similitude.compose`'s
+arithmetic operation for operation, so they are bit-identical to the
+per-tile reference, `subdivide` on `TileInstance`s.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -161,10 +164,6 @@ class Similitude:
             float(ty),
         )
 
-    @property
-    def translation(self):
-        return np.array([self.tx, self.ty])
-
 
 _IDENTITY = Similitude(1.0, 0.0, False, 0.0, 0.0)
 
@@ -243,8 +242,8 @@ class Gifs:
     """A tiling system: angles, constants, prototiles and the eight maps.
 
     The prototiles (arrays) and maps (a dict) follow from the angles, so
-    equality and hashing leave them out; patches of equal systems then
-    compare and hash by value.
+    equality and hashing leave them out; patches of equal systems and
+    equal tile records then compare and hash by value.
     """
 
     angles: Angles
@@ -386,20 +385,30 @@ class TileInstance:
         return self.transform.reflect
 
 
-def _place(transforms, local):
-    """Similitude.apply for many tiles at once: local[i] (K x 2) under transforms[i].
+# one record per tile: kind, the Similitude fields of its pose, depth, and
+# cls, the index of its exact area in the patch's area classes
+_TILE = np.dtype([
+    ("kind", np.int64), ("scale", float), ("rotation", float), ("reflect", bool),
+    ("tx", float), ("ty", float), ("depth", np.int64), ("cls", np.int64),
+])
 
-    The arithmetic is apply's, operation for operation, with c and s from
-    math.cos and math.sin of each rotation, so every coordinate is
-    bit-identical to a per-tile apply.
+
+def _cos_sin(rotation):
+    """math.cos and math.sin of each rotation, as Similitude.apply takes them."""
+    rot = rotation.tolist()
+    return np.array(list(map(math.cos, rot))), np.array(list(map(math.sin, rot)))
+
+
+def _place(tiles, local):
+    """Similitude.apply for many tiles at once: local[i] (K x 2) under the
+    pose of tiles[i].
+
+    The arithmetic is apply's, operation for operation, so every coordinate
+    is bit-identical to a per-tile apply.
     """
-    params = np.array(
-        [(m.scale, math.cos(m.rotation), math.sin(m.rotation), m.tx, m.ty, m.reflect)
-         for m in transforms],
-        dtype=float,
-    ).reshape(-1, 6)
-    scale, c, s, tx, ty, reflect = params.T[:, :, None]
-    xs = np.where(reflect != 0, -local[..., 0], local[..., 0])
+    c, s = (v[:, None] for v in _cos_sin(tiles["rotation"]))
+    scale, tx, ty = (tiles[f][:, None] for f in ("scale", "tx", "ty"))
+    xs = np.where(tiles["reflect"][:, None], -local[..., 0], local[..., 0])
     ys = local[..., 1]
     out = np.empty_like(local)
     out[..., 0] = scale * (c * xs - s * ys) + tx
@@ -407,32 +416,47 @@ def _place(transforms, local):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Patch:
     """Tiles of one tiling system, with their geometry placed once.
 
-    `vertices` (N x 3 x 2) and `points` (N x 2, the tile centroids) are
-    derived from the tiles at construction, so `dataclasses.replace`
-    keeps them in step with the tiles.
+    `tiles` is a read-only _TILE record array and `area_classes` the tuple
+    of exact tile areas that its cls column indexes.  `vertices`
+    (N x 3 x 2) and `points` (N x 2, the tile centroids) are derived from
+    the tiles at construction, so `dataclasses.replace` keeps them in step
+    with the tiles.  Patches compare and hash by epsilon, system, tile
+    bytes and area classes.
     """
 
     epsilon: float
     gifs: Gifs
-    tiles: tuple
-    vertices: np.ndarray = field(init=False, compare=False, repr=False)
-    points: np.ndarray = field(init=False, compare=False, repr=False)
+    tiles: np.ndarray
+    area_classes: tuple
+    vertices: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        tiles = np.asarray(self.tiles, dtype=_TILE).view()
+        tiles.flags.writeable = False
+        object.__setattr__(self, "tiles", tiles)
         # each prototile's three vertices and its centroid, placed together
         local = np.stack([np.vstack([p.vertices, p.centroid]) for p in self.gifs.prototiles])
-        kinds = np.array([t.kind - 1 for t in self.tiles], dtype=int)
-        placed = _place([t.transform for t in self.tiles], local[kinds])
+        placed = _place(tiles, local[tiles["kind"] - 1])
         placed.flags.writeable = False
         object.__setattr__(self, "vertices", placed[:, :3])
         object.__setattr__(self, "points", placed[:, 3])
 
+    def _key(self):
+        return self.epsilon, self.gifs, self.tiles.tobytes(), self.area_classes
+
+    def __eq__(self, other):
+        return isinstance(other, Patch) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def areas(self):
-        return [float(t.area) for t in self.tiles]
+        return np.array(list(map(float, self.area_classes)))[self.tiles["cls"]].tolist()
 
 
 def subdivide(tile, gifs):
@@ -451,19 +475,12 @@ def subdivide(tile, gifs):
     return children
 
 
-# one frontier record per tile; cls indexes the exact area in the areas list
-_FRONTIER = np.dtype([
-    ("kind", np.int64), ("scale", float), ("rotation", float), ("reflect", bool),
-    ("tx", float), ("ty", float), ("depth", np.int64), ("cls", np.int64),
-])
-
-
 def _subdivide(gifs, start, thresholds):
     """Leaves of the subdivision tree of `start`, cut at each threshold.
 
     A tile splits while its exact area exceeds the threshold; thresholds
     must not increase, so each cut refines the one before.  Returns
-    (areas, cuts): cuts[i] is a _FRONTIER array of the leaves for
+    (areas, cuts): cuts[i] is a _TILE array of the leaves for
     thresholds[i] in depth-first order, and areas[c] is the exact area of
     class c.
     """
@@ -490,7 +507,7 @@ def _subdivide(gifs, start, thresholds):
         return child_cls[cls, edge]
 
     tiles = np.array([(start, _IDENTITY.scale, _IDENTITY.rotation, _IDENTITY.reflect,
-                       _IDENTITY.tx, _IDENTITY.ty, 0, 0)], dtype=_FRONTIER)
+                       _IDENTITY.tx, _IDENTITY.ty, 0, 0)], dtype=_TILE)
     cuts = []
     for threshold in thresholds:
         while True:
@@ -505,8 +522,7 @@ def _subdivide(gifs, start, thresholds):
             p = tiles[at]  # each split parent, once per child
             edge = 4 * (p["kind"] - 1) + np.tile(np.arange(4), len(first))
             # Similitude.compose(parent, edge map), operation for operation
-            c = np.array(list(map(math.cos, p["rotation"].tolist())))
-            s = np.array(list(map(math.sin, p["rotation"].tolist())))
+            c, s = _cos_sin(p["rotation"])
             xs = np.where(p["reflect"], -e_tx[edge], e_tx[edge])
             ys = e_ty[edge]
             kids = p.copy()
@@ -524,17 +540,6 @@ def _subdivide(gifs, start, thresholds):
             tiles[at] = kids
         cuts.append(tiles)
     return areas, cuts
-
-
-def _tile_instances(kind, scale, rotation, reflect, tx, ty, depth, area):
-    """TileInstances from columns: arrays of the pose, plus a list of areas."""
-    return tuple(
-        TileInstance(k, Similitude(m, r, f, x, y), d, a)
-        for k, m, r, f, x, y, d, a in zip(
-            kind.tolist(), scale.tolist(), rotation.tolist(), reflect.tolist(),
-            tx.tolist(), ty.tolist(), depth.tolist(), area,
-        )
-    )
 
 
 def epsilon_rule(start, epsilon, gifs):
@@ -556,13 +561,9 @@ def epsilon_rule(start, epsilon, gifs):
     eps = Fraction(epsilon)
     areas, (leaves,) = _subdivide(gifs, start, [eps])
     lam = 1 / math.sqrt(epsilon)
-    inflated = [a / eps for a in areas]
-    tiles = _tile_instances(
-        leaves["kind"], leaves["scale"] * lam, leaves["rotation"], leaves["reflect"],
-        leaves["tx"] * lam, leaves["ty"] * lam, leaves["depth"],
-        map(inflated.__getitem__, leaves["cls"].tolist()),
-    )
-    return Patch(epsilon, gifs, tiles)
+    for f in ("scale", "tx", "ty"):
+        leaves[f] *= lam
+    return Patch(epsilon, gifs, leaves, tuple(a / eps for a in areas))
 
 
 def stationary_sequence(gifs, n):
@@ -588,59 +589,57 @@ def stationary_sequence(gifs, n):
         rot = (-k * ga) % _TWO_PI
         c, s_ = math.cos(rot), math.sin(rot)
         off = lam * np.array([c * anchor[0] - s_ * anchor[1], s_ * anchor[0] + c * anchor[1]])
-        # world.compose(tile transform) for the unreflected world map
-        world = Similitude(lam, rot, False, -float(off[0]), -float(off[1]))
-        scaled = [a / threshold for a in areas]
-        tiles = _tile_instances(
-            t["kind"],
-            world.scale * t["scale"],
-            np.mod(world.rotation + t["rotation"], _TWO_PI),
-            t["reflect"],
-            world.scale * (c * t["tx"] - s_ * t["ty"]) + world.tx,
-            world.scale * (s_ * t["tx"] + c * t["ty"]) + world.ty,
-            t["depth"],
-            map(scaled.__getitem__, t["cls"].tolist()),
-        )
-        patches.append(Patch(float(eps0**k), gifs, tiles))
+        # Similitude(lam, rot, False, -off).compose(tile pose), column by column
+        tiles = t.copy()
+        tiles["scale"] = lam * t["scale"]
+        tiles["rotation"] = np.mod(rot + t["rotation"], _TWO_PI)
+        tiles["tx"] = lam * (c * t["tx"] - s_ * t["ty"]) - off[0]
+        tiles["ty"] = lam * (s_ * t["tx"] + c * t["ty"]) - off[1]
+        patches.append(Patch(float(eps0**k), gifs, tiles, tuple(a / threshold for a in areas)))
         anchor = f3.apply(anchor)
     return patches
 
 
-def recurs_in(patch, other, tol=1e-6):
+POSE_TOL = 1e-6  # scale, orientation and centroid tolerance of recurs_in
+
+
+def recurs_in(patch, other):
     """Per tile of `patch`: does `other` hold a tile in the same pose?
 
     Same pose means the same kind and reflection parity, with scale,
-    orientation (mod 2*pi) and centroid each within tol.  A KD-tree over
-    the centroids of `other` yields the candidates, so only tiles within
-    tol of each other are compared.
+    orientation (mod 2*pi) and centroid each within POSE_TOL.  A KD-tree
+    over the centroids of `other` yields the candidate pairs, which are
+    then compared column by column.
     """
     from scipy.spatial import cKDTree
 
-    near = cKDTree(other.points).query_ball_point(patch.points, tol)
-
-    def same_pose(a, b):
-        gap = abs(a.orientation - b.orientation) % _TWO_PI
-        return (
-            a.kind == b.kind
-            and a.parity == b.parity
-            and abs(a.transform.scale - b.transform.scale) <= tol
-            and min(gap, _TWO_PI - gap) <= tol
-        )
-
-    return [
-        any(same_pose(tile, other.tiles[j]) for j in cands)
-        for tile, cands in zip(patch.tiles, near)
-    ]
+    near = cKDTree(other.points).query_ball_point(patch.points, POSE_TOL)
+    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+    i = np.repeat(np.arange(len(near)), counts)
+    j = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=counts.sum())
+    a, b = patch.tiles[i], other.tiles[j]
+    gap = np.abs(a["rotation"] % _TWO_PI - b["rotation"] % _TWO_PI) % _TWO_PI
+    same = (
+        (a["kind"] == b["kind"])
+        & (a["reflect"] == b["reflect"])
+        & (np.abs(a["scale"] - b["scale"]) <= POSE_TOL)
+        & (np.minimum(gap, _TWO_PI - gap) <= POSE_TOL)
+    )
+    return np.bincount(i[same], minlength=len(near)).astype(bool).tolist()
 
 
-def stationary_nesting_ok(patches, tol=1e-6):
+def stationary_nesting_ok(patches):
     """Does every tile of P_(k-1) recur in P_k (kind, pose, position)?"""
-    return all(all(recurs_in(prev, cur, tol)) for prev, cur in zip(patches, patches[1:]))
+    return all(all(recurs_in(prev, cur)) for prev, cur in zip(patches, patches[1:]))
 
 
 def orientation_angles(patch):
     """(rotation mod 2*pi, reflection parity) per tile, in patch order."""
-    return [(t.orientation, t.parity) for t in patch.tiles]
+    return list(zip((patch.tiles["rotation"] % _TWO_PI).tolist(), patch.tiles["reflect"].tolist()))
+
+
+# the tile columns patch_doc writes, in its key order
+_DOC_COLUMNS = ("kind", "scale", "rotation", "reflect", "tx", "ty", "depth")
 
 
 def patch_doc(patch):
@@ -649,15 +648,8 @@ def patch_doc(patch):
         "epsilon": patch.epsilon,
         "angles": list(patch.gifs.angles.as_tuple()),
         "tiles": [
-            {
-                "kind": t.kind,
-                "scale": t.transform.scale,
-                "rotation": t.transform.rotation,
-                "reflect": t.transform.reflect,
-                "translation": [t.transform.tx, t.transform.ty],
-                "depth": t.depth,
-            }
-            for t in patch.tiles
+            {"kind": k, "scale": m, "rotation": r, "reflect": f, "translation": [x, y], "depth": d}
+            for k, m, r, f, x, y, d in zip(*(patch.tiles[c].tolist() for c in _DOC_COLUMNS))
         ],
         "points": patch.points.tolist(),
     }
@@ -717,12 +709,7 @@ def _indent(text, pad):
 def _doc_text(patch, pad):
     """patch_doc(patch) as json.dumps(..., indent=2) lays it out, each line
     indented by `pad` more."""
-    tr = [t.transform for t in patch.tiles]
-    columns = (
-        [t.kind for t in patch.tiles], [m.scale for m in tr], [m.rotation for m in tr],
-        [m.reflect for m in tr], [m.tx for m in tr], [m.ty for m in tr],
-        [t.depth for t in patch.tiles],
-    )
+    columns = [patch.tiles[c].tolist() for c in _DOC_COLUMNS]
     tile, point = _indent(_TILE_TEMPLATE, pad), _indent(_POINT_TEMPLATE, pad)
     tiles = [tile % v for v in zip(*map(_json_texts, columns))]
     points = [point % v for v in zip(*map(_json_texts, patch.points.T.tolist()))]
@@ -770,7 +757,7 @@ def _check_tiles(tiles):
             or not _is_number(t["rotation"])
             or not isinstance(t["reflect"], bool)
             or not (isinstance(tr, list) and len(tr) == 2 and all(map(_is_number, tr)))
-            or not (_is_int(t["depth"]) and t["depth"] >= 0)
+            or not (_is_int(t["depth"]) and 0 <= t["depth"] < 2**63)
         ):
             raise ValueError(f"tile {i} is malformed: {t}")
 
@@ -786,7 +773,7 @@ def _plain_columns(kind, scale, rotation, reflect, translation, depth):
     numbers = (scale, rotation, [p[0] for p in translation], [p[1] for p in translation])
     if not (
         set(map(type, kind)) == {int} and set(kind) <= {1, 2}
-        and set(map(type, depth)) == {int} and min(depth) >= 0
+        and set(map(type, depth)) == {int} and 0 <= min(depth) and max(depth) < 2**63
         and set(map(type, reflect)) == {bool}
         and all(set(map(type, col)) <= {int, float} for col in numbers)
     ):
@@ -833,9 +820,10 @@ def patch_from_doc(doc):
     """
     kind, scale, rotation, reflect, translation, depth = _check_patch_doc(doc)
     gifs = build_gifs(Angles(*doc["angles"]))
-    area = {v: Fraction(v) ** 2 for v in set(scale)}
-    tiles = tuple(
-        TileInstance(k, Similitude(float(m), float(r), f, float(x), float(y)), d, area[m])
-        for k, m, r, f, (x, y), d in zip(kind, scale, rotation, reflect, translation, depth)
-    )
-    return Patch(float(doc["epsilon"]), gifs, tiles)
+    tiles = np.empty(len(kind), dtype=_TILE)
+    tiles["kind"], tiles["scale"], tiles["rotation"] = kind, scale, rotation
+    tiles["reflect"], tiles["depth"] = reflect, depth
+    tiles["tx"], tiles["ty"] = np.array(translation, dtype=float).T
+    scales, tiles["cls"] = np.unique(tiles["scale"], return_inverse=True)
+    area_classes = tuple(Fraction(m) ** 2 for m in scales.tolist())
+    return Patch(float(doc["epsilon"]), gifs, tiles, area_classes)

@@ -90,6 +90,8 @@ def excludes_b2(lo, hi, depth=30):
         raise ValueError("need 0 < lo < hi < 1")
     if depth > 60:
         raise ValueError("depth capped at 60")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
 
     inconclusive = False
 

@@ -259,7 +259,7 @@ def test_c11_stationary_nesting():
         eps0 = t**2 / (1 + t**2) ** 2
         ok &= abs(gifs.maps["f3"].scale ** 2 - eps0) <= 1e-15
         seq = stationary_sequence(gifs, 4)
-        ok &= stationary_nesting_ok(seq, tol=1e-6)
+        ok &= stationary_nesting_ok(seq)
     _report(11, ok, t0, 60)
 
 

@@ -74,6 +74,19 @@ def test_cf_expand(capsys):
     assert out.startswith("digits: [2, 2, 2, 2, 2")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["0.5", "--err", "-1"], "err"),
+    (["5/7", "--err=-1/3"], "err"),
+    (["0.5", "--terms", "-1"], "terms"),
+    (["0.5", "--terms", "0"], "terms"),
+])
+def test_cf_expand_names_a_bad_bound(capsys, argv, name):
+    # a sign error is the argument's fault, not the input's precision
+    code, out, err = run(capsys, "cf", "expand", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be") and "precision" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["1/0"], ["0/0"], ["0.5", "--err", "1/0"],
 ])
@@ -89,9 +102,12 @@ def test_cf_expand_rejects_zero_denominator(capsys, argv):
     ["identities", "--samples", "0"],
     ["family", "--l-max", "-1"],
     ["search", "--depth", "-3"],
+    ["tables", "--n-max", "2", "--depth", "-1"],
+    ["tables", "--n-max", "2", "--depth", "0"],
+    ["family", "--l-max", "1001"],  # past the cap; 2000 already takes ~6 s
 ])
 def test_verify_refuses_empty_runs(capsys, argv):
-    # each would otherwise check nothing and report a pass
+    # each would otherwise check nothing, or run away, and report a pass
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert err.startswith("error:") and "PASS" not in out

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from badtri.cli import export_svg
+from badtri.delone import analysis_report, orientation_discrepancy
 from badtri.gifs import (
+    _DOC_COLUMNS,
     _IDENTITY,
+    POSE_TOL,
     PRESETS,
     Angles,
     Gifs,
@@ -343,8 +346,7 @@ def test_epsilon_rule_validation():
 def test_epsilon_rule_deterministic():
     a = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"]))
     b = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal2"]))
-    assert [t.transform for t in a.tiles] == [t.transform for t in b.tiles]
-    assert [t.area for t in a.tiles] == [t.area for t in b.tiles]
+    assert _bits(_rows(a)) == _bits(_rows(b))
 
 
 def test_point_set_inside_tiles():
@@ -356,15 +358,20 @@ def test_point_set_inside_tiles():
         assert _inside(point, poly)
 
 
+def _pose(record):
+    """The Similitude of one tile record."""
+    return Similitude(*(record[f].item() for f in ("scale", "rotation", "reflect", "tx", "ty")))
+
+
 def _assert_placed_exactly(patch):
     # the batched placement reproduces Similitude.apply bit for bit
     g = patch.gifs
     assert patch.points.shape == (len(patch.tiles), 2)
     assert patch.vertices.shape == (len(patch.tiles), 3, 2)
     for t, point, verts in zip(patch.tiles, patch.points, patch.vertices):
-        proto = g.prototile(t.kind)
-        assert np.array_equal(point, t.transform.apply(proto.centroid))
-        assert np.array_equal(verts, t.transform.apply(proto.vertices))
+        proto = g.prototile(t["kind"])
+        assert np.array_equal(point, _pose(t).apply(proto.centroid))
+        assert np.array_equal(verts, _pose(t).apply(proto.vertices))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -404,30 +411,31 @@ def test_stationary_sequence_nesting():
         assert orientation_angles(seq[0]) == [(0.0, False)]
         sizes = [len(p.tiles) for p in seq]
         assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
-        assert stationary_nesting_ok(seq, tol=1e-6)
+        assert stationary_nesting_ok(seq)
 
 
-def _centroid(tile, gifs):
-    return tile.transform.apply(gifs.prototile(tile.kind).centroid)
+def _centroid(record, gifs):
+    return _pose(record).apply(gifs.prototile(record["kind"]).centroid)
 
 
-def _alter(tile, gifs, shift=(0.0, 0.0), kind=None, **transform):
-    """The tile with its kind or transform fields changed, centroid kept + shift."""
-    m = dataclasses.replace(tile.transform, **transform)
-    moved = dataclasses.replace(tile, kind=kind or tile.kind, transform=m)
-    dx, dy = _centroid(tile, gifs) - _centroid(moved, gifs) + np.asarray(shift)
-    return dataclasses.replace(
-        moved, transform=dataclasses.replace(m, tx=m.tx + dx, ty=m.ty + dy)
-    )
+def _alter(tiles, i, gifs, shift=(0.0, 0.0), **fields):
+    """A copy of tiles with record i's fields changed, its centroid kept + shift."""
+    out = tiles.copy()
+    for f, v in fields.items():
+        out[f][i] = v
+    dx, dy = _centroid(tiles[i], gifs) - _centroid(out[i], gifs) + np.asarray(shift)
+    out["tx"][i] += dx
+    out["ty"][i] += dy
+    return out
 
 
-TOL = 1e-6
+TOL = POSE_TOL
 CHANGES = {
-    "rotate": lambda t, g: _alter(t, g, rotation=t.transform.rotation + 10 * TOL),
-    "parity": lambda t, g: _alter(t, g, reflect=not t.transform.reflect),
-    "kind": lambda t, g: _alter(t, g, kind=3 - t.kind),
-    "move": lambda t, g: _alter(t, g, shift=(10 * TOL, 0.0)),
-    "scale": lambda t, g: _alter(t, g, scale=t.transform.scale + 10 * TOL),
+    "rotate": lambda t, i, g: _alter(t, i, g, rotation=t["rotation"][i] + 10 * TOL),
+    "parity": lambda t, i, g: _alter(t, i, g, reflect=not t["reflect"][i]),
+    "kind": lambda t, i, g: _alter(t, i, g, kind=3 - t["kind"][i]),
+    "move": lambda t, i, g: _alter(t, i, g, shift=(10 * TOL, 0.0)),
+    "scale": lambda t, i, g: _alter(t, i, g, scale=t["scale"][i] + 10 * TOL),
 }
 
 
@@ -436,12 +444,10 @@ def test_recurrence_rejects_changed_tile(change):
     g = build_gifs(PRESETS["optimal1"])
     seq = stationary_sequence(g, 2)
     prev, cur = seq[1], seq[2]
-    i = recurs_in(cur, prev, TOL).index(True)
-    tiles = list(cur.tiles)
-    tiles[i] = CHANGES[change](tiles[i], g)
-    bad = dataclasses.replace(cur, tiles=tuple(tiles))
-    assert stationary_nesting_ok(seq, TOL)
-    assert not stationary_nesting_ok(seq[:2] + [bad], TOL)
+    i = recurs_in(cur, prev).index(True)
+    bad = dataclasses.replace(cur, tiles=CHANGES[change](cur.tiles, i, g))
+    assert stationary_nesting_ok(seq)
+    assert not stationary_nesting_ok(seq[:2] + [bad])
     marked = export_svg(cur, prev_patch=prev).count("tile prev")
     assert marked == len(prev.tiles)
     assert export_svg(bad, prev_patch=prev).count("tile prev") == marked - 1
@@ -449,16 +455,15 @@ def test_recurrence_rejects_changed_tile(change):
 
 def test_recurrence_orientation_wraps_at_zero():
     g = build_gifs(PRESETS["optimal2"])
-    tile = stationary_sequence(g, 1)[1].tiles[0]
+    p = stationary_sequence(g, 1)[1]
 
     def single(rotation):
-        t = _alter(tile, g, rotation=rotation)
-        return Patch(1.0, g, (t,))
+        return Patch(1.0, g, _alter(p.tiles, 0, g, rotation=rotation)[:1], p.area_classes)
 
     below, above = single(2 * math.pi - TOL / 4), single(TOL / 4)
-    assert recurs_in(below, above, TOL) == [True]
-    assert recurs_in(above, below, TOL) == [True]
-    assert recurs_in(single(2 * math.pi - 1.5 * TOL), above, TOL) == [False]
+    assert recurs_in(below, above) == [True]
+    assert recurs_in(above, below) == [True]
+    assert recurs_in(single(2 * math.pi - 1.5 * TOL), above) == [False]
 
 
 def test_stationary_sequence_guard():
@@ -539,13 +544,27 @@ def _dfs_stationary_tiles(g, n):
     return out
 
 
-def _bits(tiles):
-    # float.hex tells -0.0 from 0.0, which == does not
+_POSE = ("reflect", "scale", "rotation", "tx", "ty")
+
+
+def _rows(patch):
+    """(kind, depth, exact area, reflect, scale, rotation, tx, ty) per tile,
+    read from the patch's columns."""
+    t = patch.tiles
+    area = [patch.area_classes[c] for c in t["cls"].tolist()]
+    return zip(t["kind"].tolist(), t["depth"].tolist(), area, *(t[f].tolist() for f in _POSE))
+
+
+def _reference_rows(tiles):
+    """The same rows from per-tile TileInstances."""
     return [
-        (t.kind, t.depth, t.area, type(t.transform.reflect), t.transform.reflect,
-         *(float.hex(getattr(t.transform, f)) for f in ("scale", "rotation", "tx", "ty")))
-        for t in tiles
+        (t.kind, t.depth, t.area, *(getattr(t.transform, f) for f in _POSE)) for t in tiles
     ]
+
+
+def _bits(rows):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(k, d, a, type(f), f, *map(float.hex, xs)) for k, d, a, f, *xs in rows]
 
 
 SYSTEMS = {**PRESETS, "angles": Angles(0.8, 1.1, 1.2415926535897931)}
@@ -556,14 +575,16 @@ SYSTEMS = {**PRESETS, "angles": Angles(0.8, 1.1, 1.2415926535897931)}
 @pytest.mark.parametrize("eps", [0.2, 0.02, 0.003])
 def test_level_subdivision_matches_depth_first(name, start, eps):
     g = build_gifs(SYSTEMS[name])
-    assert _bits(epsilon_rule(start, eps, g).tiles) == _bits(_dfs_epsilon_tiles(g, start, eps))
+    assert _bits(_rows(epsilon_rule(start, eps, g))) == _bits(
+        _reference_rows(_dfs_epsilon_tiles(g, start, eps))
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_stationary_levels_match_depth_first(name):
     g = build_gifs(SYSTEMS[name])
-    got = [_bits(p.tiles) for p in stationary_sequence(g, 4)]
-    assert got == [_bits(tiles) for tiles in _dfs_stationary_tiles(g, 4)]
+    got = [_bits(_rows(p)) for p in stationary_sequence(g, 4)]
+    assert got == [_bits(_reference_rows(tiles)) for tiles in _dfs_stationary_tiles(g, 4)]
 
 
 def test_patch_to_json_matches_json_dumps():
@@ -598,9 +619,55 @@ def test_patch_from_doc_names_first_bad_tile():
         (dict(good, kind=3), "tile 1 is malformed"),
         (dict(good, scale=float("nan")), "tile 1 is malformed"),
         (dict(good, translation=[0.0, True]), "tile 1 is malformed"),
+        (dict(good, depth=2**63), "tile 1 is malformed"),  # past the int64 depth column
         ({k: v for k, v in good.items() if k != "depth"}, "tile 1 needs the keys"),
         ([1], "tile 1 needs the keys"),
     ):
         doc = {"angles": angles, "epsilon": 0.1, "tiles": [good, bad, dict(good, kind=0)]}
         with pytest.raises(ValueError, match=message):
             patch_from_doc(doc)
+
+
+@pytest.mark.parametrize("which", ["epsilon", "stationary"])
+def test_patch_json_round_trip_keeps_every_tile_field(which):
+    g = build_gifs(PRESETS["optimal1"])
+    p = epsilon_rule(2, 0.02, g) if which == "epsilon" else stationary_sequence(g, 4)[4]
+    back = patch_from_doc(json.loads(patch_to_json(p)))
+
+    def fields(patch):
+        return {
+            f: [float.hex(v) if type(v) is float else (type(v), v) for v in patch.tiles[f].tolist()]
+            for f in _DOC_COLUMNS
+        }
+
+    assert fields(back) == fields(p)
+    # the loader's area classes are the squared scales
+    assert back.areas() == [float(Fraction(m) ** 2) for m in p.tiles["scale"].tolist()]
+
+
+def test_patch_paths_build_no_per_tile_objects(monkeypatch):
+    g = build_gifs(PRESETS["optimal1"])
+    built = {}
+    for cls in (TileInstance, Similitude):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def constructions(eps):
+        built.clear()
+        p = epsilon_rule(1, eps, g)
+        seq = stationary_sequence(g, 4)
+        text = patch_to_json(p)
+        patch_to_json(seq)
+        back = patch_from_doc(json.loads(text))
+        recurs_in(back, p)
+        recurs_in(seq[3], seq[4])
+        orientation_discrepancy(back)
+        analysis_report(p)
+        return len(p.tiles), dict(built)
+
+    (small, few), (large, many) = constructions(0.2), constructions(0.01)
+    assert large > 10 * small
+    assert few == many
