@@ -1,44 +1,18 @@
-"""Exact verification and tiling toolkit for badly approximable triangles."""
+"""Exact verification and tiling toolkit for badly approximable triangles.
+
+The package exports each module's ``__all__``.
+"""
 
 import importlib
 
-from .quadfield import QuadRat, sqrt2, sqrt3
-from .cf import (
-    FiniteCF,
-    PeriodicCF,
-    Cylinder,
-    expand_quadratic,
-    gauss_map,
-    one_minus,
-    cf_compare,
-    bad_class,
-    in_bad_class,
-    expand_real,
-    parse_cf,
-    format_cf,
-)
-from .theorems import (
-    ForbiddenPattern,
-    forbidden_interval,
-    excludes_b2,
-    CaseRow,
-    table_rows,
-    verify_case_row,
-    verify_case21_symbolic,
-    verify_tables,
-    SolutionTriple,
-    MAIN_SOLUTIONS,
-    MAIN2_SOLUTIONS,
-    B22_SOLUTIONS,
-    check_sum,
-    insertion,
-    extra_identity,
-    generate_solutions,
-    scalene_family,
-    search_triples,
-)
+from . import cf, quadfield, theorems
+from .quadfield import *
+from .cf import *
+from .theorems import *
+
 # The geometry layer needs numpy and scipy; its names load on first use
-# (PEP 562), so the exact layer imports without them.
+# (PEP 562), so the exact layer imports without them.  Each tuple repeats
+# its module's __all__, which tests/test_source.py checks.
 _LAZY = {
     "gifs": (
         "Angles",
@@ -56,25 +30,34 @@ _LAZY = {
         "subdivide",
         "epsilon_rule",
         "stationary_sequence",
+        "recurs_in",
         "stationary_nesting_ok",
         "orientation_angles",
+        "patch_doc",
         "patch_to_json",
+        "patch_from_doc",
     ),
     "delone": (
         "PointSet",
         "ConvexRegion",
         "patch_region",
         "delone_radii",
+        "UniformDiscreteResult",
+        "CoveringResult",
         "check_uniform_discrete",
         "check_covering_radius",
         "chabauty_fell_distance",
+        "cf_distance_brute",
         "restricted_convergence_check",
         "star_discrepancy",
+        "star_discrepancy_brute",
         "orientation_discrepancy",
         "analysis_report",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [*quadfield.__all__, *cf.__all__, *theorems.__all__, *_LAZY_MODULE]
 
 
 def __getattr__(name):

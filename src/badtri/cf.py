@@ -399,11 +399,15 @@ def expand_real(value, err=None, terms=64):
     return ExpandResult(tuple(digits), len(digits), terminated)
 
 
+MAX_WORD_DIGITS = 10**5  # digits a parse_cf repetition may expand the word to
+
+
 def parse_cf(text):
     """Parse the word syntax: `[3,(2)^4,1,per(1,2)]` or `[2,3,inf]`.
 
-    `(w)^k` repeats a block, `per(...)` marks the periodic tail (must be
-    last), `inf` terminates a rational word.
+    `(w)^k` repeats a block, up to MAX_WORD_DIGITS digits in all;
+    `per(...)` marks the periodic tail (must be last), `inf` terminates a
+    rational word.
     """
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
@@ -446,8 +450,15 @@ def parse_cf(text):
             inner, _, exp = tok.partition("^")
             if not (inner.startswith("(") and inner.endswith(")")) or not exp:
                 raise ValueError(f"bad repetition token {tok!r}")
-            block = [int(t) for t in inner[1:-1].split(",")]
-            digits.extend(block * int(exp))
+            block, count = [int(t) for t in inner[1:-1].split(",")], int(exp)
+            if count < 0:
+                raise ValueError(f"negative repeat count in {tok!r}")
+            if len(digits) + len(block) * count > MAX_WORD_DIGITS:
+                raise ValueError(
+                    f"{tok!r} expands the word past {MAX_WORD_DIGITS} digits: a word that "
+                    "long takes ~0.4 s to evaluate, and the time grows as its length squared"
+                )
+            digits.extend(block * count)
         else:
             digits.append(int(tok))
     if period is not None:

@@ -27,6 +27,8 @@ from .theorems import (
 # the tile, analyze and export handlers, so the exact commands start fast
 PRESET_NAMES = ("equilateral", "optimal1", "optimal2")
 FAMILY_L_MAX = 1000  # verify family --l-max cap
+TABLES_N_MAX = 400  # verify tables --n-max cap
+IDENTITIES_SAMPLES_MAX = 5000  # verify identities --samples cap
 
 
 def main(argv=None):
@@ -140,13 +142,16 @@ def cmd_cf_expand(args):
 
 def cmd_cf_eval(args):
     cf = parse_cf(args.text).canonical()
-    print("canonical:", format_cf(cf))
     val = cf.value()
-    print("value:", val)
-    if isinstance(cf, PeriodicCF):
-        print("decimal:", val.to_decimal(30))
-    else:
-        print("decimal:", f"{float(val):.17g}")
+    try:
+        decimal = val.to_decimal(30) if isinstance(cf, PeriodicCF) else f"{float(val):.17g}"
+        lines = [f"canonical: {format_cf(cf)}", f"value: {val}", f"decimal: {decimal}"]
+    except ValueError:  # str() of an int past Python's digit limit
+        raise ValueError(
+            f"the exact value has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, Python's limit for converting an int to text"
+        ) from None
+    print("\n".join(lines))
     return 0
 
 
@@ -177,6 +182,9 @@ def cmd_verify_main(args):
 
 
 def cmd_verify_tables(args):
+    if args.n_max > TABLES_N_MAX:
+        raise ValueError(f"--n-max capped at {TABLES_N_MAX}: that run takes ~1.3 s, "
+                         "and the time grows about as n_max^2")
     report = verify_tables(n_max=args.n_max, exclusion_depth=args.depth)
     for row in report["rows"]:
         lo, hi = row["z_interval"]
@@ -195,6 +203,9 @@ def cmd_verify_tables(args):
 def cmd_verify_identities(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.samples > IDENTITIES_SAMPLES_MAX:
+        raise ValueError(f"--samples capped at {IDENTITIES_SAMPLES_MAX}: that run takes "
+                         "~1.5 s, and the time grows linearly")
     rng = random.Random(args.seed)
     idents = ("A", "B", "C", "lucky1", "lucky2")
     checked = 0
@@ -317,6 +328,7 @@ def cmd_tile(args):
 
 
 def _load_patches(path):
+    """The file's patches, and whether the file holds a list of them."""
     from .gifs import patch_from_doc
 
     with open(path) as fh:
@@ -327,8 +339,8 @@ def _load_patches(path):
     if isinstance(doc, list):
         if not doc:
             raise ValueError(f"{path} holds no patches")
-        return [patch_from_doc(d) for d in doc]
-    return [patch_from_doc(doc)]
+        return [patch_from_doc(d) for d in doc], True
+    return [patch_from_doc(doc)], False
 
 
 def cmd_analyze(args):
@@ -339,7 +351,7 @@ def cmd_analyze(args):
         restricted_convergence_check,
     )
 
-    patches = _load_patches(args.infile)
+    patches, listed = _load_patches(args.infile)
     radii = [float(v) for v in args.radii.split(",")]
     out = []
     for patch in patches:
@@ -351,7 +363,7 @@ def cmd_analyze(args):
         else:
             n, dstar = orientation_discrepancy(patch)
             out.append({"N": n, "Dstar": dstar})
-    print(json.dumps(out[0] if len(out) == 1 else out, indent=2))
+    print(json.dumps(out if listed else out[0], indent=2))
     if args.what == "delone":
         return 0 if all(r["r_certified"] and r["R_certified"] for r in out) else 1
     if args.what == "cfdist":
@@ -406,11 +418,11 @@ def export_csv(patch):
 def cmd_export(args):
     from .gifs import patch_to_json
 
-    patches = _load_patches(args.infile)
+    patches, listed = _load_patches(args.infile)
     if not (args.svg or args.json_out or args.csv):
         raise ValueError("choose at least one of --svg/--json/--csv")
     if args.json_out:
-        text = patch_to_json(patches[0] if len(patches) == 1 else patches)
+        text = patch_to_json(patches if listed else patches[0])
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
         print(f"json -> {args.json_out}")

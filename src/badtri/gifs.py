@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -643,94 +644,29 @@ _DOC_COLUMNS = ("kind", "scale", "rotation", "reflect", "tx", "ty", "depth")
 
 
 def patch_doc(patch):
-    """The patch as a JSON-ready dict (tile transforms plus centroid points)."""
+    """The patch as a JSON-ready dict (tile transforms plus centroid points);
+    a translation is an (x, y) tuple, cheaper to build than a list."""
     return {
         "epsilon": patch.epsilon,
         "angles": list(patch.gifs.angles.as_tuple()),
         "tiles": [
-            {"kind": k, "scale": m, "rotation": r, "reflect": f, "translation": [x, y], "depth": d}
+            {"kind": k, "scale": m, "rotation": r, "reflect": f, "translation": (x, y), "depth": d}
             for k, m, r, f, x, y, d in zip(*(patch.tiles[c].tolist() for c in _DOC_COLUMNS))
         ],
         "points": patch.points.tolist(),
     }
 
 
-_PLAIN_TEXT = {
-    float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
-}
-
-
-def _json_texts(values):
-    """json.dumps's text for each scalar in values.
-
-    json writes a finite float as float.__repr__ and an int as int.__repr__,
-    so a column of one such type maps through that function alone; any
-    other column goes value by value through json.dumps.
-    """
-    types = set(map(type, values))
-    fast = _PLAIN_TEXT.get(types.pop()) if len(types) == 1 else None
-    if fast is float.__repr__ and not all(map(math.isfinite, values)):
-        fast = None
-    return list(map(fast or json.dumps, values))
-
-
-# patch_doc's layout under json.dumps(..., indent=2), one value per %s
-_DOC_TEMPLATE = """{
-  "epsilon": %s,
-  "angles": [
-    %s,
-    %s,
-    %s
-  ],
-  "tiles": %s,
-  "points": %s
-}"""
-_TILE_TEMPLATE = """    {
-      "kind": %s,
-      "scale": %s,
-      "rotation": %s,
-      "reflect": %s,
-      "translation": [
-        %s,
-        %s
-      ],
-      "depth": %s
-    }"""
-_POINT_TEMPLATE = """    [
-      %s,
-      %s
-    ]"""
-
-
-def _indent(text, pad):
-    return pad + text.replace("\n", "\n" + pad)
-
-
-def _doc_text(patch, pad):
-    """patch_doc(patch) as json.dumps(..., indent=2) lays it out, each line
-    indented by `pad` more."""
-    columns = [patch.tiles[c].tolist() for c in _DOC_COLUMNS]
-    tile, point = _indent(_TILE_TEMPLATE, pad), _indent(_POINT_TEMPLATE, pad)
-    tiles = [tile % v for v in zip(*map(_json_texts, columns))]
-    points = [point % v for v in zip(*map(_json_texts, patch.points.T.tolist()))]
-
-    def block(items):
-        return "[\n" + ",\n".join(items) + "\n" + pad + "  ]" if items else "[]"
-
-    return _indent(_DOC_TEMPLATE, pad) % (
-        json.dumps(patch.epsilon), *_json_texts(patch.gifs.angles.as_tuple()),
-        block(tiles), block(points),
-    )
+# compact and unindented, so json's C encoder writes the whole document;
+# patch_doc builds a fresh tree, which holds no cycle to check for
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def patch_to_json(patches):
-    """A patch, or a list of patches, as json.dumps(patch_doc(...), indent=2)
-    writes it, byte for byte, without the pure-Python encoder's cost."""
+    """A patch, or a list of patches, as compact JSON of patch_doc(...)."""
     if isinstance(patches, Patch):
-        return _doc_text(patches, "")
-    if not patches:
-        return "[]"
-    return "[\n" + ",\n".join(_doc_text(p, "  ") for p in patches) + "\n]"
+        return _ENCODER.encode(patch_doc(patches))
+    return _ENCODER.encode([patch_doc(p) for p in patches])
 
 
 _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
@@ -738,7 +674,8 @@ _TILE_KEYS_SET = frozenset(_TILE_KEYS)
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # False for nan, the infinities and an int past the float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v):
@@ -756,40 +693,47 @@ def _check_tiles(tiles):
             or not (_is_number(t["scale"]) and t["scale"] > 0)
             or not _is_number(t["rotation"])
             or not isinstance(t["reflect"], bool)
-            or not (isinstance(tr, list) and len(tr) == 2 and all(map(_is_number, tr)))
+            or not (isinstance(tr, (list, tuple)) and len(tr) == 2 and all(map(_is_number, tr)))
             or not (_is_int(t["depth"]) and 0 <= t["depth"] < 2**63)
         ):
             raise ValueError(f"tile {i} is malformed: {t}")
 
 
-def _plain_columns(kind, scale, rotation, reflect, translation, depth):
-    """Column checks that pass only when _check_tiles would pass too.
+def _numbers(scale, rotation, translation):
+    """The scale, rotation, tx and ty columns, translation split in two."""
+    return scale, rotation, [p[0] for p in translation], [p[1] for p in translation]
 
-    They accept the plain JSON types (int, float, bool, list), so a
-    document read by json.load is checked here without a per-tile loop.
+
+def _plain_columns(kind, scale, rotation, reflect, translation, depth):
+    """_numbers(...) as one 4 x N float array, or None when a column check
+    fails; they pass only when _check_tiles would pass too.
+
+    They accept the plain JSON types (int, float, bool, list, and a tuple
+    for a translation), so a document read by json.load is checked here
+    without a per-tile loop.
     """
-    if not (set(map(type, translation)) == {list} and set(map(len, translation)) == {2}):
-        return False
-    numbers = (scale, rotation, [p[0] for p in translation], [p[1] for p in translation])
+    if not (set(map(type, translation)) <= {list, tuple} and set(map(len, translation)) == {2}):
+        return None
+    numbers = _numbers(scale, rotation, translation)
     if not (
         set(map(type, kind)) == {int} and set(kind) <= {1, 2}
         and set(map(type, depth)) == {int} and 0 <= min(depth) and max(depth) < 2**63
         and set(map(type, reflect)) == {bool}
         and all(set(map(type, col)) <= {int, float} for col in numbers)
     ):
-        return False
+        return None
     try:
         values = np.array(numbers, dtype=float)
     except OverflowError:
-        return False
-    return bool(np.isfinite(values).all() and (values[0] > 0).all())
+        return None
+    return values if np.isfinite(values).all() and (values[0] > 0).all() else None
 
 
 def _check_patch_doc(doc):
     """Raise ValueError unless doc has the shape patch_doc writes.
 
-    Returns the tiles by column: kind, scale, rotation, reflect,
-    translation and depth lists.
+    Returns the kind, reflect and depth lists, and the scale, rotation,
+    tx and ty columns as one 4 x N float array.
     """
     if not isinstance(doc, dict):
         raise ValueError("patch document must be a JSON object")
@@ -807,10 +751,12 @@ def _check_patch_doc(doc):
     # _check_tiles runs only when a cheap check fails, to name the first bad tile
     if not (set(map(type, tiles)) == {dict} and all(map(_TILE_KEYS_SET.issubset, tiles))):
         _check_tiles(tiles)
-    columns = tuple([t[k] for t in tiles] for k in _TILE_KEYS)
-    if not _plain_columns(*columns):
+    kind, scale, rotation, reflect, translation, depth = ([t[k] for t in tiles] for k in _TILE_KEYS)
+    values = _plain_columns(kind, scale, rotation, reflect, translation, depth)
+    if values is None:
         _check_tiles(tiles)
-    return columns
+        values = np.array(_numbers(scale, rotation, translation), dtype=float)
+    return kind, reflect, depth, values
 
 
 def patch_from_doc(doc):
@@ -818,12 +764,11 @@ def patch_from_doc(doc):
 
     Raises ValueError when the document does not have patch_doc's shape.
     """
-    kind, scale, rotation, reflect, translation, depth = _check_patch_doc(doc)
+    kind, reflect, depth, values = _check_patch_doc(doc)
     gifs = build_gifs(Angles(*doc["angles"]))
     tiles = np.empty(len(kind), dtype=_TILE)
-    tiles["kind"], tiles["scale"], tiles["rotation"] = kind, scale, rotation
-    tiles["reflect"], tiles["depth"] = reflect, depth
-    tiles["tx"], tiles["ty"] = np.array(translation, dtype=float).T
+    tiles["kind"], tiles["reflect"], tiles["depth"] = kind, reflect, depth
+    tiles["scale"], tiles["rotation"], tiles["tx"], tiles["ty"] = values
     scales, tiles["cls"] = np.unique(tiles["scale"], return_inverse=True)
     area_classes = tuple(Fraction(m) ** 2 for m in scales.tolist())
     return Patch(float(doc["epsilon"]), gifs, tiles, area_classes)

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 
+__all__ = ["QuadRat", "sqrt2", "sqrt3"]
+
 _ALLOWED_D = (2, 3, 5)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badtri.cf import (
+    MAX_WORD_DIGITS,
     Cylinder,
     ExpandResult,
     FiniteCF,
@@ -306,6 +307,19 @@ def test_parse_errors():
     for bad in ("[2,3]", "2,3,inf", "[per(1),2]", "[inf,2]", "[(2)^,inf]", "[2,(1,per(2)]"):
         with pytest.raises(ValueError):
             parse_cf(bad)
+
+
+def test_parse_caps_repetitions_at_the_word_length():
+    assert len(parse_cf(f"[(2)^{MAX_WORD_DIGITS},inf]").digits) == MAX_WORD_DIGITS
+    for bad in (
+        f"[(1)^{MAX_WORD_DIGITS + 1},inf]",
+        f"[(1,2)^{MAX_WORD_DIGITS // 2 + 1},inf]",
+        f"[(1)^{MAX_WORD_DIGITS // 2},(2)^{MAX_WORD_DIGITS // 2 + 1},per(1)]",
+    ):
+        with pytest.raises(ValueError, match=f"past {MAX_WORD_DIGITS} digits"):
+            parse_cf(bad)
+    with pytest.raises(ValueError, match="negative repeat count"):
+        parse_cf("[(1)^-1,inf]")
 
 
 def test_convergents_identity():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -294,6 +295,9 @@ def test_unknown_flag_exits_nonzero():
         {"kind": 1, "scale": None, "rotation": 0.0, "reflect": False,
          "translation": [0.0, 0.0], "depth": 0}]},
     {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
+        {"kind": 1, "scale": 10**400, "rotation": 0.0, "reflect": False,
+         "translation": [0.0, 0.0], "depth": 0}]},  # an int past the float range
+    {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
         {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
          "translation": [0.0, 0.0]}]},
     {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
@@ -340,3 +344,39 @@ def test_empty_patch_is_rejected(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_one_patch_list_keeps_its_shape(tmp_path, capsys):
+    # a file holding a list of one patch is exported and analyzed as a list
+    listed, copy, single = tmp_path / "s0.json", tmp_path / "s0b.json", tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--stationary", "0", "--out", str(listed))
+    code, _, _ = run(capsys, "export", "--in", str(listed), "--json", str(copy))
+    assert code == 0
+    assert copy.read_bytes() == listed.read_bytes()
+    single.write_text(json.dumps(json.loads(listed.read_text())[0]))
+    for what in ("delone", "cfdist", "discrepancy"):
+        _, out, _ = run(capsys, "analyze", what, "--in", str(listed))
+        _, one, _ = run(capsys, "analyze", what, "--in", str(single))
+        assert json.loads(out) == [json.loads(one)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--n-max", "401"],
+    ["identities", "--samples", "5001"],
+    ["family", "--l-max", "1001"],
+])
+def test_verify_caps_name_their_cost(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: --[a-z-]+ capped at \d+: that run takes ~[\d.]+ s, .*\n", err)
+
+
+@pytest.mark.parametrize("word, message", [
+    # the exact value's numerator has ~11,400 digits
+    ("[(1,2)^20000,inf]", f"more than {sys.get_int_max_str_digits()} digits"),
+    ("[(1,2)^50001,inf]", "past 100000 digits"),
+])
+def test_cf_eval_of_a_long_word_prints_nothing(capsys, word, message):
+    code, out, err = run(capsys, "cf", "eval", word)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err

@@ -492,8 +492,10 @@ def test_patch_json_roundtrip_and_stability():
     assert set(doc["tiles"][0]) == {
         "kind", "scale", "rotation", "reflect", "translation", "depth",
     }
-    # shortest round-trip decimals: re-serializing the parsed doc is stable
-    assert json.dumps(doc, indent=2) == s1
+    # shortest round-trip decimals: re-serializing the parsed doc is stable,
+    # and so is writing the patch read back from it
+    assert json.dumps(doc, separators=(",", ":")) == s1
+    assert patch_to_json(patch_from_doc(doc)) == s1
 
 
 # the per-tile reference: depth-first subdivision by `subdivide` and
@@ -600,15 +602,41 @@ def test_patch_to_json_matches_json_dumps():
         {"kind": 1, "scale": 1e308, "rotation": 0, "reflect": False,
          "translation": [1e308, 0], "depth": 1},
     ]}
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # r's centroid, each time r is read back
         r = patch_from_doc(doc)
-    assert not np.isfinite(r.points).all()
-    for patch in (p, q, r, patch_from_doc(json.loads(patch_to_json(p)))):
-        assert patch_to_json(patch) == json.dumps(patch_doc(patch), indent=2)
-    for patches in ([p, q], [r, p], [q], []):
-        assert patch_to_json(patches) == json.dumps(
-            [patch_doc(x) for x in patches], indent=2
-        )
+        assert not np.isfinite(r.points).all()
+        compact = dict(separators=(",", ":"))
+        for patch in (p, q, r, patch_from_doc(json.loads(patch_to_json(p)))):
+            text = patch_to_json(patch)
+            assert text == json.dumps(patch_doc(patch), **compact)
+            # -0.0, int-valued fields and Infinity come back as they were written
+            assert patch_to_json(patch_from_doc(json.loads(text))) == text
+        for patches in ([p, q], [r, p], [q], []):
+            text = patch_to_json(patches)
+            assert text == json.dumps([patch_doc(x) for x in patches], **compact)
+            assert patch_to_json([patch_from_doc(d) for d in json.loads(text)]) == text
+
+
+def test_patch_from_doc_columns_are_the_documents_numbers():
+    # one float conversion per number, bit for bit, whatever the JSON type
+    values = [0, -0.0, 3, 2**53 + 1, 2.5, 1e-300, -7]
+    tiles = [
+        {"kind": 1, "scale": abs(v) or 1.0, "rotation": v, "reflect": False,
+         "translation": [v, -v], "depth": 0}
+        for v in values
+    ]
+    doc = {"angles": [1, 1, 1.1415926535897931], "epsilon": 1, "tiles": tiles}
+    p = patch_from_doc(doc)
+    for field, column in (
+        ("scale", [t["scale"] for t in tiles]),
+        ("rotation", values),
+        ("tx", values),
+        ("ty", [-v for v in values]),
+    ):
+        assert [x.hex() for x in p.tiles[field].tolist()] == [float(v).hex() for v in column]
+    # patch_doc's own dict, with its tuple translations, loads the same way
+    q = patch_from_doc(patch_doc(p))
+    assert patch_to_json(q) == patch_to_json(p)
 
 
 def test_patch_from_doc_names_first_bad_tile():
@@ -620,6 +648,7 @@ def test_patch_from_doc_names_first_bad_tile():
         (dict(good, scale=float("nan")), "tile 1 is malformed"),
         (dict(good, translation=[0.0, True]), "tile 1 is malformed"),
         (dict(good, depth=2**63), "tile 1 is malformed"),  # past the int64 depth column
+        (dict(good, scale=10**400), "tile 1 is malformed"),  # past the float range
         ({k: v for k, v in good.items() if k != "depth"}, "tile 1 needs the keys"),
         ([1], "tile 1 needs the keys"),
     ):

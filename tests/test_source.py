@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -56,3 +57,14 @@ def test_exact_layer_loads_neither_numpy_nor_scipy(code):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_exports_each_modules_all():
+    # every module but the CLI declares __all__, and the package exports it all
+    names = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("__init__", "cli"):
+            module = importlib.import_module(f"badtri.{path.stem}")
+            names.update((name, getattr(module, name)) for name in module.__all__)
+    assert sorted(badtri.__all__) == sorted(names)
+    assert all(getattr(badtri, name) is value for name, value in names.items())
