@@ -9,6 +9,7 @@ so every operation in this module is exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -402,6 +403,20 @@ def expand_real(value, err=None, terms=64):
 MAX_WORD_DIGITS = 10**5  # digits a parse_cf repetition may expand the word to
 
 
+def _int(token):
+    """int(token); a token past Python's digit limit for int() is named."""
+    try:
+        return int(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and len(token) > limit:
+            raise ValueError(
+                f"token {token[:10]}... has {len(token)} characters, past Python's limit "
+                f"of {limit} digits for reading an int"
+            ) from None
+        raise
+
+
 def parse_cf(text):
     """Parse the word syntax: `[3,(2)^4,1,per(1,2)]` or `[2,3,inf]`.
 
@@ -445,12 +460,12 @@ def parse_cf(text):
         elif tok.startswith("per(") and tok.endswith(")"):
             if not last:
                 raise ValueError("per(...) must be the final token")
-            period = [int(t) for t in tok[4:-1].split(",")]
+            period = [_int(t) for t in tok[4:-1].split(",")]
         elif tok.startswith("("):
             inner, _, exp = tok.partition("^")
             if not (inner.startswith("(") and inner.endswith(")")) or not exp:
                 raise ValueError(f"bad repetition token {tok!r}")
-            block, count = [int(t) for t in inner[1:-1].split(",")], int(exp)
+            block, count = [_int(t) for t in inner[1:-1].split(",")], _int(exp)
             if count < 0:
                 raise ValueError(f"negative repeat count in {tok!r}")
             if len(digits) + len(block) * count > MAX_WORD_DIGITS:
@@ -460,7 +475,7 @@ def parse_cf(text):
                 )
             digits.extend(block * count)
         else:
-            digits.append(int(tok))
+            digits.append(_int(tok))
     if period is not None:
         return PeriodicCF(digits, period).canonical()
     if finite:

@@ -433,18 +433,12 @@ def cmd_export(args):
             fh.write(export_csv(patches[0]))
         print(f"csv -> {args.csv}")
     if args.svg:
-        if len(patches) == 1:
-            with open(args.svg, "w") as fh:
-                fh.write(export_svg(patches[0]))
-            print(f"svg -> {args.svg}")
-        else:
-            stem, ext = os.path.splitext(args.svg)
-            for k, patch in enumerate(patches):
-                prev = patches[k - 1] if k else None
-                name = f"{stem}-{k}{ext or '.svg'}"
-                with open(name, "w") as fh:
-                    fh.write(export_svg(patch, prev_patch=prev))
-                print(f"svg -> {name}")
+        stem, ext = os.path.splitext(args.svg)
+        for k, patch in enumerate(patches):
+            name = f"{stem}-{k}{ext or '.svg'}" if listed else args.svg
+            with open(name, "w") as fh:
+                fh.write(export_svg(patch, prev_patch=patches[k - 1] if k else None))
+            print(f"svg -> {name}")
     return 0
 
 

@@ -53,12 +53,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def min_pairwise_distance(self):
-        if len(self.points) < 2:
-            return math.inf
-        d, _ = cKDTree(self.points).query(self.points, k=2)
-        return float(d[:, 1].min())
-
     def norms(self):
         return np.linalg.norm(self.points, axis=1)
 
@@ -313,7 +307,13 @@ def cf_distance_brute(a, b):
 
 
 def restricted_convergence_check(ps, radii):
-    """d(A, A cut to B(0, R_n)) for increasing R_n; each is <= 1/R_n."""
+    """d(A, A cut to B(0, R_n)) for increasing R_n, beside the bounds 1/R_n.
+
+    `ok` (every distance within its bound) is true for every finite A, so
+    this reports distances and cannot fail: in chabauty_fell_distance's
+    closed form a point of the cut is at distance 0 from A, and a point of
+    A outside the ball has 1/|p| < 1/R, which float division keeps <= 1/R.
+    """
     radii = [float(r) for r in radii]
     if not all(map(math.isfinite, radii)):
         raise ValueError("radii must be finite")

@@ -358,6 +358,12 @@ def test_one_patch_list_keeps_its_shape(tmp_path, capsys):
         _, out, _ = run(capsys, "analyze", what, "--in", str(listed))
         _, one, _ = run(capsys, "analyze", what, "--in", str(single))
         assert json.loads(out) == [json.loads(one)]
+    # --svg names a list's files by index, whatever its length
+    for source, stem in ((listed, "s0"), (single, "p")):
+        code, out, _ = run(capsys, "export", "--in", str(source), "--svg", str(tmp_path / stem))
+        written = tmp_path / (stem + "-0.svg" if source is listed else stem)
+        assert code == 0 and out == f"svg -> {written}\n" and written.is_file()
+    assert not (tmp_path / "s0").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -371,10 +377,24 @@ def test_verify_caps_name_their_cost(capsys, argv):
     assert re.fullmatch(r"error: --[a-z-]+ capped at \d+: that run takes ~[\d.]+ s, .*\n", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["tile", "--preset", "optimal1", "--stationary", "7"],
+    ["verify", "tables", "--depth", "61"],
+])
+def test_library_caps_name_their_cost(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: [a-z ]+ capped at \d+: .* ~[\d.]+ m?s\b.*, and the .* grows .*\n", err)
+
+
 @pytest.mark.parametrize("word, message", [
     # the exact value's numerator has ~11,400 digits
     ("[(1,2)^20000,inf]", f"more than {sys.get_int_max_str_digits()} digits"),
     ("[(1,2)^50001,inf]", "past 100000 digits"),
+    # a digit, period entry or repeat count too long for int() to read
+    *(pytest.param(word.replace("N", "7" * 5000), "token 7777777777... has 5000 characters, "
+                   f"past Python's limit of {sys.get_int_max_str_digits()} digits", id=word)
+      for word in ("[N,inf]", "[per(1,N)]", "[(1)^N,inf]")),
 ])
 def test_cf_eval_of_a_long_word_prints_nothing(capsys, word, message):
     code, out, err = run(capsys, "cf", "eval", word)

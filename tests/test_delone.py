@@ -42,7 +42,7 @@ def test_pointset_rejects_duplicates():
         PointSet([(0, 0), (math.inf, 1)])
     ps = PointSet([(0, 0), (1, 0), (0, 1)])
     assert len(ps) == 3
-    assert abs(ps.min_pairwise_distance() - 1.0) <= 1e-15
+    assert abs(check_uniform_discrete(ps, 0.5).min_distance - 1.0) <= 1e-15
 
 
 def test_uniform_discrete_examples():
@@ -268,9 +268,13 @@ def test_cf_distance_closed_form_properties(a, b):
 
 
 @settings(deadline=None, derandomize=True)
-@given(point_sets, st.floats(0.01, 10.0))
-def test_cf_distance_restriction_bound(a, radius):
-    assert chabauty_fell_distance(a, a.restrict(radius)) <= 1.0 / radius
+@given(point_sets, st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4, unique=True))
+def test_cf_distance_restriction_bound(a, radii):
+    radii.sort()
+    for radius in radii:
+        assert chabauty_fell_distance(a, a.restrict(radius)) <= 1.0 / radius
+    # so restricted_convergence_check's ok holds for every finite set
+    assert restricted_convergence_check(a, radii)["ok"]
 
 
 def test_cf_predicate_monotone():

@@ -68,3 +68,21 @@ def test_package_exports_each_modules_all():
             names.update((name, getattr(module, name)) for name in module.__all__)
     assert sorted(badtri.__all__) == sorted(names)
     assert all(getattr(badtri, name) is value for name, value in names.items())
+
+
+def test_package_index_reads_the_geometry_modules():
+    # the geometry names come from gifs/delone __all__; others fail, and a
+    # private name is refused without importing the geometry layer
+    from badtri import delone, gifs
+
+    with pytest.raises(AttributeError):
+        badtri.no_such_name
+    assert {*gifs.__all__, *delone.__all__} <= set(dir(badtri))
+    probe = ("import sys, badtri\nassert not hasattr(badtri, '_no_such_name')\n"
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
