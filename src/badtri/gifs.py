@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-MAX_EPSILON_TILES = 10**6  # a priori tile count allowed in epsilon_rule
+MAX_EPSILON_TILES = 10**6  # a priori tile count allowed in epsilon_rule and stationary_sequence
 
 
 @dataclass(frozen=True)
@@ -572,7 +572,9 @@ def stationary_sequence(gifs, n):
 
     e0 = scale(f3)^2; P_k is the e0^k patch of the scalene tile, re-anchored
     at the k-fold f3-image of the origin, inflated by e0^(-k/2), and rotated
-    by -k*gamma — each P_(k-1) tile then recurs as a tile of P_k.
+    by -k*gamma — each P_(k-1) tile then recurs as a tile of P_k.  As in
+    epsilon_rule, P_k holds at most 1/(a_min*e0^k) tiles; the sum of these
+    over k = 0..n is capped at MAX_EPSILON_TILES.
     """
     if n > 6:
         raise ValueError(
@@ -584,6 +586,11 @@ def stationary_sequence(gifs, n):
     ga = gifs.angles.gamma
     f3 = gifs.maps["f3"]
     eps0 = f3.scale**2
+    bound = sum(1 / (gifs.a_min * eps0**k) for k in range(n + 1))
+    if bound > MAX_EPSILON_TILES:
+        raise ValueError(
+            f"n={n} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
+        )
     thresholds = [Fraction(eps0) ** k for k in range(n + 1)]
     areas, cuts = _subdivide(gifs, 1, thresholds)
     patches = []
@@ -675,62 +682,38 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def _tile_columns(tiles):
+    """(kind, reflect, depth, 4 x N float array of scale, rotation, tx, ty),
+    or None unless every tile has the keys and JSON types patch_doc writes.
 
-
-def _check_tiles(tiles):
-    """Raise ValueError naming the first tile that is not as patch_doc writes it."""
-    for i, t in enumerate(tiles):
-        if not isinstance(t, dict) or any(k not in t for k in _TILE_KEYS):
-            raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")
-        tr = t["translation"]
-        if (
-            not (_is_int(t["kind"]) and t["kind"] in (1, 2))
-            or not (_is_number(t["scale"]) and t["scale"] > 0)
-            or not _is_number(t["rotation"])
-            or not isinstance(t["reflect"], bool)
-            or not (isinstance(tr, (list, tuple)) and len(tr) == 2 and all(map(_is_number, tr)))
-            or not (_is_int(t["depth"]) and 0 <= t["depth"] < 2**63)
-        ):
-            raise ValueError(f"tile {i} is malformed: {t}")
-
-
-def _numbers(scale, rotation, translation):
-    """The scale, rotation, tx and ty columns, translation split in two."""
-    return scale, rotation, [p[0] for p in translation], [p[1] for p in translation]
-
-
-def _plain_columns(kind, scale, rotation, reflect, translation, depth):
-    """_numbers(...) as one 4 x N float array, or None when a column check
-    fails; they pass only when _check_tiles would pass too.
-
-    They accept the plain JSON types (int, float, bool, list, and a tuple
-    for a translation), so a document read by json.load is checked here
-    without a per-tile loop.
+    Every condition holds tile by tile, so a list passes exactly when each
+    of its tiles passes.
     """
-    if not (set(map(type, translation)) <= {list, tuple} and set(map(len, translation)) == {2}):
+    if not (set(map(type, tiles)) <= {dict} and all(map(_TILE_KEYS_SET.issubset, tiles))):
         return None
-    numbers = _numbers(scale, rotation, translation)
+    kind, scale, rotation, reflect, translation, depth = ([t[k] for t in tiles] for k in _TILE_KEYS)
+    if not (set(map(type, translation)) <= {list, tuple} and set(map(len, translation)) <= {2}):
+        return None
+    numbers = scale, rotation, [p[0] for p in translation], [p[1] for p in translation]
     if not (
-        set(map(type, kind)) == {int} and set(kind) <= {1, 2}
-        and set(map(type, depth)) == {int} and 0 <= min(depth) and max(depth) < 2**63
-        and set(map(type, reflect)) == {bool}
+        set(map(type, kind)) <= {int} and set(kind) <= {1, 2}
+        and set(map(type, depth)) <= {int} and 0 <= min(depth) and max(depth) < 2**63
+        and set(map(type, reflect)) <= {bool}
         and all(set(map(type, col)) <= {int, float} for col in numbers)
     ):
         return None
     try:
         values = np.array(numbers, dtype=float)
-    except OverflowError:
+    except OverflowError:  # an int past the float range
         return None
-    return values if np.isfinite(values).all() and (values[0] > 0).all() else None
+    if not (np.isfinite(values).all() and (values[0] > 0).all()):
+        return None
+    return kind, reflect, depth, values
 
 
 def _check_patch_doc(doc):
-    """Raise ValueError unless doc has the shape patch_doc writes.
-
-    Returns the kind, reflect and depth lists, and the scale, rotation,
-    tx and ty columns as one 4 x N float array.
+    """_tile_columns(doc["tiles"]) for a document of the shape and JSON
+    types patch_doc writes; otherwise ValueError, naming the first bad tile.
     """
     if not isinstance(doc, dict):
         raise ValueError("patch document must be a JSON object")
@@ -745,21 +728,23 @@ def _check_patch_doc(doc):
     tiles = doc["tiles"]
     if not isinstance(tiles, list) or not tiles:
         raise ValueError("patch tiles must be a non-empty list")
-    # _check_tiles runs only when a cheap check fails, to name the first bad tile
-    if not (set(map(type, tiles)) == {dict} and all(map(_TILE_KEYS_SET.issubset, tiles))):
-        _check_tiles(tiles)
-    kind, scale, rotation, reflect, translation, depth = ([t[k] for t in tiles] for k in _TILE_KEYS)
-    values = _plain_columns(kind, scale, rotation, reflect, translation, depth)
-    if values is None:
-        _check_tiles(tiles)
-        values = np.array(_numbers(scale, rotation, translation), dtype=float)
-    return kind, reflect, depth, values
+    columns = _tile_columns(tiles)
+    if columns is None:
+        # the first failing block of 1,024 tiles holds the first bad tile
+        i = next(i for i in range(0, len(tiles), 1024) if _tile_columns(tiles[i : i + 1024]) is None)
+        i = next(i for i in range(i, i + 1024) if _tile_columns(tiles[i : i + 1]) is None)
+        t = tiles[i]
+        if not (isinstance(t, dict) and _TILE_KEYS_SET.issubset(t)):
+            raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")
+        raise ValueError(f"tile {i} is malformed: {t}")
+    return columns
 
 
 def patch_from_doc(doc):
     """Rebuild a Patch from its JSON dict; tile area is scale squared.
 
-    Raises ValueError when the document does not have patch_doc's shape.
+    Raises ValueError, naming the first bad tile, unless the document has
+    the shape and the JSON types patch_doc writes (json.load gives the same).
     """
     kind, reflect, depth, values = _check_patch_doc(doc)
     gifs = build_gifs(Angles(*doc["angles"]))

@@ -380,11 +380,25 @@ def test_verify_caps_name_their_cost(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["tile", "--preset", "optimal1", "--stationary", "7"],
     ["verify", "tables", "--depth", "61"],
+    ["verify", "search", "--depth", "17"],
 ])
 def test_library_caps_name_their_cost(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert re.fullmatch(r"error: [a-z ]+ capped at \d+: .* ~[\d.]+ m?s\b.*, and the .* grows .*\n", err)
+
+
+def test_tile_stationary_refuses_a_runaway_tile_count(capsys, monkeypatch):
+    # P_3 of this triangle alone holds 184,057 tiles: the bound refuses
+    # before any subdivision starts
+    def subdivide(*args):
+        raise AssertionError("subdivision started")
+
+    monkeypatch.setattr("badtri.gifs._subdivide", subdivide)
+    code, out, err = run(capsys, "tile", "--angles", "0.2,1.4,1.5415926535897931",
+                         "--stationary", "6")
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: n=6 allows up to [\d.e+]+ tiles, above the cap of 1000000\n", err)
 
 
 @pytest.mark.parametrize("word, message", [

@@ -4,10 +4,12 @@ import dataclasses
 import json
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badtri.cli import export_svg
 from badtri.delone import analysis_report, orientation_discrepancy
@@ -471,6 +473,11 @@ def test_stationary_sequence_guard():
         stationary_sequence(build_gifs(PRESETS["equilateral"]), 7)
     with pytest.raises(ValueError):
         stationary_sequence(build_gifs(PRESETS["equilateral"]), -1)
+    # a skewed triangle: P_1 has 130 tiles, but P_0..P_2 may hold up to ~5e6
+    skewed = build_gifs(Angles(0.2, 1.4, 1.5415926535897931))
+    assert sum(len(q.tiles) for q in stationary_sequence(skewed, 1)) == 131
+    with pytest.raises(ValueError, match=r"n=2 allows up to [\d.e+]+ tiles, above the cap"):
+        stationary_sequence(skewed, 2)
 
 
 def test_orientation_angles_range():
@@ -651,10 +658,67 @@ def test_patch_from_doc_names_first_bad_tile():
         (dict(good, scale=10**400), "tile 1 is malformed"),  # past the float range
         ({k: v for k, v in good.items() if k != "depth"}, "tile 1 needs the keys"),
         ([1], "tile 1 needs the keys"),
+        # not the JSON types patch_doc writes, though a float and a dict
+        (dict(good, scale=np.float64(1.0)), "tile 1 is malformed"),
+        (OrderedDict(good), "tile 1 is malformed"),
     ):
         doc = {"angles": angles, "epsilon": 0.1, "tiles": [good, bad, dict(good, kind=0)]}
         with pytest.raises(ValueError, match=message):
             patch_from_doc(doc)
+
+
+# values of the types json.load gives that patch_from_doc refuses, per tile key
+_BAD_TILE_VALUES = {
+    "kind": [0, 3, True, 1.0, "1", None, 10**400],
+    "scale": [0, -1.0, -0.0, float("nan"), float("inf"), 10**400, False, "1.0"],
+    "rotation": [float("nan"), float("-inf"), 10**400, True, "0", [0.0]],
+    "reflect": [0, 1, None, "false"],
+    "translation": [[0.0, 0.0, 0.0], [0.0], [float("nan"), 0.0], [0.0, 10**400],
+                    [True, 0.0], "xy", {"0": 0.0, "1": 0.0}],
+    "depth": [2**63, -1, False, 1.0, 10**400, "0"],
+}
+_MISSING = object()
+# (key, value, error): set the key to the value, drop it, or (key None)
+# put the value in place of the whole tile
+_TILE_BREAKS = [
+    *((key, value, "is malformed") for key, values in _BAD_TILE_VALUES.items() for value in values),
+    *((key, _MISSING, "needs the keys") for key in _BAD_TILE_VALUES),
+    *((None, value, "needs the keys") for value in (None, 1, "tile", [], [1, 2])),
+]
+
+
+def _broken(tile, key, value):
+    if key is None:
+        return value
+    if value is _MISSING:
+        return {k: v for k, v in tile.items() if k != key}
+    return {**tile, key: value}
+
+
+@pytest.fixture(scope="module")
+def patch_document():
+    p = epsilon_rule(1, 0.001, build_gifs(PRESETS["optimal1"]))
+    assert len(p.tiles) > 2 * 1024  # so the first bad tile may lie past the first block
+    return p, patch_doc(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_patch_from_doc_names_the_smallest_broken_tile(patch_document, data):
+    p, doc = patch_document
+    tiles = list(doc["tiles"])
+    broken = data.draw(st.lists(st.integers(0, len(tiles) - 1), min_size=1, max_size=3, unique=True))
+    errors = {}
+    for i in broken:
+        key, value, errors[i] = data.draw(st.sampled_from(_TILE_BREAKS))
+        tiles[i] = _broken(tiles[i], key, value)
+    first = min(broken)
+    with pytest.raises(ValueError) as refused:
+        patch_from_doc(dict(doc, tiles=tiles))
+    assert str(refused.value).startswith(f"tile {first} {errors[first]}")
+    # the unbroken document still loads to the patch's own records
+    back = patch_from_doc(doc)
+    assert all(np.array_equal(back.tiles[f], p.tiles[f]) for f in _DOC_COLUMNS)
 
 
 @pytest.mark.parametrize("which", ["epsilon", "stationary"])

@@ -86,3 +86,18 @@ def test_package_index_reads_the_geometry_modules():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cap_messages_name_their_cost():
+    # every "capped at" error names the measured cost of a run at the cap
+    capped = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = "".join(c.value for c in ast.walk(node.exc)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if "capped at" in text:
+                    capped[f"{path.name}:{node.lineno}"] = text
+    assert len(capped) >= 7
+    costless = [where for where, text in capped.items() if not re.search(r"~[\d.]+ m?s\b", text)]
+    assert not costless, f"caps that name no cost: {costless}"
