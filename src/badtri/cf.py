@@ -142,10 +142,13 @@ class PeriodicCF:
         return format_cf(self)
 
 
-def convergents(word):
-    """(P_{n-1}, Q_{n-1}, P_n, Q_n) for a digit word, from the standard recurrence."""
-    p1, p = 1, 0
-    q1, q = 0, 1
+def convergents(word, start=(1, 0, 0, 1)):
+    """(P_{n-1}, Q_{n-1}, P_n, Q_n) for a digit word, from the standard recurrence.
+
+    `start` is the same tuple for a prefix that the word continues; the
+    default is the empty word's.
+    """
+    p1, q1, p, q = start
     for b in word:
         p1, p = p, b * p + p1
         q1, q = q, b * q + q1
@@ -157,12 +160,15 @@ def word_map(word, t):
 
     The word acts on t by the Mobius map of its convergent matrix,
     (P_{n-1} t + P_n) / (Q_{n-1} t + Q_n), exactly for int, Fraction and
-    QuadRat tails; an int tail gives a Fraction, never a float.
+    QuadRat tails.  A rational tail n/d maps to the one Fraction
+    (P_{n-1} n + P_n d) / (Q_{n-1} n + Q_n d), never a float; a pole
+    raises ZeroDivisionError.
     """
     p1, q1, p, q = convergents(word)
-    if isinstance(t, int):
-        return Fraction(p1 * t + p, q1 * t + q)
-    return (p1 * t + p) / (q1 * t + q)
+    if isinstance(t, QuadRat):
+        return (p1 * t + p) / (q1 * t + q)
+    n, d = t.numerator, t.denominator
+    return Fraction(p1 * n + p * d, q1 * n + q * d)
 
 
 class Cylinder:

@@ -183,8 +183,8 @@ def cmd_verify_main(args):
 
 def cmd_verify_tables(args):
     if args.n_max > TABLES_N_MAX:
-        raise ValueError(f"--n-max capped at {TABLES_N_MAX}: that run takes ~1.3 s, "
-                         "and the time grows about as n_max^2")
+        raise ValueError(f"--n-max capped at {TABLES_N_MAX}: that run takes ~0.4 s, "
+                         "and the time grows about as n_max^1.3")
     report = verify_tables(n_max=args.n_max, exclusion_depth=args.depth)
     for row in report["rows"]:
         lo, hi = row["z_interval"]
@@ -205,7 +205,7 @@ def cmd_verify_identities(args):
         raise ValueError("--samples must be >= 1")
     if args.samples > IDENTITIES_SAMPLES_MAX:
         raise ValueError(f"--samples capped at {IDENTITIES_SAMPLES_MAX}: that run takes "
-                         "~1.5 s, and the time grows linearly")
+                         "~1.1 s, and the time grows linearly")
     rng = random.Random(args.seed)
     idents = ("A", "B", "C", "lucky1", "lucky2")
     checked = 0

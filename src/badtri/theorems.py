@@ -8,10 +8,11 @@ families, and an independent branch-and-bound search over digit cylinders.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import Cylinder, PeriodicCF, bad_class, in_bad_class, word_map
+from .cf import Cylinder, PeriodicCF, bad_class, convergents, in_bad_class, word_map
 from .quadfield import QuadRat, sqrt2, sqrt3
 
 __all__ = [
@@ -61,9 +62,10 @@ def forbidden_interval(form, k, ell, s):
         raise ValueError("form must be 1 or 2")
     if not all(isinstance(v, int) for v in (k, ell, s)) or k < 1 or ell < 0 or s < 3:
         raise ValueError("need integers k >= 1, ell >= 0, s >= 3")
-    run = 2 * k - 1 if form == 1 else 2 * k
-    plain = word_map((2,) * run, 0)
-    deep = word_map((2,) * run + (2, 1) * ell + (s,), 0)
+    # both endpoint words continue the (2)^run prefix
+    twos = _twos(2 * k - 1 if form == 1 else 2 * k)
+    _, _, p, q = convergents((2, 1) * ell + (s,), twos)
+    plain, deep = Fraction(twos[2], twos[3]), Fraction(p, q)
     r1, r2 = (deep, plain) if form == 1 else (plain, deep)
     if not r1 < r2:
         raise AssertionError("pattern endpoints out of order")
@@ -192,9 +194,37 @@ def _match_pattern(row, n):
     return forbidden_interval(form, k, ell, s)
 
 
+@functools.lru_cache(maxsize=2)
+def _twos(m):
+    """convergents((2,) * m), one digit past _twos(m - 1).
+
+    A row value is read by (suffix, n) alone, so the rows at one n share
+    their (2)^(n+1) prefix through this cache.  verify_tables asks for
+    m = 1, 2, 3, ... in turn, so m - 1 is cached and each prefix costs one
+    digit step.  Every 64th prefix starts from the empty word, so a call
+    out of that order recurses at most 63 deep.
+    """
+    if m % 64 == 0:
+        return convergents((2,) * m)
+    return convergents((2,), _twos(m - 1))
+
+
 def _endpoint_value(suffix, n):
     """[(2)^(n+1), suffix, inf]: one endpoint of a row's interval at n."""
-    return word_map((2,) * (n + 1) + suffix, 0)
+    _, _, p, q = convergents(suffix, _twos(n + 1))
+    return Fraction(p, q)
+
+
+def _cylinder_hull(suffix, n):
+    """Cylinder((3,) + (2,) * n + suffix).hull(), from the (2)^(n+1) prefix.
+
+    [3, w] = [2, w] / (1 + [2, w]), so the word's convergents are
+    (P', Q', P, Q) = (p1, p1 + q1, p, p + q) for those (p1, q1, p, q) of
+    (2)^(n+1) + suffix, a word of the same length.
+    """
+    p1, q1, p, q = convergents(suffix, _twos(n + 1))
+    value, mediant = Fraction(p, p + q), Fraction(p + p1, p + q + p1 + q1)
+    return (mediant, value) if (n + 1 + len(suffix)) % 2 else (value, mediant)
 
 
 def _check_row(row, n):
@@ -206,8 +236,8 @@ def _check_row(row, n):
     pattern = _match_pattern(row, n)
     ok = left < right and pattern.r1 <= left and right <= pattern.r2
     if ok:
-        hx = Cylinder((3,) + (2,) * n + row.x_suffix).hull()
-        hy = Cylinder((3,) + (2,) * n + row.y_suffix).hull()
+        hx = _cylinder_hull(row.x_suffix, n)
+        hy = _cylinder_hull(row.y_suffix, n)
         ok = left <= 1 - hx[1] - hy[1] and 1 - hx[0] - hy[0] <= right
     return left, right, pattern, ok
 
@@ -276,13 +306,18 @@ def verify_tables(n_max=20, exclusion_depth=30):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = [
-        [_row_entry(row, n) for n in range(start, n_max + 1, 2)]
-        for parity, start in (("even", 0), ("odd", 1)) if start <= n_max
-        for row in table_rows(parity)
-    ]
+    # n runs outermost, so every row at n continues the same (2)^(n+1)
+    # prefix, one digit past the last; the odd table starts at n = 1
+    tables = [table_rows(parity) for parity in ("even", "odd")[: n_max + 1]]
+    sweeps = [[[] for _ in table] for table in tables]
+    for n in range(n_max + 1):
+        for row, pairs in zip(tables[n % 2], sweeps[n % 2]):
+            pairs.append(_row_entry(row, n))
+    rows = [pairs for sweep in sweeps for pairs in sweep]
     base = sorted({pairs[0][1] for pairs in rows})
     swept = {hull: excludes_b2(*hull, exclusion_depth) for hull in base}
+    # keyed by the printed hull: a Fraction's hash takes a modular inverse
+    # of its denominator, ~10% of the run at n_max = 400
     verdicts = {}
     for pairs in rows:
         hull = pairs[0][1]
@@ -290,12 +325,12 @@ def verify_tables(n_max=20, exclusion_depth=30):
         for entry, own in pairs:
             if own != hull:
                 raise AssertionError(f"row {entry['id']}: carried hull {hull} != {own}")
-            verdicts[own] = status
+            verdicts[tuple(entry["z_interval"])] = own, status
             hull = tuple(word_map((2, 2), t) for t in hull)
     entries = [entry for pairs in rows for entry, _ in pairs]
     exclusions = [
-        {"interval": [str(lo), str(hi)], "status": verdicts[lo, hi]}
-        for lo, hi in sorted(verdicts)
+        {"interval": [str(lo), str(hi)], "status": status}
+        for (lo, hi), status in sorted(verdicts.values())
     ]
     ok = all(e["pass"] for e in entries) and all(
         e["status"] == "certified-empty" for e in exclusions
@@ -394,23 +429,26 @@ def insertion(kind, x, y, z):
 
     kind "2": a 2 goes in after the leading 3 of x and y, and foremost
     into z.  kind "11211": 3,1,3 after the leading 3 of x and y, and
-    1,1,2,1,1 after the leading 2 of z.  Returns (X, Y, Z, residual)
-    where the residual 1-X-Y-Z equals a closed-form rational function of
-    x and y alone that vanishes iff x = y — so insertions map equal-pair
-    solutions of x+y+z=1 to new solutions.
+    1,1,2,1,1 after the leading 2 of z.  As words that end in a real
+    entry w (the tail 1/w, see _bracket), kind "2" gives X = [3, 1/x-1]
+    and Z = [2, z], z's own word behind a 2; kind "11211" gives
+    X = [3, 3, 1+x] and Z = [2,1,1,2,1, 1/z-1].  Returns (X, Y, Z,
+    residual) where the residual 1-X-Y-Z equals a closed-form rational
+    function of x and y alone that vanishes iff x = y — so insertions map
+    equal-pair solutions of x+y+z=1 to new solutions.
     """
     if x + y + z != 1:
         raise ValueError("insertion requires x + y + z = 1")
     try:
         if kind == "2":
-            bx = _inv(3 + _inv(_inv(x) - 1))
-            by = _inv(3 + _inv(_inv(y) - 1))
-            bz = _inv(2 + z)
+            bx = _bracket((3,), _inv(x) - 1)
+            by = _bracket((3,), _inv(y) - 1)
+            bz = word_map((2,), z)
             rhs = (x - y) ** 2 / ((3 - 2 * x) * (3 - 2 * y) * (3 - x - y))
         elif kind == "11211":
-            bx = _inv(3 + _inv(3 + _inv(1 + x)))
-            by = _inv(3 + _inv(3 + _inv(1 + y)))
-            bz = _inv(2 + _inv(1 + _inv(1 + _inv(2 + _inv(1 + _inv(_inv(z) - 1))))))
+            bx = _bracket((3, 3), 1 + x)
+            by = _bracket((3, 3), 1 + y)
+            bz = _bracket((2, 1, 1, 2, 1), _inv(z) - 1)
             rhs = -5 * (x - y) ** 2 / ((10 * x + 13) * (10 * y + 13) * (5 * x + 5 * y + 13))
         else:
             raise ValueError(f"unknown insertion kind {kind!r}")

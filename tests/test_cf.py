@@ -23,6 +23,7 @@ from badtri.cf import (
     in_bad_class,
     one_minus,
     parse_cf,
+    word_map,
 )
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 
@@ -384,3 +385,29 @@ def test_one_minus_involution_and_value(w):
 def test_compare_is_sign_of_difference(pair):
     x, y = pair
     assert cf_compare(x, y) == (x.value() - y.value()).sign()
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), max_size=10),
+       st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=60)),
+       st.booleans())
+def test_word_map_of_a_rational_tail_is_its_mobius_map(word, t, at_pole):
+    # one Fraction from the convergent matrix, equal to the map computed
+    # in Fraction arithmetic, and a ZeroDivisionError at the same poles
+    p1, q1, p, q = convergents(word)
+    if at_pole and q1:
+        t = Fraction(-q, q1)
+    try:
+        expected = (p1 * Fraction(t) + p) / (q1 * Fraction(t) + q)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            word_map(word, t)
+    else:
+        value = word_map(word, t)
+        assert type(value) is Fraction and value == expected
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), max_size=10), st.lists(st.integers(1, 6), max_size=10))
+def test_convergents_continue_a_prefix(prefix, word):
+    assert convergents(word, convergents(prefix)) == convergents(prefix + word)

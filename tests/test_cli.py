@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import warnings
 
 import pytest
 
@@ -344,6 +345,28 @@ def test_empty_patch_is_rejected(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("what", ["cfdist", "delone"])
+@pytest.mark.parametrize("tile, field, value", [
+    (0, "scale", 1e308),  # finite vertices, whose squared distances overflow
+    (5, "scale", sys.float_info.max),  # vertices past the float range
+    (7, "translation", [0.0, 1e200]),
+])
+def test_overflowing_tile_is_rejected(tmp_path, capsys, what, tile, field, value):
+    # every number in the file is finite, but the tile is placed where the
+    # analysis would overflow
+    path = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.04", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["tiles"][tile][field] = value
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code, out, err = run(capsys, "analyze", what, "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: tile {tile} overflows: its placed vertices and centroid must be "
+                   "finite and within +-1e+150\n")
 
 
 def test_one_patch_list_keeps_its_shape(tmp_path, capsys):

@@ -605,23 +605,29 @@ def test_patch_to_json_matches_json_dumps():
          "translation": [0, -0.0], "depth": 0},
         {"kind": 2, "scale": 0.5, "rotation": 3, "reflect": True,
          "translation": [1, 2], "depth": 3},
-        # its centroid overflows to inf, which json writes as Infinity
-        {"kind": 1, "scale": 1e308, "rotation": 0, "reflect": False,
-         "translation": [1e308, 0], "depth": 1},
     ]}
-    with np.errstate(over="ignore"):  # r's centroid, each time r is read back
-        r = patch_from_doc(doc)
-        assert not np.isfinite(r.points).all()
-        compact = dict(separators=(",", ":"))
-        for patch in (p, q, r, patch_from_doc(json.loads(patch_to_json(p)))):
-            text = patch_to_json(patch)
-            assert text == json.dumps(patch_doc(patch), **compact)
-            # -0.0, int-valued fields and Infinity come back as they were written
-            assert patch_to_json(patch_from_doc(json.loads(text))) == text
-        for patches in ([p, q], [r, p], [q], []):
-            text = patch_to_json(patches)
-            assert text == json.dumps([patch_doc(x) for x in patches], **compact)
-            assert patch_to_json([patch_from_doc(d) for d in json.loads(text)]) == text
+    r = patch_from_doc(doc)
+    compact = dict(separators=(",", ":"))
+    for patch in (p, q, r, patch_from_doc(json.loads(patch_to_json(p)))):
+        text = patch_to_json(patch)
+        assert text == json.dumps(patch_doc(patch), **compact)
+        # -0.0 and int-valued fields come back as they were written
+        assert patch_to_json(patch_from_doc(json.loads(text))) == text
+    for patches in ([p, q], [r, p], [q], []):
+        text = patch_to_json(patches)
+        assert text == json.dumps([patch_doc(x) for x in patches], **compact)
+        assert patch_to_json([patch_from_doc(d) for d in json.loads(text)]) == text
+    # a centroid that overflows to inf is written as Infinity; such a file
+    # is refused on loading, so this patch is built in-process
+    tiles = r.tiles.copy()
+    tiles["scale"][0] = tiles["tx"][0] = 1e308
+    with np.errstate(over="ignore"):
+        s = dataclasses.replace(r, tiles=tiles)
+    assert not np.isfinite(s.points).all()
+    text = patch_to_json(s)
+    assert text == json.dumps(patch_doc(s), **compact) and "Infinity" in text
+    with pytest.raises(ValueError, match="tile 0 overflows"):
+        patch_from_doc(json.loads(text))
 
 
 def test_patch_from_doc_columns_are_the_documents_numbers():

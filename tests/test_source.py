@@ -36,6 +36,24 @@ def test_readme_quick_start_runs():
     exec(compile(blocks[0], "README.md", "exec"), {})
 
 
+def _source_env():
+    """The environment with the package's source directory on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("argv, code, first", [
+    (["verify", "main"], 0, "PASS sum=1 exact=True"),
+    (["verify", "tables", "--n-max", "-1"], 2, "error: n_max must be >= 0"),
+])
+def test_python_m_badtri_runs_the_cli(tmp_path, argv, code, first):
+    # `python -m badtri` needs only the source on the path, no installed script
+    done = subprocess.run([sys.executable, "-m", "badtri", *argv], env=_source_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert (done.stdout or done.stderr).startswith(first)
+
+
 CLI_VERIFY_MAIN = """
 import runpy
 sys.argv = ["badtri", "verify", "main"]
@@ -51,8 +69,7 @@ except SystemExit as exc:
                          ids=["import-theorems", "cli-verify-main"])
 def test_exact_layer_loads_neither_numpy_nor_scipy(code):
     probe = code + "\nprint(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    env = _source_env()
     done = subprocess.run([sys.executable, "-c", "import sys\n" + probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -60,10 +77,11 @@ def test_exact_layer_loads_neither_numpy_nor_scipy(code):
 
 
 def test_package_exports_each_modules_all():
-    # every module but the CLI declares __all__, and the package exports it all
+    # every module but the CLI and `python -m badtri` declares __all__, and
+    # the package exports it all
     names = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem not in ("__init__", "cli"):
+        if path.stem not in ("__init__", "__main__", "cli"):
             module = importlib.import_module(f"badtri.{path.stem}")
             names.update((name, getattr(module, name)) for name in module.__all__)
     assert sorted(badtri.__all__) == sorted(names)
@@ -80,8 +98,7 @@ def test_package_index_reads_the_geometry_modules():
     assert {*gifs.__all__, *delone.__all__} <= set(dir(badtri))
     probe = ("import sys, badtri\nassert not hasattr(badtri, '_no_such_name')\n"
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    env = _source_env()
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from badtri.cf import Cylinder, FiniteCF, PeriodicCF
+import badtri.theorems as theorems
+from badtri.cf import Cylinder, FiniteCF, PeriodicCF, word_map
 from badtri.quadfield import sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
@@ -151,10 +152,71 @@ def test_row_parity_mismatch_raises():
 
 
 def test_corrupted_row_caught():
-    # mutating the left endpoint word [2,3,inf] -> [2,4,inf] must fail
+    # a one-digit change to a word of row 2.1 must fail, at every n
     good = next(r for r in table_rows("even") if r.id == "2.1")
-    bad = CaseRow(good.id, good.x_suffix, good.y_suffix, (4,), good.right_suffix, "even")
-    assert not verify_case_row(bad, 0)
+    assert (good.x_suffix, good.y_suffix, good.left_suffix) == ((1, 2), (2, 2), (3,))
+    for x_suffix, y_suffix, left_suffix in [
+        ((1, 2), (2, 2), (4,)),  # the left endpoint word [2,3,inf] -> [2,4,inf]
+        ((1, 1), (2, 2), (3,)),  # the x cylinder (3,(2)^n,1,2) -> (3,(2)^n,1,1)
+        ((1, 2), (2, 1), (3,)),  # the y cylinder (3,(2)^n,2,2) -> (3,(2)^n,2,1)
+    ]:
+        bad = CaseRow(good.id, x_suffix, y_suffix, left_suffix, good.right_suffix, "even")
+        for n in (0, 2, 40):
+            assert verify_case_row(good, n)
+            assert not verify_case_row(bad, n), (bad, n)
+
+
+def _row_words(row, n):
+    """The full words behind a row at n: endpoint words, then X and Y cylinder words."""
+    ends = tuple((2,) * (n + 1) + s for s in (row.left_suffix, row.right_suffix))
+    cylinders = tuple((3,) + (2,) * n + s for s in (row.x_suffix, row.y_suffix))
+    return ends, cylinders
+
+
+def _pattern_ends(form, k, ell, s):
+    """(r1, r2) of a forbidden pattern, from the word_map of its two full words."""
+    run = 2 * k - 1 if form == 1 else 2 * k
+    plain = word_map((2,) * run, 0)
+    deep = word_map((2,) * run + (2, 1) * ell + (s,), 0)
+    return (deep, plain) if form == 1 else (plain, deep)
+
+
+def test_shared_prefixes_match_full_words():
+    # the sweep continues each suffix from the (2)^(n+1) prefix it shares
+    # across rows, stepping n up by one digit (and, here, down again); every
+    # value must equal the full word's word_map or Cylinder hull
+    for n in [*range(61), *range(60, -1, -1)]:
+        for parity in ("even", "odd"):
+            for row in table_rows(parity):
+                ends, cylinders = _row_words(row, n)
+                for suffix, word in zip((row.left_suffix, row.right_suffix), ends):
+                    assert theorems._endpoint_value(suffix, n) == word_map(word, 0)
+                for suffix, word in zip((row.x_suffix, row.y_suffix), cylinders):
+                    assert theorems._cylinder_hull(suffix, n) == Cylinder(word).hull()
+                if n % 2 == (parity == "odd"):
+                    p = theorems._match_pattern(row, n)
+                    assert (p.r1, p.r2) == _pattern_ends(p.form, p.k, p.ell, p.s)
+
+
+def test_verify_tables_at_the_cap_matches_full_words():
+    # the last rows of the largest table the CLI allows, recomputed from
+    # their full words
+    rows = table_rows("even") + table_rows("odd")
+    entries = [e for e in verify_tables(400)["rows"] if e["n"] >= 398]
+    assert sorted({e["n"] for e in entries}) == [398, 399, 400] and len(entries) == 17 * 3
+    for entry in entries:
+        row = next(r for r in rows if (r.id, r.parity) == (entry["id"], entry["parity"]))
+        n = entry["n"]
+        (left, right), cylinders = _row_words(row, n)
+        left, right = word_map(left, 0), word_map(right, 0)
+        (xlo, xhi), (ylo, yhi) = (Cylinder(w).hull() for w in cylinders)
+        r1, r2 = _pattern_ends(**entry["pattern"])
+        # the pattern's run of 2s, 2k - 1 (form 1) or 2k (form 2), is n + 1
+        assert 2 * entry["pattern"]["k"] - (entry["pattern"]["form"] == 1) == n + 1
+        assert entry["z_interval"] == [str(left), str(right)]
+        assert entry["pass"] == (left < right and r1 <= left and right <= r2
+                                 and left <= 1 - xhi - yhi and 1 - xlo - ylo <= right)
+        assert entry["pass"]
 
 
 def test_case21_symbolic_endpoints():
@@ -485,8 +547,6 @@ def test_verify_tables_carried_status_matches_direct_sweep():
 
 
 def test_verify_tables_sweeps_only_the_base_hulls(monkeypatch):
-    import badtri.theorems as theorems
-
     calls = []
     sweep = theorems.excludes_b2
 
@@ -502,8 +562,6 @@ def test_verify_tables_sweeps_only_the_base_hulls(monkeypatch):
 
 
 def test_verify_tables_carry_checks_row_endpoints(monkeypatch):
-    import badtri.theorems as theorems
-
     endpoint = theorems._endpoint_value
 
     def drifted(suffix, n):
