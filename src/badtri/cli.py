@@ -205,7 +205,7 @@ def cmd_verify_identities(args):
         raise ValueError("--samples must be >= 1")
     if args.samples > IDENTITIES_SAMPLES_MAX:
         raise ValueError(f"--samples capped at {IDENTITIES_SAMPLES_MAX}: that run takes "
-                         "~1.1 s, and the time grows linearly")
+                         "~0.6 s, and the time grows linearly")
     rng = random.Random(args.seed)
     idents = ("A", "B", "C", "lucky1", "lucky2")
     checked = 0

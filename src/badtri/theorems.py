@@ -420,8 +420,86 @@ def check_sum(triple, relation, b=2, j=None):
 # --------------------------------------------------------------- insertions
 
 
-def _inv(v):
-    return 1 / v
+# Both sides of every identity below are built as unreduced
+# numerator/denominator pairs: x = a/b and y = c/d enter as their integer
+# pairs (a QuadRat v as (v, 1)), each bracket is its word's integer
+# convergent matrix applied to a pair, and each right-hand side is written
+# homogeneously in (a, b, c, d).  A pair becomes one exact value only at
+# the end.  Every inversion on the way checks its numerator, so a pole
+# raises wherever the nested rational form divides by zero.
+
+
+def _pair(v):
+    """v as a numerator/denominator pair; a QuadRat enters as (v, 1)."""
+    if isinstance(v, QuadRat):
+        return v, 1
+    return v.numerator, v.denominator
+
+
+def _value(n, d):
+    """The pair n/d as one Fraction, or one QuadRat division."""
+    if isinstance(n, QuadRat) or isinstance(d, QuadRat):
+        return n / d
+    return Fraction(n, d)
+
+
+def _inv(w):
+    """1/w: the pair swapped; a zero numerator is a pole."""
+    n, d = w
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return d, n
+
+
+def _inv_minus(w, k):
+    """1/w - k."""
+    d, n = _inv(w)
+    return d - k * n, n
+
+
+def _word_map(cs, t):
+    """[c1,...,cm, t]: the word's convergent matrix acting on the tail t."""
+    p1, q1, p, q = convergents(cs)
+    n, d = t
+    return p1 * n + p * d, q1 * n + q * d
+
+
+def _bracket(cs, w):
+    """[c1,...,cm, w]: the word cs acting on the tail 1/w."""
+    return _word_map(cs, _inv(w))
+
+
+def _one_minus(u, v, w):
+    """1 - u - v - w over the product of the three denominators."""
+    (un, ud), (vn, vd), (wn, wd) = u, v, w
+    vw = vd * wd
+    return (ud - un) * vw - (vn * wd + wn * vd) * ud, ud * vw
+
+
+def _rest(a, b, c, d):
+    """1 - x - y."""
+    return b * d - a * d - b * c, b * d
+
+
+# kind -> (a, b, c, d, z) -> pairs of X, Y, Z and the residual's closed form
+_INSERTIONS = {
+    # (x - y)^2 / ((3 - 2x)(3 - 2y)(3 - x - y))
+    "2": lambda a, b, c, d, z: (
+        _bracket((3,), _inv_minus((a, b), 1)),
+        _bracket((3,), _inv_minus((c, d), 1)),
+        _word_map((2,), z),
+        ((a * d - b * c) ** 2,
+         (3 * b - 2 * a) * (3 * d - 2 * c) * (3 * b * d - a * d - b * c)),
+    ),
+    # -5(x - y)^2 / ((10x + 13)(10y + 13)(5x + 5y + 13))
+    "11211": lambda a, b, c, d, z: (
+        _bracket((3, 3), (a + b, b)),
+        _bracket((3, 3), (c + d, d)),
+        _bracket((2, 1, 1, 2, 1), _inv_minus(z, 1)),
+        (-5 * (a * d - b * c) ** 2,
+         (10 * a + 13 * b) * (10 * c + 13 * d) * (5 * a * d + 5 * b * c + 13 * b * d)),
+    ),
+}
 
 
 def insertion(kind, x, y, z):
@@ -435,84 +513,98 @@ def insertion(kind, x, y, z):
     X = [3, 3, 1+x] and Z = [2,1,1,2,1, 1/z-1].  Returns (X, Y, Z,
     residual) where the residual 1-X-Y-Z equals a closed-form rational
     function of x and y alone that vanishes iff x = y — so insertions map
-    equal-pair solutions of x+y+z=1 to new solutions.
+    equal-pair solutions of x+y+z=1 to new solutions.  The residual is
+    checked against that form once, by cross-multiplying the two pairs.
     """
-    if x + y + z != 1:
+    (a, b), (c, d), (e, f) = _pair(x), _pair(y), _pair(z)
+    if (a * d + b * c) * f + e * b * d != b * d * f:
         raise ValueError("insertion requires x + y + z = 1")
     try:
-        if kind == "2":
-            bx = _bracket((3,), _inv(x) - 1)
-            by = _bracket((3,), _inv(y) - 1)
-            bz = word_map((2,), z)
-            rhs = (x - y) ** 2 / ((3 - 2 * x) * (3 - 2 * y) * (3 - x - y))
-        elif kind == "11211":
-            bx = _bracket((3, 3), 1 + x)
-            by = _bracket((3, 3), 1 + y)
-            bz = _bracket((2, 1, 1, 2, 1), _inv(z) - 1)
-            rhs = -5 * (x - y) ** 2 / ((10 * x + 13) * (10 * y + 13) * (5 * x + 5 * y + 13))
-        else:
-            raise ValueError(f"unknown insertion kind {kind!r}")
+        fn = _INSERTIONS[kind]
+    except KeyError:
+        raise ValueError(f"unknown insertion kind {kind!r}") from None
+    try:
+        bx, by, bz, (rn, rd) = fn(a, b, c, d, (e, f))
+        values = [_value(*w) for w in (bx, by, bz)]
+        if rd == 0:
+            raise ZeroDivisionError("residual form at a pole")
     except ZeroDivisionError as exc:
         raise ValueError("insertion transform hit a pole") from exc
-    residual = 1 - bx - by - bz
-    if residual != rhs:
+    residual = _one_minus(bx, by, bz)
+    if residual[0] * rd != rn * residual[1]:
         raise AssertionError("residual identity violated — arithmetic bug")
-    return bx, by, bz, residual
+    return (*values, _value(*residual))
 
 
-def _bracket(cs, w):
-    """[c1,...,cm, w] — the word cs acting on the tail 1/w."""
-    return word_map(cs, _inv(w))
+def _lucky2(a, b, c, d):
+    """2XY - 2X - 2Y + 1 = 2(X - 1)(Y - 1) - 1, with X and Y built once."""
+    xn, xd = _bracket((3,), _inv_minus((a, b), 1))
+    yn, yd = _bracket((3,), _inv_minus((c, d), 1))
+    return (
+        (2 * (xn - xd) * (yn - yd) - xd * yd, xd * yd),
+        (b * d - 2 * (a - b) * (c - d), (2 * a - 3 * b) * (2 * c - 3 * d)),
+    )
 
 
+# ident -> (a, b, c, d) -> (lhs pair, rhs pair)
 _IDENTITIES = {
-    "A": lambda x, y: (
-        1
-        - _bracket((2, 1, 3), _inv(x) - 1)
-        - _bracket((2, 1, 3), _inv(y) - 1)
-        - _bracket((3, 1, 1), _inv(1 - x - y)),
-        4 * (x - y) ** 2 / ((8 * x - 11) * (8 * y - 11) * (11 - 4 * x - 4 * y)),
+    # 4(x - y)^2 / ((8x - 11)(8y - 11)(11 - 4x - 4y))
+    "A": lambda a, b, c, d: (
+        _one_minus(
+            _bracket((2, 1, 3), _inv_minus((a, b), 1)),
+            _bracket((2, 1, 3), _inv_minus((c, d), 1)),
+            _bracket((3, 1, 1), _inv(_rest(a, b, c, d))),
+        ),
+        (4 * (a * d - b * c) ** 2,
+         (8 * a - 11 * b) * (8 * c - 11 * d) * (11 * b * d - 4 * a * d - 4 * b * c)),
     ),
-    "B": lambda x, y: (
-        1
-        - _bracket((3, 1, 1), _inv(x))
-        - _bracket((3, 1, 1), _inv(y))
-        - _bracket((2, 3, 1), _inv(1 - x - y) - 1),
-        -2 * (x - y) ** 2 / ((4 * x + 7) * (4 * y + 7) * (2 * x + 2 * y + 7)),
+    # -2(x - y)^2 / ((4x + 7)(4y + 7)(2x + 2y + 7))
+    "B": lambda a, b, c, d: (
+        _one_minus(
+            _bracket((3, 1, 1), _inv((a, b))),
+            _bracket((3, 1, 1), _inv((c, d))),
+            _bracket((2, 3, 1), _inv_minus(_rest(a, b, c, d), 1)),
+        ),
+        (-2 * (a * d - b * c) ** 2,
+         (4 * a + 7 * b) * (4 * c + 7 * d) * (2 * a * d + 2 * b * c + 7 * b * d)),
     ),
-    "C": lambda x, y: (
-        1
-        - _bracket((3, 3, 1), _inv(x) - 2)
-        - _bracket((3, 3, 1), _inv(y) - 2)
-        - _bracket((2, 1, 1, 1), 1 - x - y),
-        8 * (x - y) ** 2 / ((16 * x - 13) * (16 * y - 13) * (13 - 8 * x - 8 * y)),
+    # 8(x - y)^2 / ((16x - 13)(16y - 13)(13 - 8x - 8y))
+    "C": lambda a, b, c, d: (
+        _one_minus(
+            _bracket((3, 3, 1), _inv_minus((a, b), 2)),
+            _bracket((3, 3, 1), _inv_minus((c, d), 2)),
+            _bracket((2, 1, 1, 1), _rest(a, b, c, d)),
+        ),
+        (8 * (a * d - b * c) ** 2,
+         (16 * a - 13 * b) * (16 * c - 13 * d) * (13 * b * d - 8 * a * d - 8 * b * c)),
     ),
-    "lucky1": lambda x, y: (
-        1
-        - _bracket((3,), _inv(x) - 1)
-        - _bracket((3,), _inv(y) - 1)
-        - _bracket((2, 2), _inv(1 - x - y)),
-        2 * (x + y - 3) * (2 * x * y - 2 * x - 2 * y + 1)
-        / ((2 * x - 3) * (2 * y - 3) * (7 - 2 * x - 2 * y)),
+    # 2(x + y - 3)(2xy - 2x - 2y + 1) / ((2x - 3)(2y - 3)(7 - 2x - 2y))
+    "lucky1": lambda a, b, c, d: (
+        _one_minus(
+            _bracket((3,), _inv_minus((a, b), 1)),
+            _bracket((3,), _inv_minus((c, d), 1)),
+            _bracket((2, 2), _inv(_rest(a, b, c, d))),
+        ),
+        (2 * (a * d + b * c - 3 * b * d) * (2 * (a - b) * (c - d) - b * d),
+         (2 * a - 3 * b) * (2 * c - 3 * d) * (7 * b * d - 2 * a * d - 2 * b * c)),
     ),
-    "lucky2": lambda x, y: (
-        2 * _bracket((3,), _inv(x) - 1) * _bracket((3,), _inv(y) - 1)
-        - 2 * _bracket((3,), _inv(x) - 1)
-        - 2 * _bracket((3,), _inv(y) - 1)
-        + 1,
-        -(2 * x * y - 2 * x - 2 * y + 1) / ((2 * x - 3) * (2 * y - 3)),
-    ),
+    # -(2xy - 2x - 2y + 1) / ((2x - 3)(2y - 3))
+    "lucky2": _lucky2,
 }
 
 
 def extra_identity(ident, x, y):
-    """Evaluate both sides of one of the auxiliary identities exactly."""
+    """Evaluate both sides of one of the auxiliary identities exactly.
+
+    Each side is built as a pair and becomes one exact value at the end.
+    """
     try:
         fn = _IDENTITIES[ident]
     except KeyError:
         raise ValueError(f"unknown identity {ident!r}; choose from {sorted(_IDENTITIES)}")
     try:
-        return fn(x, y)
+        lhs, rhs = fn(*_pair(x), *_pair(y))
+        return _value(*lhs), _value(*rhs)
     except ZeroDivisionError as exc:
         raise ValueError("identity evaluated at a pole") from exc
 
@@ -639,26 +731,29 @@ def search_triples(relation, depth, first_digit_max=3):
             return (1 - s_lo).sign() >= 0 and (s_hi - 1).sign() >= 0
         return xl + yl <= zh and zl <= xh + yh
 
-    def branch(words):
+    # depth first, children in increasing digit order, on an explicit
+    # stack: the search keeps no Python frame per digit
+    start = ((), (), ())
+    stack = [start] if feasible(start) else []
+    while stack:
+        words = stack.pop()
         widths = [
             (hull(w)[1] - hull(w)[0], i)
             for i, w in enumerate(words)
-            if len(words[i]) < depth
+            if len(w) < depth
         ]
         if not widths:
-            survivors.append(tuple(words))
-            return
+            survivors.append(words)
+            continue
         _, i = max(widths, key=lambda t: (t[0], -t[1]))
         hi_digit = first_digit_max if not words[i] else 2
+        children = []
         for b in range(1, hi_digit + 1):
             new = list(words)
             new[i] = words[i] + (b,)
             if feasible(new):
-                branch(new)
-
-    start = ((), (), ())
-    if feasible(list(start)):
-        branch(list(start))
+                children.append(tuple(new))
+        stack.extend(reversed(children))
     return survivors
 
 

@@ -4,9 +4,11 @@ import json
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
+import badtri.theorems as theorems
 from badtri.cli import PRESET_NAMES, main
 from badtri.gifs import PRESETS
 
@@ -40,6 +42,37 @@ def test_verify_identities(capsys):
     code, out, _ = run(capsys, "verify", "identities", "--samples", "10")
     assert code == 0
     assert "PASS 10 samples" in out
+    code, out, _ = run(capsys, "verify", "identities", "--samples", "300", "--seed", "1")
+    assert code == 0
+    assert out == "PASS 300 samples, 2100 identity instances exact\n"
+
+
+def test_verify_identities_reports_a_broken_identity(capsys, monkeypatch):
+    exact = theorems._IDENTITIES["B"]
+
+    def off_by_one(a, b, c, d):  # the right-hand side plus 1
+        lhs, (n, m) = exact(a, b, c, d)
+        return lhs, (n + m, m)
+
+    monkeypatch.setitem(theorems._IDENTITIES, "B", off_by_one)
+    code, out, _ = run(capsys, "verify", "identities", "--samples", "300", "--seed", "1")
+    assert code == 1
+    assert out == "FAIL identity B at x=1/18 y=5/122\n"
+
+
+def test_a_broken_insertion_residual_raises(capsys, monkeypatch):
+    exact = theorems._INSERTIONS["11211"]
+
+    def off_by_one(a, b, c, d, z):  # the residual's closed form plus 1
+        bx, by, bz, (n, m) = exact(a, b, c, d, z)
+        return bx, by, bz, (n + m, m)
+
+    monkeypatch.setitem(theorems._INSERTIONS, "11211", off_by_one)
+    with pytest.raises(AssertionError, match="residual identity violated"):
+        theorems.insertion("11211", Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
+    with pytest.raises(AssertionError, match="residual identity violated"):
+        main(["verify", "identities", "--samples", "1"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_family(capsys):

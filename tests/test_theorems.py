@@ -7,13 +7,15 @@ recurrence (see test_cf.py::test_convergents_identity for the worked
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import badtri.theorems as theorems
 from badtri.cf import Cylinder, FiniteCF, PeriodicCF, word_map
-from badtri.quadfield import sqrt2, sqrt3
+from badtri.quadfield import QuadRat, sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
@@ -392,6 +394,155 @@ def test_extra_identity_random():
             checked += 1
 
 
+# The identities in their nested rational form, one normalising operation
+# at a time: the reference that the pair evaluation in `theorems` must
+# reproduce value for value, and pole for pole (a ZeroDivisionError here).
+
+
+def _ref_inv(v):
+    return 1 / v
+
+
+def _ref_bracket(cs, w):
+    return word_map(cs, _ref_inv(w))
+
+
+_REF_IDENTITIES = {
+    "A": lambda x, y: (
+        1
+        - _ref_bracket((2, 1, 3), _ref_inv(x) - 1)
+        - _ref_bracket((2, 1, 3), _ref_inv(y) - 1)
+        - _ref_bracket((3, 1, 1), _ref_inv(1 - x - y)),
+        4 * (x - y) ** 2 / ((8 * x - 11) * (8 * y - 11) * (11 - 4 * x - 4 * y)),
+    ),
+    "B": lambda x, y: (
+        1
+        - _ref_bracket((3, 1, 1), _ref_inv(x))
+        - _ref_bracket((3, 1, 1), _ref_inv(y))
+        - _ref_bracket((2, 3, 1), _ref_inv(1 - x - y) - 1),
+        -2 * (x - y) ** 2 / ((4 * x + 7) * (4 * y + 7) * (2 * x + 2 * y + 7)),
+    ),
+    "C": lambda x, y: (
+        1
+        - _ref_bracket((3, 3, 1), _ref_inv(x) - 2)
+        - _ref_bracket((3, 3, 1), _ref_inv(y) - 2)
+        - _ref_bracket((2, 1, 1, 1), 1 - x - y),
+        8 * (x - y) ** 2 / ((16 * x - 13) * (16 * y - 13) * (13 - 8 * x - 8 * y)),
+    ),
+    "lucky1": lambda x, y: (
+        1
+        - _ref_bracket((3,), _ref_inv(x) - 1)
+        - _ref_bracket((3,), _ref_inv(y) - 1)
+        - _ref_bracket((2, 2), _ref_inv(1 - x - y)),
+        2 * (x + y - 3) * (2 * x * y - 2 * x - 2 * y + 1)
+        / ((2 * x - 3) * (2 * y - 3) * (7 - 2 * x - 2 * y)),
+    ),
+    "lucky2": lambda x, y: (
+        2 * _ref_bracket((3,), _ref_inv(x) - 1) * _ref_bracket((3,), _ref_inv(y) - 1)
+        - 2 * _ref_bracket((3,), _ref_inv(x) - 1)
+        - 2 * _ref_bracket((3,), _ref_inv(y) - 1)
+        + 1,
+        -(2 * x * y - 2 * x - 2 * y + 1) / ((2 * x - 3) * (2 * y - 3)),
+    ),
+}
+
+
+def _ref_insertion(kind, x, y, z):
+    """(X, Y, Z, closed form of the residual) for one insertion kind."""
+    if kind == "2":
+        return (
+            _ref_bracket((3,), _ref_inv(x) - 1),
+            _ref_bracket((3,), _ref_inv(y) - 1),
+            word_map((2,), z),
+            (x - y) ** 2 / ((3 - 2 * x) * (3 - 2 * y) * (3 - x - y)),
+        )
+    return (
+        _ref_bracket((3, 3), 1 + x),
+        _ref_bracket((3, 3), 1 + y),
+        _ref_bracket((2, 1, 1, 2, 1), _ref_inv(z) - 1),
+        -5 * (x - y) ** 2 / ((10 * x + 13) * (10 * y + 13) * (5 * x + 5 * y + 13)),
+    )
+
+
+def _agree_with_reference(x, y, kind_type):
+    """Every identity and insertion at (x, y) matches the nested forms.
+
+    Returns the names of those that have a pole there.
+    """
+    poles = []
+    for ident, ref in _REF_IDENTITIES.items():
+        try:
+            expected = ref(x, y)
+        except ZeroDivisionError:
+            poles.append(ident)
+            with pytest.raises(ValueError, match="pole"):
+                extra_identity(ident, x, y)
+        else:
+            got = extra_identity(ident, x, y)
+            assert got == expected and got[0] == got[1], ident
+            assert all(type(v) is kind_type for v in got), ident
+    z = 1 - x - y
+    for kind in ("2", "11211"):
+        try:
+            bx, by, bz, rhs = _ref_insertion(kind, x, y, z)
+        except ZeroDivisionError:
+            poles.append(kind)
+            with pytest.raises(ValueError, match="pole"):
+                insertion(kind, x, y, z)
+        else:
+            assert 1 - bx - by - bz == rhs
+            got = insertion(kind, x, y, z)
+            assert got == (bx, by, bz, rhs), kind
+            assert all(type(v) is kind_type for v in got), kind
+    return poles
+
+
+# zeros of the inversions and of the right-hand sides' factors
+_SPECIAL_X = [Fraction(v) for v in ("0", "1", "1/2", "-1", "3/2", "11/8", "-7/4",
+                                    "13/16", "-13/10", "-2", "2")]
+_SPECIAL_SUMS = [Fraction(v) for v in ("0", "1", "3", "11/4", "-7/2", "13/8", "-13/5",
+                                       "7/2", "2", "-1")]
+_rationals = st.one_of(st.sampled_from(_SPECIAL_X), st.fractions(-3, 3, max_denominator=40))
+
+
+@st.composite
+def _xy(draw):
+    x = draw(_rationals)
+    y = draw(st.one_of(_rationals, st.sampled_from(_SPECIAL_SUMS).map(lambda s: s - x)))
+    return x, y
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(_xy())
+def test_pair_evaluation_matches_the_nested_forms(xy):
+    _agree_with_reference(*xy, Fraction)
+
+
+def test_the_drawn_points_reach_the_poles():
+    # inversions of zero at x = 0, x = 1, x + y = 1 and x = -1 (1 + x),
+    # a zero factor 2x - 3 at x = 3/2
+    half = Fraction(1, 2)
+    assert _agree_with_reference(Fraction(0), half, Fraction) == ["A", "B", "C", "lucky1",
+                                                                 "lucky2", "2"]
+    assert _agree_with_reference(Fraction(1), half, Fraction) == ["A", "C", "lucky1",
+                                                                 "lucky2", "2"]
+    assert _agree_with_reference(half, half, Fraction) == ["A", "B", "C", "lucky1", "11211"]
+    assert _agree_with_reference(Fraction(-1), half, Fraction) == ["C", "11211"]
+    assert _agree_with_reference(Fraction(3, 2), half, Fraction) == ["C", "lucky1",
+                                                                    "lucky2", "2"]
+
+
+def test_pair_evaluation_matches_the_nested_forms_on_quadratics():
+    s2 = sqrt2()
+    x = y = (2 - s2) / 2
+    z = s2 - 1
+    assert _agree_with_reference(x, y, QuadRat) == []
+    assert _agree_with_reference(x, z, QuadRat) == []
+    for kind in ("11211", "2", "11211"):
+        x, y, z, _ = insertion(kind, x, y, z)
+        assert _agree_with_reference(x, y, QuadRat) == []
+
+
 # ----------------------------------------------------------------- families
 
 
@@ -505,6 +656,34 @@ def test_search_survivors_nest():
         assert deep
         for trip in deep:
             assert tuple(w[:6] for w in trip) in shallow
+
+
+def _frames():
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def _prefix(w, n):
+    return (w.pre + w.period * n)[:n]
+
+
+@pytest.mark.parametrize("relation, solutions", [
+    ("sum_is_one", MAIN_SOLUTIONS),
+    ("x_plus_y_is_z", MAIN2_SOLUTIONS),
+])
+def test_search_needs_no_frame_per_digit(relation, solutions):
+    # a search that recursed once per digit would need ~3 * 16 frames here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 30)
+    try:
+        survivors = search_triples(relation, 16)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(survivors) == sorted(
+        tuple(_prefix(w, 16) for w in (t.x, t.y, t.z)) for t in solutions
+    )
 
 
 def test_search_rejects_bad_args():
