@@ -161,12 +161,22 @@ def word_map(word, t):
     The word acts on t by the Mobius map of its convergent matrix,
     (P_{n-1} t + P_n) / (Q_{n-1} t + Q_n), exactly for int, Fraction and
     QuadRat tails.  A rational tail n/d maps to the one Fraction
-    (P_{n-1} n + P_n d) / (Q_{n-1} n + Q_n d), never a float; a pole
-    raises ZeroDivisionError.
+    (P_{n-1} n + P_n d) / (Q_{n-1} n + Q_n d), never a float.  A QuadRat
+    tail (a + b sqrt(r))/c maps to (A + B sqrt(r)) / (C + E sqrt(r)) with
+    A = P_{n-1} a + P_n c, B = P_{n-1} b, C = Q_{n-1} a + Q_n c and
+    E = Q_{n-1} b, and multiplying both by C - E sqrt(r) makes that one
+    normalised QuadRat.  A pole raises ZeroDivisionError.
     """
     p1, q1, p, q = convergents(word)
     if isinstance(t, QuadRat):
-        return (p1 * t + p) / (q1 * t + q)
+        a, b, c, r = t.a, t.b, t.c, t.d
+        big_a, big_b = p1 * a + p * c, p1 * b
+        big_c, big_e = q1 * a + q * c, q1 * b
+        norm = big_c * big_c - r * big_e * big_e
+        if norm == 0:
+            raise ZeroDivisionError("word map at its pole")
+        return QuadRat._new(big_a * big_c - r * big_b * big_e,
+                            big_b * big_c - big_a * big_e, norm, r)
     n, d = t.numerator, t.denominator
     return Fraction(p1 * n + p * d, q1 * n + q * d)
 

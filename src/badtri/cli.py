@@ -234,7 +234,7 @@ def cmd_verify_family(args):
     if args.l_max < 0:
         raise ValueError("--l-max must be >= 0")
     if args.l_max > FAMILY_L_MAX:
-        raise ValueError(f"--l-max capped at {FAMILY_L_MAX}: that run takes ~1.3 s, "
+        raise ValueError(f"--l-max capped at {FAMILY_L_MAX}: that run takes ~2.5 s, "
                          "and the time grows faster than l_max^2")
     failures = 0
     for triple in B22_SOLUTIONS:

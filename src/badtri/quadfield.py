@@ -10,66 +10,108 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
 
 __all__ = ["QuadRat", "sqrt2", "sqrt3"]
 
 _ALLOWED_D = (2, 3, 5)
 
 
-@total_ordering
+def _sign(a, b, d):
+    """Exact sign of a + b*sqrt(d), by integer case analysis (no floats)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # a and b have opposite signs: compare a^2 with d*b^2.
+    lhs, rhs = a * a, d * b * b
+    if lhs == rhs:  # impossible for squarefree d, kept for safety
+        return 0
+    bigger_is_a = lhs > rhs
+    return (1 if bigger_is_a else -1) if a > 0 else (-1 if bigger_is_a else 1)
+
+
 class QuadRat:
     """(a + b*sqrt(d)) / c, normalized so c > 0 and gcd(a, b, c) == 1."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b=0, c=1, d=2):
+    def __new__(cls, a, b=0, c=1, d=2):
+        if not (isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):
+            raise TypeError(f"QuadRat needs int b, c and d, got {b!r}, {c!r}, {d!r}")
         if isinstance(a, QuadRat):
             a, b, c, d = a.a, a.b, a.c * c, a.d
         elif isinstance(a, Fraction):
             a, c = a.numerator, c * a.denominator
+        elif not isinstance(a, int):
+            raise TypeError(f"QuadRat needs an int, Fraction or QuadRat a, got {a!r}")
         if d not in _ALLOWED_D:
             raise ValueError(f"unsupported radicand {d}")
         if c == 0:
             raise ZeroDivisionError("zero denominator")
-        a, b, c = int(a), int(b), int(c)
+        return QuadRat._new(a, b, c, d)
+
+    @staticmethod
+    def _new(a, b, c, d):
+        """The normalised (a + b*sqrt(d))/c from ints already known valid.
+
+        c != 0 and d in _ALLOWED_D are the caller's to ensure; the sign
+        moves into the numerator and one gcd reduces all three.
+        """
         if c < 0:
             a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
+        g = math.gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self = _object_new(QuadRat)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadRat is immutable")
 
     # -- helpers -----------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x, d):
-        if isinstance(x, QuadRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadRat(Fraction(x), 0, 1, d)
-        return NotImplemented
-
     def _match(self, other):
-        other = QuadRat._coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.d != self.d:
-            # A rational value lives in every field; lift it over.
-            if other.b == 0:
-                other = QuadRat(other.a, 0, other.c, self.d)
-            elif self.b == 0:
-                return QuadRat(self.a, 0, self.c, other.d), other
-            else:
+        """(self, other) as QuadRats over one radicand, or NotImplemented."""
+        if isinstance(other, QuadRat):
+            if other.d != self.d:
+                # A rational value lives in every field; lift it over.
+                if other.b == 0:
+                    return self, QuadRat._new(other.a, 0, other.c, self.d)
+                if self.b == 0:
+                    return QuadRat._new(self.a, 0, self.c, other.d), other
                 raise ValueError(
                     f"radicand mismatch: sqrt({self.d}) vs sqrt({other.d})")
-        return self, other
+            return self, other
+        if isinstance(other, int):
+            return self, QuadRat._new(other, 0, 1, self.d)
+        if isinstance(other, Fraction):
+            return self, QuadRat._new(other.numerator, 0, other.denominator, self.d)
+        return NotImplemented
+
+    @staticmethod
+    def _quotient(s, o):
+        """s / o in one step: s times o's conjugate over o's norm."""
+        if o.a == 0 and o.b == 0:
+            raise ZeroDivisionError("division by zero QuadRat")
+        d = s.d
+        return QuadRat._new(o.c * (s.a * o.a - d * s.b * o.b), o.c * (s.b * o.a - s.a * o.b),
+                            s.c * (o.a * o.a - d * o.b * o.b), d)
+
+    def _cmp(self, other):
+        """Sign of self - other, from the unreduced difference; c > 0 on both."""
+        pair = self._match(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        s, o = pair
+        return _sign(s.a * o.c - o.a * s.c, s.b * o.c - o.b * s.c, s.d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -78,55 +120,61 @@ class QuadRat:
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        return QuadRat(s.a * o.c + o.a * s.c, s.b * o.c + o.b * s.c,
-                       s.c * o.c, s.d)
+        return QuadRat._new(s.a * o.c + o.a * s.c, s.b * o.c + o.b * s.c, s.c * o.c, s.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadRat(-self.a, -self.b, self.c, self.d)
+        return QuadRat._new(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
         pair = self._match(other)
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        return s + (-o)
+        return QuadRat._new(s.a * o.c - o.a * s.c, s.b * o.c - o.b * s.c, s.c * o.c, s.d)
 
     def __rsub__(self, other):
-        return -(self - other)
+        pair = self._match(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        s, o = pair
+        return QuadRat._new(o.a * s.c - s.a * o.c, o.b * s.c - s.b * o.c, s.c * o.c, s.d)
 
     def __mul__(self, other):
         pair = self._match(other)
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        return QuadRat(s.a * o.a + s.d * s.b * o.b, s.a * o.b + s.b * o.a,
-                       s.c * o.c, s.d)
+        return QuadRat._new(s.a * o.a + s.d * s.b * o.b, s.a * o.b + s.b * o.a,
+                            s.c * o.c, s.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadRat":
-        if self.a == 0 and self.b == 0:
+        a, b, d = self.a, self.b, self.d
+        if a == 0 and b == 0:
             raise ZeroDivisionError("division by zero QuadRat")
         # c/(a+b*sqrt(d)) = c*(a-b*sqrt(d))/(a^2-d*b^2)
-        norm = self.a * self.a - self.d * self.b * self.b
-        return QuadRat(self.c * self.a, -self.c * self.b, norm, self.d)
+        return QuadRat._new(self.c * a, -self.c * b, a * a - d * b * b, d)
 
     def __truediv__(self, other):
         pair = self._match(other)
         if pair is NotImplemented:
             return NotImplemented
-        s, o = pair
-        return s * o.inverse()
+        return QuadRat._quotient(*pair)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        pair = self._match(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        s, o = pair
+        return QuadRat._quotient(o, s)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = QuadRat(1, 0, 1, self.d)
+        result = QuadRat._new(1, 0, 1, self.d)
         base = self
         while k:
             if k & 1:
@@ -139,21 +187,7 @@ class QuadRat:
 
     def sign(self) -> int:
         """Exact sign of the value, by integer case analysis (no floats)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # a and b have opposite signs: compare a^2 with d*b^2.
-        lhs, rhs = a * a, self.d * b * b
-        if lhs == rhs:  # impossible for squarefree d, kept for safety
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if bigger_is_a else -1) if a > 0 else (-1 if bigger_is_a else 1)
+        return _sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         pair = self._match(other)
@@ -163,11 +197,20 @@ class QuadRat:
         return (s.a, s.b, s.c) == (o.a, o.b, o.c)
 
     def __lt__(self, other):
-        pair = self._match(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        s, o = pair
-        return (s - o).sign() < 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s < 0
+
+    def __le__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s <= 0
+
+    def __gt__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s > 0
+
+    def __ge__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s >= 0
 
     def __hash__(self):
         if self.b == 0:
@@ -189,7 +232,7 @@ class QuadRat:
             m = -m - 1  # d*b^2 is never a perfect square for squarefree d
         q = (a + m) // c
         # value lies in [(a+m)/c, (a+m+1)/c); check whether it reached q+1.
-        if QuadRat(a - (q + 1) * c, b, c, d).sign() >= 0:
+        if _sign(a - (q + 1) * c, b, d) >= 0:
             return q + 1
         return q
 
@@ -207,7 +250,7 @@ class QuadRat:
         if self.sign() < 0:
             return "-" + (-self).to_decimal(digits)
         scale = 10 ** digits
-        shifted = QuadRat(self.a * scale, self.b * scale, self.c, self.d)
+        shifted = QuadRat._new(self.a * scale, self.b * scale, self.c, self.d)
         n = shifted.floor()
         whole, frac = divmod(n, scale)
         return f"{whole}.{frac:0{digits}d}" if digits else f"{whole}"
@@ -234,6 +277,12 @@ class QuadRat:
                        else f"{self.b}*sqrt({self.d})")
         s = "".join(num)
         return f"({s})/{self.c}" if self.c != 1 else s
+
+
+# QuadRat._new fills a fresh instance through the slot descriptors, which
+# bypass the __setattr__ that keeps every QuadRat immutable afterwards.
+_object_new = object.__new__
+_set_a, _set_b, _set_c, _set_d = (QuadRat.__dict__[k].__set__ for k in QuadRat.__slots__)
 
 
 def sqrt2() -> QuadRat:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from badtri.cf import (
     MAX_WORD_DIGITS,
@@ -359,20 +359,17 @@ def _fold_value(w):
     return y
 
 
-@settings(deadline=None, derandomize=True)
 @given(words)
 def test_value_matches_digit_fold(w):
     assert w.value() == _fold_value(w)
 
 
-@settings(deadline=None, derandomize=True)
 @given(words)
 def test_expand_and_text_roundtrip(w):
     assert expand_quadratic(w.value()) == w.canonical()
     assert parse_cf(format_cf(w)) == w.canonical()
 
 
-@settings(deadline=None, derandomize=True)
 @given(words)
 def test_one_minus_involution_and_value(w):
     m = one_minus(w)
@@ -380,14 +377,12 @@ def test_one_minus_involution_and_value(w):
     assert m.value() == 1 - w.value()
 
 
-@settings(deadline=None, derandomize=True)
 @given(word_pairs)
 def test_compare_is_sign_of_difference(pair):
     x, y = pair
     assert cf_compare(x, y) == (x.value() - y.value()).sign()
 
 
-@settings(deadline=None, derandomize=True)
 @given(st.lists(st.integers(1, 6), max_size=10),
        st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=60)),
        st.booleans())
@@ -407,7 +402,6 @@ def test_word_map_of_a_rational_tail_is_its_mobius_map(word, t, at_pole):
         assert type(value) is Fraction and value == expected
 
 
-@settings(deadline=None, derandomize=True)
 @given(st.lists(st.integers(1, 6), max_size=10), st.lists(st.integers(1, 6), max_size=10))
 def test_convergents_continue_a_prefix(prefix, word):
     assert convergents(word, convergents(prefix)) == convergents(prefix + word)

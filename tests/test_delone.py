@@ -190,7 +190,7 @@ def convex_region(corners):
     return region if span > 0.5 else None
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(point_lists, polygons)
 def test_covering_radius_within_grid_band(points, corners):
     region = convex_region(corners)
@@ -201,7 +201,7 @@ def test_covering_radius_within_grid_band(points, corners):
     assert lo - 1e-9 <= radius <= hi + 1e-9
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(point_lists, polygons, st.floats(0.9, 0.9999))
 def test_covering_radius_never_certifies_an_uncovered_node(points, corners, scale):
     region = convex_region(corners)
@@ -259,7 +259,6 @@ point_sets = st.lists(
 ).map(PointSet)
 
 
-@settings(deadline=None, derandomize=True)
 @given(point_sets, point_sets)
 def test_cf_distance_closed_form_properties(a, b):
     d = chabauty_fell_distance(a, b)
@@ -267,7 +266,6 @@ def test_cf_distance_closed_form_properties(a, b):
     assert d == chabauty_fell_distance(b, a)
 
 
-@settings(deadline=None, derandomize=True)
 @given(point_sets, st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4, unique=True))
 def test_cf_distance_restriction_bound(a, radii):
     radii.sort()

@@ -708,7 +708,7 @@ def patch_document():
     return p, patch_doc(p)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_patch_from_doc_names_the_smallest_broken_tile(patch_document, data):
     p, doc = patch_document

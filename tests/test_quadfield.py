@@ -1,11 +1,13 @@
 """Tests for exact quadratic-field arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from badtri.cf import convergents, word_map
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 
 
@@ -32,6 +34,31 @@ def test_construction_from_rationals():
     assert QuadRat(5) == 5
     x = QuadRat(1, 1, 2, 2)
     assert QuadRat(x, d=2) == x
+
+
+@pytest.mark.parametrize("args", [
+    (1.5,),                      # a float a was truncated to 1
+    (1, Fraction(1, 2)),         # a Fraction b was truncated to 0
+    (1, 0, 0.4),                 # c = 0.4 passed the zero check, then int() made it 0
+    (1, 0, 2.0),
+    (1, 0, 1, 2.0),              # d must be an int, not a float equal to one
+    ("1",),
+    (None,),
+])
+def test_non_integer_parts_rejected(args):
+    with pytest.raises(TypeError):
+        QuadRat(*args)
+
+
+def test_constructor_checks_final_values():
+    with pytest.raises(ValueError):
+        QuadRat(1, 0, 1, 7)
+    with pytest.raises(ZeroDivisionError):
+        QuadRat(1, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        QuadRat(Fraction(1, 2), 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        QuadRat(sqrt2(), 0, 0)
 
 
 def test_field_axioms_random():
@@ -142,7 +169,6 @@ same_field_triples = st.sampled_from((2, 3, 5)).flatmap(
 )
 
 
-@settings(deadline=None, derandomize=True)
 @given(same_field_triples)
 def test_field_laws(xyz):
     x, y, z = xyz
@@ -159,10 +185,146 @@ def test_field_laws(xyz):
         assert (x / y) * y == x
 
 
-@settings(deadline=None, derandomize=True)
 @given(st.sampled_from((2, 3, 5)).flatmap(_quadrats))
 def test_sign_agrees_with_float(x):
     f = float(x)
     if abs(f) > 1e-9:
         assert x.sign() == (1 if f > 0 else -1)
     assert (x.sign() == 0) == (x == 0)
+
+
+# -------------------------------------------- fast paths against the formulas
+#
+# Each reference below is the textbook formula for its operation, built
+# through the public constructor; an int or Fraction operand enters as
+# QuadRat(Fraction(x), 0, 1, d).  The fast paths must give the very same
+# normalised slots, and raise where the references raise.
+
+
+def _matched(left, right):
+    """left and right over one radicand, lifted as the operators lift them.
+
+    A number operand takes the QuadRat's field; of two QuadRats in
+    different fields, the rational one moves to the other's field (the
+    right one when both are rational).
+    """
+    if not isinstance(left, QuadRat):
+        return _matched(right, left)[::-1]
+    if not isinstance(right, QuadRat):
+        return left, QuadRat(Fraction(right), 0, 1, left.d)
+    if right.d == left.d:
+        return left, right
+    if right.b == 0:
+        return left, QuadRat(right.a, 0, right.c, left.d)
+    return QuadRat(left.a, 0, left.c, right.d), right
+
+
+def _ref_neg(s):
+    return QuadRat(-s.a, -s.b, s.c, s.d)
+
+
+def _ref_add(s, o):
+    return QuadRat(s.a * o.c + o.a * s.c, s.b * o.c + o.b * s.c, s.c * o.c, s.d)
+
+
+def _ref_sub(s, o):
+    return _ref_add(s, _ref_neg(o))
+
+
+def _ref_mul(s, o):
+    return QuadRat(s.a * o.a + s.d * s.b * o.b, s.a * o.b + s.b * o.a, s.c * o.c, s.d)
+
+
+def _ref_inverse(s):
+    if s.a == 0 and s.b == 0:
+        raise ZeroDivisionError("division by zero QuadRat")
+    return QuadRat(s.c * s.a, -s.c * s.b, s.a * s.a - s.d * s.b * s.b, s.d)
+
+
+def _ref_div(s, o):
+    return _ref_mul(s, _ref_inverse(o))
+
+
+def _outcome(fn, *args):
+    """fn(*args) as its slots, or ZeroDivisionError if it raised that."""
+    try:
+        r = fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return r.a, r.b, r.c, r.d
+
+
+def _normalised(r, d):
+    return r.c > 0 and math.gcd(r.a, r.b, r.c) == 1 and r.d == d
+
+
+def _elements(d):
+    """Irrational and rational elements of Q(sqrt d), zero and one included."""
+    return st.one_of(
+        _quadrats(d),
+        st.builds(QuadRat, _INTS, st.just(0), st.integers(1, 10**5), st.just(d)),
+        st.sampled_from((QuadRat(0, 0, 1, d), QuadRat(1, 0, 1, d), QuadRat(0, 1, 1, d))),
+    )
+
+
+def _operands(d):
+    """An element of the same field, an int, a Fraction, or a rational of another field."""
+    other = 5 if d == 2 else 2
+    return st.one_of(
+        _elements(d),
+        _INTS,
+        st.builds(Fraction, _INTS, st.integers(1, 10**5)),
+        st.builds(QuadRat, _INTS, st.just(0), st.integers(1, 10**5), st.just(other)),
+    )
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+@given(data=st.data())
+def test_operations_match_the_constructor_formulas(d, data):
+    x = data.draw(_elements(d))
+    y = data.draw(_operands(d))
+    cases = [
+        (lambda: x + y, _ref_add, x, y),
+        (lambda: y + x, _ref_add, y, x),
+        (lambda: x - y, _ref_sub, x, y),
+        (lambda: y - x, _ref_sub, y, x),
+        (lambda: x * y, _ref_mul, x, y),
+        (lambda: y * x, _ref_mul, y, x),
+        (lambda: x / y, _ref_div, x, y),
+        (lambda: y / x, _ref_div, y, x),
+    ]
+    for fast, ref, left, right in cases:
+        got = _outcome(fast)
+        assert got == _outcome(ref, *_matched(left, right))
+        if got is not ZeroDivisionError:
+            assert _normalised(fast(), got[3])
+    for fast, ref in [
+        (lambda: -x, _ref_neg),
+        (lambda: x.inverse(), _ref_inverse),
+        (lambda: x ** 3, lambda s: _ref_mul(_ref_mul(s, s), s)),
+        (lambda: x ** -2, lambda s: _ref_mul(_ref_inverse(s), _ref_inverse(s))),
+    ]:
+        got = _outcome(fast)
+        assert got == _outcome(ref, x)
+        if got is not ZeroDivisionError:
+            assert _normalised(fast(), d)
+    # the order is the sign of the normalised difference
+    sign = _ref_sub(*_matched(x, y)).sign()
+    assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    assert (y < x, y <= x, y > x, y >= x) == (sign > 0, sign >= 0, sign < 0, sign <= 0)
+    assert (x == y) == (y == x) == (sign == 0)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+@given(data=st.data())
+def test_word_map_matches_the_nested_form(d, data):
+    word = tuple(data.draw(st.lists(st.integers(1, 6), max_size=10)))
+    p1, q1, p, q = convergents(word)
+    if q1 and data.draw(st.booleans()):
+        t = QuadRat(-q, 0, q1, d)  # the rational pole
+    else:
+        t = data.draw(_elements(d))
+    got = _outcome(word_map, word, t)
+    assert got == _outcome(lambda: (p1 * t + p) / (q1 * t + q))
+    if got is not ZeroDivisionError:
+        assert _normalised(word_map(word, t), d)

@@ -512,7 +512,7 @@ def _xy(draw):
     return x, y
 
 
-@settings(deadline=None, derandomize=True, max_examples=400)
+@settings(max_examples=400)
 @given(_xy())
 def test_pair_evaluation_matches_the_nested_forms(xy):
     _agree_with_reference(*xy, Fraction)
@@ -684,6 +684,37 @@ def test_search_needs_no_frame_per_digit(relation, solutions):
     assert sorted(survivors) == sorted(
         tuple(_prefix(w, 16) for w in (t.x, t.y, t.z)) for t in solutions
     )
+
+
+def _spine(pre, period, n=16):
+    return (pre + period * n)[:n]
+
+
+# every survivor at depth 16, in the order the search reports them
+_SURVIVORS_AT_16 = {
+    ("sum_is_one", 1): [],
+    ("sum_is_one", 2): [],
+    ("sum_is_one", 3): [
+        (_spine((3,), (1, 2)), _spine((), (2, 1)), _spine((), (2, 1))),
+        (_spine((3,), (2,)), _spine((3,), (2,)), _spine((), (2,))),
+    ],
+    ("x_plus_y_is_z", 1): [],
+    ("x_plus_y_is_z", 2): [
+        (_spine((), (2, 1)), _spine((), (2, 1)), _spine((), (1, 2))),
+    ],
+    ("x_plus_y_is_z", 3): [
+        (_spine((), (2, 1)), _spine((), (2, 1)), _spine((), (1, 2))),
+        (_spine((3,), (1, 2)), _spine((), (2, 1)), _spine((1, 1, 1), (2, 1))),
+        (_spine((3,), (2,)), _spine((), (2,)), _spine((1,), (2,))),
+        (_spine((3,), (2,)), _spine((3,), (2,)), _spine((1, 1), (2,))),
+    ],
+}
+
+
+@pytest.mark.parametrize("relation, first_digit_max", sorted(_SURVIVORS_AT_16))
+def test_search_survivors_pinned_at_depth_16(relation, first_digit_max):
+    survivors = search_triples(relation, 16, first_digit_max=first_digit_max)
+    assert survivors == _SURVIVORS_AT_16[relation, first_digit_max]
 
 
 def test_search_rejects_bad_args():
