@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -44,6 +45,7 @@ def main(argv=None):
         return 2
 
 
+@functools.cache  # parse_args writes each call's values to a fresh namespace
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="badtri",
@@ -378,7 +380,7 @@ def export_svg(patch, prev_patch=None):
     """Stroke-only tile outlines plus one disk per point, 2% margin."""
     import numpy as np
 
-    from .gifs import recurs_in
+    from .gifs import _float_texts, _join_rows, recurs_in
 
     polys, pts = patch.vertices, patch.points
     allv = np.concatenate([polys.reshape(-1, 2), pts])
@@ -400,11 +402,14 @@ def export_svg(patch, prev_patch=None):
         f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
         f".pt{{fill:#1a1a1a}}</style>",
     ]
-    lines += [
-        f'<path class="{"tile prev" if prev else "tile"}" d="M{a} {b} L{c} {d} L{e} {f} Z"/>'
-        for ((a, b), (c, d), (e, f)), prev in zip(polys.tolist(), in_prev)
-    ]
-    lines += [f'<circle class="pt" cx="{x}" cy="{y}" r="{radius}"/>' for x, y in pts.tolist()]
+    v = _float_texts(polys)  # six coordinates per tile
+    lines.append(_join_rows([
+        np.where(in_prev, '<path class="tile prev" d="M', '<path class="tile" d="M').tolist(),
+        v[0::6], " ", v[1::6], " L", v[2::6], " ", v[3::6], " L", v[4::6], " ", v[5::6], ' Z"/>',
+    ], "\n"))
+    xy = _float_texts(pts)
+    lines.append(_join_rows(['<circle class="pt" cx="', xy[0::2], '" cy="', xy[1::2],
+                             f'" r="{radius}"/>'], "\n"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

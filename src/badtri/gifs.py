@@ -27,6 +27,7 @@ bit-identical to the per-tile reference, `subdivide` on `TileInstance`s.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -583,7 +584,8 @@ def stationary_sequence(gifs, n):
     if n > 6:
         raise ValueError(
             "n capped at 6: a preset's P_0..P_6 hold up to 18,565 tiles, which tile --stationary "
-            "builds, checks and writes in ~0.25 s, and the count grows like e0^-n (~4x per step)"
+            "builds, checks and writes in ~0.1 s after start-up, and the count grows like e0^-n "
+            "(~4x per step)"
         )
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -665,16 +667,62 @@ def patch_doc(patch):
     }
 
 
-# compact and unindented, so json's C encoder writes the whole document;
-# patch_doc builds a fresh tree, which holds no cycle to check for
-_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# writes a patch's epsilon and angles as they are, int or float
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# how json spells the floats that repr writes as nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values, spelling=None):
+    """repr of every entry of a float64 (or int64) array, flattened, as a
+    list; each distinct 64-bit pattern is formatted once.  Keying on the
+    bits keeps 0.0 and -0.0 apart.  `spelling` maps a repr of a non-finite
+    float to the text to write in its place.
+    """
+    values = np.asarray(values).ravel()
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(values.dtype)
+    texts = list(map(repr, distinct.tolist()))
+    if spelling and not np.isfinite(distinct).all():
+        texts = [spelling.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _join_rows(parts, sep):
+    """The rows `parts` spell, joined by sep: parts holds fixed strings and
+    equal-length lists of texts, one entry per row, in their row order."""
+    n = len(next(p for p in parts if isinstance(p, list)))
+    stride = len(parts) + 1
+    pieces = [sep] * (n * stride)
+    for j, p in enumerate(parts):
+        pieces[j::stride] = p if isinstance(p, list) else [p] * n
+    del pieces[-1:]
+    return "".join(pieces)
+
+
+def _patch_text(patch):
+    """The compact JSON of patch_doc(patch), written column by column."""
+    tiles = patch.tiles
+    kind, depth = (_float_texts(tiles[c]) for c in ("kind", "depth"))
+    scale, rotation, tx, ty = (
+        _float_texts(tiles[c], _JSON_NONFINITE) for c in ("scale", "rotation", "tx", "ty"))
+    reflect = np.where(tiles["reflect"], "true", "false").tolist()
+    rows = _join_rows([
+        '{"kind":', kind, ',"scale":', scale, ',"rotation":', rotation, ',"reflect":', reflect,
+        ',"translation":[', tx, ",", ty, '],"depth":', depth, "}",
+    ], ",")
+    xy = _float_texts(patch.points, _JSON_NONFINITE)
+    points = _join_rows(["[", xy[0::2], ",", xy[1::2], "]"], ",")
+    epsilon, angles = map(_ENCODER.encode, (patch.epsilon, list(patch.gifs.angles.as_tuple())))
+    return f'{{"epsilon":{epsilon},"angles":{angles},"tiles":[{rows}],"points":[{points}]}}'
 
 
 def patch_to_json(patches):
-    """A patch, or a list of patches, as compact JSON of patch_doc(...)."""
+    """A patch, or a list of patches, as compact JSON of patch_doc(...):
+    the text json.JSONEncoder(separators=(",", ":")) writes, byte for byte."""
     if isinstance(patches, Patch):
-        return _ENCODER.encode(patch_doc(patches))
-    return _ENCODER.encode([patch_doc(p) for p in patches])
+        return _patch_text(patches)
+    return "[" + ",".join(map(_patch_text, patches)) + "]"
 
 
 _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
@@ -744,6 +792,13 @@ def _check_patch_doc(doc):
     return columns
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _gifs_of(alpha, beta, gamma):
+    """build_gifs(Angles(alpha, beta, gamma)), built once per angle triple;
+    typed, so a file's int angles are not served a system holding floats."""
+    return build_gifs(Angles(alpha, beta, gamma))
+
+
 def patch_from_doc(doc):
     """Rebuild a Patch from its JSON dict; tile area is scale squared.
 
@@ -753,7 +808,7 @@ def patch_from_doc(doc):
     +-MAX_COORDINATE.
     """
     kind, reflect, depth, values = _check_patch_doc(doc)
-    gifs = build_gifs(Angles(*doc["angles"]))
+    gifs = _gifs_of(*doc["angles"])
     tiles = np.empty(len(kind), dtype=_TILE)
     tiles["kind"], tiles["reflect"], tiles["depth"] = kind, reflect, depth
     tiles["scale"], tiles["rotation"], tiles["tx"], tiles["ty"] = values

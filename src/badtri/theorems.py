@@ -340,9 +340,16 @@ def verify_tables(n_max=20, exclusion_depth=30):
             verdicts[tuple(entry["z_interval"])] = own, status
             hull = tuple(word_map((2, 2), t) for t in hull)
     entries = [entry for pairs in rows for entry, _ in pairs]
+    # ordered by integer keys, not Fraction comparisons: v -> floor(v * 2^k)
+    # is strictly increasing on fractions whose denominators multiply to
+    # at most 2^k, as any two distinct ones then differ by at least 2^-k
+    k = 2 * max(v.denominator.bit_length() for hull, _ in verdicts.values() for v in hull)
     exclusions = [
         {"interval": [str(lo), str(hi)], "status": status}
-        for (lo, hi), status in sorted(verdicts.values())
+        for (lo, hi), status in sorted(
+            verdicts.values(),
+            key=lambda verdict: [(v.numerator << k) // v.denominator for v in verdict[0]],
+        )
     ]
     ok = all(e["pass"] for e in entries) and all(
         e["status"] == "certified-empty" for e in exclusions

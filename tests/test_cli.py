@@ -260,6 +260,66 @@ def test_export_svg_sequence_into_dotted_directory(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["seq-0.svg", "seq-1.svg"]
 
 
+def _svg_oracle(patch, prev_patch=None):
+    """export_svg as one f-string per line, the reference for its text."""
+    import numpy as np
+
+    from badtri.gifs import recurs_in
+
+    polys, pts = patch.vertices, patch.points
+    allv = np.concatenate([polys.reshape(-1, 2), pts])
+    x0, y0 = allv.min(axis=0)
+    x1, y1 = allv.max(axis=0)
+    mx, my = 0.02 * (x1 - x0), 0.02 * (y1 - y0)
+    x0, y0, x1, y1 = x0 - mx, y0 - my, x1 + mx, y1 + my
+    span = max(x1 - x0, y1 - y0)
+    stroke = 0.003 * span
+    radius = 0.008 * span
+    if prev_patch is None:
+        in_prev = [False] * len(patch.tiles)
+    else:
+        in_prev = recurs_in(patch, prev_patch)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',
+        f"<style>.tile{{fill:none;stroke:#000;stroke-width:{stroke}}}"
+        f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
+        f".pt{{fill:#1a1a1a}}</style>",
+    ]
+    lines += [
+        f'<path class="{"tile prev" if prev else "tile"}" d="M{a} {b} L{c} {d} L{e} {f} Z"/>'
+        for ((a, b), (c, d), (e, f)), prev in zip(polys.tolist(), in_prev)
+    ]
+    lines += [f'<circle class="pt" cx="{x}" cy="{y}" r="{radius}"/>' for x, y in pts.tolist()]
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_svg_matches_the_f_string_writer():
+    import dataclasses
+
+    import numpy as np
+
+    from badtri.cli import export_svg
+    from badtri.gifs import build_gifs, stationary_sequence
+
+    seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 3)
+    for k, patch in enumerate(seq):
+        prev = seq[k - 1] if k else None
+        assert export_svg(patch, prev_patch=prev) == _svg_oracle(patch, prev)
+    # a reflected tile at rotation 0 and tx = -0.0 puts a vertex at x = -0.0,
+    # an unreflected one at tx = 0.0 one at x = 0.0
+    tiles = seq[2].tiles.copy()
+    tiles[["rotation", "tx", "ty"]][:2] = 0.0
+    tiles["reflect"][:2] = True, False
+    tiles["tx"][0] = -0.0
+    mixed = dataclasses.replace(seq[2], tiles=tiles)
+    x = mixed.vertices[..., 0]
+    assert set(np.signbit(x[x == 0]).tolist()) == {False, True}
+    for prev in (None, seq[1]):
+        assert export_svg(mixed, prev_patch=prev) == _svg_oracle(mixed, prev)
+
+
 def test_preset_names_match_gifs():
     assert PRESET_NAMES == tuple(sorted(PRESETS))
 
@@ -297,6 +357,28 @@ def test_export_draws_each_patch_with_its_own_system(tmp_path, capsys):
 
     assert shapes(tmp_path / "m-1.svg") == shapes(tmp_path / "o2.svg")
     assert json.loads((tmp_path / "m.json").read_text())[1]["points"] == docs[1]["points"]
+
+
+def test_successive_calls_share_no_option_values(tmp_path, capsys):
+    import badtri.cli as cli
+
+    assert cli._build_parser() is cli._build_parser()
+    _, five, _ = run(capsys, "verify", "tables", "--n-max", "5")
+    code, default, _ = run(capsys, "verify", "tables")
+    assert code == 0 and " n=5 " in five and " n=6 " not in five
+    assert " n=20 " in default and " n=21 " not in default
+
+    def tile(name, *argv):
+        code, out, err = run(capsys, "tile", "--preset", "optimal1", *argv,
+                             "--out", str(tmp_path / name))
+        assert code == 0, err
+        return out, (tmp_path / name).read_text()
+
+    two = tile("two.json", "--epsilon", "0.2", "--start", "2")[1]
+    assert tile("seq.json", "--stationary", "1")[0].startswith("stationary sequence P_0..P_1")
+    # --start falls back to its default, prototile 1
+    one = tile("one.json", "--epsilon", "0.2")[1]
+    assert one == tile("again.json", "--epsilon", "0.2", "--start", "1")[1] != two
 
 
 def test_no_command_prints_help(capsys):

@@ -16,6 +16,7 @@ from badtri.delone import analysis_report, orientation_discrepancy
 from badtri.gifs import (
     _DOC_COLUMNS,
     _IDENTITY,
+    _gifs_of,
     POSE_TOL,
     PRESETS,
     Angles,
@@ -630,6 +631,35 @@ def test_patch_to_json_matches_json_dumps():
         patch_from_doc(json.loads(text))
 
 
+def _edge_float_patch():
+    """An optimal1 patch whose float columns each hold 0.0 and -0.0, NaN of
+    both signs, the least subnormal and +-1e308, and but for rotation (which
+    math.cos refuses) +-inf; built in-process, as the loader refuses most."""
+    p = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal1"]))
+    specials = [0.0, -0.0, math.nan, -math.nan, 5e-324, 1e308, -1e308, math.inf, -math.inf]
+    tiles = p.tiles.copy()
+    for k, f in enumerate(("scale", "rotation", "tx", "ty")):
+        column = specials[:-2] if f == "rotation" else specials
+        tiles[f][k : k + len(column)] = column
+    with np.errstate(all="ignore"):
+        return dataclasses.replace(p, tiles=tiles)
+
+
+def test_patch_to_json_is_the_encoders_text_for_edge_floats():
+    edge = _edge_float_patch()
+    for f in ("scale", "rotation", "tx", "ty"):
+        col = edge.tiles[f]
+        assert set(np.signbit(col[col == 0]).tolist()) == {False, True}
+        assert set(np.signbit(col[np.isnan(col)]).tolist()) == {False, True}
+    empty = dataclasses.replace(edge, tiles=edge.tiles[:0])
+    seq = stationary_sequence(build_gifs(PRESETS["equilateral"]), 3)
+    compact = dict(separators=(",", ":"))
+    for patch in (edge, empty, *seq):
+        assert patch_to_json(patch) == json.dumps(patch_doc(patch), **compact)
+    for patches in ([edge], [edge, empty, *seq], seq, [empty]):
+        assert patch_to_json(patches) == json.dumps([patch_doc(p) for p in patches], **compact)
+
+
 def test_patch_from_doc_columns_are_the_documents_numbers():
     # one float conversion per number, bit for bit, whatever the JSON type
     values = [0, -0.0, 3, 2**53 + 1, 2.5, 1e-300, -7]
@@ -650,6 +680,29 @@ def test_patch_from_doc_columns_are_the_documents_numbers():
     # patch_doc's own dict, with its tuple translations, loads the same way
     q = patch_from_doc(patch_doc(p))
     assert patch_to_json(q) == patch_to_json(p)
+
+
+def test_patch_from_doc_builds_each_system_once(monkeypatch):
+    import badtri.gifs as gifs_module
+
+    calls = []
+    monkeypatch.setattr(gifs_module, "build_gifs", lambda a: calls.append(a) or build_gifs(a))
+    _gifs_of.cache_clear()
+    tile = {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
+            "translation": [0.0, 0.0], "depth": 0}
+    floats = {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [tile]}
+    ints = dict(floats, angles=[1, 1, 1.1415926535897931])
+    a, b, c = (patch_from_doc(d) for d in (floats, floats, ints))
+    assert a.gifs is b.gifs and len(calls) == 2
+    # equal angles of another JSON type keep their own system, and their text
+    assert patch_to_json(c).startswith('{"epsilon":0.1,"angles":[1,1,')
+    assert patch_to_json(a).startswith('{"epsilon":0.1,"angles":[1.0,1.0,')
+    # a system that fails to build is not kept: each load raises the same error
+    bad = dict(floats, angles=[0.2, 0.2, math.pi - 0.4])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="gamma must be acute"):
+            patch_from_doc(bad)
+    assert len(calls) == 4
 
 
 def test_patch_from_doc_names_first_bad_tile():
@@ -756,6 +809,7 @@ def test_patch_paths_build_no_per_tile_objects(monkeypatch):
 
     def constructions(eps):
         built.clear()
+        _gifs_of.cache_clear()  # both runs load their file into a new system
         p = epsilon_rule(1, eps, g)
         seq = stationary_sequence(g, 4)
         text = patch_to_json(p)

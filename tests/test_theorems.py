@@ -246,6 +246,11 @@ def test_verify_tables_report():
     assert set(sample) == {"id", "parity", "n", "pass", "z_interval", "pattern"}
 
 
+def test_verify_tables_orders_exclusions_by_exact_hull():
+    hulls = [tuple(map(Fraction, e["interval"])) for e in verify_tables(60)["exclusions"]]
+    assert hulls == sorted(set(hulls)) and len(hulls) == 671
+
+
 def test_verify_tables_deterministic():
     assert verify_tables(4) == verify_tables(4)
 
