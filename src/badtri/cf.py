@@ -155,7 +155,7 @@ def convergents(word, start=(1, 0, 0, 1)):
     return p1, q1, p, q
 
 
-def word_map(word, t):
+def word_map(word, t, start=(1, 0, 0, 1)):
     """[word, t]: the value of the word followed by a tail of value t.
 
     The word acts on t by the Mobius map of its convergent matrix,
@@ -165,9 +165,11 @@ def word_map(word, t):
     tail (a + b sqrt(r))/c maps to (A + B sqrt(r)) / (C + E sqrt(r)) with
     A = P_{n-1} a + P_n c, B = P_{n-1} b, C = Q_{n-1} a + Q_n c and
     E = Q_{n-1} b, and multiplying both by C - E sqrt(r) makes that one
-    normalised QuadRat.  A pole raises ZeroDivisionError.
+    normalised QuadRat.  A pole raises ZeroDivisionError.  `start` is a
+    prefix's convergent tuple, as in `convergents`; the value is then
+    [prefix, word, t].
     """
-    p1, q1, p, q = convergents(word)
+    p1, q1, p, q = convergents(word, start)
     if isinstance(t, QuadRat):
         a, b, c, r = t.a, t.b, t.c, t.d
         big_a, big_b = p1 * a + p * c, p1 * b

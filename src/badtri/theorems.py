@@ -34,6 +34,7 @@ __all__ = [
     "extra_identity",
     "generate_solutions",
     "scalene_family",
+    "scalene_sweep",
     "search_triples",
     "word_contains",
 ]
@@ -667,16 +668,35 @@ def generate_solutions(code=()):
     return triple
 
 
+# The scalene family's words as (head, block, suffix, period): the word at l
+# is [head, (block)^l, suffix, per(period)].  They are x = [3,(2)^l,1,per(1,2)],
+# y = [3,(2)^l,3,per(1,2)] and z = [(2)^(2l+4),per(1,2)].
+_SCALENE = (
+    ((3,), (2,), (1,), (1, 2)),
+    ((3,), (2,), (3,), (1, 2)),
+    ((2, 2, 2, 2), (2, 2), (), (1, 2)),
+)
+
+
+def _scalene_word(template, ell):
+    head, block, suffix, period = template
+    return PeriodicCF(head + block * ell + suffix, period).canonical()
+
+
+def _scalene_classes(template):
+    """(b at l = 0, b at every l >= 1): bad_class's B of the template's words.
+
+    B depends only on which digits a word holds, and from l = 1 on the
+    word holds the same ones, so the l = 1 word stands for every l >= 1.
+    """
+    return tuple(bad_class(_scalene_word(template, ell))[0] for ell in (0, 1))
+
+
 def scalene_family(ell):
     """The sporadic scalene family: exact x+y+z=1 with x, y, z all distinct."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    words = [
-        ((3,) + (2,) * ell + (1,), (1, 2)),
-        ((3,) + (2,) * ell + (3,), (1, 2)),
-        ((2,) * (4 + 2 * ell), (1, 2)),
-    ]
-    cfs = [PeriodicCF(*w).canonical() for w in words]
+    cfs = [_scalene_word(t, ell) for t in _SCALENE]
     vals = [w.value() for w in cfs]
     if sum(vals[1:], vals[0]) != 1:
         raise AssertionError("scalene family sum failed — transcription bug")
@@ -684,6 +704,33 @@ def scalene_family(ell):
     if vals[order[0]] == vals[order[1]] or vals[order[1]] == vals[order[2]]:
         raise AssertionError("scalene family degenerated")
     return SolutionTriple(*(cfs[i] for i in order))
+
+
+def scalene_sweep(l_max):
+    """[(values, ok)] for l = 0..l_max: the scalene family checked at each l.
+
+    values are the l-th x, y and z, and ok says that x + y + z = 1
+    exactly, that the three are distinct and that each word is in B_2.
+    No word is built as digits: each template's prefix [head, (block)^l]
+    is kept as its convergent tuple and stepped to l + 1 by one block
+    (x and y share theirs), then continued by the suffix and applied to
+    the period's value.  The classes are read once, by `_scalene_classes`.
+    """
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
+    classes = [_scalene_classes(t) for t in _SCALENE]
+    in_b2 = [all(b[k] <= 2 for b in classes) for k in (0, 1)]
+    tails = [PeriodicCF((), period).value() for *_, period in _SCALENE]
+    prefixes = {(head, block): convergents(head) for head, block, _, _ in _SCALENE}
+    out = []
+    for ell in range(l_max + 1):
+        vx, vy, vz = (word_map(suffix, t, prefixes[head, block])
+                      for (head, block, suffix, _), t in zip(_SCALENE, tails))
+        ok = in_b2[ell > 0] and vx + vy + vz == 1 and len({vx, vy, vz}) == 3
+        out.append(((vx, vy, vz), ok))
+        prefixes = {(head, block): convergents(block, m)
+                    for (head, block), m in prefixes.items()}
+    return out
 
 
 # ------------------------------------------------------------------- search

@@ -81,6 +81,43 @@ def test_verify_family(capsys):
     assert out.count("PASS") == 7  # 3 fixed triples + l = 0..3
 
 
+def test_verify_family_pins_its_lines(capsys):
+    code, out, err = run(capsys, "verify", "family", "--l-max", "120")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "PASS B22 [3,3,per(1,2)], [3,3,per(1,2)], [2,1,per(1,2)]",
+        "PASS B22 [3,1,per(1,2)], [3,1,per(1,2)], [2,3,per(1,2)]",
+        "PASS B22 [3,1,per(1,2)], [3,3,per(1,2)], [2,2,2,per(2,1)]",
+        *(f"PASS scalene l={ell}" for ell in range(121)),
+    ]
+
+
+# (template, part, position) for every head, block and suffix digit of the
+# scalene templates; part 1 is the block, repeated l times
+_TEMPLATE_DIGITS = [
+    (i, part, pos)
+    for i, template in enumerate(theorems._SCALENE)
+    for part in range(3)
+    for pos in range(len(template[part]))
+]
+
+
+@pytest.mark.parametrize("i, part, pos", _TEMPLATE_DIGITS)
+def test_a_wrong_scalene_template_prints_fail_lines(capsys, monkeypatch, i, part, pos):
+    templates = [list(t) for t in theorems._SCALENE]
+    digits = list(templates[i][part])
+    digits[pos] = digits[pos] % 3 + 1  # 1 -> 2 -> 3 -> 1: the digits stay in B_2
+    templates[i][part] = tuple(digits)
+    monkeypatch.setattr(theorems, "_SCALENE", tuple(map(tuple, templates)))
+    code, out, err = run(capsys, "verify", "family", "--l-max", "3")
+    assert code == 1 and err == ""
+    # a changed block digit is absent from the l = 0 words
+    first_fail = 1 if part == 1 else 0
+    assert out.splitlines()[3:] == [
+        f"{'PASS' if ell < first_fail else 'FAIL'} scalene l={ell}" for ell in range(4)
+    ]
+
+
 def test_verify_search(capsys):
     code, out, _ = run(capsys, "verify", "search", "--depth", "6")
     assert code == 0
@@ -139,7 +176,7 @@ def test_cf_expand_rejects_zero_denominator(capsys, argv):
     ["search", "--depth", "-3"],
     ["tables", "--n-max", "2", "--depth", "-1"],
     ["tables", "--n-max", "2", "--depth", "0"],
-    ["family", "--l-max", "1001"],  # past the cap; 2000 already takes ~6 s
+    ["family", "--l-max", "1001"],  # past the cap; 2000 takes ~0.7 s
 ])
 def test_verify_refuses_empty_runs(capsys, argv):
     # each would otherwise check nothing, or run away, and report a pass

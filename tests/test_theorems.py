@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import badtri.theorems as theorems
-from badtri.cf import Cylinder, FiniteCF, PeriodicCF, word_map
+from badtri.cf import Cylinder, FiniteCF, PeriodicCF, bad_class, word_map
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
@@ -30,6 +30,7 @@ from badtri.theorems import (
     generate_solutions,
     insertion,
     scalene_family,
+    scalene_sweep,
     search_triples,
     table_rows,
     verify_case21_symbolic,
@@ -616,6 +617,54 @@ def test_scalene_words_shape():
         PeriodicCF((3, 1), (1, 2)).canonical(),
         PeriodicCF((3, 3), (1, 2)).canonical(),
     }
+
+
+def test_scalene_sweep_matches_scalene_family():
+    sweep = scalene_sweep(40)
+    assert len(sweep) == 41
+    for ell, (values, ok) in enumerate(sweep):
+        assert ok
+        assert tuple(sorted(values)) == scalene_family(ell).values()
+    with pytest.raises(ValueError):
+        scalene_sweep(-1)
+
+
+@pytest.mark.parametrize("block", [(1,), (2,), (3,), (4,), (2, 4)])
+def test_scalene_classes_agree_with_bad_class_at_every_l(block):
+    for head, suffix in [((3,), (1,)), ((3,), (3,)), ((2, 2, 2, 2), ())]:
+        template = (head, block, suffix, (1, 2))
+        classes = theorems._scalene_classes(template)
+        for ell in range(7):
+            word = PeriodicCF(head + block * ell + suffix, (1, 2))
+            assert classes[min(ell, 1)] == bad_class(word)[0]
+
+
+def test_scalene_classes_read_the_block():
+    assert [theorems._scalene_classes(t) for t in theorems._SCALENE] == [(2, 2)] * 3
+    # a block digit 4 puts every l >= 1 word outside B_2; a preperiod digit
+    # may exceed B by one, so a block of 3s stays in B_2, its last 3 at l + 1
+    assert theorems._scalene_classes(((3,), (4,), (1,), (1, 2))) == (2, 3)
+    assert theorems._scalene_classes(((3,), (3,), (1,), (1, 2))) == (2, 2)
+    assert bad_class(PeriodicCF((3,) * 6 + (1,), (1, 2))) == (2, 6)
+
+
+def test_scalene_sweep_checks_the_class(monkeypatch):
+    # every sum still holds; only the class verdict changes
+    monkeypatch.setattr(theorems, "bad_class", lambda cf: (3, 0))
+    assert [ok for _, ok in scalene_sweep(3)] == [False] * 4
+    monkeypatch.undo()
+    monkeypatch.setattr(theorems, "_scalene_classes", lambda template: (2, 3))
+    assert [ok for _, ok in scalene_sweep(3)] == [True, False, False, False]
+
+
+def test_scalene_sweep_checks_distinctness(monkeypatch):
+    # [3,(2)^l,per(2)] twice and [(2)^l,per(2)]: MAIN_SOLUTIONS' isosceles
+    # triple at every l, whose sum is 1 but whose x and y are equal
+    isosceles = (((3,), (2,), (), (2,)),) * 2 + (((), (2,), (), (2,)),)
+    monkeypatch.setattr(theorems, "_SCALENE", isosceles)
+    sweep = scalene_sweep(3)
+    assert all(sum(values[1:], values[0]) == 1 for values, _ in sweep)
+    assert [ok for _, ok in sweep] == [False] * 4
 
 
 # ------------------------------------------------------------------- search
