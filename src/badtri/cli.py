@@ -102,10 +102,8 @@ def _build_parser():
     p_tile.set_defaults(func=cmd_tile)
 
     p_an = sub.add_parser("analyze", help="analyze a patch JSON file")
-    p_an.add_argument("what", choices=["delone", "cfdist", "discrepancy"])
+    p_an.add_argument("what", choices=["delone", "discrepancy"])
     p_an.add_argument("--in", dest="infile", required=True)
-    p_an.add_argument("--radii", default="5,10,20",
-                      help="comma-separated increasing radii for cfdist")
     p_an.set_defaults(func=cmd_analyze)
 
     p_exf = sub.add_parser("export", help="convert a patch JSON file")
@@ -344,30 +342,19 @@ def _load_patches(path):
 
 
 def cmd_analyze(args):
-    from .delone import (
-        PointSet,
-        analysis_report,
-        orientation_discrepancy,
-        restricted_convergence_check,
-    )
+    from .delone import analysis_report, orientation_discrepancy
 
     patches, listed = _load_patches(args.infile)
-    radii = [float(v) for v in args.radii.split(",")]
     out = []
     for patch in patches:
         if args.what == "delone":
-            out.append(analysis_report(patch, radii=radii))
-        elif args.what == "cfdist":
-            ps = PointSet(patch.points)
-            out.append(restricted_convergence_check(ps, radii))
+            out.append(analysis_report(patch))
         else:
             n, dstar = orientation_discrepancy(patch)
             out.append({"N": n, "Dstar": dstar})
     print(json.dumps(out if listed else out[0], indent=2))
     if args.what == "delone":
         return 0 if all(r["r_certified"] and r["R_certified"] for r in out) else 1
-    if args.what == "cfdist":
-        return 0 if all(r["ok"] for r in out) else 1
     return 0
 
 

@@ -1,12 +1,14 @@
 """Delone-parameter certification, Chabauty-Fell distances, discrepancy.
 
-Point sets produced by the tiling engine are finite, so every check here
-is an exact reduction over a finite candidate set: uniform discreteness
-from the closest pair; relative denseness from the covering radius over
-the convex hull of a patch, which peaks at a Voronoi vertex, a hull
-vertex or a Voronoi edge's crossing of the hull boundary; and the
-Chabauty-Fell metric restricted to finite sets from one nearest-neighbour
-query per set.
+Point sets produced by the tiling engine are finite, so each certificate
+here is an exact reduction over a finite candidate set: uniform
+discreteness from the closest pair, and relative denseness from the
+covering radius over the convex hull of a patch, which peaks at a
+Voronoi vertex, a hull vertex or a Voronoi edge's crossing of the hull
+boundary.  The Chabauty-Fell distance between finite sets is a measured
+value, not a verdict: its closed form takes one nearest-neighbour query
+per set, and a patch's report gives it from the patch to its cuts to
+balls about the origin.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "check_covering_radius",
     "chabauty_fell_distance",
     "cf_distance_brute",
-    "restricted_convergence_check",
     "star_discrepancy",
     "star_discrepancy_brute",
     "orientation_discrepancy",
@@ -306,33 +307,6 @@ def cf_distance_brute(a, b):
     return 1.0
 
 
-def restricted_convergence_check(ps, radii):
-    """d(A, A cut to B(0, R_n)) for increasing R_n, beside the bounds 1/R_n.
-
-    `ok` (every distance within its bound) is true for every finite A, so
-    this reports distances and cannot fail: in chabauty_fell_distance's
-    closed form a point of the cut is at distance 0 from A, and a point of
-    A outside the ball has 1/|p| < 1/R, which float division keeps <= 1/R.
-    """
-    radii = [float(r) for r in radii]
-    if not all(map(math.isfinite, radii)):
-        raise ValueError("radii must be finite")
-    if any(r <= 0 for r in radii) or any(
-        r2 <= r1 for r1, r2 in zip(radii, radii[1:])
-    ):
-        raise ValueError("radii must be positive and increasing")
-    distances, bounds = [], []
-    for r in radii:
-        distances.append(chabauty_fell_distance(ps, ps.restrict(r)))
-        bounds.append(1.0 / r)
-    return {
-        "radii": radii,
-        "distances": distances,
-        "bounds": bounds,
-        "ok": all(d <= b for d, b in zip(distances, bounds)),
-    }
-
-
 def star_discrepancy(xs):
     """Exact D*_N of a sample in [0,1) via the sorted-order formula."""
     x = np.sort(np.asarray(list(xs), dtype=float))
@@ -365,19 +339,22 @@ def orientation_discrepancy(patch):
     return len(xs), star_discrepancy(xs)
 
 
-def analysis_report(patch, radii=(5.0, 10.0, 20.0)):
-    """Full Delone/metric/discrepancy report for one patch, JSON-shaped."""
+def analysis_report(patch):
+    """Full Delone/metric/discrepancy report for one patch, JSON-shaped.
+
+    cf_distances holds the Chabauty-Fell distance from the patch's point set
+    A to its cut A ∩ B(0, R), for R = 5, 10 and 20.
+    """
     ps = PointSet(patch.points)
     r, big_r = delone_radii(patch.gifs)
     ud = check_uniform_discrete(ps, r)
     rd = check_covering_radius(ps, big_r, patch_region(patch))
-    conv = restricted_convergence_check(ps, radii)
     n, dstar = orientation_discrepancy(patch)
     return {
         "r_certified": ud.status == "certified",
         "R_certified": rd.status == "certified",
         "r": r,
         "R": big_r,
-        "cf_distances": conv["distances"],
+        "cf_distances": [chabauty_fell_distance(ps, ps.restrict(radius)) for radius in (5, 10, 20)],
         "discrepancy": {"N": n, "Dstar": dstar},
     }

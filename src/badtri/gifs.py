@@ -8,21 +8,23 @@ area-threshold subdivision that yields finite patches and the rotated
 stationary patch sequence.  A patch holds its tiling system and places
 its tile vertices and centroid point set once, when it is built.
 
-All geometry is double precision; subdivision stopping areas are tracked
-as exact Fractions of the float scale factors so patch shape never
-depends on summation order.
+All geometry is double precision; subdivision decides each split on the
+tile's exact area, a Fraction product of the float scale factors, so
+patch shape never depends on summation order.
 
 A patch's tiles are one numpy record array, one _TILE record per tile
-(kind, pose, depth and an integer *area class*), from subdivision
+(kind, pose and depth: the columns of a patch file), from subdivision
 through placement, JSON and loading.  Subdivision runs level by level
 over that array: each level replaces every tile whose area exceeds the
 threshold by its four children, in place, so the records stay in
 depth-first order.  A tile's area is the product of its maps' squared
-scales, so few values occur: each distinct area is one exact Fraction,
-shared by every tile of its class, and the exact `area > threshold`
-test runs once per class.  Child poses come from _compose, which repeats
-`Similitude.compose`'s arithmetic operation for operation, so they are
-bit-identical to the per-tile reference, `subdivide` on `TileInstance`s.
+scales, so few values occur: subdivision keeps beside the tiles an
+integer *area class* per tile, one exact Fraction per class, and the
+exact `area > threshold` test runs once per class.  The classes stay
+inside subdivision; a patch is its tiles.  Child poses come from
+_compose, which repeats `Similitude.compose`'s arithmetic operation for
+operation, so they are bit-identical to the per-tile reference,
+`subdivide` on `TileInstance`s.
 """
 
 from __future__ import annotations
@@ -390,11 +392,11 @@ class TileInstance:
         return self.transform.reflect
 
 
-# one record per tile: kind, the Similitude fields of its pose, depth, and
-# cls, the index of its exact area in the patch's area classes
+# one record per tile: kind, the Similitude fields of its pose, and depth,
+# in the key order patch_doc writes them
 _TILE = np.dtype([
     ("kind", np.int64), ("scale", float), ("rotation", float), ("reflect", bool),
-    ("tx", float), ("ty", float), ("depth", np.int64), ("cls", np.int64),
+    ("tx", float), ("ty", float), ("depth", np.int64),
 ])
 # copy() and fancy indexing move a packed record dtype field by field; take,
 # np.put and a copy through this raw view move whole records, 5-9x faster
@@ -421,8 +423,8 @@ def _place(tiles, local):
 
 def _compose(outer, inner):
     """Similitude.compose for many tiles at once: the pose of outer[i] (or of
-    one outer record) after that of inner[i], with inner's kind, depth and
-    class; compose's arithmetic, operation for operation, so bit-identical."""
+    one outer record) after that of inner[i], with inner's kind and depth;
+    compose's arithmetic, operation for operation, so bit-identical."""
     out = inner.view(_TILE_BYTES).copy().view(_TILE)  # whole records; see _TILE_BYTES
     out["scale"] = outer["scale"] * inner["scale"]
     turn = np.where(outer["reflect"], -inner["rotation"], inner["rotation"])
@@ -434,8 +436,8 @@ def _compose(outer, inner):
 
 
 def _records(poses):
-    """Depth-0, class-0 _TILE records of (kind, Similitude) pairs."""
-    return np.array([(k, m.scale, m.rotation, m.reflect, m.tx, m.ty, 0, 0) for k, m in poses],
+    """Depth-0 _TILE records of (kind, Similitude) pairs."""
+    return np.array([(k, m.scale, m.rotation, m.reflect, m.tx, m.ty, 0) for k, m in poses],
                     dtype=_TILE)
 
 
@@ -443,18 +445,17 @@ def _records(poses):
 class Patch:
     """Tiles of one tiling system, with their geometry placed once.
 
-    `tiles` is a read-only _TILE record array and `area_classes` the tuple
-    of exact tile areas that its cls column indexes.  `vertices`
-    (N x 3 x 2) and `points` (N x 2, the tile centroids) are derived from
-    the tiles at construction, so `dataclasses.replace` keeps them in step
-    with the tiles.  Patches compare and hash by epsilon, system, tile
-    bytes and area classes.
+    `tiles` is a read-only _TILE record array.  `vertices` (N x 3 x 2) and
+    `points` (N x 2, the tile centroids) are derived from the tiles at
+    construction, so `dataclasses.replace` keeps them in step with the
+    tiles.  Patches compare and hash by epsilon, system and tile bytes, so
+    a patch written by patch_to_json and read back by patch_from_doc equals
+    the original.
     """
 
     epsilon: float
     gifs: Gifs
     tiles: np.ndarray
-    area_classes: tuple
     vertices: np.ndarray = field(init=False, repr=False)
     points: np.ndarray = field(init=False, repr=False)
 
@@ -470,16 +471,13 @@ class Patch:
         object.__setattr__(self, "points", placed[:, 3])
 
     def _key(self):
-        return self.epsilon, self.gifs, self.tiles.tobytes(), self.area_classes
+        return self.epsilon, self.gifs, self.tiles.tobytes()
 
     def __eq__(self, other):
         return isinstance(other, Patch) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
-
-    def areas(self):
-        return np.array(list(map(float, self.area_classes)))[self.tiles["cls"]].tolist()
 
 
 def subdivide(tile, gifs):
@@ -502,10 +500,10 @@ def _subdivide(gifs, start, thresholds):
     """Leaves of the subdivision tree of `start`, cut at each threshold.
 
     A tile splits while its exact area exceeds the threshold; thresholds
-    must not increase, so each cut refines the one before.  Returns
-    (areas, cuts): cuts[i] is a _TILE array of the leaves for
-    thresholds[i] in depth-first order, and areas[c] is the exact area of
-    class c.
+    must not increase, so each cut refines the one before.  Returns the
+    cuts: cuts[i] is a _TILE array of the leaves for thresholds[i] in
+    depth-first order.  Beside the tiles runs `cls`, each tile's area
+    class: areas[cls[i]] is the exact area of tile i.
     """
     # the eight edge maps, each a record of its child's kind, in subdivision order
     edges = [(ck, gifs.maps[e]) for kind in (1, 2) for e, ck in gifs.edges(kind)]
@@ -516,36 +514,37 @@ def _subdivide(gifs, start, thresholds):
     child_cls = {}  # (class, edge) -> class
 
     def child_class(key):
-        cls, edge = divmod(key, 8)
-        if (cls, edge) not in child_cls:
-            area = areas[cls] * scale_sq[edge]
+        c, edge = divmod(key, 8)
+        if (c, edge) not in child_cls:
+            area = areas[c] * scale_sq[edge]
             if area not in index:
                 index[area] = len(areas)
                 areas.append(area)
-            child_cls[cls, edge] = index[area]
-        return child_cls[cls, edge]
+            child_cls[c, edge] = index[area]
+        return child_cls[c, edge]
 
     tiles = _records([(start, _IDENTITY)])
+    cls = np.zeros(1, dtype=np.int64)
     cuts = []
     for threshold in thresholds:
         while True:
             over = np.array([a > threshold for a in areas])
-            split = over[tiles["cls"]]
+            split = over[cls]
             if not split.any():
                 break
             counts = np.where(split, 4, 1)
-            tiles = np.repeat(tiles, counts)
+            tiles, cls = np.repeat(tiles, counts), np.repeat(cls, counts)
             first = (np.cumsum(counts) - counts)[split]
             at = (first[:, None] + np.arange(4)).ravel()  # children's slots
             p = tiles.take(at)  # each split parent, once per child
             edge = 4 * (p["kind"] - 1) + np.tile(np.arange(4), len(first))
             kids = _compose(p, maps.take(edge))
             kids["depth"] = p["depth"] + 1
-            keys, inverse = np.unique(8 * p["cls"] + edge, return_inverse=True)
-            kids["cls"] = np.array([child_class(k) for k in keys.tolist()])[inverse]
+            keys, inverse = np.unique(8 * cls.take(at) + edge, return_inverse=True)
+            np.put(cls, at, np.array([child_class(k) for k in keys.tolist()])[inverse])
             np.put(tiles, at, kids)
         cuts.append(tiles)
-    return areas, cuts
+    return cuts
 
 
 def epsilon_rule(start, epsilon, gifs):
@@ -564,12 +563,11 @@ def epsilon_rule(start, epsilon, gifs):
         raise ValueError(
             f"epsilon={epsilon} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
         )
-    eps = Fraction(epsilon)
-    areas, (leaves,) = _subdivide(gifs, start, [eps])
+    (leaves,) = _subdivide(gifs, start, [Fraction(epsilon)])
     lam = 1 / math.sqrt(epsilon)
     for f in ("scale", "tx", "ty"):
         leaves[f] *= lam
-    return Patch(epsilon, gifs, leaves, tuple(a / eps for a in areas))
+    return Patch(epsilon, gifs, leaves)
 
 
 def stationary_sequence(gifs, n):
@@ -598,15 +596,15 @@ def stationary_sequence(gifs, n):
             f"n={n} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
         )
     thresholds = [Fraction(eps0) ** k for k in range(n + 1)]
-    areas, cuts = _subdivide(gifs, 1, thresholds)
+    cuts = _subdivide(gifs, 1, thresholds)
     patches = []
     anchor = np.zeros(2)
-    for k, (threshold, t) in enumerate(zip(thresholds, cuts)):
+    for k, t in enumerate(cuts):
         # scale by e0^(-k/2) and rotate by -k*gamma about the anchor
         turn = _records([(0, Similitude(eps0 ** (-k / 2), (-k * ga) % _TWO_PI, False, 0.0, 0.0))])
         shift = _records([(0, Similitude(1.0, 0.0, False, -anchor[0], -anchor[1]))])
         tiles = _compose(_compose(turn, shift), t)
-        patches.append(Patch(float(eps0**k), gifs, tiles, tuple(a / threshold for a in areas)))
+        patches.append(Patch(float(eps0**k), gifs, tiles))
         anchor = f3.apply(anchor)
     return patches
 
@@ -649,10 +647,6 @@ def orientation_angles(patch):
     return list(zip((patch.tiles["rotation"] % _TWO_PI).tolist(), patch.tiles["reflect"].tolist()))
 
 
-# the tile columns patch_doc writes, in its key order
-_DOC_COLUMNS = ("kind", "scale", "rotation", "reflect", "tx", "ty", "depth")
-
-
 def patch_doc(patch):
     """The patch as a JSON-ready dict (tile transforms plus centroid points);
     a translation is an (x, y) tuple, cheaper to build than a list."""
@@ -661,7 +655,7 @@ def patch_doc(patch):
         "angles": list(patch.gifs.angles.as_tuple()),
         "tiles": [
             {"kind": k, "scale": m, "rotation": r, "reflect": f, "translation": (x, y), "depth": d}
-            for k, m, r, f, x, y, d in zip(*(patch.tiles[c].tolist() for c in _DOC_COLUMNS))
+            for k, m, r, f, x, y, d in zip(*(patch.tiles[c].tolist() for c in _TILE.names))
         ],
         "points": patch.points.tolist(),
     }
@@ -800,7 +794,7 @@ def _gifs_of(alpha, beta, gamma):
 
 
 def patch_from_doc(doc):
-    """Rebuild a Patch from its JSON dict; tile area is scale squared.
+    """Rebuild a Patch from its JSON dict.
 
     Raises ValueError, naming the first bad tile, unless the document has
     the shape and the JSON types patch_doc writes (json.load gives the same)
@@ -812,10 +806,8 @@ def patch_from_doc(doc):
     tiles = np.empty(len(kind), dtype=_TILE)
     tiles["kind"], tiles["reflect"], tiles["depth"] = kind, reflect, depth
     tiles["scale"], tiles["rotation"], tiles["tx"], tiles["ty"] = values
-    scales, tiles["cls"] = np.unique(tiles["scale"], return_inverse=True)
-    area_classes = tuple(Fraction(m) ** 2 for m in scales.tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        patch = Patch(float(doc["epsilon"]), gifs, tiles, area_classes)
+        patch = Patch(float(doc["epsilon"]), gifs, tiles)
     # False for inf and nan
     inside = ((np.abs(patch.vertices) <= MAX_COORDINATE).all(axis=(1, 2))
               & (np.abs(patch.points) <= MAX_COORDINATE).all(axis=1))

@@ -692,13 +692,22 @@ def _scalene_classes(template):
     return tuple(bad_class(_scalene_word(template, ell))[0] for ell in (0, 1))
 
 
+def _sums_to_one(values):
+    """Is x + y + z exactly 1?  Three values from more than one quadratic
+    field never are: some field then holds just one of them, irrational,
+    and 1, sqrt(d) over distinct squarefree d are linearly independent."""
+    if len({v.d for v in values if v.b}) > 1:
+        return False
+    return sum(values[1:], values[0]) == 1
+
+
 def scalene_family(ell):
     """The sporadic scalene family: exact x+y+z=1 with x, y, z all distinct."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     cfs = [_scalene_word(t, ell) for t in _SCALENE]
     vals = [w.value() for w in cfs]
-    if sum(vals[1:], vals[0]) != 1:
+    if not _sums_to_one(vals):
         raise AssertionError("scalene family sum failed — transcription bug")
     order = sorted(range(3), key=lambda i: vals[i])
     if vals[order[0]] == vals[order[1]] or vals[order[1]] == vals[order[2]]:
@@ -726,7 +735,7 @@ def scalene_sweep(l_max):
     for ell in range(l_max + 1):
         vx, vy, vz = (word_map(suffix, t, prefixes[head, block])
                       for (head, block, suffix, _), t in zip(_SCALENE, tails))
-        ok = in_b2[ell > 0] and vx + vy + vz == 1 and len({vx, vy, vz}) == 3
+        ok = in_b2[ell > 0] and _sums_to_one((vx, vy, vz)) and len({vx, vy, vz}) == 3
         out.append(((vx, vy, vz), ok))
         prefixes = {(head, block): convergents(block, m)
                     for (head, block), m in prefixes.items()}

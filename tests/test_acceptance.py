@@ -226,7 +226,7 @@ def test_c09_epsilon_rule_windows():
         gifs = build_gifs(PRESETS[name])
         for eps in (0.2, 0.08, 0.04, 0.02):
             patch = epsilon_rule(1, eps, gifs)
-            areas = patch.areas()
+            areas = (patch.tiles["scale"] ** 2).tolist()
             n = len(areas)
             ok &= min(areas) >= patch.gifs.a_min - 1e-12
             ok &= max(areas) <= 1 + 1e-12

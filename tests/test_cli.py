@@ -118,6 +118,15 @@ def test_a_wrong_scalene_template_prints_fail_lines(capsys, monkeypatch, i, part
     ]
 
 
+def test_scalene_values_from_two_fields_print_fail_lines(capsys, monkeypatch):
+    # z's tail [per(2)] lies in Q(sqrt 2), x's and y's [per(1,2)] in Q(sqrt 3)
+    x, y, (head, block, suffix, _) = theorems._SCALENE
+    monkeypatch.setattr(theorems, "_SCALENE", (x, y, (head, block, suffix, (2,))))
+    code, out, err = run(capsys, "verify", "family", "--l-max", "1")
+    assert code == 1 and err == ""
+    assert out.splitlines()[3:] == ["FAIL scalene l=0", "FAIL scalene l=1"]
+
+
 def test_verify_search(capsys):
     code, out, _ = run(capsys, "verify", "search", "--depth", "6")
     assert code == 0
@@ -208,10 +217,6 @@ def test_tile_and_analyze(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "discrepancy", "--in", str(patch_file))
     assert code == 0
     assert json.loads(out)["N"] == len(doc["tiles"])
-
-    code, out, _ = run(capsys, "analyze", "cfdist", "--in", str(patch_file))
-    assert code == 0
-    assert json.loads(out)["ok"]
 
 
 def test_tile_deterministic(tmp_path, capsys):
@@ -361,16 +366,6 @@ def test_preset_names_match_gifs():
     assert PRESET_NAMES == tuple(sorted(PRESETS))
 
 
-@pytest.mark.parametrize("what", ["cfdist", "delone"])
-@pytest.mark.parametrize("radii", ["nan", "5,inf", "inf"])
-def test_analyze_rejects_non_finite_radii(tmp_path, capsys, what, radii):
-    patch_file = tmp_path / "p.json"
-    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.2", "--out", str(patch_file))
-    code, out, err = run(capsys, "analyze", what, "--in", str(patch_file), "--radii", radii)
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
-
-
 def test_export_draws_each_patch_with_its_own_system(tmp_path, capsys):
     docs = []
     for name in ("optimal1", "optimal2"):
@@ -430,6 +425,16 @@ def test_unknown_flag_exits_nonzero():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["cfdist"], ["discrepancy", "--radii", "5,10"]])
+def test_analyze_offers_delone_and_discrepancy_only(tmp_path, capsys, argv):
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.2", "--out", str(patch_file))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *argv, "--in", str(patch_file)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+
+
 @pytest.mark.parametrize("doc", [
     {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1},  # no tiles
     [{"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1}],
@@ -485,7 +490,7 @@ def test_deeply_nested_patch_file_is_rejected(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "cfdist"],
+    ["analyze", "discrepancy"],
     ["export", "--csv", "{tmp}/p.csv"],
 ])
 def test_empty_patch_is_rejected(tmp_path, capsys, argv):
@@ -499,7 +504,7 @@ def test_empty_patch_is_rejected(tmp_path, capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("what", ["cfdist", "delone"])
+@pytest.mark.parametrize("what", ["discrepancy", "delone"])
 @pytest.mark.parametrize("tile, field, value", [
     (0, "scale", 1e308),  # finite vertices, whose squared distances overflow
     (5, "scale", sys.float_info.max),  # vertices past the float range
@@ -529,7 +534,7 @@ def test_one_patch_list_keeps_its_shape(tmp_path, capsys):
     assert code == 0
     assert copy.read_bytes() == listed.read_bytes()
     single.write_text(json.dumps(json.loads(listed.read_text())[0]))
-    for what in ("delone", "cfdist", "discrepancy"):
+    for what in ("delone", "discrepancy"):
         _, out, _ = run(capsys, "analyze", what, "--in", str(listed))
         _, one, _ = run(capsys, "analyze", what, "--in", str(single))
         assert json.loads(out) == [json.loads(one)]

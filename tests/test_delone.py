@@ -19,7 +19,6 @@ from badtri.delone import (
     delone_radii,
     orientation_discrepancy,
     patch_region,
-    restricted_convergence_check,
     star_discrepancy,
     star_discrepancy_brute,
 )
@@ -268,11 +267,8 @@ def test_cf_distance_closed_form_properties(a, b):
 
 @given(point_sets, st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4, unique=True))
 def test_cf_distance_restriction_bound(a, radii):
-    radii.sort()
     for radius in radii:
         assert chabauty_fell_distance(a, a.restrict(radius)) <= 1.0 / radius
-    # so restricted_convergence_check's ok holds for every finite set
-    assert restricted_convergence_check(a, radii)["ok"]
 
 
 def test_cf_predicate_monotone():
@@ -287,27 +283,6 @@ def test_cf_predicate_monotone():
         vals = [_cf_predicate(a, an, b, bn, e) for e in grid]
         first = vals.index(True) if True in vals else len(vals)
         assert all(vals[first:])
-
-
-def test_restricted_convergence():
-    rng = random.Random(5)
-    ps = PointSet(random_points(rng, 20, span=3.0))
-    rep = restricted_convergence_check(ps, [5.0, 10.0, 20.0])
-    assert rep["ok"]
-    assert rep["distances"][0] <= 1e-6  # radius already covers every point
-    with pytest.raises(ValueError):
-        restricted_convergence_check(ps, [10.0, 5.0])
-    tiny = restricted_convergence_check(ps, [0.001, 50.0])
-    assert tiny["ok"] and tiny["distances"][0] <= 1.0
-
-
-def test_restricted_convergence_on_patch():
-    g = build_gifs(PRESETS["optimal1"])
-    p = epsilon_rule(1, 0.02, g)
-    ps = PointSet(p.points)
-    rep = restricted_convergence_check(ps, [5.0, 10.0, 20.0])
-    assert rep["ok"]
-    assert all(d <= b for d, b in zip(rep["distances"], rep["bounds"]))
 
 
 def test_star_discrepancy_examples():
@@ -377,7 +352,10 @@ def test_analysis_report_shape():
         "r_certified", "R_certified", "r", "R", "cf_distances", "discrepancy",
     }
     assert rep["discrepancy"]["N"] == len(p.tiles)
-    assert all(0 <= d <= 1 for d in rep["cf_distances"])
+    # the distances from the patch to its cuts to B(0, 5), B(0, 10), B(0, 20)
+    ps = PointSet(p.points)
+    assert rep["cf_distances"] == [chabauty_fell_distance(ps, ps.restrict(r)) for r in (5, 10, 20)]
+    assert all(0 <= d <= 1 / r for d, r in zip(rep["cf_distances"], (5, 10, 20)))
 
 
 def test_pointset_duplicates_are_equal_rows():

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from badtri.cli import export_svg
 from badtri.delone import analysis_report, orientation_discrepancy
 from badtri.gifs import (
-    _DOC_COLUMNS,
     _IDENTITY,
+    _TILE,
     _gifs_of,
     POSE_TOL,
     PRESETS,
@@ -326,7 +326,7 @@ def test_orientation_additivity():
 def test_epsilon_rule_windows(eps):
     g = build_gifs(PRESETS["optimal1"])
     p = epsilon_rule(1, eps, g)
-    areas = p.areas()
+    areas = (p.tiles["scale"] ** 2).tolist()
     assert min(areas) >= p.gifs.a_min - 1e-12
     assert max(areas) <= 1 + 1e-12
     n = len(p.tiles)
@@ -461,7 +461,7 @@ def test_recurrence_orientation_wraps_at_zero():
     p = stationary_sequence(g, 1)[1]
 
     def single(rotation):
-        return Patch(1.0, g, _alter(p.tiles, 0, g, rotation=rotation)[:1], p.area_classes)
+        return Patch(1.0, g, _alter(p.tiles, 0, g, rotation=rotation)[:1])
 
     below, above = single(2 * math.pi - TOL / 4), single(TOL / 4)
     assert recurs_in(below, above) == [True]
@@ -558,23 +558,28 @@ _POSE = ("reflect", "scale", "rotation", "tx", "ty")
 
 
 def _rows(patch):
-    """(kind, depth, exact area, reflect, scale, rotation, tx, ty) per tile,
-    read from the patch's columns."""
+    """(kind, depth, reflect, scale, rotation, tx, ty) per tile, read from the
+    patch's columns."""
     t = patch.tiles
-    area = [patch.area_classes[c] for c in t["cls"].tolist()]
-    return zip(t["kind"].tolist(), t["depth"].tolist(), area, *(t[f].tolist() for f in _POSE))
+    return zip(t["kind"].tolist(), t["depth"].tolist(), *(t[f].tolist() for f in _POSE))
 
 
 def _reference_rows(tiles):
     """The same rows from per-tile TileInstances."""
-    return [
-        (t.kind, t.depth, t.area, *(getattr(t.transform, f) for f in _POSE)) for t in tiles
-    ]
+    return [(t.kind, t.depth, *(getattr(t.transform, f) for f in _POSE)) for t in tiles]
 
 
 def _bits(rows):
     # float.hex tells -0.0 from 0.0, which == does not
-    return [(k, d, a, type(f), f, *map(float.hex, xs)) for k, d, a, f, *xs in rows]
+    return [(k, d, type(f), f, *map(float.hex, xs)) for k, d, f, *xs in rows]
+
+
+def _matches_reference(patch, tiles):
+    """The patch's rows are the reference's bit for bit, and each tile's
+    float area, scale squared, is the reference's exact area."""
+    exact = np.array([float(t.area) for t in tiles])
+    return (_bits(_rows(patch)) == _bits(_reference_rows(tiles))
+            and np.allclose(patch.tiles["scale"] ** 2, exact, rtol=1e-12, atol=0))
 
 
 SYSTEMS = {**PRESETS, "angles": Angles(0.8, 1.1, 1.2415926535897931)}
@@ -585,16 +590,14 @@ SYSTEMS = {**PRESETS, "angles": Angles(0.8, 1.1, 1.2415926535897931)}
 @pytest.mark.parametrize("eps", [0.2, 0.02, 0.003])
 def test_level_subdivision_matches_depth_first(name, start, eps):
     g = build_gifs(SYSTEMS[name])
-    assert _bits(_rows(epsilon_rule(start, eps, g))) == _bits(
-        _reference_rows(_dfs_epsilon_tiles(g, start, eps))
-    )
+    assert _matches_reference(epsilon_rule(start, eps, g), _dfs_epsilon_tiles(g, start, eps))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_stationary_levels_match_depth_first(name):
     g = build_gifs(SYSTEMS[name])
-    got = [_bits(_rows(p)) for p in stationary_sequence(g, 4)]
-    assert got == [_bits(_reference_rows(tiles)) for tiles in _dfs_stationary_tiles(g, 4)]
+    seq = stationary_sequence(g, 4)
+    assert all(map(_matches_reference, seq, _dfs_stationary_tiles(g, 4)))
 
 
 def test_patch_to_json_matches_json_dumps():
@@ -777,7 +780,7 @@ def test_patch_from_doc_names_the_smallest_broken_tile(patch_document, data):
     assert str(refused.value).startswith(f"tile {first} {errors[first]}")
     # the unbroken document still loads to the patch's own records
     back = patch_from_doc(doc)
-    assert all(np.array_equal(back.tiles[f], p.tiles[f]) for f in _DOC_COLUMNS)
+    assert all(np.array_equal(back.tiles[f], p.tiles[f]) for f in _TILE.names)
 
 
 @pytest.mark.parametrize("which", ["epsilon", "stationary"])
@@ -789,12 +792,20 @@ def test_patch_json_round_trip_keeps_every_tile_field(which):
     def fields(patch):
         return {
             f: [float.hex(v) if type(v) is float else (type(v), v) for v in patch.tiles[f].tolist()]
-            for f in _DOC_COLUMNS
+            for f in _TILE.names
         }
 
     assert fields(back) == fields(p)
-    # the loader's area classes are the squared scales
-    assert back.areas() == [float(Fraction(m) ** 2) for m in p.tiles["scale"].tolist()]
+    assert back == p and hash(back) == hash(p)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_reloaded_patch_equals_the_original(name):
+    g = build_gifs(PRESETS[name])
+    for p in (epsilon_rule(1, 0.003, g), *stationary_sequence(g, 5)):
+        back = patch_from_doc(json.loads(patch_to_json(p)))
+        assert back == p
+        assert hash(back) == hash(p)
 
 
 def test_patch_paths_build_no_per_tile_objects(monkeypatch):

@@ -667,6 +667,18 @@ def test_scalene_sweep_checks_distinctness(monkeypatch):
     assert [ok for _, ok in sweep] == [False] * 4
 
 
+@pytest.mark.parametrize("word", [0, 1, 2])
+def test_scalene_family_refuses_values_from_two_fields(monkeypatch, word):
+    # one word's tail [per(2)] lies in Q(sqrt 2), the others' [per(1,2)] in Q(sqrt 3)
+    templates = list(theorems._SCALENE)
+    head, block, suffix, _ = templates[word]
+    templates[word] = (head, block, suffix, (2,))
+    monkeypatch.setattr(theorems, "_SCALENE", tuple(templates))
+    with pytest.raises(AssertionError, match="sum failed"):
+        theorems.scalene_family(0)
+    assert [ok for _, ok in scalene_sweep(2)] == [False] * 3
+
+
 # ------------------------------------------------------------------- search
 
 
