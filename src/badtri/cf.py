@@ -8,6 +8,7 @@ so every operation in this module is exact.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ __all__ = [
     "Cylinder",
     "convergents",
     "word_map",
+    "word_range",
     "expand_quadratic",
     "gauss_map",
     "one_minus",
@@ -169,7 +171,12 @@ def word_map(word, t, start=(1, 0, 0, 1)):
     prefix's convergent tuple, as in `convergents`; the value is then
     [prefix, word, t].
     """
-    p1, q1, p, q = convergents(word, start)
+    return _mobius(convergents(word, start), t)
+
+
+def _mobius(m, t):
+    """t under the Mobius map of the convergent tuple m, as in word_map."""
+    p1, q1, p, q = m
     if isinstance(t, QuadRat):
         a, b, c, r = t.a, t.b, t.c, t.d
         big_a, big_b = p1 * a + p * c, p1 * b
@@ -181,6 +188,18 @@ def word_map(word, t, start=(1, 0, 0, 1)):
                             big_b * big_c - big_a * big_e, norm, r)
     n, d = t.numerator, t.denominator
     return Fraction(p1 * n + p * d, q1 * n + q * d)
+
+
+def word_range(word, lo_tail, hi_tail, start=(1, 0, 0, 1)):
+    """(lo, hi): the closed range of [start, word, t] for t in [lo_tail, hi_tail].
+
+    For t >= 0 the Mobius map of the convergent matrix (P', Q', P, Q) is
+    monotone, increasing iff P' Q - P Q' > 0, so that sign orders the two
+    tails' images.  `start` is a prefix's convergent tuple, as in `convergents`.
+    """
+    m = convergents(word, start)
+    ends = _mobius(m, lo_tail), _mobius(m, hi_tail)
+    return ends if m[0] * m[3] > m[2] * m[1] else ends[::-1]
 
 
 class Cylinder:
@@ -222,9 +241,7 @@ class Cylinder:
 
     def hull(self):
         """Closed hull (lo, hi) — what downstream containment checks use."""
-        value = Fraction(self.p, self.q)
-        mediant = Fraction(self.p + self.p1, self.q + self.q1)
-        return (mediant, value) if self.closed_end == "lo" else (value, mediant)
+        return word_range((), 0, 1, (self.p1, self.q1, self.p, self.q))
 
     def __contains__(self, x):
         lo, hi = self.lo, self.hi
@@ -373,17 +390,19 @@ def expand_real(value, err=None, terms=64):
     """Certified CF digits of a real given with an explicit error bound.
 
     `value` is a decimal string or Fraction; `err` a Fraction (defaults to
-    one ulp of the decimal string).  Digits are emitted only while both
-    endpoints of [value-err, value+err] agree on floor(1/x).  When the
-    interval instead brackets a rational boundary 1/n, that digit is
-    emitted once and the result is flagged `terminated`: the expansion is
-    exact iff the input was exactly that rational.
+    one unit in the decimal string's last place, exponent included).  Digits
+    are emitted only while both endpoints of [value-err, value+err] agree on
+    floor(1/x).  When the interval instead brackets a rational boundary 1/n,
+    that digit is emitted once and the result is flagged `terminated`: the
+    expansion is exact iff the input was exactly that rational.
     """
     if isinstance(value, str):
         v = Fraction(value)
         if err is None:
-            frac_part = value.split(".")[1] if "." in value else ""
-            err = Fraction(1, 10 ** len(frac_part))
+            try:
+                err = Fraction(10) ** decimal.Decimal(value).as_tuple().exponent
+            except decimal.InvalidOperation:
+                raise ValueError(f"{value!r} has no last decimal place; give err") from None
     else:
         v = Fraction(value)
         if err is None:

@@ -15,6 +15,7 @@ from .theorems import (
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
     MAIN_SOLUTIONS,
+    _sum_verdict,
     check_sum,
     extra_identity,
     insertion,
@@ -163,20 +164,19 @@ def _word_text(cf):
 
 
 def cmd_verify_main(args):
-    """Exact relation, CF round-trip and B_2 class for each solution triple."""
+    """Exact relation, ordering, CF round-trip and B_2 class for each triple."""
     failures = 0
     for triple in args.triples:
-        x, y, z = triple.values()
-        exact = x + y + z == 1 if args.relation == "sum_is_one" else x + y == z
+        exact, ordered, classes = _sum_verdict(triple, args.relation, b=2)
         roundtrip = all(
             expand_quadratic(w.value()).canonical() == w.canonical()
             for w in (triple.x, triple.y, triple.z)
         )
-        classes = check_sum(triple, args.relation, b=2)
-        ok = exact and roundtrip and classes
+        ok = exact and ordered and roundtrip and classes
         failures += not ok
+        order = "" if ordered or not exact else " ordered=False"
         words = ", ".join(_word_text(w) for w in (triple.x, triple.y, triple.z))
-        print(f"{'PASS' if ok else 'FAIL'} {args.label} exact={exact} "
+        print(f"{'PASS' if ok else 'FAIL'} {args.label} exact={exact}{order} "
               f"roundtrip={roundtrip} class_B2={classes}  {words}")
     return 1 if failures else 0
 
@@ -411,14 +411,15 @@ def cmd_export(args):
     patches, listed = _load_patches(args.infile)
     if not (args.svg or args.json_out or args.csv):
         raise ValueError("choose at least one of --svg/--json/--csv")
+    # every request is checked against the file's shape before any write
+    if args.csv and len(patches) > 1:
+        raise ValueError("csv export takes a single-patch file")
     if args.json_out:
         text = patch_to_json(patches if listed else patches[0])
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
         print(f"json -> {args.json_out}")
     if args.csv:
-        if len(patches) > 1:
-            raise ValueError("csv export takes a single-patch file")
         with open(args.csv, "w") as fh:
             fh.write(export_csv(patches[0]))
         print(f"csv -> {args.csv}")

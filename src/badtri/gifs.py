@@ -643,8 +643,10 @@ def stationary_nesting_ok(patches):
 
 
 def orientation_angles(patch):
-    """(rotation mod 2*pi, reflection parity) per tile, in patch order."""
-    return list(zip((patch.tiles["rotation"] % _TWO_PI).tolist(), patch.tiles["reflect"].tolist()))
+    """(rotation mod 2*pi, reflection parity) per tile, in patch order; a
+    rotation just below 0 rounds to 2*pi under the mod, and wraps to 0."""
+    rot = patch.tiles["rotation"] % _TWO_PI
+    return list(zip(np.where(rot < _TWO_PI, rot, 0.0).tolist(), patch.tiles["reflect"].tolist()))
 
 
 def patch_doc(patch):

@@ -12,8 +12,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import Cylinder, PeriodicCF, bad_class, convergents, in_bad_class, word_map
-from .quadfield import QuadRat, sqrt2, sqrt3
+from .cf import (Cylinder, PeriodicCF, bad_class, convergents, in_bad_class, word_map,
+                 word_range)
+from .quadfield import QuadRat, sqrt2
 
 __all__ = [
     "ForbiddenPattern",
@@ -66,10 +67,7 @@ def forbidden_interval(form, k, ell, s):
     # both endpoint words continue the (2)^run prefix
     twos = _twos(2 * k - 1 if form == 1 else 2 * k)
     _, _, p, q = convergents((2, 1) * ell + (s,), twos)
-    plain, deep = Fraction(twos[2], twos[3]), Fraction(p, q)
-    r1, r2 = (deep, plain) if form == 1 else (plain, deep)
-    if not r1 < r2:
-        raise AssertionError("pattern endpoints out of order")
+    r1, r2 = sorted((Fraction(twos[2], twos[3]), Fraction(p, q)))
     return ForbiddenPattern(form, k, ell, s, r1, r2)
 
 
@@ -87,6 +85,7 @@ def excludes_b2(lo, hi, depth=30):
     the interval); cylinders disjoint from [lo, hi] are pruned; straddling
     cylinders are split.  A cylinder that still straddles [lo, hi] at the
     depth cap, however thin the overlap, makes the verdict `inconclusive`.
+    Nodes are (word, convergent matrix) pairs, from the empty word's (0, 1).
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 < lo < hi < 1:
@@ -99,9 +98,9 @@ def excludes_b2(lo, hi, depth=30):
 
     inconclusive = False
 
-    def visit(word):
+    def visit(word, m):
         nonlocal inconclusive
-        clo, chi = Cylinder(word).hull()
+        clo, chi = word_range((), 0, 1, m)
         if chi < lo or hi < clo:
             return None
         if lo <= clo and chi <= hi:
@@ -110,15 +109,14 @@ def excludes_b2(lo, hi, depth=30):
             inconclusive = True
             return None
         for b in (1, 2):
-            w = visit(word + (b,))
+            w = visit(word + (b,), convergents((b,), m))
             if w is not None:
                 return w
         return None
 
-    for first in ((1,), (2,)):
-        w = visit(first)
-        if w is not None:
-            return ExclusionResult("found-witness", w)
+    w = visit((), (1, 0, 0, 1))
+    if w is not None:
+        return ExclusionResult("found-witness", w)
     if inconclusive:
         return ExclusionResult("inconclusive")
     return ExclusionResult("certified-empty")
@@ -219,13 +217,12 @@ def _endpoint_value(suffix, n):
 def _cylinder_hull(suffix, n):
     """Cylinder((3,) + (2,) * n + suffix).hull(), from the (2)^(n+1) prefix.
 
-    [3, w] = [2, w] / (1 + [2, w]), so the word's convergents are
-    (P', Q', P, Q) = (p1, p1 + q1, p, p + q) for those (p1, q1, p, q) of
-    (2)^(n+1) + suffix, a word of the same length.
+    [3, w] = [2, w] / (1 + [2, w]), so (3,) + (2,) * n has the convergents
+    (p1, p1 + q1, p, p + q) of (2)^(n+1)'s (p1, q1, p, q), a linear map
+    that commutes with continuing the word.
     """
-    p1, q1, p, q = convergents(suffix, _twos(n + 1))
-    value, mediant = Fraction(p, p + q), Fraction(p + p1, p + q + p1 + q1)
-    return (mediant, value) if (n + 1 + len(suffix)) % 2 else (value, mediant)
+    p1, q1, p, q = _twos(n + 1)
+    return word_range(suffix, 0, 1, (p1, p1 + q1, p, p + q))
 
 
 def _sum_minus_one(u, v, w):
@@ -411,6 +408,28 @@ B22_SOLUTIONS = (
 )
 
 
+def _relation_holds(relation, values):
+    """Is x + y + z = 1 (or x + y = z) exact?  Values from two quadratic
+    fields never are: one field then holds just one of them, irrational,
+    and 1, sqrt(d) over distinct squarefree d are linearly independent."""
+    if len({v.d for v in values if v.b}) > 1:
+        return False
+    vx, vy, vz = values
+    return vx + vy + vz == 1 if relation == "sum_is_one" else vx + vy == vz
+
+
+def _sum_verdict(triple, relation, b=2, j=None):
+    """check_sum's (exact, ordered, classes); only exact values are ordered."""
+    if relation not in ("sum_is_one", "x_plus_y_is_z"):
+        raise ValueError(f"unknown relation {relation!r}")
+    vx, vy, vz = values = triple.values()
+    exact = _relation_holds(relation, values)
+    ordered = exact and vx <= vy and (relation == "x_plus_y_is_z" or vy <= vz)
+    classes = all(bad_class(w)[0] <= b if j is None else in_bad_class(w, b, j)
+                  for w in (triple.x, triple.y, triple.z))
+    return exact, ordered, classes
+
+
 def check_sum(triple, relation, b=2, j=None):
     """Exact relation + ordering + digit-class check for a solution triple.
 
@@ -419,22 +438,7 @@ def check_sum(triple, relation, b=2, j=None):
     bound b (membership in B_b for some finite j); pass j to demand the
     sharper class B_{b,j}.
     """
-    vx, vy, vz = triple.values()
-    if relation == "sum_is_one":
-        if vx + vy + vz != 1:
-            return False
-        ordered = (vy - vx).sign() >= 0 and (vz - vy).sign() >= 0
-    elif relation == "x_plus_y_is_z":
-        if vx + vy != vz:
-            return False
-        ordered = (vy - vx).sign() >= 0
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    if j is None:
-        classes_ok = all(bad_class(w)[0] <= b for w in (triple.x, triple.y, triple.z))
-    else:
-        classes_ok = all(in_bad_class(w, b, j) for w in (triple.x, triple.y, triple.z))
-    return ordered and classes_ok
+    return all(_sum_verdict(triple, relation, b, j))
 
 
 # --------------------------------------------------------------- insertions
@@ -692,22 +696,13 @@ def _scalene_classes(template):
     return tuple(bad_class(_scalene_word(template, ell))[0] for ell in (0, 1))
 
 
-def _sums_to_one(values):
-    """Is x + y + z exactly 1?  Three values from more than one quadratic
-    field never are: some field then holds just one of them, irrational,
-    and 1, sqrt(d) over distinct squarefree d are linearly independent."""
-    if len({v.d for v in values if v.b}) > 1:
-        return False
-    return sum(values[1:], values[0]) == 1
-
-
 def scalene_family(ell):
     """The sporadic scalene family: exact x+y+z=1 with x, y, z all distinct."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     cfs = [_scalene_word(t, ell) for t in _SCALENE]
     vals = [w.value() for w in cfs]
-    if not _sums_to_one(vals):
+    if not _relation_holds("sum_is_one", vals):
         raise AssertionError("scalene family sum failed — transcription bug")
     order = sorted(range(3), key=lambda i: vals[i])
     if vals[order[0]] == vals[order[1]] or vals[order[1]] == vals[order[2]]:
@@ -733,10 +728,10 @@ def scalene_sweep(l_max):
     prefixes = {(head, block): convergents(head) for head, block, _, _ in _SCALENE}
     out = []
     for ell in range(l_max + 1):
-        vx, vy, vz = (word_map(suffix, t, prefixes[head, block])
-                      for (head, block, suffix, _), t in zip(_SCALENE, tails))
-        ok = in_b2[ell > 0] and _sums_to_one((vx, vy, vz)) and len({vx, vy, vz}) == 3
-        out.append(((vx, vy, vz), ok))
+        values = tuple(word_map(suffix, t, prefixes[head, block])
+                       for (head, block, suffix, _), t in zip(_SCALENE, tails))
+        ok = in_b2[ell > 0] and _relation_holds("sum_is_one", values) and len(set(values)) == 3
+        out.append((values, ok))
         prefixes = {(head, block): convergents(block, m)
                     for (head, block), m in prefixes.items()}
     return out
@@ -745,35 +740,19 @@ def scalene_sweep(l_max):
 # ------------------------------------------------------------------- search
 
 
-def _word_hull(word):
-    if not word:
-        return Fraction(0), Fraction(1)
-    return Cylinder(word).hull()
-
-
 # [per(2,1)] and [per(1,2)], the least and greatest tails with digits <= 2
-_TAIL_LO = (sqrt3() - 1) / 2
-_TAIL_HI = sqrt3() - 1
+_TAIL_LO = PeriodicCF((), (2, 1)).value()
+_TAIL_HI = PeriodicCF((), (1, 2)).value()
 
 
-def _constrained_hull(word, first_digit_max, cache):
-    """(lo, hi, hi - lo): the closed range of [word ++ tail], and its width.
-
-    The tails have digits <= 2, and the range is exact.  The extreme tails
-    alternate, so the endpoints are the images of [per(2,1)] and
-    [per(1,2)] under the word's Mobius map — quadratic numbers in
-    Q(sqrt 3), attained by genuine digit-bounded extensions.
-    """
-    cached = cache.get(word)
-    if cached is not None:
-        return cached
-    if not word:
-        lo, hi = word_map((first_digit_max,), _TAIL_HI), word_map((1,), _TAIL_LO)
-    else:  # the word's map is increasing iff the word has even length
-        ends = word_map(word, _TAIL_LO), word_map(word, _TAIL_HI)
-        lo, hi = ends if len(word) % 2 == 0 else ends[::-1]
-    cached = cache[word] = (lo, hi, hi - lo)
-    return cached
+def _search_child(node, b):
+    """The search node one digit b further.  A node is (word, m, lo, hi,
+    hi - lo): a word, its convergent matrix, and the range and width of
+    [word, t] over the tails t from [per(2,1)] to [per(1,2)], in Q(sqrt 3)."""
+    word, m = node[:2]
+    m = convergents((b,), m)
+    lo, hi = word_range((), _TAIL_LO, _TAIL_HI, m)
+    return word + (b,), m, lo, hi, hi - lo
 
 
 def search_triples(relation, depth, first_digit_max=3):
@@ -794,13 +773,9 @@ def search_triples(relation, depth, first_digit_max=3):
     if relation not in ("sum_is_one", "x_plus_y_is_z"):
         raise ValueError(f"unknown relation {relation!r}")
     survivors = []
-    cache = {}
 
-    def hull(word):
-        return _constrained_hull(word, first_digit_max, cache)
-
-    def feasible(words):
-        (xl, xh, _), (yl, yh, _), (zl, zh, _) = (hull(w) for w in words)
+    def feasible(nodes):
+        (xl, xh), (yl, yh), (zl, zh) = (node[2:4] for node in nodes)
         if not xl <= yh:
             return False
         if relation == "sum_is_one":
@@ -810,26 +785,25 @@ def search_triples(relation, depth, first_digit_max=3):
             return (1 - s_lo).sign() >= 0 and (s_hi - 1).sign() >= 0
         return xl + yl <= zh and zl <= xh + yh
 
+    # the empty word's range: first digit 1..first_digit_max, then the tails
+    lo, hi = word_map((first_digit_max,), _TAIL_HI), word_map((1,), _TAIL_LO)
+    root = ((), (1, 0, 0, 1), lo, hi, hi - lo)
     # depth first, children in increasing digit order, on an explicit
     # stack: the search keeps no Python frame per digit
-    start = ((), (), ())
+    start = (root,) * 3
     stack = [start] if feasible(start) else []
     while stack:
-        words = stack.pop()
-        widths = [
-            (hull(w)[2], i)
-            for i, w in enumerate(words)
-            if len(w) < depth
-        ]
+        nodes = stack.pop()
+        widths = [(node[4], i) for i, node in enumerate(nodes) if len(node[0]) < depth]
         if not widths:
-            survivors.append(words)
+            survivors.append(tuple(node[0] for node in nodes))
             continue
         _, i = max(widths, key=lambda t: (t[0], -t[1]))
-        hi_digit = first_digit_max if not words[i] else 2
+        hi_digit = first_digit_max if not nodes[i][0] else 2
         children = []
         for b in range(1, hi_digit + 1):
-            new = list(words)
-            new[i] = words[i] + (b,)
+            new = list(nodes)
+            new[i] = _search_child(nodes[i], b)
             if feasible(new):
                 children.append(tuple(new))
         stack.extend(reversed(children))
@@ -838,5 +812,5 @@ def search_triples(relation, depth, first_digit_max=3):
 
 def word_contains(word, value):
     """Closed-hull membership of an exact value in a cylinder word."""
-    lo, hi = _word_hull(word)
+    lo, hi = word_range(word, 0, 1)
     return (value - lo).sign() >= 0 and (hi - value).sign() >= 0

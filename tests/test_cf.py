@@ -24,6 +24,7 @@ from badtri.cf import (
     one_minus,
     parse_cf,
     word_map,
+    word_range,
 )
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 
@@ -196,6 +197,51 @@ def test_cylinder_contains_expansion_prefix():
         word = w.digits_prefix(5)
         c = Cylinder(word)
         assert (v - c.lo).sign() >= 0 and (c.hi - v).sign() >= 0
+
+
+# --------------------------------------------------------------- word range
+
+_words = st.lists(st.integers(1, 6), max_size=8).map(tuple)
+_tails = st.fractions(min_value=0, max_value=5, max_denominator=10**6)
+
+
+@st.composite
+def _tail_pairs(draw):
+    """Two tails >= 0, the lesser first."""
+    return tuple(sorted((draw(_tails), draw(_tails))))
+
+
+@given(_words, _words, _tail_pairs())
+def test_word_range_orders_the_two_tails_images(prefix, word, tails):
+    start = convergents(prefix)
+    images = sorted(word_map(word, t, start) for t in tails)
+    assert word_range(word, *tails, start) == tuple(images)
+
+
+@given(_words, _words, _tail_pairs(), st.fractions(min_value=0, max_value=1))
+def test_word_range_holds_every_tail_between(prefix, word, tails, s):
+    start = convergents(prefix)
+    lo, hi = word_range(word, *tails, start)
+    t = tails[0] + s * (tails[1] - tails[0])
+    assert lo <= word_map(word, t, start) <= hi
+
+
+@given(_words.filter(bool))
+def test_word_range_over_zero_and_one_is_the_cylinder_hull(word):
+    assert word_range(word, 0, 1) == Cylinder(word).hull()
+
+
+@given(_words, st.integers(1, 6))
+def test_one_digit_step_continues_the_word(word, b):
+    assert convergents((b,), convergents(word)) == convergents(word + (b,))
+
+
+def test_word_range_of_the_empty_word_is_the_tails():
+    assert word_range((), 0, 1) == (0, 1)
+    lo, hi = PeriodicCF((), (2, 1)).value(), PeriodicCF((), (1, 2)).value()
+    assert word_range((), lo, hi) == (lo, hi)
+    # quadratic tails map through one digit's decreasing map
+    assert word_range((3,), lo, hi) == (word_map((3,), hi), word_map((3,), lo))
 
 
 # ----------------------------------------------------------------- compare

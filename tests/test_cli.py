@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import badtri.theorems as theorems
-from badtri.cli import PRESET_NAMES, main
+from badtri.cf import PeriodicCF
+from badtri.cli import PRESET_NAMES, _build_parser, cmd_verify_main, main
 from badtri.gifs import PRESETS
 
 
@@ -24,6 +25,10 @@ def test_verify_main(capsys):
     assert code == 0
     assert out.count("PASS") == 2
     assert "[3,per(1,2)]" in out and "[per(2,1)]" in out
+    assert out == (
+        "PASS sum=1 exact=True roundtrip=True class_B2=True  [3,per(1,2)], [per(2,1)], [per(2,1)]\n"
+        "PASS sum=1 exact=True roundtrip=True class_B2=True  [3,per(2)], [3,per(2)], [per(2)]\n"
+    )
 
 
 def test_verify_main2(capsys):
@@ -127,6 +132,43 @@ def test_scalene_values_from_two_fields_print_fail_lines(capsys, monkeypatch):
     assert out.splitlines()[3:] == ["FAIL scalene l=0", "FAIL scalene l=1"]
 
 
+def _verify_main_on(capsys, triples):
+    """cmd_verify_main on parsed `verify main` args carrying these triples;
+    the parser is cached, so its defaults cannot be patched."""
+    args = _build_parser().parse_args(["verify", "main"])
+    args.triples = triples
+    code = cmd_verify_main(args)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_verify_main_fails_values_from_two_fields(capsys):
+    # [3,per(2)] lies in Q(sqrt 2), [per(2,1)] and [per(1,2)] in Q(sqrt 3)
+    mixed = theorems.SolutionTriple(
+        PeriodicCF((3,), (2,)), PeriodicCF((), (2, 1)), PeriodicCF((), (1, 2)))
+    assert not theorems.check_sum(mixed, "sum_is_one")
+    code, out, err = _verify_main_on(capsys, (mixed,))
+    assert code == 1 and err == ""
+    assert out == ("FAIL sum=1 exact=False roundtrip=True class_B2=True  "
+                   "[3,per(2)], [per(2,1)], [per(1,2)]\n")
+
+
+def test_verify_main_prints_the_digit_class_alone(capsys):
+    # all three words are in B_2, though the sum is not 1
+    word = PeriodicCF((3,), (2,))
+    code, out, err = _verify_main_on(capsys, (theorems.SolutionTriple(word, word, word),))
+    assert code == 1 and err == ""
+    assert out == ("FAIL sum=1 exact=False roundtrip=True class_B2=True  "
+                   "[3,per(2)], [3,per(2)], [3,per(2)]\n")
+
+
+def test_verify_main_names_a_triple_out_of_order(capsys):
+    t = theorems.MAIN_SOLUTIONS[0]
+    code, out, _ = _verify_main_on(capsys, (theorems.SolutionTriple(t.z, t.y, t.x),))
+    assert code == 1
+    assert out.startswith("FAIL sum=1 exact=True ordered=False roundtrip=True class_B2=True ")
+
+
 def test_verify_search(capsys):
     code, out, _ = run(capsys, "verify", "search", "--depth", "6")
     assert code == 0
@@ -153,6 +195,20 @@ def test_cf_expand(capsys):
     code, out, _ = run(capsys, "cf", "expand", "0.4142135623730951")
     assert code == 0
     assert out.startswith("digits: [2, 2, 2, 2, 2")
+
+
+@pytest.mark.parametrize("spelled, plain", [
+    ("3.14159e-1", "0.314159"),
+    ("31.4159E-2", "0.314159"),
+    ("314159e-6", "0.314159"),
+    ("5E-1", "0.5"),
+    ("4.142135623730951e-1", "0.4142135623730951"),
+])
+def test_cf_expand_reads_the_error_from_the_exponent(capsys, spelled, plain):
+    # one unit in the last place of the decimal itself, not of its mantissa
+    expected = run(capsys, "cf", "expand", plain)
+    assert expected[0] == 0
+    assert run(capsys, "cf", "expand", spelled) == expected
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -219,6 +275,22 @@ def test_tile_and_analyze(tmp_path, capsys):
     assert json.loads(out)["N"] == len(doc["tiles"])
 
 
+@pytest.mark.parametrize("what", ["discrepancy", "delone"])
+def test_analyze_wraps_a_rotation_just_below_zero(tmp_path, capsys, what):
+    # -1e-17 mod 2*pi rounds to exactly 2*pi; as an angle it is 0
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.1", "--out", str(patch_file))
+    doc = json.loads(patch_file.read_text())
+    outs = []
+    for rotation in (-1e-17, 0.0):
+        doc["tiles"][0]["rotation"] = rotation
+        patch_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", what, "--in", str(patch_file))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_tile_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "tile", "--preset", "optimal2", "--epsilon", "0.1", "--out", str(a))
@@ -272,6 +344,17 @@ def test_export_counts_and_roundtrip(tmp_path, capsys):
     x0 = float(lines[1].split(",")[0])
     assert x0 == doc["points"][0][0]  # 17 significant digits round-trip
     assert js.read_bytes() == patch_file.read_bytes()
+
+
+def test_export_refuses_before_writing(tmp_path, capsys):
+    seq_file = tmp_path / "s.json"
+    run(capsys, "tile", "--preset", "optimal1", "--stationary", "1", "--out", str(seq_file))
+    out_json = tmp_path / "out.json"
+    code, out, err = run(capsys, "export", "--in", str(seq_file), "--json", str(out_json),
+                         "--csv", str(tmp_path / "pts.csv"))
+    assert code == 2 and out == ""
+    assert err == "error: csv export takes a single-patch file\n"
+    assert not out_json.exists() and not (tmp_path / "pts.csv").exists()
 
 
 def test_export_stationary_highlights(tmp_path, capsys):

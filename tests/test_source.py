@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,20 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_commands_parse():
+    # every `badtri ...` line of the README's command-line block names a
+    # command and flags the parser accepts, so a removed one cannot linger
+    from badtri.cli import _build_parser
+
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 15 and all(argv[0] == "badtri" for argv in commands)
+    for argv in commands:
+        assert hasattr(_build_parser().parse_args(argv[1:]), "func"), argv
 
 
 def _source_env():

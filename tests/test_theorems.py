@@ -109,6 +109,56 @@ def test_excludes_b2_inconclusive_then_witness():
     assert excludes_b2(rho - eps, rho + eps, 30).status == "found-witness"
 
 
+def _excludes_b2_by_cylinders(lo, hi, depth):
+    """excludes_b2's sweep, building Cylinder(word) at every node."""
+    inconclusive = False
+
+    def visit(word):
+        nonlocal inconclusive
+        clo, chi = Cylinder(word).hull()
+        if chi < lo or hi < clo:
+            return None
+        if lo <= clo and chi <= hi:
+            return word
+        if len(word) >= depth:
+            inconclusive = True
+            return None
+        for b in (1, 2):
+            w = visit(word + (b,))
+            if w is not None:
+                return w
+        return None
+
+    for first in ((1,), (2,)):
+        w = visit(first)
+        if w is not None:
+            return "found-witness", w
+    return ("inconclusive" if inconclusive else "certified-empty"), None
+
+
+@st.composite
+def _intervals(draw):
+    """0 < lo < hi < 1, often thin, and often about a number with digits 1
+    and 2: [word, t] for a {1,2}-word and a tail t in (0, 1)."""
+    lo = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999, 1000),
+                     max_denominator=10**9),
+        st.builds(word_map, st.lists(st.integers(1, 2), min_size=1, max_size=12).map(tuple),
+                  st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10),
+                               max_denominator=100)),
+    ))
+    width = draw(st.sampled_from([Fraction(1, 10**k) for k in (1, 3, 6, 9)]))
+    hi = min(lo + width * draw(st.fractions(min_value=Fraction(1, 100), max_value=1)),
+             Fraction(10**6 - 1, 10**6))
+    return lo, hi
+
+
+@given(_intervals(), st.integers(1, 14))
+def test_excludes_b2_matches_a_sweep_over_cylinders(interval, depth):
+    res = excludes_b2(*interval, depth)
+    assert (res.status, res.witness) == _excludes_b2_by_cylinders(*interval, depth)
+
+
 def test_excludes_b2_validates_input():
     with pytest.raises(ValueError):
         excludes_b2(Fraction(0), Fraction(1, 2), 10)
@@ -307,12 +357,13 @@ def test_check_sum_rejects_invented_triple():
         PeriodicCF((2,) * 6, (1, 2)),
     )
     assert not check_sum(unordered, "sum_is_one")
-    # mixed radicands cannot even be summed
-    mixed = SolutionTriple(
-        PeriodicCF((), (1, 2)), PeriodicCF((), (2, 1)), PeriodicCF((), (2,))
-    )
-    with pytest.raises(ValueError):
-        check_sum(mixed, "sum_is_one")
+    # values from two quadratic fields never satisfy either relation
+    for mixed in (
+        SolutionTriple(PeriodicCF((), (1, 2)), PeriodicCF((), (2, 1)), PeriodicCF((), (2,))),
+        SolutionTriple(PeriodicCF((3,), (2,)), PeriodicCF((), (2, 1)), PeriodicCF((3,), (2,))),
+    ):
+        assert not check_sum(mixed, "sum_is_one")
+        assert not check_sum(mixed, "x_plus_y_is_z")
 
 
 # --------------------------------------------------------------- insertions
@@ -781,6 +832,57 @@ _SURVIVORS_AT_16 = {
 def test_search_survivors_pinned_at_depth_16(relation, first_digit_max):
     survivors = search_triples(relation, 16, first_digit_max=first_digit_max)
     assert survivors == _SURVIVORS_AT_16[relation, first_digit_max]
+
+
+def _search_by_words(relation, depth, first_digit_max):
+    """search_triples with every word's range computed from the whole word
+    and kept in a dict keyed by the word, the parity of its length
+    deciding which tail gives the lower end."""
+    tail_lo, tail_hi = (sqrt3() - 1) / 2, sqrt3() - 1
+    cache = {}
+
+    def hull(word):
+        if word not in cache:
+            if not word:
+                lo, hi = word_map((first_digit_max,), tail_hi), word_map((1,), tail_lo)
+            else:
+                ends = word_map(word, tail_lo), word_map(word, tail_hi)
+                lo, hi = ends if len(word) % 2 == 0 else ends[::-1]
+            cache[word] = lo, hi, hi - lo
+        return cache[word]
+
+    def feasible(words):
+        (xl, xh, _), (yl, yh, _), (zl, zh, _) = (hull(w) for w in words)
+        if not xl <= yh:
+            return False
+        if relation == "sum_is_one":
+            return yl <= zh and xl + yl + zl <= 1 <= xh + yh + zh
+        return xl + yl <= zh and zl <= xh + yh
+
+    survivors = []
+    stack = [((), (), ())] if feasible(((), (), ())) else []
+    while stack:
+        words = stack.pop()
+        widths = [(hull(w)[2], i) for i, w in enumerate(words) if len(w) < depth]
+        if not widths:
+            survivors.append(words)
+            continue
+        _, i = max(widths, key=lambda t: (t[0], -t[1]))
+        children = []
+        for b in range(1, (first_digit_max if not words[i] else 2) + 1):
+            new = words[:i] + (words[i] + (b,),) + words[i + 1:]
+            if feasible(new):
+                children.append(new)
+        stack.extend(reversed(children))
+    return survivors
+
+
+@pytest.mark.parametrize("first_digit_max", [1, 2, 3])
+@pytest.mark.parametrize("relation", ["sum_is_one", "x_plus_y_is_z"])
+def test_search_matches_a_word_keyed_search(relation, first_digit_max):
+    for depth in range(11):
+        assert search_triples(relation, depth, first_digit_max) == _search_by_words(
+            relation, depth, first_digit_max)
 
 
 def test_search_rejects_bad_args():
