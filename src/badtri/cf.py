@@ -386,27 +386,27 @@ class ExpandResult:
     terminated: bool
 
 
+MAX_DECIMAL_DIGITS = 10_000  # digits, and exponent size, of a decimal expand_real reads
+
+
 def expand_real(value, err=None, terms=64):
     """Certified CF digits of a real given with an explicit error bound.
 
-    `value` is a decimal string or Fraction; `err` a Fraction (defaults to
-    one unit in the decimal string's last place, exponent included).  Digits
-    are emitted only while both endpoints of [value-err, value+err] agree on
-    floor(1/x).  When the interval instead brackets a rational boundary 1/n,
-    that digit is emitted once and the result is flagged `terminated`: the
-    expansion is exact iff the input was exactly that rational.
+    `value` and `err` are decimal or p/q text, or exact numbers.  `err`
+    defaults to one unit in a decimal's last place, exponent included, and
+    to 0 for p/q text, which is exact.  Digits are emitted only while both
+    endpoints of [value-err, value+err] agree on floor(1/x).  When the
+    interval instead brackets a rational boundary 1/n, that digit is
+    emitted once and the result is flagged `terminated`: the expansion is
+    exact iff the input was exactly that rational.
     """
-    if isinstance(value, str):
-        v = Fraction(value)
-        if err is None:
-            try:
-                err = Fraction(10) ** decimal.Decimal(value).as_tuple().exponent
-            except decimal.InvalidOperation:
-                raise ValueError(f"{value!r} has no last decimal place; give err") from None
-    else:
-        v = Fraction(value)
-        if err is None:
-            raise ValueError("an explicit error bound is required for non-string input")
+    v, default = _read_real(value) if isinstance(value, str) else (Fraction(value), None)
+    if isinstance(err, str):
+        err = _read_real(err)[0]
+    elif err is None:
+        err = default
+    if err is None:
+        raise ValueError("an explicit error bound is required for non-string input")
     if err < 0:
         raise ValueError(f"err must be >= 0, got {err}")
     if terms < 1:
@@ -437,21 +437,51 @@ def expand_real(value, err=None, terms=64):
     return ExpandResult(tuple(digits), len(digits), terminated)
 
 
+def _read_real(text):
+    """(value, default err) of decimal or p/q text.  A decimal is bounded
+    before any Fraction is built: 10**|exponent| alone can take seconds."""
+    num, slash, den = text.partition("/")
+    if slash:
+        p, q = _int(num, text), _int(den, text)
+        if q == 0:
+            raise ValueError(f"zero denominator in {_excerpt(text)}")
+        return Fraction(p, q), Fraction(0)
+    try:
+        d = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise ValueError(f"{_excerpt(text)} is neither decimal nor p/q text") from None
+    if not d.is_finite():
+        raise ValueError(f"{_excerpt(text)} is not a finite number")
+    _, digits, exponent = d.as_tuple()
+    if len(digits) > MAX_DECIMAL_DIGITS or abs(exponent) > MAX_DECIMAL_DIGITS:
+        raise ValueError(f"{_excerpt(text)} is past the bound of {MAX_DECIMAL_DIGITS} on a "
+                         "decimal's digit count and exponent size")
+    return Fraction(*d.as_integer_ratio()), Fraction(10) ** exponent
+
+
 MAX_WORD_DIGITS = 10**5  # digits a parse_cf repetition may expand the word to
 
 
-def _int(token):
-    """int(token); a token past Python's digit limit for int() is named."""
+def _excerpt(text):
+    """text quoted for an error message, cut after 30 characters."""
+    return repr(text) if len(text) <= 30 else repr(text[:30]) + "..."
+
+
+def _int(token, text):
+    """int(token) for an entry of `text`; an error names the text and the entry."""
     try:
         return int(token)
     except ValueError:
+        where = _excerpt(text)
+        if not token.strip():
+            raise ValueError(f"{where} has an empty entry") from None
         limit = sys.get_int_max_str_digits()
         if limit and len(token) > limit:
             raise ValueError(
-                f"token {token[:10]}... has {len(token)} characters, past Python's limit "
-                f"of {limit} digits for reading an int"
+                f"{where}: token {token[:10]}... has {len(token)} characters, past Python's "
+                f"limit of {limit} digits for reading an int"
             ) from None
-        raise
+        raise ValueError(f"{where}: entry {_excerpt(token)} is not an integer") from None
 
 
 def parse_cf(text):
@@ -497,12 +527,12 @@ def parse_cf(text):
         elif tok.startswith("per(") and tok.endswith(")"):
             if not last:
                 raise ValueError("per(...) must be the final token")
-            period = [_int(t) for t in tok[4:-1].split(",")]
+            period = [_int(t, text) for t in tok[4:-1].split(",")]
         elif tok.startswith("("):
             inner, _, exp = tok.partition("^")
             if not (inner.startswith("(") and inner.endswith(")")) or not exp:
                 raise ValueError(f"bad repetition token {tok!r}")
-            block, count = [_int(t) for t in inner[1:-1].split(",")], _int(exp)
+            block, count = [_int(t, text) for t in inner[1:-1].split(",")], _int(exp, text)
             if count < 0:
                 raise ValueError(f"negative repeat count in {tok!r}")
             if len(digits) + len(block) * count > MAX_WORD_DIGITS:
@@ -512,7 +542,7 @@ def parse_cf(text):
                 )
             digits.extend(block * count)
         else:
-            digits.append(_int(tok))
+            digits.append(_int(tok, text))
     if period is not None:
         return PeriodicCF(digits, period).canonical()
     if finite:

@@ -119,22 +119,8 @@ def _build_parser():
 # ------------------------------------------------------------------ cf
 
 
-def _fraction(text):
-    """Decimal or p/q text as a Fraction; a zero denominator is a ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def cmd_cf_expand(args):
-    err = None if args.err is None else _fraction(args.err)
-    if "/" in args.value:
-        # p/q text is exact; expand with a zero error bound
-        res = expand_real(_fraction(args.value), err=err or Fraction(0),
-                          terms=args.terms)
-    else:
-        res = expand_real(args.value, err=err, terms=args.terms)
+    res = expand_real(args.value, err=args.err, terms=args.terms)
     print("digits:", list(res.digits))
     print("certified:", res.certified)
     print("terminated:", res.terminated)

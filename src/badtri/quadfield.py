@@ -8,6 +8,7 @@ computations -- no floating point is ever consulted for a decision.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -243,7 +244,8 @@ class QuadRat:
         """Decimal string truncated (not rounded) to ``digits`` places.
 
         Computed from the integer square root of d * 10^(2*digits) * b^2,
-        so every printed digit is exact.
+        so every printed digit is exact.  `decimal` prints the places, past
+        Python's 4300-digit limit on converting an int to text.
         """
         if digits < 0 or digits > 10000:
             raise ValueError("digits out of range")
@@ -253,7 +255,7 @@ class QuadRat:
         shifted = QuadRat._new(self.a * scale, self.b * scale, self.c, self.d)
         n = shifted.floor()
         whole, frac = divmod(n, scale)
-        return f"{whole}.{frac:0{digits}d}" if digits else f"{whole}"
+        return f"{whole}.{decimal.Decimal(frac):0{digits}}" if digits else f"{whole}"
 
     # -- misc ----------------------------------------------------------------
 

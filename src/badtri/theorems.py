@@ -8,7 +8,6 @@ families, and an independent branch-and-bound search over digit cylinders.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,8 +63,12 @@ def forbidden_interval(form, k, ell, s):
         raise ValueError("form must be 1 or 2")
     if not all(isinstance(v, int) for v in (k, ell, s)) or k < 1 or ell < 0 or s < 3:
         raise ValueError("need integers k >= 1, ell >= 0, s >= 3")
-    # both endpoint words continue the (2)^run prefix
-    twos = _twos(2 * k - 1 if form == 1 else 2 * k)
+    return _pattern(form, k, ell, s, convergents((2,) * (2 * k - 1 if form == 1 else 2 * k)))
+
+
+def _pattern(form, k, ell, s, twos):
+    """The ForbiddenPattern whose endpoint words continue the (2)^run prefix
+    with convergent tuple `twos`."""
     _, _, p, q = convergents((2, 1) * ell + (s,), twos)
     r1, r2 = sorted((Fraction(twos[2], twos[3]), Fraction(p, q)))
     return ForbiddenPattern(form, k, ell, s, r1, r2)
@@ -171,12 +174,13 @@ def table_rows(parity):
     raise ValueError("parity must be 'even' or 'odd'")
 
 
-def _match_pattern(row, n):
+def _match_pattern(row, n, twos):
     """Check the row's endpoints instantiate a ForbiddenPattern at this n.
 
     The pattern's s-bearing word is the left endpoint on the even table
     (form 1, odd run length) and the right endpoint on the odd table
     (form 2, even run length); the other endpoint may carry any tail.
+    `twos` is the convergent tuple of the (2)^(n+1) prefix.
     """
     run = n + 1
     form = 1 if run % 2 == 1 else 2
@@ -190,39 +194,7 @@ def _match_pattern(row, n):
         raise AssertionError(f"row {row.id}: endpoint {s_suffix} lacks the s >= 3 digit")
     s = rest[0]
     k = (run + 1) // 2 if form == 1 else run // 2
-    return forbidden_interval(form, k, ell, s)
-
-
-@functools.lru_cache(maxsize=2)
-def _twos(m):
-    """convergents((2,) * m), one digit past _twos(m - 1).
-
-    A row value is read by (suffix, n) alone, so the rows at one n share
-    their (2)^(n+1) prefix through this cache.  verify_tables asks for
-    m = 1, 2, 3, ... in turn, so m - 1 is cached and each prefix costs one
-    digit step.  Every 64th prefix starts from the empty word, so a call
-    out of that order recurses at most 63 deep.
-    """
-    if m % 64 == 0:
-        return convergents((2,) * m)
-    return convergents((2,), _twos(m - 1))
-
-
-def _endpoint_value(suffix, n):
-    """[(2)^(n+1), suffix, inf]: one endpoint of a row's interval at n."""
-    _, _, p, q = convergents(suffix, _twos(n + 1))
-    return Fraction(p, q)
-
-
-def _cylinder_hull(suffix, n):
-    """Cylinder((3,) + (2,) * n + suffix).hull(), from the (2)^(n+1) prefix.
-
-    [3, w] = [2, w] / (1 + [2, w]), so (3,) + (2,) * n has the convergents
-    (p1, p1 + q1, p, p + q) of (2)^(n+1)'s (p1, q1, p, q), a linear map
-    that commutes with continuing the word.
-    """
-    p1, q1, p, q = _twos(n + 1)
-    return word_range(suffix, 0, 1, (p1, p1 + q1, p, p + q))
+    return _pattern(form, k, ell, s, twos)
 
 
 def _sum_minus_one(u, v, w):
@@ -236,17 +208,22 @@ def _sum_minus_one(u, v, w):
     return (u.numerator - ud) * vw + (v.numerator * wd + w.numerator * vd) * ud
 
 
-def _check_row(row, n):
-    """(left, right, pattern, ok) for one table row at one n; see verify_case_row."""
+def _check_row(row, n, twos, three):
+    """(left, right, pattern, ok) for one table row at one n; see verify_case_row.
+
+    `twos` and `three` are the convergent tuples of (2)^(n+1) and (3,(2)^n),
+    the prefixes of the row's endpoint words and of its X/Y words."""
     if n < 0 or n % 2 != (0 if row.parity == "even" else 1):
         raise ValueError(f"row {row.id} needs n = {row.parity}, got {n}")
-    left = _endpoint_value(row.left_suffix, n)
-    right = _endpoint_value(row.right_suffix, n)
-    pattern = _match_pattern(row, n)
+    _, _, p, q = convergents(row.left_suffix, twos)
+    left = Fraction(p, q)
+    _, _, p, q = convergents(row.right_suffix, twos)
+    right = Fraction(p, q)
+    pattern = _match_pattern(row, n, twos)
     ok = left < right and pattern.r1 <= left and right <= pattern.r2
     if ok:
-        hx = _cylinder_hull(row.x_suffix, n)
-        hy = _cylinder_hull(row.y_suffix, n)
+        hx = word_range(row.x_suffix, 0, 1, three)
+        hy = word_range(row.y_suffix, 0, 1, three)
         # left <= 1 - X - Y <= right over the hulls' closed ends
         ok = _sum_minus_one(left, hx[1], hy[1]) <= 0 <= _sum_minus_one(right, hx[0], hy[0])
     return left, right, pattern, ok
@@ -259,7 +236,7 @@ def verify_case_row(row, n):
     inside the row's endpoint interval, which itself must instantiate a
     forbidden pattern of the correct parity.
     """
-    return _check_row(row, n)[3]
+    return _check_row(row, n, convergents((2,) * (n + 1)), convergents((3,) + (2,) * n))[3]
 
 
 def case21_endpoints(n):
@@ -290,8 +267,8 @@ def verify_case21_symbolic(n):
     )
 
 
-def _row_entry(row, n):
-    left, right, pat, ok = _check_row(row, n)
+def _row_entry(row, n, twos, three):
+    left, right, pat, ok = _check_row(row, n, twos, three)
     return {
         "id": row.id,
         "parity": row.parity,
@@ -316,13 +293,16 @@ def verify_tables(n_max=20, exclusion_depth=30):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # n runs outermost, so every row at n continues the same (2)^(n+1)
-    # prefix, one digit past the last; the odd table starts at n = 1
+    # n runs outermost, so every row at n continues the same two prefixes,
+    # (2)^(n+1) and (3,(2)^n), each one digit past the last; the odd table
+    # starts at n = 1
     tables = [table_rows(parity) for parity in ("even", "odd")[: n_max + 1]]
     sweeps = [[[] for _ in table] for table in tables]
+    twos, three = convergents((2,)), convergents((3,))
     for n in range(n_max + 1):
         for row, pairs in zip(tables[n % 2], sweeps[n % 2]):
-            pairs.append(_row_entry(row, n))
+            pairs.append(_row_entry(row, n, twos, three))
+        twos, three = convergents((2,), twos), convergents((2,), three)
     rows = [pairs for sweep in sweeps for pairs in sweep]
     base = sorted({pairs[0][1] for pairs in rows})
     swept = {hull: excludes_b2(*hull, exclusion_depth) for hull in base}

@@ -333,6 +333,14 @@ def test_expand_real_certified_prefix_correct():
         expand_real("0.5", Fraction(1, 4))  # too coarse for even one digit
 
 
+def test_expand_real_reads_p_q_and_err_text():
+    # p/q text is exact, so its error bound defaults to 0; err may be text
+    exact = ExpandResult((1, 2, 2), 3, True)
+    assert expand_real("5/7") == expand_real(Fraction(5, 7), 0) == exact
+    assert expand_real("0.5", "1e-3") == expand_real("0.5", Fraction(1, 1000))
+    assert expand_real("0.25", "1/1000") == expand_real("0.25", Fraction(1, 1000))
+
+
 # ------------------------------------------------------------- text syntax
 
 

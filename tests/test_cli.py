@@ -1,17 +1,20 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import json
 import re
 import sys
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
 import badtri.theorems as theorems
-from badtri.cf import PeriodicCF
+from badtri.cf import MAX_DECIMAL_DIGITS, PeriodicCF
 from badtri.cli import PRESET_NAMES, _build_parser, cmd_verify_main, main
 from badtri.gifs import PRESETS
+from badtri.quadfield import sqrt2
 
 
 def run(capsys, *argv):
@@ -41,6 +44,19 @@ def test_verify_tables_small(capsys):
     code, out, _ = run(capsys, "verify", "tables", "--n-max", "2")
     assert code == 0
     assert "ok=True" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv, digest, code, lines", [
+    (["--n-max", "60", "--depth", "30"],
+     "76fb5f31a871d2258b57db43eb7740f974f3d0d522f27a61683fbf4901ad1828", 0, 1709),
+    # too shallow a sweep: some exclusions are inconclusive
+    (["--n-max", "10", "--depth", "5"],
+     "44e37e5acd28c93cd5f7648797752cb13b17189c4cc11caea659d8d1240533e1", 1, 309),
+])
+def test_verify_tables_output_bytes(capsys, argv, digest, code, lines):
+    got, out, _ = run(capsys, "verify", "tables", *argv)
+    assert (got, out.count("\n")) == (code, lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_identities(capsys):
@@ -183,9 +199,10 @@ def test_cf_eval(capsys):
 
 
 def test_cf_eval_malformed(capsys):
-    code, _, err = run(capsys, "cf", "eval", "[3,,]")
-    assert code == 2
-    assert "error:" in err
+    for word in ("[3,,]", "[2,,3,inf]", "[per()]", "[(2,)^3,inf]"):
+        code, _, err = run(capsys, "cf", "eval", word)
+        assert code == 2
+        assert err == f"error: {word!r} has an empty entry\n"
 
 
 def test_cf_expand(capsys):
@@ -231,6 +248,43 @@ def test_cf_expand_rejects_zero_denominator(capsys, argv):
     code, _, err = run(capsys, "cf", "expand", *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["3e-3000000"], "3e-3000000"),
+    (["0.5", "--err", "1e-3000000"], "1e-3000000"),
+    # one digit too many; the exponent alone is within the bound
+    (["1" * (MAX_DECIMAL_DIGITS + 1) + f"e-{MAX_DECIMAL_DIGITS}"], "1111111111"),
+])
+def test_cf_expand_bounds_a_decimal_before_reading_it(capsys, argv, text):
+    # 10**3000000 alone took seconds to build before the bound was checked
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cf", "expand", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: '{text}") and f"bound of {MAX_DECIMAL_DIGITS}" in err
+
+
+@pytest.mark.parametrize("argv", [["nan"], ["inf"], ["Infinity"], ["0.5", "--err", "nan"]])
+def test_cf_expand_refuses_non_finite_text(capsys, argv):
+    code, out, err = run(capsys, "cf", "expand", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not a finite number" in err
+
+
+def test_cf_expand_reads_back_a_long_decimal(capsys):
+    # to_decimal truncates, so the text is within one unit of its last place
+    text = (sqrt2() - 1).to_decimal(5000)
+    code, out, err = run(capsys, "cf", "expand", text, "--terms", "6000")
+    assert code == 0 and err == ""
+    digits = json.loads(out.splitlines()[0].removeprefix("digits: "))
+    assert len(digits) > 6000 // 2 and set(digits) == {2}
+
+
+def test_cf_expand_names_a_long_integer(capsys):
+    code, out, err = run(capsys, "cf", "expand", "1/" + "7" * 5000)
+    assert code == 2 and out == ""
+    assert "token 7777777777... has 5000 characters, past Python's limit" in err
 
 
 @pytest.mark.parametrize("argv", [

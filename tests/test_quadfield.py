@@ -125,6 +125,14 @@ def test_pinned_decimals():
     assert QuadRat(-1, 0, 2, 2).to_decimal(2) == "-0.50"
 
 
+def test_to_decimal_past_the_int_text_limit():
+    # Python reads and writes ints of at most 4300 digits as text by default
+    x = sqrt2() - 1
+    text = x.to_decimal(10000)
+    assert len(text) == 10002 and text.startswith(x.to_decimal(4000))
+    assert QuadRat(Fraction(1, 10**9999)).to_decimal(10000) == "0." + "0" * 9998 + "10"
+
+
 def test_solution_sums():
     s2, s3 = sqrt2(), sqrt3()
     assert (2 - s3) + (s3 - 1) / 2 + (s3 - 1) / 2 == 1

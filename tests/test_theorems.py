@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import badtri.theorems as theorems
-from badtri.cf import Cylinder, FiniteCF, PeriodicCF, bad_class, word_map
+from badtri.cf import Cylinder, FiniteCF, PeriodicCF, bad_class, convergents, word_map
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
@@ -234,42 +234,55 @@ def _pattern_ends(form, k, ell, s):
     return (deep, plain) if form == 1 else (plain, deep)
 
 
-def test_shared_prefixes_match_full_words():
-    # the sweep continues each suffix from the (2)^(n+1) prefix it shares
-    # across rows, stepping n up by one digit (and, here, down again); every
-    # value must equal the full word's word_map or Cylinder hull
-    for n in [*range(61), *range(60, -1, -1)]:
-        for parity in ("even", "odd"):
-            for row in table_rows(parity):
-                ends, cylinders = _row_words(row, n)
-                for suffix, word in zip((row.left_suffix, row.right_suffix), ends):
-                    assert theorems._endpoint_value(suffix, n) == word_map(word, 0)
-                for suffix, word in zip((row.x_suffix, row.y_suffix), cylinders):
-                    assert theorems._cylinder_hull(suffix, n) == Cylinder(word).hull()
-                if n % 2 == (parity == "odd"):
-                    p = theorems._match_pattern(row, n)
-                    assert (p.r1, p.r2) == _pattern_ends(p.form, p.k, p.ell, p.s)
+def _assert_matches_full_words(entry):
+    """An entry of verify_tables, recomputed from its row's full words."""
+    rows = table_rows("even") + table_rows("odd")
+    row = next(r for r in rows if (r.id, r.parity) == (entry["id"], entry["parity"]))
+    n = entry["n"]
+    (left, right), cylinders = _row_words(row, n)
+    left, right = word_map(left, 0), word_map(right, 0)
+    (xlo, xhi), (ylo, yhi) = (Cylinder(w).hull() for w in cylinders)
+    r1, r2 = _pattern_ends(**entry["pattern"])
+    # the pattern's run of 2s, 2k - 1 (form 1) or 2k (form 2), is n + 1
+    assert 2 * entry["pattern"]["k"] - (entry["pattern"]["form"] == 1) == n + 1
+    assert entry["z_interval"] == [str(left), str(right)]
+    assert entry["pass"] == (left < right and r1 <= left and right <= r2
+                             and left <= 1 - xhi - yhi and 1 - xlo - ylo <= right)
+    # verify_case_row builds both prefixes from scratch
+    assert verify_case_row(row, n) == entry["pass"]
+    assert entry["pass"]
+
+
+def test_shared_prefixes_match_full_words(monkeypatch):
+    # verify_tables steps (2)^(n+1) and (3,(2)^n) one digit per n: every row
+    # it checks gets the prefixes of its own n, its pattern matches the
+    # pattern's full words, and every entry matches its row's full words
+    check = theorems._check_row
+    seen = []
+
+    def recorded(row, n, twos, three):
+        assert twos == convergents((2,) * (n + 1))
+        assert three == convergents((3,) + (2,) * n)
+        result = check(row, n, twos, three)
+        p = result[2]
+        assert (p.r1, p.r2) == _pattern_ends(p.form, p.k, p.ell, p.s)
+        seen.append((row.id, n))
+        return result
+
+    monkeypatch.setattr(theorems, "_check_row", recorded)
+    entries = verify_tables(60)["rows"]
+    assert len(seen) == len(set(seen)) == len(entries) == 17 * 61
+    for entry in entries:
+        _assert_matches_full_words(entry)
 
 
 def test_verify_tables_at_the_cap_matches_full_words():
     # the last rows of the largest table the CLI allows, recomputed from
     # their full words
-    rows = table_rows("even") + table_rows("odd")
     entries = [e for e in verify_tables(400)["rows"] if e["n"] >= 398]
     assert sorted({e["n"] for e in entries}) == [398, 399, 400] and len(entries) == 17 * 3
     for entry in entries:
-        row = next(r for r in rows if (r.id, r.parity) == (entry["id"], entry["parity"]))
-        n = entry["n"]
-        (left, right), cylinders = _row_words(row, n)
-        left, right = word_map(left, 0), word_map(right, 0)
-        (xlo, xhi), (ylo, yhi) = (Cylinder(w).hull() for w in cylinders)
-        r1, r2 = _pattern_ends(**entry["pattern"])
-        # the pattern's run of 2s, 2k - 1 (form 1) or 2k (form 2), is n + 1
-        assert 2 * entry["pattern"]["k"] - (entry["pattern"]["form"] == 1) == n + 1
-        assert entry["z_interval"] == [str(left), str(right)]
-        assert entry["pass"] == (left < right and r1 <= left and right <= r2
-                                 and left <= 1 - xhi - yhi and 1 - xlo - ylo <= right)
-        assert entry["pass"]
+        _assert_matches_full_words(entry)
 
 
 def test_case21_symbolic_endpoints():
@@ -940,12 +953,12 @@ def test_verify_tables_sweeps_only_the_base_hulls(monkeypatch):
 
 
 def test_verify_tables_carry_checks_row_endpoints(monkeypatch):
-    endpoint = theorems._endpoint_value
+    check = theorems._check_row
 
-    def drifted(suffix, n):
-        v = endpoint(suffix, n)
-        return v + Fraction(1, 10**40) if n == 4 else v
+    def drifted(row, n, twos, three):
+        left, right, pattern, ok = check(row, n, twos, three)
+        return left + Fraction(1, 10**40) if n == 4 else left, right, pattern, ok
 
-    monkeypatch.setattr(theorems, "_endpoint_value", drifted)
+    monkeypatch.setattr(theorems, "_check_row", drifted)
     with pytest.raises(AssertionError, match="carried hull"):
         verify_tables(6)
