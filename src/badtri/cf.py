@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ __all__ = [
     "convergents",
     "word_map",
     "word_range",
+    "hull_pairs",
     "expand_quadratic",
     "gauss_map",
     "one_minus",
@@ -200,6 +202,19 @@ def word_range(word, lo_tail, hi_tail, start=(1, 0, 0, 1)):
     m = convergents(word, start)
     ends = _mobius(m, lo_tail), _mobius(m, hi_tail)
     return ends if m[0] * m[3] > m[2] * m[1] else ends[::-1]
+
+
+def hull_pairs(m):
+    """(lo, hi): word_range over the tails 0 and 1, as (P, Q) integer pairs.
+
+    The ends are P/Q and (P + P')/(Q + Q'), the images of the tails 0 and 1
+    under the convergent tuple m = (P', Q', P, Q), ordered by the sign of
+    P'Q - PQ'.  For the tuple of a word of digits >= 1 that difference is
+    +-1, so both pairs are in lowest terms with positive denominators.
+    """
+    p1, q1, p, q = m
+    ends = (p, q), (p + p1, q + q1)
+    return ends if p1 * q > p * q1 else ends[::-1]
 
 
 class Cylinder:
@@ -387,6 +402,8 @@ class ExpandResult:
 
 
 MAX_DECIMAL_DIGITS = 10_000  # digits, and exponent size, of a decimal expand_real reads
+# the form of decimal text; `decimal` refuses some of it, with an exponent past its range
+_DECIMAL_FORM = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)(e[+-]?\d+)?\s*", re.IGNORECASE)
 
 
 def expand_real(value, err=None, terms=64):
@@ -446,16 +463,19 @@ def _read_real(text):
         if q == 0:
             raise ValueError(f"zero denominator in {_excerpt(text)}")
         return Fraction(p, q), Fraction(0)
+    past_bound = ValueError(f"{_excerpt(text)} is past the bound of {MAX_DECIMAL_DIGITS} on "
+                            "a decimal's digit count and exponent size")
     try:
         d = decimal.Decimal(text)
     except decimal.InvalidOperation:
+        if _DECIMAL_FORM.fullmatch(text):
+            raise past_bound from None
         raise ValueError(f"{_excerpt(text)} is neither decimal nor p/q text") from None
     if not d.is_finite():
         raise ValueError(f"{_excerpt(text)} is not a finite number")
     _, digits, exponent = d.as_tuple()
     if len(digits) > MAX_DECIMAL_DIGITS or abs(exponent) > MAX_DECIMAL_DIGITS:
-        raise ValueError(f"{_excerpt(text)} is past the bound of {MAX_DECIMAL_DIGITS} on a "
-                         "decimal's digit count and exponent size")
+        raise past_bound
     return Fraction(*d.as_integer_ratio()), Fraction(10) ** exponent
 
 

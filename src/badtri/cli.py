@@ -169,7 +169,7 @@ def cmd_verify_main(args):
 
 def cmd_verify_tables(args):
     if args.n_max > TABLES_N_MAX:
-        raise ValueError(f"--n-max capped at {TABLES_N_MAX}: that run takes ~0.4 s, "
+        raise ValueError(f"--n-max capped at {TABLES_N_MAX}: that run takes ~0.3 s, "
                          "and the time grows about as n_max^1.3")
     report = verify_tables(n_max=args.n_max, exclusion_depth=args.depth)
     for row in report["rows"]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import (Cylinder, PeriodicCF, bad_class, convergents, in_bad_class, word_map,
-                 word_range)
+from .cf import (Cylinder, PeriodicCF, bad_class, convergents, hull_pairs, in_bad_class,
+                 word_map, word_range)
 from .quadfield import QuadRat, sqrt2
 
 __all__ = [
@@ -63,15 +63,18 @@ def forbidden_interval(form, k, ell, s):
         raise ValueError("form must be 1 or 2")
     if not all(isinstance(v, int) for v in (k, ell, s)) or k < 1 or ell < 0 or s < 3:
         raise ValueError("need integers k >= 1, ell >= 0, s >= 3")
-    return _pattern(form, k, ell, s, convergents((2,) * (2 * k - 1 if form == 1 else 2 * k)))
+    twos = convergents((2,) * (2 * k - 1 if form == 1 else 2 * k))
+    r1, r2 = _pattern_ends(ell, s, twos)
+    return ForbiddenPattern(form, k, ell, s, Fraction(*r1), Fraction(*r2))
 
 
-def _pattern(form, k, ell, s, twos):
-    """The ForbiddenPattern whose endpoint words continue the (2)^run prefix
-    with convergent tuple `twos`."""
+def _pattern_ends(ell, s, twos):
+    """(r1, r2) as (P, Q) pairs in lowest terms: the values of the (2)^run
+    prefix with convergent tuple `twos` and of that prefix continued by
+    (2,1)^ell, s, in increasing order."""
+    plain = twos[2:]
     _, _, p, q = convergents((2, 1) * ell + (s,), twos)
-    r1, r2 = sorted((Fraction(twos[2], twos[3]), Fraction(p, q)))
-    return ForbiddenPattern(form, k, ell, s, r1, r2)
+    return ((p, q), plain) if p * plain[1] < plain[0] * q else (plain, (p, q))
 
 
 @dataclass(frozen=True)
@@ -88,25 +91,23 @@ def excludes_b2(lo, hi, depth=30):
     the interval); cylinders disjoint from [lo, hi] are pruned; straddling
     cylinders are split.  A cylinder that still straddles [lo, hi] at the
     depth cap, however thin the overlap, makes the verdict `inconclusive`.
-    Nodes are (word, convergent matrix) pairs, from the empty word's (0, 1).
+    Nodes are (word, convergent matrix) pairs, from the empty word's (0, 1),
+    and a node's range is its `hull_pairs`, compared with lo and hi by
+    integer cross-products.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 < lo < hi < 1:
         raise ValueError("need 0 < lo < hi < 1")
-    if depth > 60:
-        raise ValueError("depth capped at 60: a sweep that deep takes ~1.5 ms per interval, "
-                         "and the time grows about as the depth squared")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-
+    _check_depth(depth)
+    lp, lq, hp, hq = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     inconclusive = False
 
     def visit(word, m):
         nonlocal inconclusive
-        clo, chi = word_range((), 0, 1, m)
-        if chi < lo or hi < clo:
+        (ap, aq), (bp, bq) = hull_pairs(m)
+        if bp * lq < lp * bq or hp * aq < ap * hq:
             return None
-        if lo <= clo and chi <= hi:
+        if lp * aq <= ap * lq and bp * hq <= hp * bq:
             return word
         if len(word) >= depth:
             inconclusive = True
@@ -123,6 +124,14 @@ def excludes_b2(lo, hi, depth=30):
     if inconclusive:
         return ExclusionResult("inconclusive")
     return ExclusionResult("certified-empty")
+
+
+def _check_depth(depth):
+    if depth > 60:
+        raise ValueError("depth capped at 60: a sweep that deep takes ~1.5 ms per interval, "
+                         "and the time grows about as the depth squared")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
 
 
 # ------------------------------------------------------------------- tables
@@ -174,13 +183,12 @@ def table_rows(parity):
     raise ValueError("parity must be 'even' or 'odd'")
 
 
-def _match_pattern(row, n, twos):
-    """Check the row's endpoints instantiate a ForbiddenPattern at this n.
+def _match_pattern(row, n):
+    """(form, k, ell, s): the ForbiddenPattern the row's endpoints instantiate at n.
 
     The pattern's s-bearing word is the left endpoint on the even table
     (form 1, odd run length) and the right endpoint on the odd table
     (form 2, even run length); the other endpoint may carry any tail.
-    `twos` is the convergent tuple of the (2)^(n+1) prefix.
     """
     run = n + 1
     form = 1 if run % 2 == 1 else 2
@@ -194,39 +202,35 @@ def _match_pattern(row, n, twos):
         raise AssertionError(f"row {row.id}: endpoint {s_suffix} lacks the s >= 3 digit")
     s = rest[0]
     k = (run + 1) // 2 if form == 1 else run // 2
-    return _pattern(form, k, ell, s, twos)
-
-
-def _sum_minus_one(u, v, w):
-    """A number with the sign of u + v + w - 1, for Fractions u, v, w.
-
-    Their denominators are positive, so one integer cross-multiplication
-    decides it, where 1 - v - w would normalise twice.
-    """
-    ud, vd, wd = u.denominator, v.denominator, w.denominator
-    vw = vd * wd
-    return (u.numerator - ud) * vw + (v.numerator * wd + w.numerator * vd) * ud
+    return form, k, ell, s
 
 
 def _check_row(row, n, twos, three):
-    """(left, right, pattern, ok) for one table row at one n; see verify_case_row.
+    """(left, right, pattern, ends, ok) for one table row at one n; see verify_case_row.
 
     `twos` and `three` are the convergent tuples of (2)^(n+1) and (3,(2)^n),
-    the prefixes of the row's endpoint words and of its X/Y words."""
+    the prefixes of the row's endpoint words and of its X/Y words.  The
+    endpoints `left`, `right` and the pattern's `ends` (r1, r2) are (P, Q)
+    pairs read from `twos`, and the X/Y hulls are `hull_pairs` from `three`.
+    A convergent determinant is +-1, so every pair is in lowest terms with
+    a positive denominator, and each check is the sign of an integer
+    cross-product.  `pattern` is _match_pattern's (form, k, ell, s).
+    """
     if n < 0 or n % 2 != (0 if row.parity == "even" else 1):
         raise ValueError(f"row {row.id} needs n = {row.parity}, got {n}")
-    _, _, p, q = convergents(row.left_suffix, twos)
-    left = Fraction(p, q)
-    _, _, p, q = convergents(row.right_suffix, twos)
-    right = Fraction(p, q)
-    pattern = _match_pattern(row, n, twos)
-    ok = left < right and pattern.r1 <= left and right <= pattern.r2
+    left = convergents(row.left_suffix, twos)[2:]
+    right = convergents(row.right_suffix, twos)[2:]
+    pattern = _match_pattern(row, n)
+    ends = _pattern_ends(pattern[2], pattern[3], twos)
+    (lp, lq), (rp, rq), ((r1p, r1q), (r2p, r2q)) = left, right, ends
+    # left < right, r1 <= left and right <= r2
+    ok = lp * rq < rp * lq and r1p * lq <= lp * r1q and rp * r2q <= r2p * rq
     if ok:
-        hx = word_range(row.x_suffix, 0, 1, three)
-        hy = word_range(row.y_suffix, 0, 1, three)
+        hx = hull_pairs(convergents(row.x_suffix, three))
+        hy = hull_pairs(convergents(row.y_suffix, three))
         # left <= 1 - X - Y <= right over the hulls' closed ends
-        ok = _sum_minus_one(left, hx[1], hy[1]) <= 0 <= _sum_minus_one(right, hx[0], hy[0])
-    return left, right, pattern, ok
+        ok = _one_minus(right, hx[0], hy[0])[0] <= 0 <= _one_minus(left, hx[1], hy[1])[0]
+    return left, right, pattern, ends, ok
 
 
 def verify_case_row(row, n):
@@ -236,7 +240,7 @@ def verify_case_row(row, n):
     inside the row's endpoint interval, which itself must instantiate a
     forbidden pattern of the correct parity.
     """
-    return _check_row(row, n, convergents((2,) * (n + 1)), convergents((3,) + (2,) * n))[3]
+    return _check_row(row, n, convergents((2,) * (n + 1)), convergents((3,) + (2,) * n))[-1]
 
 
 def case21_endpoints(n):
@@ -267,15 +271,21 @@ def verify_case21_symbolic(n):
     )
 
 
+def _text(pair):
+    """A (P, Q) pair in lowest terms with Q > 0, as str(Fraction(P, Q)) prints it."""
+    p, q = pair
+    return f"{p}/{q}" if q != 1 else str(p)
+
+
 def _row_entry(row, n, twos, three):
-    left, right, pat, ok = _check_row(row, n, twos, three)
+    left, right, (form, k, ell, s), _, ok = _check_row(row, n, twos, three)
     return {
         "id": row.id,
         "parity": row.parity,
         "n": n,
         "pass": ok,
-        "z_interval": [str(left), str(right)],
-        "pattern": {"form": pat.form, "k": pat.k, "ell": pat.ell, "s": pat.s},
+        "z_interval": [_text(left), _text(right)],
+        "pattern": {"form": form, "k": k, "ell": ell, "s": s},
     }, (left, right)
 
 
@@ -288,11 +298,15 @@ def verify_tables(n_max=20, exclusion_depth=30):
     M(t) = [2,2,t].  M maps the numbers whose digits are all 1 or 2 onto
     those in I(2,2), so the image holds such a number iff the hull does (a
     witness w becomes (2,2)+w).  Each carried hull must equal the row's own
-    endpoints.  Returns a report dict: per-(row, n) pass flags, one
+    endpoints.  Endpoints and hulls are (P, Q) pairs in lowest terms; M is
+    the unimodular (P, Q) -> (P + 2Q, 2P + 5Q), so a carried pair stays in
+    lowest terms and pair equality is value equality.  The depth is checked
+    before any row is.  Returns a report dict: per-(row, n) pass flags, one
     exclusion verdict per distinct pattern hull, and an overall `ok`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    _check_depth(exclusion_depth)
     # n runs outermost, so every row at n continues the same two prefixes,
     # (2)^(n+1) and (3,(2)^n), each one digit past the last; the odd table
     # starts at n = 1
@@ -305,9 +319,8 @@ def verify_tables(n_max=20, exclusion_depth=30):
         twos, three = convergents((2,), twos), convergents((2,), three)
     rows = [pairs for sweep in sweeps for pairs in sweep]
     base = sorted({pairs[0][1] for pairs in rows})
-    swept = {hull: excludes_b2(*hull, exclusion_depth) for hull in base}
-    # keyed by the printed hull: a Fraction's hash takes a modular inverse
-    # of its denominator, ~10% of the run at n_max = 400
+    swept = {hull: excludes_b2(*(Fraction(*end) for end in hull), exclusion_depth)
+             for hull in base}
     verdicts = {}
     for pairs in rows:
         hull = pairs[0][1]
@@ -315,19 +328,17 @@ def verify_tables(n_max=20, exclusion_depth=30):
         for entry, own in pairs:
             if own != hull:
                 raise AssertionError(f"row {entry['id']}: carried hull {hull} != {own}")
-            verdicts[tuple(entry["z_interval"])] = own, status
-            hull = tuple(word_map((2, 2), t) for t in hull)
+            verdicts[own] = status
+            hull = tuple((p + 2 * q, 2 * p + 5 * q) for p, q in hull)
     entries = [entry for pairs in rows for entry, _ in pairs]
-    # ordered by integer keys, not Fraction comparisons: v -> floor(v * 2^k)
-    # is strictly increasing on fractions whose denominators multiply to
-    # at most 2^k, as any two distinct ones then differ by at least 2^-k
-    k = 2 * max(v.denominator.bit_length() for hull, _ in verdicts.values() for v in hull)
+    # ordered by integer keys: p/q -> floor(p 2^k / q) is strictly increasing
+    # on fractions whose denominators multiply to at most 2^k, as any two
+    # distinct ones then differ by at least 2^-k
+    k = 2 * max(q.bit_length() for hull in verdicts for _, q in hull)
     exclusions = [
-        {"interval": [str(lo), str(hi)], "status": status}
+        {"interval": [_text(lo), _text(hi)], "status": status}
         for (lo, hi), status in sorted(
-            verdicts.values(),
-            key=lambda verdict: [(v.numerator << k) // v.denominator for v in verdict[0]],
-        )
+            verdicts.items(), key=lambda verdict: [(p << k) // q for p, q in verdict[0]])
     ]
     ok = all(e["pass"] for e in entries) and all(
         e["status"] == "certified-empty" for e in exclusions

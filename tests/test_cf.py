@@ -20,6 +20,7 @@ from badtri.cf import (
     expand_real,
     format_cf,
     gauss_map,
+    hull_pairs,
     in_bad_class,
     one_minus,
     parse_cf,
@@ -229,6 +230,15 @@ def test_word_range_holds_every_tail_between(prefix, word, tails, s):
 @given(_words.filter(bool))
 def test_word_range_over_zero_and_one_is_the_cylinder_hull(word):
     assert word_range(word, 0, 1) == Cylinder(word).hull()
+
+
+@given(_words, _words)
+def test_hull_pairs_are_word_ranges_ends_in_lowest_terms(prefix, word):
+    # a Fraction's numerator and denominator are coprime with the
+    # denominator positive, so equal pairs show hull_pairs' are too
+    ends = word_range(word, 0, 1, convergents(prefix))
+    assert hull_pairs(convergents(word, convergents(prefix))) == tuple(
+        (v.numerator, v.denominator) for v in ends)
 
 
 @given(_words, st.integers(1, 6))

@@ -52,6 +52,9 @@ def test_verify_tables_small(capsys):
     # too shallow a sweep: some exclusions are inconclusive
     (["--n-max", "10", "--depth", "5"],
      "44e37e5acd28c93cd5f7648797752cb13b17189c4cc11caea659d8d1240533e1", 1, 309),
+    # the cap
+    (["--n-max", "400", "--depth", "30"],
+     "9226ab7a6bd581b2111b7eebd16e883069198694b103b616a0758a678ccbad0d", 0, 11229),
 ])
 def test_verify_tables_output_bytes(capsys, argv, digest, code, lines):
     got, out, _ = run(capsys, "verify", "tables", *argv)
@@ -255,6 +258,9 @@ def test_cf_expand_rejects_zero_denominator(capsys, argv):
     (["0.5", "--err", "1e-3000000"], "1e-3000000"),
     # one digit too many; the exponent alone is within the bound
     (["1" * (MAX_DECIMAL_DIGITS + 1) + f"e-{MAX_DECIMAL_DIGITS}"], "1111111111"),
+    # exponents past the decimal module's own range, which it refuses itself
+    (["1e-9999999999999999999"], "1e-9999999999999999999"),
+    (["0.5", "--err", "1e9999999999999999999"], "1e9999999999999999999"),
 ])
 def test_cf_expand_bounds_a_decimal_before_reading_it(capsys, argv, text):
     # 10**3000000 alone took seconds to build before the bound was checked

@@ -205,18 +205,47 @@ def test_row_parity_mismatch_raises():
 
 
 def test_corrupted_row_caught():
-    # a one-digit change to a word of row 2.1 must fail, at every n
+    # a one-digit change to a word of row 2.1 must fail, at every n.  Each
+    # comment names the first of the row's five integer signs that fails
     good = next(r for r in table_rows("even") if r.id == "2.1")
-    assert (good.x_suffix, good.y_suffix, good.left_suffix) == ((1, 2), (2, 2), (3,))
-    for x_suffix, y_suffix, left_suffix in [
-        ((1, 2), (2, 2), (4,)),  # the left endpoint word [2,3,inf] -> [2,4,inf]
-        ((1, 1), (2, 2), (3,)),  # the x cylinder (3,(2)^n,1,2) -> (3,(2)^n,1,1)
-        ((1, 2), (2, 1), (3,)),  # the y cylinder (3,(2)^n,2,2) -> (3,(2)^n,2,1)
+    assert (good.x_suffix, good.y_suffix, good.left_suffix, good.right_suffix) == (
+        (1, 2), (2, 2), (3,), (3, 1))
+    for x_suffix, y_suffix, left_suffix, right_suffix in [
+        # left < right: [2,4,inf] = [2,3,1,inf], the right endpoint
+        ((1, 2), (2, 2), (4,), (3, 1)),
+        # left < right: the right endpoint [2,3,1,inf] -> [2,2,inf], below the left
+        ((1, 2), (2, 2), (3,), (2,)),
+        # left <= 1 - X - Y: the x cylinder (3,(2)^n,1,2) -> (3,(2)^n,1,1)
+        ((1, 1), (2, 2), (3,), (3, 1)),
+        # left <= 1 - X - Y: the y cylinder (3,(2)^n,2,2) -> (3,(2)^n,2,1)
+        ((1, 2), (2, 1), (3,), (3, 1)),
+        # 1 - X - Y <= right: the right endpoint [2,3,1,inf] -> [2,3,2,inf]
+        ((1, 2), (2, 2), (3,), (3, 2)),
     ]:
-        bad = CaseRow(good.id, x_suffix, y_suffix, left_suffix, good.right_suffix, "even")
+        bad = CaseRow(good.id, x_suffix, y_suffix, left_suffix, right_suffix, "even")
         for n in (0, 2, 40):
             assert verify_case_row(good, n)
             assert not verify_case_row(bad, n), (bad, n)
+
+
+def test_a_pattern_that_misses_the_row_is_caught(monkeypatch):
+    # r1 <= left and right <= r2 hold for every suffix: the endpoints and the
+    # pattern's ends share the (2)^(n+1) prefix, and the s-bearing endpoint
+    # continues the pattern's deep end.  A pattern read with s + 1 misses
+    # the row: r1 > left on the even table, right > r2 on the odd one
+    match = theorems._match_pattern
+
+    def shifted(row, n):
+        form, k, ell, s = match(row, n)
+        return form, k, ell, s + 1
+
+    rows = [next(r for r in table_rows(parity) if r.id == "2.1") for parity in ("even", "odd")]
+    for row, ns in zip(rows, ((0, 2, 40), (1, 3, 41))):
+        assert all(verify_case_row(row, n) for n in ns)
+    monkeypatch.setattr(theorems, "_match_pattern", shifted)
+    for row, ns in zip(rows, ((0, 2, 40), (1, 3, 41))):
+        for n in ns:
+            assert not verify_case_row(row, n), (row.parity, n)
 
 
 def _row_words(row, n):
@@ -264,8 +293,8 @@ def test_shared_prefixes_match_full_words(monkeypatch):
         assert twos == convergents((2,) * (n + 1))
         assert three == convergents((3,) + (2,) * n)
         result = check(row, n, twos, three)
-        p = result[2]
-        assert (p.r1, p.r2) == _pattern_ends(p.form, p.k, p.ell, p.s)
+        _, _, pattern, ends, _ = result
+        assert ends == tuple((v.numerator, v.denominator) for v in _pattern_ends(*pattern))
         seen.append((row.id, n))
         return result
 
@@ -952,12 +981,25 @@ def test_verify_tables_sweeps_only_the_base_hulls(monkeypatch):
     assert len(calls) == len(set(calls)) == 22
 
 
+@pytest.mark.parametrize("depth", [0, 61])
+def test_verify_tables_checks_the_depth_before_any_row(monkeypatch, depth):
+    def check(*args):
+        raise AssertionError("a row was checked")
+
+    monkeypatch.setattr(theorems, "_check_row", check)
+    with pytest.raises(ValueError, match="depth"):
+        verify_tables(400, depth)
+
+
 def test_verify_tables_carry_checks_row_endpoints(monkeypatch):
     check = theorems._check_row
 
     def drifted(row, n, twos, three):
-        left, right, pattern, ok = check(row, n, twos, three)
-        return left + Fraction(1, 10**40) if n == 4 else left, right, pattern, ok
+        left, right, *rest = check(row, n, twos, three)
+        if n == 4:
+            left = Fraction(*left) + Fraction(1, 10**40)
+            left = left.numerator, left.denominator
+        return left, right, *rest
 
     monkeypatch.setattr(theorems, "_check_row", drifted)
     with pytest.raises(AssertionError, match="carried hull"):
