@@ -39,6 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .theorems import PRESET_TRIPLES
+
 __all__ = [
     "Angles",
     "PRESETS",
@@ -88,17 +90,8 @@ class Angles:
         return (self.alpha, self.beta, self.gamma)
 
 
-def _preset_angles():
-    r3 = math.sqrt(3.0)
-    r2 = math.sqrt(2.0)
-    return {
-        "equilateral": Angles(math.pi / 3, math.pi / 3, math.pi / 3),
-        "optimal1": Angles((2 - r3) * math.pi, (r3 - 1) * math.pi / 2, (r3 - 1) * math.pi / 2),
-        "optimal2": Angles((r2 - 1) * math.pi, (2 - r2) * math.pi / 2, (2 - r2) * math.pi / 2),
-    }
-
-
-PRESETS = _preset_angles()
+PRESETS = {name: Angles(*(math.pi * float(v) for v in triple))
+           for name, triple in PRESET_TRIPLES.items()}
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "MAIN_SOLUTIONS",
     "MAIN2_SOLUTIONS",
     "B22_SOLUTIONS",
+    "PRESET_TRIPLES",
     "check_sum",
     "insertion",
     "extra_identity",
@@ -299,13 +300,16 @@ def verify_tables(n_max=20, exclusion_depth=30):
     those in I(2,2), so the image holds such a number iff the hull does (a
     witness w becomes (2,2)+w).  Each carried hull must equal the row's own
     endpoints.  Endpoints and hulls are (P, Q) pairs in lowest terms; M is
-    the unimodular (P, Q) -> (P + 2Q, 2P + 5Q), so a carried pair stays in
-    lowest terms and pair equality is value equality.  The depth is checked
+    the unimodular matrix of (2, 2), so a carried pair stays in lowest terms
+    and pair equality is value equality.  n_max and the depth are checked
     before any row is.  Returns a report dict: per-(row, n) pass flags, one
     exclusion verdict per distinct pattern hull, and an overall `ok`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max > 400:
+        raise ValueError("n_max capped at 400: that run takes ~0.3 s, "
+                         "and the time grows about as n_max^1.3")
     _check_depth(exclusion_depth)
     # n runs outermost, so every row at n continues the same two prefixes,
     # (2)^(n+1) and (3,(2)^n), each one digit past the last; the odd table
@@ -329,7 +333,7 @@ def verify_tables(n_max=20, exclusion_depth=30):
             if own != hull:
                 raise AssertionError(f"row {entry['id']}: carried hull {hull} != {own}")
             verdicts[own] = status
-            hull = tuple((p + 2 * q, 2 * p + 5 * q) for p, q in hull)
+            hull = tuple(_word_map((2, 2), end) for end in hull)
     entries = [entry for pairs in rows for entry, _ in pairs]
     # ordered by integer keys: p/q -> floor(p 2^k / q) is strictly increasing
     # on fractions whose denominators multiply to at most 2^k, as any two
@@ -398,6 +402,13 @@ B22_SOLUTIONS = (
     _triple(((3, 1), (1, 2)), ((3, 3), (1, 2)), ((2, 2, 2), (2, 1))),
 )
 
+# name -> (x, y, z): the angles of each tiling preset over pi, exact
+PRESET_TRIPLES = {
+    "equilateral": (Fraction(1, 3),) * 3,
+    "optimal1": MAIN_SOLUTIONS[0].values(),
+    "optimal2": (lambda x, y, z: (z, x, y))(*MAIN_SOLUTIONS[1].values()),
+}
+
 
 def _relation_holds(relation, values):
     """Is x + y + z = 1 (or x + y = z) exact?  Values from two quadratic
@@ -439,9 +450,9 @@ def check_sum(triple, relation, b=2, j=None):
 # numerator/denominator pairs: x = a/b and y = c/d enter as their integer
 # pairs (a QuadRat v as (v, 1)), each bracket is its word's integer
 # convergent matrix applied to a pair, and each right-hand side is written
-# homogeneously in (a, b, c, d).  A pair becomes one exact value only at
-# the end.  Every inversion on the way checks its numerator, so a pole
-# raises wherever the nested rational form divides by zero.
+# homogeneously in (a, b, c, d).  `_identity` compares the two sides by
+# one cross-multiplication.  Every inversion on the way checks its
+# numerator, so a pole raises wherever the nested form divides by zero.
 
 
 def _pair(v):
@@ -496,59 +507,19 @@ def _rest(a, b, c, d):
     return b * d - a * d - b * c, b * d
 
 
-# kind -> (a, b, c, d, z) -> pairs of X, Y, Z and the residual's closed form
+# kind -> (a, b, c, d) -> pairs of X, Y and Z, with z = 1 - x - y
 _INSERTIONS = {
-    # (x - y)^2 / ((3 - 2x)(3 - 2y)(3 - x - y))
-    "2": lambda a, b, c, d, z: (
+    "2": lambda a, b, c, d: (
         _bracket((3,), _inv_minus((a, b), 1)),
         _bracket((3,), _inv_minus((c, d), 1)),
-        _word_map((2,), z),
-        ((a * d - b * c) ** 2,
-         (3 * b - 2 * a) * (3 * d - 2 * c) * (3 * b * d - a * d - b * c)),
+        _word_map((2,), _rest(a, b, c, d)),
     ),
-    # -5(x - y)^2 / ((10x + 13)(10y + 13)(5x + 5y + 13))
-    "11211": lambda a, b, c, d, z: (
+    "11211": lambda a, b, c, d: (
         _bracket((3, 3), (a + b, b)),
         _bracket((3, 3), (c + d, d)),
-        _bracket((2, 1, 1, 2, 1), _inv_minus(z, 1)),
-        (-5 * (a * d - b * c) ** 2,
-         (10 * a + 13 * b) * (10 * c + 13 * d) * (5 * a * d + 5 * b * c + 13 * b * d)),
+        _bracket((2, 1, 1, 2, 1), _inv_minus(_rest(a, b, c, d), 1)),
     ),
 }
-
-
-def insertion(kind, x, y, z):
-    """Apply one insertion transform to a triple with x+y+z=1.
-
-    kind "2": a 2 goes in after the leading 3 of x and y, and foremost
-    into z.  kind "11211": 3,1,3 after the leading 3 of x and y, and
-    1,1,2,1,1 after the leading 2 of z.  As words that end in a real
-    entry w (the tail 1/w, see _bracket), kind "2" gives X = [3, 1/x-1]
-    and Z = [2, z], z's own word behind a 2; kind "11211" gives
-    X = [3, 3, 1+x] and Z = [2,1,1,2,1, 1/z-1].  Returns (X, Y, Z,
-    residual) where the residual 1-X-Y-Z equals a closed-form rational
-    function of x and y alone that vanishes iff x = y — so insertions map
-    equal-pair solutions of x+y+z=1 to new solutions.  The residual is
-    checked against that form once, by cross-multiplying the two pairs.
-    """
-    (a, b), (c, d), (e, f) = _pair(x), _pair(y), _pair(z)
-    if (a * d + b * c) * f + e * b * d != b * d * f:
-        raise ValueError("insertion requires x + y + z = 1")
-    try:
-        fn = _INSERTIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown insertion kind {kind!r}") from None
-    try:
-        bx, by, bz, (rn, rd) = fn(a, b, c, d, (e, f))
-        values = [_value(*w) for w in (bx, by, bz)]
-        if rd == 0:
-            raise ZeroDivisionError("residual form at a pole")
-    except ZeroDivisionError as exc:
-        raise ValueError("insertion transform hit a pole") from exc
-    residual = _one_minus(bx, by, bz)
-    if residual[0] * rd != rn * residual[1]:
-        raise AssertionError("residual identity violated — arithmetic bug")
-    return (*values, _value(*residual))
 
 
 def _lucky2(a, b, c, d):
@@ -561,8 +532,21 @@ def _lucky2(a, b, c, d):
     )
 
 
-# ident -> (a, b, c, d) -> (lhs pair, rhs pair)
+# ident -> (a, b, c, d) -> (lhs pair, rhs pair): the two insertions, whose
+# lhs is the residual 1 - X - Y - Z, then the five auxiliary identities
 _IDENTITIES = {
+    # (x - y)^2 / ((3 - 2x)(3 - 2y)(3 - x - y))
+    "2": lambda a, b, c, d: (
+        _one_minus(*_INSERTIONS["2"](a, b, c, d)),
+        ((a * d - b * c) ** 2,
+         (3 * b - 2 * a) * (3 * d - 2 * c) * (3 * b * d - a * d - b * c)),
+    ),
+    # -5(x - y)^2 / ((10x + 13)(10y + 13)(5x + 5y + 13))
+    "11211": lambda a, b, c, d: (
+        _one_minus(*_INSERTIONS["11211"](a, b, c, d)),
+        (-5 * (a * d - b * c) ** 2,
+         (10 * a + 13 * b) * (10 * c + 13 * d) * (5 * a * d + 5 * b * c + 13 * b * d)),
+    ),
     # 4(x - y)^2 / ((8x - 11)(8y - 11)(11 - 4x - 4y))
     "A": lambda a, b, c, d: (
         _one_minus(
@@ -608,20 +592,53 @@ _IDENTITIES = {
 }
 
 
-def extra_identity(ident, x, y):
-    """Evaluate both sides of one of the auxiliary identities exactly.
+def _identity(ident, x, y):
+    """(lhs, rhs, lhs == rhs) of _IDENTITIES[ident] at (x, y); a zero denominator is a pole."""
+    (ln, ld), (rn, rd) = lhs, rhs = _IDENTITIES[ident](*_pair(x), *_pair(y))
+    if ld == 0 or rd == 0:
+        raise ZeroDivisionError("identity at a pole")
+    return lhs, rhs, ln * rd == rn * ld
 
-    Each side is built as a pair and becomes one exact value at the end.
+
+def insertion(kind, x, y, z):
+    """Apply one insertion transform to a triple with x+y+z=1.
+
+    kind "2": a 2 goes in after the leading 3 of x and y, and foremost
+    into z.  kind "11211": 3,1,3 after the leading 3 of x and y, and
+    1,1,2,1,1 after the leading 2 of z.  As words that end in a real
+    entry w (the tail 1/w, see _bracket), kind "2" gives X = [3, 1/x-1]
+    and Z = [2, z], z's own word behind a 2; kind "11211" gives
+    X = [3, 3, 1+x] and Z = [2,1,1,2,1, 1/z-1].  Returns (X, Y, Z,
+    residual) where the residual 1-X-Y-Z equals a closed-form rational
+    function of x and y alone that vanishes iff x = y — so insertions map
+    equal-pair solutions of x+y+z=1 to new solutions.  The residual is
+    checked against that form once, by `_identity`.
     """
+    (a, b), (c, d), (e, f) = _pair(x), _pair(y), _pair(z)
+    if (a * d + b * c) * f + e * b * d != b * d * f:
+        raise ValueError("insertion requires x + y + z = 1")
+    if kind not in _INSERTIONS:
+        raise ValueError(f"unknown insertion kind {kind!r}")
     try:
-        fn = _IDENTITIES[ident]
-    except KeyError:
-        raise ValueError(f"unknown identity {ident!r}; choose from {sorted(_IDENTITIES)}")
+        residual, _, holds = _identity(kind, x, y)
+        words = _INSERTIONS[kind](a, b, c, d)
+    except ZeroDivisionError as exc:
+        raise ValueError("insertion transform hit a pole") from exc
+    if not holds:
+        raise AssertionError("residual identity violated — arithmetic bug")
+    return (*(_value(*w) for w in words), _value(*residual))
+
+
+def extra_identity(ident, x, y):
+    """Evaluate both sides of one of the auxiliary identities exactly."""
+    if ident not in _IDENTITIES or ident in _INSERTIONS:
+        raise ValueError(f"unknown identity {ident!r}; "
+                         f"choose from {sorted(_IDENTITIES.keys() - _INSERTIONS.keys())}")
     try:
-        lhs, rhs = fn(*_pair(x), *_pair(y))
-        return _value(*lhs), _value(*rhs)
+        lhs, rhs, _ = _identity(ident, x, y)
     except ZeroDivisionError as exc:
         raise ValueError("identity evaluated at a pole") from exc
+    return _value(*lhs), _value(*rhs)
 
 
 # ----------------------------------------------------------------- families
@@ -634,7 +651,7 @@ _Z_BLOCKS = {"2": (2,), "11211": (1, 1, 2, 1, 1)}
 def generate_solutions(code=()):
     """Compose insertions over the code alphabet {"2", "11211"}.
 
-    Starting from the base solution ([3,per(2)], [3,per(2)], [per(2)]),
+    Starting from MAIN_SOLUTIONS[1] = ([3,per(2)], [3,per(2)], [per(2)]),
     each symbol inserts its block just after the leading digit of the x, y
     and z words; values are carried exactly through the Möbius transforms,
     so the sum stays 1 exactly.  Digits never exceed 3, and a length-L
@@ -646,14 +663,13 @@ def generate_solutions(code=()):
                          "time grows about as its length squared")
     if any(sym not in _X_BLOCKS for sym in code):
         raise ValueError("code symbols must be '2' or '11211'")
-    x = y = (2 - sqrt2()) / 2
-    z = sqrt2() - 1
+    x, y, z = MAIN_SOLUTIONS[1].values()
     x_mid = ()
     z_mid = ()
     for sym in code:
         x, y, z, _ = insertion(sym, x, y, z)
         x_mid = _X_BLOCKS[sym] + x_mid
-        z_mid = _Z_BLOCKS[sym] + z_mid if sym == "11211" else (2,) + z_mid
+        z_mid = _Z_BLOCKS[sym] + z_mid
     triple = _triple(
         ((3,) + x_mid, (2,)), ((3,) + x_mid, (2,)), ((2,) + z_mid, (2,))
     )
@@ -713,6 +729,9 @@ def scalene_sweep(l_max):
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
+    if l_max > 1000:
+        raise ValueError("l_max capped at 1000: that run takes ~0.3 s, "
+                         "and the time grows about as l_max^2.2")
     classes = [_scalene_classes(t) for t in _SCALENE]
     in_b2 = [all(b[k] <= 2 for b in classes) for k in (0, 1)]
     tails = [PeriodicCF((), period).value() for *_, period in _SCALENE]

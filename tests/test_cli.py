@@ -12,7 +12,7 @@ import pytest
 
 import badtri.theorems as theorems
 from badtri.cf import MAX_DECIMAL_DIGITS, PeriodicCF
-from badtri.cli import PRESET_NAMES, _build_parser, cmd_verify_main, main
+from badtri.cli import _build_parser, cmd_verify_main, main
 from badtri.gifs import PRESETS
 from badtri.quadfield import sqrt2
 
@@ -85,18 +85,33 @@ def test_verify_identities_reports_a_broken_identity(capsys, monkeypatch):
 
 
 def test_a_broken_insertion_residual_raises(capsys, monkeypatch):
-    exact = theorems._INSERTIONS["11211"]
+    exact = theorems._IDENTITIES["11211"]
 
-    def off_by_one(a, b, c, d, z):  # the residual's closed form plus 1
-        bx, by, bz, (n, m) = exact(a, b, c, d, z)
-        return bx, by, bz, (n + m, m)
+    def off_by_one(a, b, c, d):  # the residual's closed form plus 1
+        lhs, (n, m) = exact(a, b, c, d)
+        return lhs, (n + m, m)
 
-    monkeypatch.setitem(theorems._INSERTIONS, "11211", off_by_one)
+    monkeypatch.setitem(theorems._IDENTITIES, "11211", off_by_one)
     with pytest.raises(AssertionError, match="residual identity violated"):
         theorems.insertion("11211", Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
-    with pytest.raises(AssertionError, match="residual identity violated"):
-        main(["verify", "identities", "--samples", "1"])
-    assert capsys.readouterr().out == ""
+    # the CLI reports it as it does a broken auxiliary identity
+    code, out, err = run(capsys, "verify", "identities", "--samples", "1")
+    assert (code, err) == (1, "")
+    assert re.fullmatch(r"FAIL identity 11211 at x=\d+/\d+ y=\d+/\d+\n", out)
+
+
+@pytest.mark.parametrize("ident", list(theorems._IDENTITIES))
+def test_verify_identities_fails_on_any_broken_closed_form(capsys, monkeypatch, ident):
+    exact = theorems._IDENTITIES[ident]
+
+    def off_by_one(a, b, c, d):  # the closed form plus 1
+        lhs, (n, m) = exact(a, b, c, d)
+        return lhs, (n + m, m)
+
+    monkeypatch.setitem(theorems._IDENTITIES, ident, off_by_one)
+    code, out, err = run(capsys, "verify", "identities", "--samples", "300", "--seed", "1")
+    assert (code, err) == (1, "")
+    assert re.fullmatch(rf"FAIL identity {ident} at x=\d+/\d+ y=\d+/\d+\n", out)
 
 
 def test_verify_family(capsys):
@@ -505,8 +520,14 @@ def test_export_svg_matches_the_f_string_writer():
         assert export_svg(mixed, prev_patch=prev) == _svg_oracle(mixed, prev)
 
 
-def test_preset_names_match_gifs():
-    assert PRESET_NAMES == tuple(sorted(PRESETS))
+def test_preset_names_match_gifs(capsys):
+    parser = _build_parser()
+    for name in PRESETS:
+        assert parser.parse_args(["tile", "--preset", name]).preset == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["tile", "--preset", "optimal3"])
+    err = capsys.readouterr().err
+    assert all(name in err for name in PRESETS)
 
 
 def test_export_draws_each_patch_with_its_own_system(tmp_path, capsys):
@@ -610,13 +631,17 @@ def test_analyze_offers_delone_and_discrepancy_only(tmp_path, capsys, argv):
     {"angles": [1.0, 1.0, 1.1415926535897931], "epsilon": 0.1, "tiles": [
         {"kind": 1, "scale": 1.0, "rotation": 0.0, "reflect": False,
          "translation": [0.0, 0.0], "depth": True}]},
+    pytest.param(b"", id="not-json"),  # an empty file, as /dev/null reads
 ])
 def test_analyze_rejects_malformed_patch(tmp_path, capsys, doc):
     bad = tmp_path / "f.json"
-    bad.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        bad.write_bytes(doc)
+    else:
+        bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "analyze", "delone", "--in", str(bad))
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {bad} is not JSON: " if isinstance(doc, bytes) else "error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -695,9 +720,12 @@ def test_one_patch_list_keeps_its_shape(tmp_path, capsys):
     ["family", "--l-max", "1001"],
 ])
 def test_verify_caps_name_their_cost(capsys, argv):
+    # a cap names the option, or the library parameter it sets
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
-    assert re.fullmatch(r"error: --[a-z-]+ capped at \d+: that run takes ~[\d.]+ s, .*\n", err)
+    flag = argv[1]
+    name = f"({flag}|{flag[2:].replace('-', '_')})"
+    assert re.fullmatch(rf"error: {name} capped at \d+: that run takes ~[\d.]+ s, .*\n", err)
 
 
 @pytest.mark.parametrize("argv", [

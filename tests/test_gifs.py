@@ -38,6 +38,7 @@ from badtri.gifs import (
     stationary_sequence,
     subdivide,
 )
+from badtri.theorems import MAIN_SOLUTIONS
 
 
 def cross2(u, v):
@@ -70,6 +71,29 @@ def test_presets_sum_to_pi():
     assert abs(o1.alpha - (2 - math.sqrt(3)) * math.pi) <= 1e-15
     o2 = PRESETS["optimal2"]
     assert abs(o2.alpha - (math.sqrt(2) - 1) * math.pi) <= 1e-15
+
+
+# the nine preset angles, as (2 - sqrt 3) pi, (sqrt 3 - 1) pi / 2,
+# (sqrt 2 - 1) pi, (2 - sqrt 2) pi / 2 and pi / 3 evaluate in floats
+_PRESET_HEX = {
+    "equilateral": ("0x1.0c152382d7365p+0",) * 3,
+    "optimal1": ("0x1.aefebbd8bd1d8p-1", "0x1.2660064e138a2p+0", "0x1.2660064e138a2p+0"),
+    "optimal2": ("0x1.4d215c2ed3161p+0", "0x1.d71e0e59b28cfp-1", "0x1.d71e0e59b28cfp-1"),
+}
+
+
+def test_presets_are_pi_times_the_verified_triples():
+    # optimal1 is MAIN_SOLUTIONS[0] as (x, y, z), optimal2 MAIN_SOLUTIONS[1]
+    # as (z, x, y); each angle is pi times its exact value, bit for bit
+    x1, y1, z1 = MAIN_SOLUTIONS[0].values()
+    x2, y2, z2 = MAIN_SOLUTIONS[1].values()
+    exact = {"equilateral": (Fraction(1, 3),) * 3, "optimal1": (x1, y1, z1),
+             "optimal2": (z2, x2, y2)}
+    assert list(PRESETS) == list(_PRESET_HEX) == list(exact)
+    for name, angles in PRESETS.items():
+        assert tuple(a.hex() for a in angles.as_tuple()) == _PRESET_HEX[name], name
+        assert exact[name][0] + exact[name][1] + exact[name][2] == 1, name
+        assert angles.as_tuple() == tuple(math.pi * float(v) for v in exact[name]), name
 
 
 def test_equilateral_constants_are_one():

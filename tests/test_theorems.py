@@ -722,6 +722,19 @@ def test_scalene_sweep_matches_scalene_family():
         scalene_sweep(-1)
 
 
+@pytest.mark.parametrize("sweep, cap, hook", [
+    (lambda: verify_tables(401), r"n_max capped at 400", "table_rows"),
+    (lambda: scalene_sweep(1001), r"l_max capped at 1000", "_scalene_classes"),
+], ids=["verify_tables", "scalene_sweep"])
+def test_sweeps_refuse_past_their_caps_before_any_work(monkeypatch, sweep, cap, hook):
+    def work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(theorems, hook, work)
+    with pytest.raises(ValueError, match=cap + r": that run takes ~[\d.]+ s, and the time grows"):
+        sweep()
+
+
 @pytest.mark.parametrize("block", [(1,), (2,), (3,), (4,), (2, 4)])
 def test_scalene_classes_agree_with_bad_class_at_every_l(block):
     for head, suffix in [((3,), (1,)), ((3,), (3,)), ((2, 2, 2, 2), ())]:
