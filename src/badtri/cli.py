@@ -1,7 +1,7 @@
 """Command-line interface: verification runs, tiling exports, analysis.
 
-The geometry modules (numpy, scipy) load only in the tile, analyze and
-export handlers, so the exact commands start fast."""
+numpy loads only in the tile, analyze and export handlers, and scipy only
+in analyze (through delone), so the exact commands start fast."""
 
 from __future__ import annotations
 
@@ -187,7 +187,7 @@ def cmd_verify_identities(args):
         raise ValueError("--samples must be >= 1")
     if args.samples > IDENTITIES_SAMPLES_MAX:
         raise ValueError(f"--samples capped at {IDENTITIES_SAMPLES_MAX}: that run takes "
-                         "~0.6 s, and the time grows linearly")
+                         "~0.3 s, and the time grows linearly")
     rng = random.Random(args.seed)
     sample = 0
     while sample < args.samples:

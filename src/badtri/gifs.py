@@ -30,7 +30,6 @@ operation, so they are bit-identical to the per-tile reference,
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import sys
@@ -603,31 +602,60 @@ def stationary_sequence(gifs, n):
 
 
 POSE_TOL = 1e-6  # scale, orientation and centroid tolerance of recurs_in
+# recurs_in's cell width: the power of two in (2, 4] * POSE_TOL
+_CELL = math.ldexp(1.0, math.frexp(2 * POSE_TOL)[1])
 
 
 def recurs_in(patch, other):
     """Per tile of `patch`: does `other` hold a tile in the same pose?
 
-    Same pose means the same kind and reflection parity, with scale,
-    orientation (mod 2*pi) and centroid each within POSE_TOL.  A KD-tree
-    over the centroids of `other` yields the candidate pairs, which are
-    then compared column by column.
-    """
-    from scipy.spatial import cKDTree
+    Same pose means the same kind and reflection parity, with scale and
+    orientation (mod 2*pi) each within T = POSE_TOL, and centroids whose
+    offset (dx, dy) has dx*dx + dy*dy <= T*T in float arithmetic.  A sorted
+    cell search yields the candidate pairs, which are then compared column
+    by column.  `other`'s centroids (x', y') are sorted by x-cell
+    floor(x'/h), h = _CELL, then by y'; a centroid (x, y) of `patch` in
+    cell c takes, in each of the cells c-1, c and c+1, the sorted run with
+    y' in [fl(y - h), fl(y + h)].
 
-    near = cKDTree(other.points).query_ball_point(patch.points, POSE_TOL)
-    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
-    i = np.repeat(np.arange(len(near)), counts)
-    j = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=counts.sum())
+    Every pair that passes the centroid test is a candidate (u = 2**-53):
+    - A rounded sum of non-negative floats is no less than either term, so
+      fl(dx*dx) <= fl(T*T); two roundings give |dx| <= T(1 + 2u), and the
+      subtraction's gives |x - x'| < T(1 + 4u) < h.  Likewise |y - y'| < h.
+      (Where dx*dx underflows, |dx| is far below T anyway.)  The float test
+      does pass offsets just above T, as (0, T) against (0, -1e-300), so
+      the y-window reaches h, not T.
+    - h is a power of two and |x| <= MAX_COORDINATE, so x/h is exact and
+      finite, and |x/h - x'/h| < 1: the cells differ by at most one.
+    - The cell numbers are floats.  While |c| < 2**53, c-1 and c+1 are
+      exact.  Past that, |x| > (2**53 - 1) h and |x'| > 2**52 h, where
+      floats are spaced h or more apart, wider than T: the pair has
+      x' = x, and lies in cell c itself.
+    - Rounding is monotone and y' is a float, so y - h <= y' <= y + h gives
+      fl(y - h) <= y' <= fl(y + h).
+    """
+    x, y = other.points.T
+    keys = np.floor(x / _CELL) + 1j * y  # complex sorts by real, then imaginary part
+    order = keys.argsort()
+    keys = keys[order]
+    qx, qy = patch.points.T
+    cells = np.floor(qx / _CELL)[:, None] + (-1.0, 0.0, 1.0)
+    lo = np.searchsorted(keys, cells + 1j * (qy - _CELL)[:, None], "left").ravel()
+    n = np.searchsorted(keys, cells + 1j * (qy + _CELL)[:, None], "right").ravel() - lo
+    i = np.repeat(np.arange(len(qx)), n.reshape(-1, 3).sum(axis=1))
+    # the windows' sorted positions lo .. lo+n-1, laid end to end
+    j = order[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+    dx, dy = (patch.points[i] - other.points[j]).T
     a, b = patch.tiles.take(i), other.tiles.take(j)
     gap = np.abs(a["rotation"] % _TWO_PI - b["rotation"] % _TWO_PI) % _TWO_PI
     same = (
-        (a["kind"] == b["kind"])
+        (dx * dx + dy * dy <= POSE_TOL * POSE_TOL)
+        & (a["kind"] == b["kind"])
         & (a["reflect"] == b["reflect"])
         & (np.abs(a["scale"] - b["scale"]) <= POSE_TOL)
         & (np.minimum(gap, _TWO_PI - gap) <= POSE_TOL)
     )
-    return np.bincount(i[same], minlength=len(near)).astype(bool).tolist()
+    return np.bincount(i[same], minlength=len(qx)).astype(bool).tolist()
 
 
 def stationary_nesting_ok(patches):

@@ -532,21 +532,33 @@ def _lucky2(a, b, c, d):
     )
 
 
-# ident -> (a, b, c, d) -> (lhs pair, rhs pair): the two insertions, whose
-# lhs is the residual 1 - X - Y - Z, then the five auxiliary identities
-_IDENTITIES = {
+# kind -> (a, b, c, d) -> pair of the closed form of the insertion's
+# residual 1 - X - Y - Z
+_RESIDUALS = {
     # (x - y)^2 / ((3 - 2x)(3 - 2y)(3 - x - y))
     "2": lambda a, b, c, d: (
-        _one_minus(*_INSERTIONS["2"](a, b, c, d)),
-        ((a * d - b * c) ** 2,
-         (3 * b - 2 * a) * (3 * d - 2 * c) * (3 * b * d - a * d - b * c)),
+        (a * d - b * c) ** 2,
+        (3 * b - 2 * a) * (3 * d - 2 * c) * (3 * b * d - a * d - b * c),
     ),
     # -5(x - y)^2 / ((10x + 13)(10y + 13)(5x + 5y + 13))
     "11211": lambda a, b, c, d: (
-        _one_minus(*_INSERTIONS["11211"](a, b, c, d)),
-        (-5 * (a * d - b * c) ** 2,
-         (10 * a + 13 * b) * (10 * c + 13 * d) * (5 * a * d + 5 * b * c + 13 * b * d)),
+        -5 * (a * d - b * c) ** 2,
+        (10 * a + 13 * b) * (10 * c + 13 * d) * (5 * a * d + 5 * b * c + 13 * b * d),
     ),
+}
+
+
+def _insertion_identity(kind):
+    """1 - X - Y - Z = the residual's closed form, for insertion `kind`."""
+    return lambda a, b, c, d: (_one_minus(*_INSERTIONS[kind](a, b, c, d)),
+                               _RESIDUALS[kind](a, b, c, d))
+
+
+# ident -> (a, b, c, d) -> (lhs pair, rhs pair): the two insertions, then
+# the five auxiliary identities
+_IDENTITIES = {
+    "2": _insertion_identity("2"),
+    "11211": _insertion_identity("11211"),
     # 4(x - y)^2 / ((8x - 11)(8y - 11)(11 - 4x - 4y))
     "A": lambda a, b, c, d: (
         _one_minus(
@@ -592,12 +604,18 @@ _IDENTITIES = {
 }
 
 
-def _identity(ident, x, y):
-    """(lhs, rhs, lhs == rhs) of _IDENTITIES[ident] at (x, y); a zero denominator is a pole."""
-    (ln, ld), (rn, rd) = lhs, rhs = _IDENTITIES[ident](*_pair(x), *_pair(y))
+def _decide(lhs, rhs):
+    """(lhs, rhs, lhs == rhs) of two (numerator, denominator) pairs; a zero
+    denominator is a pole."""
+    (ln, ld), (rn, rd) = lhs, rhs
     if ld == 0 or rd == 0:
         raise ZeroDivisionError("identity at a pole")
     return lhs, rhs, ln * rd == rn * ld
+
+
+def _identity(ident, x, y):
+    """_decide of _IDENTITIES[ident] at (x, y)."""
+    return _decide(*_IDENTITIES[ident](*_pair(x), *_pair(y)))
 
 
 def insertion(kind, x, y, z):
@@ -611,8 +629,8 @@ def insertion(kind, x, y, z):
     X = [3, 3, 1+x] and Z = [2,1,1,2,1, 1/z-1].  Returns (X, Y, Z,
     residual) where the residual 1-X-Y-Z equals a closed-form rational
     function of x and y alone that vanishes iff x = y — so insertions map
-    equal-pair solutions of x+y+z=1 to new solutions.  The residual is
-    checked against that form once, by `_identity`.
+    equal-pair solutions of x+y+z=1 to new solutions.  The words are built
+    once, and their residual is checked against that form by `_decide`.
     """
     (a, b), (c, d), (e, f) = _pair(x), _pair(y), _pair(z)
     if (a * d + b * c) * f + e * b * d != b * d * f:
@@ -620,8 +638,8 @@ def insertion(kind, x, y, z):
     if kind not in _INSERTIONS:
         raise ValueError(f"unknown insertion kind {kind!r}")
     try:
-        residual, _, holds = _identity(kind, x, y)
         words = _INSERTIONS[kind](a, b, c, d)
+        residual, _, holds = _decide(_one_minus(*words), _RESIDUALS[kind](a, b, c, d))
     except ZeroDivisionError as exc:
         raise ValueError("insertion transform hit a pole") from exc
     if not holds:

@@ -85,13 +85,14 @@ def test_verify_identities_reports_a_broken_identity(capsys, monkeypatch):
 
 
 def test_a_broken_insertion_residual_raises(capsys, monkeypatch):
-    exact = theorems._IDENTITIES["11211"]
+    exact = theorems._RESIDUALS["11211"]
 
     def off_by_one(a, b, c, d):  # the residual's closed form plus 1
-        lhs, (n, m) = exact(a, b, c, d)
-        return lhs, (n + m, m)
+        n, m = exact(a, b, c, d)
+        return n + m, m
 
-    monkeypatch.setitem(theorems._IDENTITIES, "11211", off_by_one)
+    # insertion() and the identity table read the one closed form
+    monkeypatch.setitem(theorems._RESIDUALS, "11211", off_by_one)
     with pytest.raises(AssertionError, match="residual identity violated"):
         theorems.insertion("11211", Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
     # the CLI reports it as it does a broken auxiliary identity

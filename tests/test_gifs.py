@@ -6,14 +6,17 @@ import math
 import random
 from collections import OrderedDict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from badtri.cli import export_svg
 from badtri.delone import analysis_report, orientation_discrepancy
 from badtri.gifs import (
+    _CELL,
     _IDENTITY,
     _TILE,
     _gifs_of,
@@ -439,6 +442,9 @@ def test_stationary_sequence_nesting():
         sizes = [len(p.tiles) for p in seq]
         assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
         assert stationary_nesting_ok(seq)
+        for prev, cur in zip(seq, seq[1:]):
+            assert recurs_in(prev, cur) == _kd_recurs_in(prev, cur)
+            assert recurs_in(cur, prev) == _kd_recurs_in(cur, prev)
 
 
 def _centroid(record, gifs):
@@ -491,6 +497,80 @@ def test_recurrence_orientation_wraps_at_zero():
     assert recurs_in(below, above) == [True]
     assert recurs_in(above, below) == [True]
     assert recurs_in(single(2 * math.pi - 1.5 * TOL), above) == [False]
+
+
+def _kd_recurs_in(patch, other):
+    """recurs_in's reference: a KD-tree over `other`'s centroids gives the
+    pairs within POSE_TOL, whose pose columns are then compared."""
+    near = cKDTree(other.points).query_ball_point(patch.points, POSE_TOL)
+    i = np.repeat(np.arange(len(near)), [len(js) for js in near])
+    j = np.array([j for js in near for j in js], dtype=np.int64)
+    a, b = patch.tiles[i], other.tiles[j]
+    gap = np.abs(a["rotation"] % (2 * math.pi) - b["rotation"] % (2 * math.pi)) % (2 * math.pi)
+    same = ((a["kind"] == b["kind"]) & (a["reflect"] == b["reflect"])
+            & (np.abs(a["scale"] - b["scale"]) <= POSE_TOL)
+            & (np.minimum(gap, 2 * math.pi - gap) <= POSE_TOL))
+    return np.bincount(i[same], minlength=len(near)).astype(bool).tolist()
+
+
+def _cloud(points, kinds):
+    """A stand-in patch: recurs_in reads only `points` and `tiles`, so its
+    centroids can sit exactly on cell edges and past 1e15."""
+    tiles = np.zeros(len(kinds), dtype=_TILE)
+    tiles["kind"], tiles["scale"] = kinds, 1.0
+    return SimpleNamespace(points=np.array(points, dtype=float).reshape(-1, 2), tiles=tiles)
+
+
+# offsets at and around the tolerance, the cell width and underflow
+_JITTERS = [0.0, TOL, TOL * (1 + 2**-52), TOL * (1 - 2**-52), TOL / 2, 1.5 * TOL, _CELL, 1e-300]
+
+
+# (query, other) centroid pairs at the search's edges
+_EDGE_PAIRS = [
+    ((0.0, TOL), (0.0, -1e-300)),  # the float test passes an offset just above TOL
+    ((0.0, -TOL), (0.0, 1e-300)),
+    ((-1e-300, 0.0), (TOL, 0.0)),
+    ((_CELL, 0.0), (_CELL - TOL, 0.0)),  # on a cell edge, partner in the cell below
+    ((-_CELL, 5.0), (-_CELL + TOL, 5.0 - 1e-300)),
+    ((2.0**53 * _CELL, 1.0), (2.0**53 * _CELL + TOL, 1.0)),  # past 2**53 cells
+    ((1e15, -1e15), (1e15 + TOL, -1e15 + TOL)),  # float spacing above TOL
+    ((3.0, 7.0), (3.0 + TOL * (1 + 2**-52), 7.0)),
+]
+
+
+@pytest.mark.parametrize("query, partner", _EDGE_PAIRS)
+def test_recurs_in_matches_a_kd_tree_at_the_edges(query, partner):
+    for a, b in ((query, partner), (partner, query)):
+        patch, other = _cloud([a], [1]), _cloud([b, b], [2, 1])
+        assert recurs_in(patch, other) == _kd_recurs_in(patch, other)
+        assert recurs_in(other, patch) == _kd_recurs_in(other, patch)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_recurs_in_matches_a_kd_tree(data):
+    origin = data.draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** data.draw(st.integers(0, 15))
+    edge = math.floor(origin / _CELL)
+    offsets = _JITTERS + [-d for d in _JITTERS]
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(lambda m: (edge + m) * _CELL),  # a cell edge
+        st.sampled_from(offsets).map(lambda d: origin + d),
+        st.floats(-4 * TOL, 4 * TOL).map(lambda d: origin + d),
+    )
+    base = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=10))
+    # duplicated tiles, and a column of tiles sharing one x
+    others = base + data.draw(st.lists(st.sampled_from(base), max_size=5))
+    x0, y0 = base[0]
+    step = data.draw(st.sampled_from([TOL / 2, TOL, 2 * TOL]))
+    others += [(x0, y0 + m * step) for m in range(data.draw(st.integers(0, 40)))]
+    jitter = st.one_of(st.sampled_from(offsets), st.floats(-2 * TOL, 2 * TOL))
+    kind = st.sampled_from([1, 2])
+    moved = data.draw(st.lists(st.tuples(st.sampled_from(others), jitter, jitter, kind),
+                               min_size=1, max_size=20))
+    patch = _cloud([(x + dx, y + dy) for (x, y), dx, dy, _ in moved], [k for *_, k in moved])
+    other = _cloud(others, data.draw(st.lists(kind, min_size=len(others), max_size=len(others))))
+    assert recurs_in(patch, other) == _kd_recurs_in(patch, other)
+    assert recurs_in(other, patch) == _kd_recurs_in(other, patch)
 
 
 def test_stationary_sequence_guard():

@@ -91,6 +91,30 @@ def test_exact_layer_loads_neither_numpy_nor_scipy(code):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+GEOMETRY_CLI = """
+import sys
+from badtri.cli import main
+codes = [main(argv) for argv in {commands!r}]
+print(codes, sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy'}}))
+"""
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    ([["tile", "--preset", "optimal1", "--stationary", "2", "--out", "seq.json"],
+      ["export", "--in", "seq.json", "--svg", "seq.svg", "--json", "seq2.json"]], ["numpy"]),
+    ([["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
+      ["analyze", "delone", "--in", "p.json"]], ["numpy", "scipy"]),
+], ids=["tile-stationary-export", "tile-analyze-delone"])
+def test_only_delone_loads_scipy(tmp_path, commands, loaded):
+    # recurs_in matches tiles with numpy alone; Delaunay, hulls and
+    # nearest neighbours in delone need scipy
+    done = subprocess.run([sys.executable, "-c", GEOMETRY_CLI.format(commands=commands)],
+                          env=_source_env(), cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"[0, 0] {loaded}"
+
+
 def test_package_exports_each_modules_all():
     # every module but the CLI and `python -m badtri` declares __all__, and
     # the package exports it all

@@ -459,6 +459,22 @@ def test_insertion_residual_zero_iff_equal_inputs():
     assert res != 0
 
 
+@pytest.mark.parametrize("kind", ["2", "11211"])
+def test_insertion_builds_its_words_once(monkeypatch, kind):
+    calls = []
+    build = theorems._INSERTIONS[kind]
+
+    def counted(a, b, c, d):
+        calls.append((a, b, c, d))
+        return build(a, b, c, d)
+
+    monkeypatch.setitem(theorems._INSERTIONS, kind, counted)
+    insertion(kind, Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
+    assert len(calls) == 1
+    generate_solutions((kind,) * 5)
+    assert len(calls) == 6
+
+
 def test_insertion_pole_raises():
     # x = 1 makes the kind-2 transform divide by zero
     with pytest.raises(ValueError):
