@@ -20,7 +20,6 @@ from .quadfield import _ALLOWED_D, QuadRat
 __all__ = [
     "FiniteCF",
     "PeriodicCF",
-    "Cylinder",
     "convergents",
     "word_map",
     "word_range",
@@ -217,63 +216,14 @@ def hull_pairs(m):
     return ends if p1 * q > p * q1 else ends[::-1]
 
 
-class Cylinder:
-    """The interval of values whose expansion starts with a given word.
-
-    One endpoint is P_n/Q_n (the word's own value), the other the mediant
-    (P_n+P_{n-1})/(Q_n+Q_{n-1}); which one is closed alternates with the
-    word length, e.g. I(3) = [1/4, 1/3) and I(2,1) = (1/3, 2/5].
-    """
-
-    __slots__ = ("word", "p1", "q1", "p", "q")
-
-    def __init__(self, word):
-        word = tuple(word)
-        if not word:
-            raise ValueError("empty cylinder word")
-        _check_digits(word)
-        self.word = word
-        self.p1, self.q1, self.p, self.q = convergents(word)
-        if self.p * self.q1 - self.p1 * self.q != (-1) ** (len(word) + 1):
-            raise AssertionError(f"convergent determinant of {word} is not +-1")
-
-    @property
-    def lo(self):
-        return self.hull()[0]
-
-    @property
-    def hi(self):
-        return self.hull()[1]
-
-    @property
-    def closed_end(self):
-        """'lo' or 'hi': the closed endpoint is always the mediant."""
-        return "lo" if len(self.word) % 2 == 1 else "hi"
-
-    @property
-    def width(self):
-        return Fraction(1, self.q * (self.q + self.q1))
-
-    def hull(self):
-        """Closed hull (lo, hi) — what downstream containment checks use."""
-        return word_range((), 0, 1, (self.p1, self.q1, self.p, self.q))
-
-    def __contains__(self, x):
-        lo, hi = self.lo, self.hi
-        if self.closed_end == "lo":
-            return lo <= x < hi
-        return lo < x <= hi
-
-    def __repr__(self):
-        br = "[)" if self.closed_end == "lo" else "(]"
-        return f"I{self.word} = {br[0]}{self.lo}, {self.hi}{br[1]}"
+MAX_GAUSS_STEPS = 10**6  # Gauss-map steps expand_quadratic takes before it gives up
 
 
-def expand_quadratic(x, max_iter=10**6):
+def expand_quadratic(x):
     """Expand a quadratic irrational in (0,1) by iterating the Gauss map exactly.
 
     The normalized state space is finite, so the orbit must cycle; we key
-    on the exact state and cut the word there.  `max_iter` only guards
+    on the exact state and cut the word there.  MAX_GAUSS_STEPS only guards
     against malformed inputs.
     """
     if not isinstance(x, QuadRat):
@@ -285,7 +235,7 @@ def expand_quadratic(x, max_iter=10**6):
     seen = {}
     digits = []
     state = x
-    for i in range(max_iter):
+    for i in range(MAX_GAUSS_STEPS):
         if state in seen:
             start = seen[state]
             return PeriodicCF(digits[:start], digits[start:]).canonical()
@@ -294,7 +244,7 @@ def expand_quadratic(x, max_iter=10**6):
         a = inv.floor()
         digits.append(a)
         state = inv - a
-    raise RuntimeError(f"no period detected within {max_iter} iterations")
+    raise RuntimeError(f"no period detected within {MAX_GAUSS_STEPS} iterations")
 
 
 def gauss_map(x):

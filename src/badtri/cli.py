@@ -1,7 +1,7 @@
 """Command-line interface: verification runs, tiling exports, analysis.
 
 numpy loads only in the tile, analyze and export handlers, and scipy only
-in analyze (through delone), so the exact commands start fast."""
+in `analyze delone` (through delone), so the exact commands start fast."""
 
 from __future__ import annotations
 
@@ -315,16 +315,15 @@ def _load_patches(path):
 
 
 def cmd_analyze(args):
-    from .delone import analysis_report, orientation_discrepancy
-
     patches, listed = _load_patches(args.infile)
-    out = []
-    for patch in patches:
-        if args.what == "delone":
-            out.append(analysis_report(patch))
-        else:
-            n, dstar = orientation_discrepancy(patch)
-            out.append({"N": n, "Dstar": dstar})
+    if args.what == "delone":
+        from .delone import analysis_report
+
+        out = [analysis_report(patch) for patch in patches]
+    else:
+        from .gifs import orientation_discrepancy
+
+        out = [{"N": n, "Dstar": dstar} for n, dstar in map(orientation_discrepancy, patches)]
     print(json.dumps(out if listed else out[0], indent=2))
     if args.what == "delone":
         return 0 if all(r["r_certified"] and r["R_certified"] for r in out) else 1

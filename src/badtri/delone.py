@@ -1,4 +1,4 @@
-"""Delone-parameter certification, Chabauty-Fell distances, discrepancy.
+"""Delone-parameter certification and Chabauty-Fell distances.
 
 Point sets produced by the tiling engine are finite, so each certificate
 here is an exact reduction over a finite candidate set: uniform
@@ -8,7 +8,7 @@ Voronoi vertex, a hull vertex or a Voronoi edge's crossing of the hull
 boundary.  The Chabauty-Fell distance between finite sets is a measured
 value, not a verdict: its closed form takes one nearest-neighbour query
 per set, and a patch's report gives it from the patch to its cuts to
-balls about the origin.
+balls about the origin, beside the orientation discrepancy from gifs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
-from .gifs import orientation_angles
+from .gifs import orientation_discrepancy
 
 __all__ = [
     "PointSet",
@@ -32,9 +32,6 @@ __all__ = [
     "check_covering_radius",
     "chabauty_fell_distance",
     "cf_distance_brute",
-    "star_discrepancy",
-    "star_discrepancy_brute",
-    "orientation_discrepancy",
     "analysis_report",
 ]
 
@@ -305,38 +302,6 @@ def cf_distance_brute(a, b):
         if _cf_predicate(a_pts, a_norms, b_pts, b_norms, (lo + hi) / 2):
             return lo
     return 1.0
-
-
-def star_discrepancy(xs):
-    """Exact D*_N of a sample in [0,1) via the sorted-order formula."""
-    x = np.sort(np.asarray(list(xs), dtype=float))
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sample")
-    if x[0] < 0 or x[-1] >= 1:
-        raise ValueError("values must lie in [0, 1)")
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - x, x - (i - 1) / n).max())
-
-
-def star_discrepancy_brute(xs):
-    """O(N^2) scan over all anchored intervals [0, x_i] and [0, x_i)."""
-    x = np.asarray(list(xs), dtype=float)
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sample")
-    best = 0.0
-    for xi in x:
-        lt = float(np.count_nonzero(x < xi)) / n
-        le = float(np.count_nonzero(x <= xi)) / n
-        best = max(best, abs(lt - xi), abs(le - xi))
-    return best
-
-
-def orientation_discrepancy(patch):
-    """(N, D*) of the tile orientations scaled to [0, 1)."""
-    xs = [rot / (2 * math.pi) for rot, _ in orientation_angles(patch)]
-    return len(xs), star_discrepancy(xs)
 
 
 def analysis_report(patch):

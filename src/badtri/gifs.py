@@ -6,7 +6,8 @@ contractive similitudes whose unions reproduce the prototiles (a closure
 checked on every build, overlaps by separating axes), and runs the
 area-threshold subdivision that yields finite patches and the rotated
 stationary patch sequence.  A patch holds its tiling system and places
-its tile vertices and centroid point set once, when it is built.
+its tile vertices and centroid point set once, when it is built.  The
+star discrepancy of a patch's tile orientations is measured here too.
 
 All geometry is double precision; subdivision decides each split on the
 tile's exact area, a Fraction product of the float scale factors, so
@@ -59,6 +60,9 @@ __all__ = [
     "recurs_in",
     "stationary_nesting_ok",
     "orientation_angles",
+    "star_discrepancy",
+    "star_discrepancy_brute",
+    "orientation_discrepancy",
     "patch_doc",
     "patch_to_json",
     "patch_from_doc",
@@ -668,6 +672,38 @@ def orientation_angles(patch):
     rotation just below 0 rounds to 2*pi under the mod, and wraps to 0."""
     rot = patch.tiles["rotation"] % _TWO_PI
     return list(zip(np.where(rot < _TWO_PI, rot, 0.0).tolist(), patch.tiles["reflect"].tolist()))
+
+
+def star_discrepancy(xs):
+    """Exact D*_N of a sample in [0,1) via the sorted-order formula."""
+    x = np.sort(np.asarray(list(xs), dtype=float))
+    n = len(x)
+    if n == 0:
+        raise ValueError("empty sample")
+    if x[0] < 0 or x[-1] >= 1:
+        raise ValueError("values must lie in [0, 1)")
+    i = np.arange(1, n + 1)
+    return float(np.maximum(i / n - x, x - (i - 1) / n).max())
+
+
+def star_discrepancy_brute(xs):
+    """O(N^2) scan over all anchored intervals [0, x_i] and [0, x_i)."""
+    x = np.asarray(list(xs), dtype=float)
+    n = len(x)
+    if n == 0:
+        raise ValueError("empty sample")
+    best = 0.0
+    for xi in x:
+        lt = float(np.count_nonzero(x < xi)) / n
+        le = float(np.count_nonzero(x <= xi)) / n
+        best = max(best, abs(lt - xi), abs(le - xi))
+    return best
+
+
+def orientation_discrepancy(patch):
+    """(N, D*) of the tile orientations scaled to [0, 1)."""
+    xs = [rot / _TWO_PI for rot, _ in orientation_angles(patch)]
+    return len(xs), star_discrepancy(xs)
 
 
 def patch_doc(patch):

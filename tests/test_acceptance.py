@@ -22,10 +22,7 @@ from badtri.delone import (
     check_covering_radius,
     check_uniform_discrete,
     delone_radii,
-    orientation_discrepancy,
     patch_region,
-    star_discrepancy,
-    star_discrepancy_brute,
 )
 from badtri.gifs import (
     PRESETS,
@@ -33,6 +30,9 @@ from badtri.gifs import (
     build_gifs,
     closure_report,
     epsilon_rule,
+    orientation_discrepancy,
+    star_discrepancy,
+    star_discrepancy_brute,
     stationary_nesting_ok,
     stationary_sequence,
 )

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from badtri.cf import (
     MAX_WORD_DIGITS,
-    Cylinder,
     ExpandResult,
     FiniteCF,
     PeriodicCF,
@@ -116,6 +115,15 @@ def test_expand_rejects_rational():
         expand_quadratic(sqrt2())  # not in (0,1)
 
 
+def test_expand_gives_up_after_max_gauss_steps(monkeypatch):
+    # [3,per(1,2)] repeats its state at the fourth step
+    monkeypatch.setattr("badtri.cf.MAX_GAUSS_STEPS", 4)
+    assert expand_quadratic(2 - sqrt3()) == PeriodicCF([3], [1, 2])
+    monkeypatch.setattr("badtri.cf.MAX_GAUSS_STEPS", 3)
+    with pytest.raises(RuntimeError, match="no period detected within 3 iterations"):
+        expand_quadratic(2 - sqrt3())
+
+
 def test_gauss_map_shift():
     assert gauss_map(sqrt2() - 1) == sqrt2() - 1
     assert gauss_map(2 - sqrt3()) == sqrt3() - 1
@@ -167,37 +175,35 @@ def test_one_minus_value_law_and_involution():
 
 
 def test_cylinder_pinned():
-    c = Cylinder([3])
-    assert (c.lo, c.hi) == (Fraction(1, 4), Fraction(1, 3))
-    assert c.closed_end == "lo"
-    c = Cylinder([1])
-    assert (c.lo, c.hi) == (Fraction(1, 2), Fraction(1, 1))
-    assert c.closed_end == "lo"
-    c = Cylinder([2, 1])
-    assert (c.lo, c.hi) == (Fraction(1, 3), Fraction(2, 5))
-    assert c.closed_end == "hi"
+    # the hull's ends are the word's value (tail 0) and the mediant (tail 1);
+    # the mediant is the lower end for a word of odd length
+    for word, hull, mediant in (((3,), (Fraction(1, 4), Fraction(1, 3)), 0),
+                                ((1,), (Fraction(1, 2), Fraction(1)), 0),
+                                ((2, 1), (Fraction(1, 3), Fraction(2, 5)), 1)):
+        assert word_range(word, 0, 1) == hull
+        assert word_map(word, 1) == hull[mediant]
 
 
 def test_cylinder_width_nesting_determinant():
     rng = random.Random(4)
     for _ in range(200):
         word = [rng.randint(1, 4) for _ in range(rng.randint(1, 8))]
-        c = Cylinder(word)  # constructor asserts the determinant invariant
-        assert c.width == c.hi - c.lo
-        assert c.width == Fraction(1, c.q * (c.q + c.q1))
+        p1, q1, p, q = convergents(word)
+        assert p * q1 - p1 * q == (-1) ** (len(word) + 1)
+        lo, hi = word_range(word, 0, 1)
+        assert hi - lo == Fraction(1, q * (q + q1))
         for b in (1, 2, 3):
-            child = Cylinder(word + [b])
-            assert c.lo <= child.lo and child.hi <= c.hi
+            child_lo, child_hi = word_range(word + [b], 0, 1)
+            assert lo <= child_lo and child_hi <= hi
         # the word's own value lies in the cylinder
-        assert c.lo <= FiniteCF(word).value() <= c.hi
+        assert lo <= FiniteCF(word).value() <= hi
 
 
 def test_cylinder_contains_expansion_prefix():
     rng = random.Random(8)
     for w, v in rand_valued(rng, 40):
-        word = w.digits_prefix(5)
-        c = Cylinder(word)
-        assert (v - c.lo).sign() >= 0 and (c.hi - v).sign() >= 0
+        lo, hi = word_range(w.digits_prefix(5), 0, 1)
+        assert (v - lo).sign() >= 0 and (hi - v).sign() >= 0
 
 
 # --------------------------------------------------------------- word range
@@ -225,11 +231,6 @@ def test_word_range_holds_every_tail_between(prefix, word, tails, s):
     lo, hi = word_range(word, *tails, start)
     t = tails[0] + s * (tails[1] - tails[0])
     assert lo <= word_map(word, t, start) <= hi
-
-
-@given(_words.filter(bool))
-def test_word_range_over_zero_and_one_is_the_cylinder_hull(word):
-    assert word_range(word, 0, 1) == Cylinder(word).hull()
 
 
 @given(_words, _words)

@@ -17,15 +17,15 @@ from badtri.delone import (
     check_covering_radius,
     check_uniform_discrete,
     delone_radii,
-    orientation_discrepancy,
     patch_region,
-    star_discrepancy,
-    star_discrepancy_brute,
 )
 from badtri.gifs import (
     PRESETS,
     build_gifs,
     epsilon_rule,
+    orientation_discrepancy,
+    star_discrepancy,
+    star_discrepancy_brute,
     stationary_sequence,
 )
 

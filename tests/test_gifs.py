@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from badtri.cli import export_svg
-from badtri.delone import analysis_report, orientation_discrepancy
+from badtri.delone import analysis_report
 from badtri.gifs import (
     _CELL,
     _IDENTITY,
@@ -33,6 +33,7 @@ from badtri.gifs import (
     derive_constants,
     epsilon_rule,
     orientation_angles,
+    orientation_discrepancy,
     patch_doc,
     patch_from_doc,
     patch_to_json,

@@ -104,10 +104,13 @@ print(codes, sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy
       ["export", "--in", "seq.json", "--svg", "seq.svg", "--json", "seq2.json"]], ["numpy"]),
     ([["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
       ["analyze", "delone", "--in", "p.json"]], ["numpy", "scipy"]),
-], ids=["tile-stationary-export", "tile-analyze-delone"])
+    ([["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
+      ["analyze", "discrepancy", "--in", "p.json"]], ["numpy"]),
+], ids=["tile-stationary-export", "tile-analyze-delone", "tile-analyze-discrepancy"])
 def test_only_delone_loads_scipy(tmp_path, commands, loaded):
-    # recurs_in matches tiles with numpy alone; Delaunay, hulls and
-    # nearest neighbours in delone need scipy
+    # recurs_in matches tiles and gifs measures the orientation discrepancy
+    # with numpy alone; Delaunay, hulls and nearest neighbours in delone
+    # need scipy
     done = subprocess.run([sys.executable, "-c", GEOMETRY_CLI.format(commands=commands)],
                           env=_source_env(), cwd=tmp_path, capture_output=True, text=True,
                           timeout=60)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import badtri.theorems as theorems
-from badtri.cf import Cylinder, FiniteCF, PeriodicCF, bad_class, convergents, word_map
+from badtri.cf import FiniteCF, PeriodicCF, bad_class, convergents, word_map, word_range
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
@@ -94,7 +94,7 @@ def test_excludes_b2_witness():
     res = excludes_b2(v - eps, v + eps, 30)
     assert res.status == "found-witness"
     assert res.witness is not None
-    lo, hi = Cylinder(res.witness).hull()
+    lo, hi = word_range(res.witness, 0, 1)
     assert v - eps <= lo and hi <= v + eps
 
 
@@ -110,12 +110,12 @@ def test_excludes_b2_inconclusive_then_witness():
 
 
 def _excludes_b2_by_cylinders(lo, hi, depth):
-    """excludes_b2's sweep, building Cylinder(word) at every node."""
+    """excludes_b2's sweep, taking word_range(word, 0, 1) at every node."""
     inconclusive = False
 
     def visit(word):
         nonlocal inconclusive
-        clo, chi = Cylinder(word).hull()
+        clo, chi = word_range(word, 0, 1)
         if chi < lo or hi < clo:
             return None
         if lo <= clo and chi <= hi:
@@ -270,7 +270,7 @@ def _assert_matches_full_words(entry):
     n = entry["n"]
     (left, right), cylinders = _row_words(row, n)
     left, right = word_map(left, 0), word_map(right, 0)
-    (xlo, xhi), (ylo, yhi) = (Cylinder(w).hull() for w in cylinders)
+    (xlo, xhi), (ylo, yhi) = (word_range(w, 0, 1) for w in cylinders)
     r1, r2 = _pattern_ends(**entry["pattern"])
     # the pattern's run of 2s, 2k - 1 (form 1) or 2k (form 2), is n + 1
     assert 2 * entry["pattern"]["k"] - (entry["pattern"]["form"] == 1) == n + 1
@@ -323,9 +323,7 @@ def test_case21_symbolic_endpoints():
 
 def test_case21_values_are_exact():
     a, b, c, d = case21_endpoints(0)
-    cyl = Cylinder((3, 1, 2))
-    assert a == cyl.lo == Fraction(4, 15)
-    assert b == cyl.hi == Fraction(3, 11)
+    assert (a, b) == word_range((3, 1, 2), 0, 1) == (Fraction(4, 15), Fraction(3, 11))
     assert c < d
 
 
@@ -983,7 +981,7 @@ def test_excludes_b2_never_certifies_a_thin_overlap():
         assert excludes_b2(Fraction(3, 10), h, depth).status != "certified-empty"
     res = excludes_b2(Fraction(3, 10), h, 60)
     assert res.status == "found-witness"
-    lo, hi = Cylinder(res.witness).hull()
+    lo, hi = word_range(res.witness, 0, 1)
     assert Fraction(3, 10) <= lo and hi <= h
 
 
