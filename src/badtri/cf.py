@@ -177,18 +177,28 @@ def word_map(word, t, start=(1, 0, 0, 1)):
 
 def _mobius(m, t):
     """t under the Mobius map of the convergent tuple m, as in word_map."""
-    p1, q1, p, q = m
     if isinstance(t, QuadRat):
-        a, b, c, r = t.a, t.b, t.c, t.d
-        big_a, big_b = p1 * a + p * c, p1 * b
-        big_c, big_e = q1 * a + q * c, q1 * b
-        norm = big_c * big_c - r * big_e * big_e
-        if norm == 0:
-            raise ZeroDivisionError("word map at its pole")
-        return QuadRat._new(big_a * big_c - r * big_b * big_e,
-                            big_b * big_c - big_a * big_e, norm, r)
+        return QuadRat._new(*_mobius_triple(m, t.a, t.b, t.c, t.d), t.d)
+    p1, q1, p, q = m
     n, d = t.numerator, t.denominator
     return Fraction(p1 * n + p * d, q1 * n + q * d)
+
+
+def _mobius_triple(m, a, b, c, r):
+    """(a + b sqrt(r))/c under the convergent tuple m, as an unreduced
+    integer triple (A, B, C) standing for (A + B sqrt(r))/C, with C > 0.
+
+    The image (P' t + P)/(Q' t + Q) is multiplied above and below by the
+    conjugate of its denominator, as word_map describes; no gcd is taken.
+    """
+    p1, q1, p, q = m
+    big_a, big_b = p1 * a + p * c, p1 * b
+    big_c, big_e = q1 * a + q * c, q1 * b
+    norm = big_c * big_c - r * big_e * big_e
+    if norm == 0:
+        raise ZeroDivisionError("word map at its pole")
+    num_a, num_b = big_a * big_c - r * big_b * big_e, big_b * big_c - big_a * big_e
+    return (num_a, num_b, norm) if norm > 0 else (-num_a, -num_b, -norm)
 
 
 def word_range(word, lo_tail, hi_tail, start=(1, 0, 0, 1)):

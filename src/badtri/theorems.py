@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import (PeriodicCF, bad_class, convergents, hull_pairs, in_bad_class, word_map,
+from .cf import (PeriodicCF, _mobius_triple, bad_class, convergents, hull_pairs, in_bad_class,
                  word_range)
-from .quadfield import QuadRat, sqrt2
+from .quadfield import QuadRat, _sign, sqrt2
 
 __all__ = [
     "ForbiddenPattern",
@@ -417,6 +417,26 @@ def _relation_holds(relation, values):
     return vx + vy + vz == 1 if relation == "sum_is_one" else vx + vy == vz
 
 
+def _cleared_sum(terms, k=0):
+    """The sum of the terms minus k, as one unreduced triple (A, B, C).
+
+    A term (a, b, c) with c > 0 stands for (a + b sqrt d)/c.  Then
+    A = sum a_i prod_{j != i} c_j - k prod c_j, B = sum b_i prod_{j != i} c_j
+    and C = prod c_j > 0, so _sign(A, B, d) is the sign of the sum minus k,
+    and A = B = 0 says that it is 0.
+    """
+    big_a, big_b, big_c = 0, 0, 1
+    for a, b, c in terms:
+        big_a, big_b, big_c = big_a * c + a * big_c, big_b * c + b * big_c, big_c * c
+    return big_a - k * big_c, big_b, big_c
+
+
+def _neg(v):
+    """-v for a triple v, as _cleared_sum takes them."""
+    a, b, c = v
+    return -a, -b, c
+
+
 def _sum_verdict(triple, relation, b=2, j=None):
     """check_sum's (exact, ordered, classes); only exact values are ordered."""
     if relation not in ("sum_is_one", "x_plus_y_is_z"):
@@ -750,13 +770,19 @@ def scalene_sweep(l_max):
     classes = [_scalene_classes(t) for t in _SCALENE]
     in_b2 = [all(b[k] <= 2 for b in classes) for k in (0, 1)]
     tails = [PeriodicCF((), period).value() for *_, period in _SCALENE]
+    one_field = len({t.d for t in tails}) == 1  # else no l sums to 1, as in _relation_holds
     prefixes = {(head, block): convergents(head) for head, block, _, _ in _SCALENE}
     out = []
     for ell in range(l_max + 1):
-        values = tuple(word_map(suffix, t, prefixes[head, block])
-                       for (head, block, suffix, _), t in zip(_SCALENE, tails))
-        ok = in_b2[ell > 0] and _relation_holds("sum_is_one", values) and len(set(values)) == 3
-        out.append((values, ok))
+        # each value as an unreduced triple from the stepped matrices; the sum
+        # and the three differences are then integer zero tests
+        x, y, z = ends = [
+            _mobius_triple(convergents(suffix, prefixes[head, block]), t.a, t.b, t.c, t.d)
+            for (head, block, suffix, _), t in zip(_SCALENE, tails)]
+        ok = (in_b2[ell > 0] and one_field and _cleared_sum(ends, 1)[:2] == (0, 0)
+              and all(u[0] * v[2] != v[0] * u[2] or u[1] * v[2] != v[1] * u[2]
+                      for u, v in ((x, y), (y, z), (x, z))))
+        out.append((tuple(QuadRat._new(*v, t.d) for v, t in zip(ends, tails)), ok))
         prefixes = {(head, block): convergents(block, m)
                     for (head, block), m in prefixes.items()}
     return out
@@ -770,16 +796,6 @@ _TAIL_LO = PeriodicCF((), (2, 1)).value()
 _TAIL_HI = PeriodicCF((), (1, 2)).value()
 
 
-def _search_child(node, b):
-    """The search node one digit b further.  A node is (word, m, lo, hi,
-    hi - lo): a word, its convergent matrix, and the range and width of
-    [word, t] over the tails t from [per(2,1)] to [per(1,2)], in Q(sqrt 3)."""
-    word, m = node[:2]
-    m = convergents((b,), m)
-    lo, hi = word_range((), _TAIL_LO, _TAIL_HI, m)
-    return word + (b,), m, lo, hi, hi - lo
-
-
 def search_triples(relation, depth, first_digit_max=3):
     """Branch-and-bound for digit-bounded numbers satisfying the relation.
 
@@ -787,48 +803,61 @@ def search_triples(relation, depth, first_digit_max=3):
     k >= 2, so each word is scored by the exact value range of its
     digit-bounded extensions (not the full cylinder).  A triple is pruned
     when exact interval arithmetic excludes the relation or the ordering;
-    branching always splits the widest unfinished range, digits in
-    increasing order.  Survivors are the word triples alive at full depth.
+    branching always splits the widest unfinished range, the first of
+    equal ones, digits in increasing order.  Survivors are the word triples
+    alive at full depth.
     """
     if depth > 16:
-        raise ValueError("depth capped at 16: a depth-16 search takes ~0.01 s, and the time "
+        raise ValueError("depth capped at 16: a depth-16 search takes ~3 ms, and the time "
                          "grows about linearly with the depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if relation not in ("sum_is_one", "x_plus_y_is_z"):
         raise ValueError(f"unknown relation {relation!r}")
+    # A node is (word, m, lo, hi): a word, its convergent matrix, and the
+    # ends of [word, t] over the tails t, as integer triples over Q(sqrt d).
+    # Every test is the sign of a _cleared_sum: no QuadRat is built.
+    d, tails = _TAIL_LO.d, [(t.a, t.b, t.c) for t in (_TAIL_LO, _TAIL_HI)]
     survivors = []
 
+    def sign(terms, k=0):
+        big_a, big_b, _ = _cleared_sum(terms, k)
+        return _sign(big_a, big_b, d)
+
     def feasible(nodes):
-        (xl, xh), (yl, yh), (zl, zh) = (node[2:4] for node in nodes)
-        if not xl <= yh:
+        (_, _, xl, xh), (_, _, yl, yh), (_, _, zl, zh) = nodes
+        if sign((xl, _neg(yh))) > 0:
             return False
         if relation == "sum_is_one":
-            if not yl <= zh:
-                return False
-            s_lo, s_hi = xl + yl + zl, xh + yh + zh
-            return (1 - s_lo).sign() >= 0 and (s_hi - 1).sign() >= 0
-        return xl + yl <= zh and zl <= xh + yh
+            return sign((yl, _neg(zh))) <= 0 and sign((xl, yl, zl), 1) <= 0 <= sign((xh, yh, zh), 1)
+        return sign((xl, yl, _neg(zh))) <= 0 <= sign((xh, yh, _neg(zl)))
 
     # the empty word's range: first digit 1..first_digit_max, then the tails
-    lo, hi = word_map((first_digit_max,), _TAIL_HI), word_map((1,), _TAIL_LO)
-    root = ((), (1, 0, 0, 1), lo, hi, hi - lo)
+    start = (((), (1, 0, 0, 1), _mobius_triple(convergents((first_digit_max,)), *tails[1], d),
+              _mobius_triple(convergents((1,)), *tails[0], d)),) * 3
     # depth first, children in increasing digit order, on an explicit
     # stack: the search keeps no Python frame per digit
-    start = (root,) * 3
     stack = [start] if feasible(start) else []
     while stack:
         nodes = stack.pop()
-        widths = [(node[4], i) for i, node in enumerate(nodes) if len(node[0]) < depth]
-        if not widths:
+        i = None
+        for j, (word, _, lo, hi) in enumerate(nodes):
+            # hi - lo against the widest width so far, cross-multiplied
+            if len(word) < depth and (
+                    i is None or sign((hi, _neg(lo), _neg(nodes[i][3]), nodes[i][2])) > 0):
+                i = j
+        if i is None:
             survivors.append(tuple(node[0] for node in nodes))
             continue
-        _, i = max(widths, key=lambda t: (t[0], -t[1]))
-        hi_digit = first_digit_max if not nodes[i][0] else 2
+        word, m = nodes[i][:2]
         children = []
-        for b in range(1, hi_digit + 1):
+        for b in range(1, (first_digit_max if not word else 2) + 1):
+            step = convergents((b,), m)
+            ends = [_mobius_triple(step, *t, d) for t in tails]
+            if step[0] * step[3] < step[2] * step[1]:  # a decreasing map swaps the ends
+                ends.reverse()
             new = list(nodes)
-            new[i] = _search_child(nodes[i], b)
+            new[i] = (word + (b,), step, *ends)
             if feasible(new):
                 children.append(tuple(new))
         stack.extend(reversed(children))

@@ -62,6 +62,28 @@ def test_verify_tables_output_bytes(capsys, argv, digest, code, lines):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _spine_line(*words):
+    return "  " + " | ".join(",".join(map(str, (pre + period * 16)[:16])) for pre, period in words)
+
+
+@pytest.mark.parametrize("relation, out", [
+    ("sum_is_one", "\n".join([
+        "survivors at depth 16: 2",
+        _spine_line(((3,), (1, 2)), ((), (2, 1)), ((), (2, 1))),
+        _spine_line(((3,), (2,)), ((3,), (2,)), ((), (2,))),
+        "stray survivors: 0; solutions covered: 2/2\n"])),
+    ("x_plus_y_is_z", "\n".join([
+        "survivors at depth 16: 4",
+        _spine_line(((), (2, 1)), ((), (2, 1)), ((), (1, 2))),
+        _spine_line(((3,), (1, 2)), ((), (2, 1)), ((1, 1, 1), (2, 1))),
+        _spine_line(((3,), (2,)), ((), (2,)), ((1,), (2,))),
+        _spine_line(((3,), (2,)), ((3,), (2,)), ((1, 1), (2,))),
+        "stray survivors: 0; solutions covered: 4/4\n"])),
+])
+def test_verify_search_output_at_the_cap(capsys, relation, out):
+    assert run(capsys, "verify", "search", "--depth", "16", "--relation", relation) == (0, out, "")
+
+
 def test_verify_identities(capsys):
     code, out, _ = run(capsys, "verify", "identities", "--samples", "10")
     assert code == 0

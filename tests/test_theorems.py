@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import badtri.theorems as theorems
-from badtri.cf import FiniteCF, PeriodicCF, bad_class, convergents, word_map, word_range
-from badtri.quadfield import QuadRat, sqrt2, sqrt3
+from badtri.cf import (FiniteCF, PeriodicCF, _mobius_triple, bad_class, convergents, word_map,
+                       word_range)
+from badtri.quadfield import QuadRat, _sign, sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
@@ -946,12 +947,65 @@ def _search_by_words(relation, depth, first_digit_max):
     return survivors
 
 
-@pytest.mark.parametrize("first_digit_max", [1, 2, 3])
+@pytest.mark.parametrize("first_digit_max", [1, 2, 3, 4])
 @pytest.mark.parametrize("relation", ["sum_is_one", "x_plus_y_is_z"])
 def test_search_matches_a_word_keyed_search(relation, first_digit_max):
-    for depth in range(11):
+    # first_digit_max 4 stops at depth 10: its survivors grow about 5x per two
+    # digits, and depth 16 holds 120,444 (sum) and 234,281 (x + y = z) of them
+    for depth in range(11 if first_digit_max == 4 else 17):
         assert search_triples(relation, depth, first_digit_max) == _search_by_words(
             relation, depth, first_digit_max)
+
+
+@pytest.mark.parametrize("relation", ["sum_is_one", "x_plus_y_is_z"])
+def test_search_builds_no_quadrat(monkeypatch, relation):
+    def build(*args):
+        raise AssertionError("the search built a QuadRat")
+
+    monkeypatch.setattr(QuadRat, "_new", staticmethod(build))
+    assert search_triples(relation, 16) == _SURVIVORS_AT_16[relation, 3]
+
+
+def _search_ends(word):
+    """A nonempty word's (lo, hi) over the tails [per(2,1)] and [per(1,2)],
+    each as (integer triple, QuadRat): the triples by the search's rule,
+    the QuadRats from word_range."""
+    tails = theorems._TAIL_LO, theorems._TAIL_HI
+    m = convergents(word)
+    ends = [_mobius_triple(m, t.a, t.b, t.c, t.d) for t in tails]
+    if m[0] * m[3] < m[2] * m[1]:
+        ends.reverse()
+    return list(zip(ends, word_range(word, *tails)))
+
+
+def _triple_sign(terms, k=0):
+    big_a, big_b, big_c = theorems._cleared_sum(terms, k)
+    assert big_c > 0
+    return _sign(big_a, big_b, 3)
+
+
+_SEARCH_WORDS = st.lists(st.integers(1, 4), min_size=1, max_size=24).map(tuple)
+
+
+@given(data=st.data())
+def test_cleared_sum_signs_match_quadrat_arithmetic(data):
+    words = data.draw(st.lists(_SEARCH_WORDS, min_size=3, max_size=3))
+    if data.draw(st.booleans()):
+        words[1] = words[0]  # equal operands: the signs must be 0
+    ends = [_search_ends(w) for w in words]
+    for triple, value in itertools.chain(*ends):
+        assert QuadRat(*triple, 3) == value
+    neg = theorems._neg
+    # u <= v, as the order tests decide it
+    (u, qu), (v, qv) = ends[0][data.draw(st.integers(0, 1))], ends[1][data.draw(st.integers(0, 1))]
+    assert _triple_sign((u, neg(v))) == (qu - qv).sign()
+    # sum - k, as the relation bounds decide it
+    k = data.draw(st.integers(0, 3))
+    picks = [e[data.draw(st.integers(0, 1))] for e in ends]
+    assert _triple_sign([t for t, _ in picks], k) == (sum(q for _, q in picks) - k).sign()
+    # the width order, as the widest-first choice decides it
+    ((l0, ql0), (h0, qh0)), ((l1, ql1), (h1, qh1)) = ends[:2]
+    assert _triple_sign((h0, neg(l0), neg(h1), l1)) == ((qh0 - ql0) - (qh1 - ql1)).sign()
 
 
 def test_search_rejects_bad_args():
