@@ -22,7 +22,6 @@ __all__ = [
     "PeriodicCF",
     "convergents",
     "word_map",
-    "word_range",
     "hull_pairs",
     "expand_quadratic",
     "gauss_map",
@@ -172,11 +171,7 @@ def word_map(word, t, start=(1, 0, 0, 1)):
     prefix's convergent tuple, as in `convergents`; the value is then
     [prefix, word, t].
     """
-    return _mobius(convergents(word, start), t)
-
-
-def _mobius(m, t):
-    """t under the Mobius map of the convergent tuple m, as in word_map."""
+    m = convergents(word, start)
     if isinstance(t, QuadRat):
         return QuadRat._new(*_mobius_triple(m, t.a, t.b, t.c, t.d), t.d)
     p1, q1, p, q = m
@@ -201,25 +196,16 @@ def _mobius_triple(m, a, b, c, r):
     return (num_a, num_b, norm) if norm > 0 else (-num_a, -num_b, -norm)
 
 
-def word_range(word, lo_tail, hi_tail, start=(1, 0, 0, 1)):
-    """(lo, hi): the closed range of [start, word, t] for t in [lo_tail, hi_tail].
-
-    For t >= 0 the Mobius map of the convergent matrix (P', Q', P, Q) is
-    monotone, increasing iff P' Q - P Q' > 0, so that sign orders the two
-    tails' images.  `start` is a prefix's convergent tuple, as in `convergents`.
-    """
-    m = convergents(word, start)
-    ends = _mobius(m, lo_tail), _mobius(m, hi_tail)
-    return ends if m[0] * m[3] > m[2] * m[1] else ends[::-1]
-
-
 def hull_pairs(m):
-    """(lo, hi): word_range over the tails 0 and 1, as (P, Q) integer pairs.
+    """(lo, hi): the closed hull of a cylinder, as (P, Q) integer pairs.
 
-    The ends are P/Q and (P + P')/(Q + Q'), the images of the tails 0 and 1
-    under the convergent tuple m = (P', Q', P, Q), ordered by the sign of
-    P'Q - PQ'.  For the tuple of a word of digits >= 1 that difference is
-    +-1, so both pairs are in lowest terms with positive denominators.
+    The cylinder of a word with convergent tuple m = (P', Q', P, Q) holds
+    [word, t] for the tails t in [0, 1].  For t >= 0 the word's Mobius map
+    (P' t + P)/(Q' t + Q) is monotone, increasing iff P'Q - PQ' > 0, so the
+    ends are P/Q and (P + P')/(Q + Q'), the images of the tails 0 and 1,
+    ordered by that sign.  For the tuple of a word of digits >= 1 that
+    difference is +-1, so both pairs are in lowest terms with positive
+    denominators.
     """
     p1, q1, p, q = m
     ends = (p, q), (p + p1, q + q1)

@@ -26,7 +26,6 @@ from .theorems import (
     scalene_sweep,
     search_triples,
     verify_tables,
-    word_contains,
 )
 
 IDENTITIES_SAMPLES_MAX = 5000  # verify identities --samples cap
@@ -222,19 +221,13 @@ def cmd_verify_family(args):
 def cmd_verify_search(args):
     survivors = search_triples(args.relation, depth=args.depth)
     targets = MAIN_SOLUTIONS if args.relation == "sum_is_one" else MAIN2_SOLUTIONS
-    target_values = [t.values() for t in targets]
 
-    def contains(words, vals):
-        return all(word_contains(w, v) for w, v in zip(words, vals))
+    def contains(words, t):
+        # an irrational has one expansion: in a word's closed cylinder iff its digits begin with it
+        return all(v.digits_prefix(len(w)) == w for w, v in zip(words, (t.x, t.y, t.z)))
 
-    stray = [
-        words
-        for words in survivors
-        if not any(contains(words, vals) for vals in target_values)
-    ]
-    covered = [
-        any(contains(words, vals) for words in survivors) for vals in target_values
-    ]
+    stray = [words for words in survivors if not any(contains(words, t) for t in targets)]
+    covered = [any(contains(words, t) for words in survivors) for t in targets]
     print(f"survivors at depth {args.depth}: {len(survivors)}")
     for words in survivors:
         print("  " + " | ".join(",".join(map(str, w)) for w in words))

@@ -24,7 +24,6 @@ from badtri.cf import (
     one_minus,
     parse_cf,
     word_map,
-    word_range,
 )
 from badtri.quadfield import QuadRat, sqrt2, sqrt3
 
@@ -174,13 +173,18 @@ def test_one_minus_value_law_and_involution():
 # ------------------------------------------------------------------ cylinders
 
 
+def _hull(word, start=(1, 0, 0, 1)):
+    """The closed cylinder hull by value: the images of the tails 0 and 1, sorted."""
+    return tuple(sorted(word_map(word, t, start) for t in (0, 1)))
+
+
 def test_cylinder_pinned():
     # the hull's ends are the word's value (tail 0) and the mediant (tail 1);
     # the mediant is the lower end for a word of odd length
     for word, hull, mediant in (((3,), (Fraction(1, 4), Fraction(1, 3)), 0),
                                 ((1,), (Fraction(1, 2), Fraction(1)), 0),
                                 ((2, 1), (Fraction(1, 3), Fraction(2, 5)), 1)):
-        assert word_range(word, 0, 1) == hull
+        assert _hull(word) == hull
         assert word_map(word, 1) == hull[mediant]
 
 
@@ -190,10 +194,10 @@ def test_cylinder_width_nesting_determinant():
         word = [rng.randint(1, 4) for _ in range(rng.randint(1, 8))]
         p1, q1, p, q = convergents(word)
         assert p * q1 - p1 * q == (-1) ** (len(word) + 1)
-        lo, hi = word_range(word, 0, 1)
+        lo, hi = _hull(word)
         assert hi - lo == Fraction(1, q * (q + q1))
         for b in (1, 2, 3):
-            child_lo, child_hi = word_range(word + [b], 0, 1)
+            child_lo, child_hi = _hull(word + [b])
             assert lo <= child_lo and child_hi <= hi
         # the word's own value lies in the cylinder
         assert lo <= FiniteCF(word).value() <= hi
@@ -202,42 +206,20 @@ def test_cylinder_width_nesting_determinant():
 def test_cylinder_contains_expansion_prefix():
     rng = random.Random(8)
     for w, v in rand_valued(rng, 40):
-        lo, hi = word_range(w.digits_prefix(5), 0, 1)
+        lo, hi = _hull(w.digits_prefix(5))
         assert (v - lo).sign() >= 0 and (hi - v).sign() >= 0
 
 
-# --------------------------------------------------------------- word range
+# --------------------------------------------------------------- hull pairs
 
 _words = st.lists(st.integers(1, 6), max_size=8).map(tuple)
-_tails = st.fractions(min_value=0, max_value=5, max_denominator=10**6)
-
-
-@st.composite
-def _tail_pairs(draw):
-    """Two tails >= 0, the lesser first."""
-    return tuple(sorted((draw(_tails), draw(_tails))))
-
-
-@given(_words, _words, _tail_pairs())
-def test_word_range_orders_the_two_tails_images(prefix, word, tails):
-    start = convergents(prefix)
-    images = sorted(word_map(word, t, start) for t in tails)
-    assert word_range(word, *tails, start) == tuple(images)
-
-
-@given(_words, _words, _tail_pairs(), st.fractions(min_value=0, max_value=1))
-def test_word_range_holds_every_tail_between(prefix, word, tails, s):
-    start = convergents(prefix)
-    lo, hi = word_range(word, *tails, start)
-    t = tails[0] + s * (tails[1] - tails[0])
-    assert lo <= word_map(word, t, start) <= hi
 
 
 @given(_words, _words)
-def test_hull_pairs_are_word_ranges_ends_in_lowest_terms(prefix, word):
+def test_hull_pairs_are_the_sorted_tail_images_in_lowest_terms(prefix, word):
     # a Fraction's numerator and denominator are coprime with the
     # denominator positive, so equal pairs show hull_pairs' are too
-    ends = word_range(word, 0, 1, convergents(prefix))
+    ends = _hull(word, convergents(prefix))
     assert hull_pairs(convergents(word, convergents(prefix))) == tuple(
         (v.numerator, v.denominator) for v in ends)
 
@@ -247,12 +229,12 @@ def test_one_digit_step_continues_the_word(word, b):
     assert convergents((b,), convergents(word)) == convergents(word + (b,))
 
 
-def test_word_range_of_the_empty_word_is_the_tails():
-    assert word_range((), 0, 1) == (0, 1)
+def test_hull_of_the_empty_word_is_the_tails():
+    assert hull_pairs(convergents(())) == ((0, 1), (1, 1))
     lo, hi = PeriodicCF((), (2, 1)).value(), PeriodicCF((), (1, 2)).value()
-    assert word_range((), lo, hi) == (lo, hi)
+    assert (word_map((), lo), word_map((), hi)) == (lo, hi)
     # quadratic tails map through one digit's decreasing map
-    assert word_range((3,), lo, hi) == (word_map((3,), hi), word_map((3,), lo))
+    assert word_map((3,), hi) < word_map((3,), lo)
 
 
 # ----------------------------------------------------------------- compare

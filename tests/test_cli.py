@@ -14,7 +14,7 @@ import badtri.theorems as theorems
 from badtri.cf import MAX_DECIMAL_DIGITS, PeriodicCF
 from badtri.cli import _build_parser, cmd_verify_main, main
 from badtri.gifs import PRESETS
-from badtri.quadfield import sqrt2
+from badtri.quadfield import QuadRat, sqrt2
 
 
 def run(capsys, *argv):
@@ -80,7 +80,13 @@ def _spine_line(*words):
         _spine_line(((3,), (2,)), ((3,), (2,)), ((1, 1), (2,))),
         "stray survivors: 0; solutions covered: 4/4\n"])),
 ])
-def test_verify_search_output_at_the_cap(capsys, relation, out):
+def test_verify_search_output_at_the_cap(capsys, monkeypatch, relation, out):
+    # the search and its coverage check work on digits and integers alone
+    def build(*args):
+        raise AssertionError("verify search built an exact value")
+
+    monkeypatch.setattr(QuadRat, "_new", staticmethod(build))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(build))
     assert run(capsys, "verify", "search", "--depth", "16", "--relation", relation) == (0, out, "")
 
 

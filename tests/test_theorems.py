@@ -11,11 +11,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import badtri.theorems as theorems
-from badtri.cf import (FiniteCF, PeriodicCF, _mobius_triple, bad_class, convergents, word_map,
-                       word_range)
+from badtri.cf import (FiniteCF, PeriodicCF, _mobius_triple, bad_class, convergents, hull_pairs,
+                       word_map)
 from badtri.quadfield import QuadRat, _sign, sqrt2, sqrt3
 from badtri.theorems import (
     B22_SOLUTIONS,
@@ -37,8 +37,17 @@ from badtri.theorems import (
     verify_case21_symbolic,
     verify_case_row,
     verify_tables,
-    word_contains,
 )
+
+
+def _hull(word):
+    """The closed cylinder hull by value: the images of the tails 0 and 1, sorted."""
+    return tuple(sorted(word_map(word, t) for t in (0, 1)))
+
+
+def _in_hull(word, value):
+    lo, hi = _hull(word)
+    return lo <= value <= hi
 
 
 # ------------------------------------------------------------------ patterns
@@ -95,7 +104,7 @@ def test_excludes_b2_witness():
     res = excludes_b2(v - eps, v + eps, 30)
     assert res.status == "found-witness"
     assert res.witness is not None
-    lo, hi = word_range(res.witness, 0, 1)
+    lo, hi = _hull(res.witness)
     assert v - eps <= lo and hi <= v + eps
 
 
@@ -111,12 +120,12 @@ def test_excludes_b2_inconclusive_then_witness():
 
 
 def _excludes_b2_by_cylinders(lo, hi, depth):
-    """excludes_b2's sweep, taking word_range(word, 0, 1) at every node."""
+    """excludes_b2's sweep, taking the value-ordered hull at every node."""
     inconclusive = False
 
     def visit(word):
         nonlocal inconclusive
-        clo, chi = word_range(word, 0, 1)
+        clo, chi = _hull(word)
         if chi < lo or hi < clo:
             return None
         if lo <= clo and chi <= hi:
@@ -271,7 +280,7 @@ def _assert_matches_full_words(entry):
     n = entry["n"]
     (left, right), cylinders = _row_words(row, n)
     left, right = word_map(left, 0), word_map(right, 0)
-    (xlo, xhi), (ylo, yhi) = (word_range(w, 0, 1) for w in cylinders)
+    (xlo, xhi), (ylo, yhi) = (_hull(w) for w in cylinders)
     r1, r2 = _pattern_ends(**entry["pattern"])
     # the pattern's run of 2s, 2k - 1 (form 1) or 2k (form 2), is n + 1
     assert 2 * entry["pattern"]["k"] - (entry["pattern"]["form"] == 1) == n + 1
@@ -324,7 +333,7 @@ def test_case21_symbolic_endpoints():
 
 def test_case21_values_are_exact():
     a, b, c, d = case21_endpoints(0)
-    assert (a, b) == word_range((3, 1, 2), 0, 1) == (Fraction(4, 15), Fraction(3, 11))
+    assert (a, b) == _hull((3, 1, 2)) == (Fraction(4, 15), Fraction(3, 11))
     assert c < d
 
 
@@ -814,11 +823,11 @@ def test_search_sum_is_one_depth12():
     assert len(survivors) == 2
     for trip in survivors:
         assert any(
-            all(word_contains(w, v) for w, v in zip(trip, sol)) for sol in vals
+            all(_in_hull(w, v) for w, v in zip(trip, sol)) for sol in vals
         )
     for sol in vals:
         assert any(
-            all(word_contains(w, v) for w, v in zip(trip, sol)) for trip in survivors
+            all(_in_hull(w, v) for w, v in zip(trip, sol)) for trip in survivors
         )
 
 
@@ -828,11 +837,11 @@ def test_search_x_plus_y_is_z_depth12():
     assert len(survivors) == 4
     for trip in survivors:
         assert any(
-            all(word_contains(w, v) for w, v in zip(trip, sol)) for sol in vals
+            all(_in_hull(w, v) for w, v in zip(trip, sol)) for sol in vals
         )
     for sol in vals:
         assert any(
-            all(word_contains(w, v) for w, v in zip(trip, sol)) for trip in survivors
+            all(_in_hull(w, v) for w, v in zip(trip, sol)) for trip in survivors
         )
 
 
@@ -969,13 +978,13 @@ def test_search_builds_no_quadrat(monkeypatch, relation):
 def _search_ends(word):
     """A nonempty word's (lo, hi) over the tails [per(2,1)] and [per(1,2)],
     each as (integer triple, QuadRat): the triples by the search's rule,
-    the QuadRats from word_range."""
+    the QuadRats from the tails' images, sorted by value."""
     tails = theorems._TAIL_LO, theorems._TAIL_HI
     m = convergents(word)
     ends = [_mobius_triple(m, t.a, t.b, t.c, t.d) for t in tails]
     if m[0] * m[3] < m[2] * m[1]:
         ends.reverse()
-    return list(zip(ends, word_range(word, *tails)))
+    return list(zip(ends, sorted(word_map(word, t) for t in tails)))
 
 
 def _triple_sign(terms, k=0):
@@ -1015,6 +1024,67 @@ def test_search_rejects_bad_args():
         search_triples("difference", 4)
 
 
+@pytest.mark.parametrize("first_digit_max", [0, -2, 5, 3.0])
+def test_search_refuses_first_digit_max_outside_1_to_4(monkeypatch, first_digit_max):
+    def build(*args):
+        raise AssertionError("the search built a node")
+
+    # the checks come before the first convergent matrix
+    monkeypatch.setattr(theorems, "convergents", build)
+    with pytest.raises(ValueError, match="first_digit_max"):
+        search_triples("sum_is_one", 4, first_digit_max)
+
+
+def _in_closed_hull(word, value):
+    """An exact value against the Fraction ends of its word's hull_pairs."""
+    lo, hi = (Fraction(*end) for end in hull_pairs(convergents(word)))
+    return lo <= value <= hi
+
+
+def _covers_by_prefix(word, cf):
+    return cf.digits_prefix(len(word)) == word
+
+
+@pytest.mark.parametrize("relation, targets, pairs_checked", [
+    ("sum_is_one", MAIN_SOLUTIONS, 788),
+    ("x_plus_y_is_z", MAIN2_SOLUTIONS, 3052),
+])
+def test_survivors_cover_targets_by_prefix_as_by_value(relation, targets, pairs_checked):
+    # an irrational lies in a word's closed cylinder iff its digits begin
+    # with the word: the coverage rule of `verify search`
+    pairs = 0
+    for first_digit_max, depth_max in ((1, 16), (2, 16), (3, 16), (4, 8)):
+        for depth in range(depth_max + 1):
+            for words in search_triples(relation, depth, first_digit_max):
+                for t in targets:
+                    words_cfs = list(zip(words, (t.x, t.y, t.z)))
+                    assert (all(_covers_by_prefix(w, cf) for w, cf in words_cfs)
+                            == all(_in_closed_hull(w, cf.value()) for w, cf in words_cfs))
+                    pairs += 1
+    assert pairs == pairs_checked  # (survivor, target) pairs over every depth
+
+
+_PERIODIC = st.builds(PeriodicCF, st.lists(st.integers(1, 4), max_size=4),
+                      st.lists(st.integers(1, 4), min_size=1, max_size=4))
+
+
+@given(data=st.data())
+def test_prefix_is_closed_hull_membership(data):
+    cf = data.draw(_PERIODIC)
+    try:
+        value = cf.value()
+    except ValueError:  # a value outside the supported quadratic fields
+        assume(False)
+    word = cf.digits_prefix(data.draw(st.integers(0, 12)))
+    how = data.draw(st.sampled_from(["prefix", "one digit off", "random"]))
+    if how == "one digit off" and word:
+        i = data.draw(st.integers(0, len(word) - 1))
+        word = word[:i] + (data.draw(st.integers(1, 4).filter(lambda b: b != word[i])),) + word[i + 1:]
+    elif how == "random":
+        word = tuple(data.draw(st.lists(st.integers(1, 4), max_size=12)))
+    assert _covers_by_prefix(word, cf) == _in_closed_hull(word, value)
+
+
 # ------------------------------------------------------ exclusion carry
 
 
@@ -1035,7 +1105,7 @@ def test_excludes_b2_never_certifies_a_thin_overlap():
         assert excludes_b2(Fraction(3, 10), h, depth).status != "certified-empty"
     res = excludes_b2(Fraction(3, 10), h, 60)
     assert res.status == "found-witness"
-    lo, hi = word_range(res.witness, 0, 1)
+    lo, hi = _hull(res.witness)
     assert Fraction(3, 10) <= lo and hi <= h
 
 
