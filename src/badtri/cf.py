@@ -24,7 +24,6 @@ __all__ = [
     "word_map",
     "hull_pairs",
     "expand_quadratic",
-    "gauss_map",
     "one_minus",
     "cf_compare",
     "bad_class",
@@ -157,7 +156,7 @@ def convergents(word, start=(1, 0, 0, 1)):
     return p1, q1, p, q
 
 
-def word_map(word, t, start=(1, 0, 0, 1)):
+def word_map(word, t):
     """[word, t]: the value of the word followed by a tail of value t.
 
     The word acts on t by the Mobius map of its convergent matrix,
@@ -167,11 +166,9 @@ def word_map(word, t, start=(1, 0, 0, 1)):
     tail (a + b sqrt(r))/c maps to (A + B sqrt(r)) / (C + E sqrt(r)) with
     A = P_{n-1} a + P_n c, B = P_{n-1} b, C = Q_{n-1} a + Q_n c and
     E = Q_{n-1} b, and multiplying both by C - E sqrt(r) makes that one
-    normalised QuadRat.  A pole raises ZeroDivisionError.  `start` is a
-    prefix's convergent tuple, as in `convergents`; the value is then
-    [prefix, word, t].
+    normalised QuadRat.  A pole raises ZeroDivisionError.
     """
-    m = convergents(word, start)
+    m = convergents(word)
     if isinstance(t, QuadRat):
         return QuadRat._new(*_mobius_triple(m, t.a, t.b, t.c, t.d), t.d)
     p1, q1, p, q = m
@@ -243,19 +240,6 @@ def expand_quadratic(x):
     raise RuntimeError(f"no period detected within {MAX_GAUSS_STEPS} iterations")
 
 
-def gauss_map(x):
-    """T(x) = 1/x - floor(1/x), exactly."""
-    if isinstance(x, Fraction):
-        if not 0 < x < 1:
-            raise ValueError("input must lie in (0, 1)")
-        inv = 1 / x
-        return inv - math.floor(inv)
-    if x.sign() <= 0 or (x - 1).sign() >= 0:
-        raise ValueError("input must lie in (0, 1)")
-    inv = x.inverse()
-    return inv - inv.floor()
-
-
 def _uncons(cf):
     """Split off the first digit: cf = [d, rest...]."""
     if isinstance(cf, FiniteCF):
@@ -317,9 +301,10 @@ def bad_class(cf):
     """Smallest (B, j) with cf in B_{B,j}: digits <= B+1 up to position j, <= B after.
 
     The period pins B from below; preperiod digits may exceed B by one, and
-    j is the last position where that allowance is used (0 if never).
+    j is the last position where that allowance is used (0 if never).  No
+    canonical form is needed: it only drops repeats of the period and moves
+    preperiod digits equal to a period digit, so <= B, into the period.
     """
-    cf = cf.canonical()
     b = max(cf.period)
     if cf.pre:
         b = max(b, max(cf.pre) - 1)
@@ -331,19 +316,20 @@ def bad_class(cf):
 
 
 def in_bad_class(cf, b, j=0):
-    """Membership test for B_{B,j} (j=0 gives plain B_B)."""
-    if max(cf.period) > b:
-        return False
-    for k, d in enumerate(cf.pre, start=1):
-        if d > (b + 1 if k <= j else b):
-            return False
-    return True
+    """Membership test for B_{b,j} (j=0 gives plain B_b), for j >= 0.
+
+    The classes are nested, B_{b,j} within B_{b,j+1} and B_{b+1,0}, so cf
+    is a member iff its least class from bad_class lies below (b, j).
+    """
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j!r}")
+    least, last = bad_class(cf)
+    return least < b or (least == b and last <= j)
 
 
 @dataclass(frozen=True)
 class ExpandResult:
     digits: tuple
-    certified: int
     terminated: bool
 
 
@@ -397,7 +383,7 @@ def expand_real(value, err=None, terms=64):
             break
     if not digits:
         raise ValueError("precision exhausted before any digit was certified")
-    return ExpandResult(tuple(digits), len(digits), terminated)
+    return ExpandResult(tuple(digits), terminated)
 
 
 def _read_real(text):

@@ -120,7 +120,7 @@ def _build_parser():
 def cmd_cf_expand(args):
     res = expand_real(args.value, err=args.err, terms=args.terms)
     print("digits:", list(res.digits))
-    print("certified:", res.certified)
+    print("certified:", len(res.digits))
     print("terminated:", res.terminated)
     return 0
 

@@ -43,7 +43,9 @@ class PointSet:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if len(np.unique(pts, axis=0)) < len(pts):
+        # complex sorts by real, then imaginary part, so equal points end adjacent
+        keys = np.sort(pts[:, 0] + 1j * pts[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate points")
         pts.flags.writeable = False
         self.points = pts
@@ -51,21 +53,9 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def norms(self):
-        return np.linalg.norm(self.points, axis=1)
-
     def restrict(self, radius):
         """Points within the closed ball of the given radius about 0."""
-        keep = self.norms() <= radius
-        return _raw_point_set(self.points[keep])
-
-
-def _raw_point_set(pts):
-    ps = PointSet.__new__(PointSet)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2).copy()
-    pts.flags.writeable = False
-    ps.points = pts
-    return ps
+        return PointSet(self.points[np.linalg.norm(self.points, axis=1) <= radius])
 
 
 # a point is in a region when its excess is at most this (Region.contains)

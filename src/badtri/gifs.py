@@ -105,16 +105,15 @@ class DerivedConstants:
     C: float
     a: float
     b: float
-    u_alt: float
-    u_forms_agree: bool
 
 
 def derive_constants(angles):
     """The six similitude constants; gamma must be acute.
 
     u has two printed forms that disagree off the alpha = gamma diagonal;
-    u = 2*s*t^2*cos(gamma) is the one the closure tests confirm, and
-    u_forms_agree records whether the alternate happens to match.
+    u = 2*s*t^2*cos(gamma) is the one the closure tests confirm.  The
+    alternate, 2*sin(gamma)^2 / (sin(beta)*tan(gamma)), matches it only on
+    that diagonal.
     """
     al, be, ga = angles.as_tuple()
     if ga >= math.pi / 2:
@@ -122,7 +121,6 @@ def derive_constants(angles):
     s = math.sin(be) / math.sin(ga)
     t = math.sin(al) / math.sin(be)
     u = 2 * s * t * t * math.cos(ga)
-    u_alt = 2 * math.sin(ga) ** 2 / (math.sin(be) * math.tan(ga))
     cot_ga = math.cos(ga) / math.sin(ga)
     C = 2 * (1 + t * t) ** 2 * math.sin(al) * cot_ga / (t * (s * t + u) * (1 + 2 * t * math.cos(ga)))
     a = math.sqrt(2 / (s * math.sin(al))) / (1 + t * t)
@@ -132,7 +130,7 @@ def derive_constants(angles):
     # C = (b/a)^2 is an algebraic consequence; drift means transcription rot
     if abs(C - (b / a) ** 2) > 1e-9 * C:
         raise AssertionError("C != (b/a)^2: constants drifted apart")
-    return DerivedConstants(s, t, u, C, a, b, u_alt, abs(u - u_alt) <= 1e-9 * max(u, u_alt))
+    return DerivedConstants(s, t, u, C, a, b)
 
 
 @dataclass(frozen=True)

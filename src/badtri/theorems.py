@@ -126,6 +126,8 @@ def excludes_b2(lo, hi, depth=30):
 
 
 def _check_depth(depth):
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth > 60:
         raise ValueError("depth capped at 60: a sweep that deep takes ~1.5 ms per interval, "
                          "and the time grows about as the depth squared")
@@ -366,9 +368,6 @@ class SolutionTriple:
 
     def values(self):
         return self.x.value(), self.y.value(), self.z.value()
-
-    def classes(self):
-        return bad_class(self.x), bad_class(self.y), bad_class(self.z)
 
 
 def _triple(x, y, z):
@@ -806,6 +805,8 @@ def search_triples(relation, depth, first_digit_max=3):
     equal ones, digits in increasing order.  Survivors are the word triples
     alive at full depth.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth > 16:
         raise ValueError("depth capped at 16: a depth-16 search takes ~3 ms, and the time "
                          "grows about linearly with the depth")

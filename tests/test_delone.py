@@ -44,6 +44,23 @@ def test_pointset_rejects_duplicates():
     assert abs(check_uniform_discrete(ps, 0.5).min_distance - 1.0) <= 1e-15
 
 
+# small grid coordinates, so that points repeat, with zeros of either sign
+_grid = st.builds(lambda v, neg: -0.0 if v == 0 and neg else float(v),
+                  st.integers(-2, 2), st.booleans())
+
+
+@given(st.lists(st.tuples(_grid, _grid), max_size=10), st.integers(0, 3))
+def test_pointset_refuses_exactly_the_duplicates(points, radius):
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    if len(np.unique(pts, axis=0)) < len(pts):
+        with pytest.raises(ValueError, match="duplicate points"):
+            PointSet(pts)
+        return
+    sub = PointSet(pts).restrict(radius)
+    assert isinstance(sub, PointSet)
+    assert sub.points.tolist() == [[x, y] for x, y in points if x * x + y * y <= radius * radius]
+
+
 def test_uniform_discrete_examples():
     ps = PointSet([(0, 0), (0.3, 0)])
     assert check_uniform_discrete(ps, 0.15).status == "certified"

@@ -336,29 +336,3 @@ def test_word_map_matches_the_nested_form(d, data):
     assert got == _outcome(lambda: (p1 * t + p) / (q1 * t + q))
     if got is not ZeroDivisionError:
         assert _normalised(word_map(word, t), d)
-
-
-def _value_or_pole(fn, *args):
-    """fn(*args) with its type, or ZeroDivisionError if it raised that."""
-    try:
-        r = fn(*args)
-    except ZeroDivisionError:
-        return ZeroDivisionError
-    return type(r), r
-
-
-@pytest.mark.parametrize("d", (2, 3, 5))
-@given(data=st.data())
-def test_word_map_continues_a_prefix(d, data):
-    prefix = tuple(data.draw(st.lists(st.integers(1, 6), max_size=8)))
-    suffix = tuple(data.draw(st.lists(st.integers(1, 6), max_size=8)))
-    _, q1, _, q = convergents(prefix + suffix)
-    pole = Fraction(-q, q1) if q1 else None
-    tails = [_INTS, st.builds(Fraction, _INTS, st.integers(1, 10**5)), _elements(d)]
-    if pole is not None:
-        tails.append(st.sampled_from((pole, QuadRat(pole, 0, 1, d))))
-        if pole.denominator == 1:
-            tails.append(st.just(int(pole)))
-    t = data.draw(st.one_of(tails))
-    whole = _value_or_pole(word_map, prefix + suffix, t)
-    assert _value_or_pole(word_map, suffix, t, convergents(prefix)) == whole

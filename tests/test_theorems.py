@@ -383,7 +383,7 @@ def test_b22_solutions():
     for t in B22_SOLUTIONS:
         assert check_sum(t, "sum_is_one")
         assert check_sum(t, "sum_is_one", j=2)
-        assert all(b == 2 and j <= 2 for b, j in t.classes())
+        assert all(b == 2 and j <= 2 for b, j in map(bad_class, (t.x, t.y, t.z)))
 
 
 def test_check_sum_rejects_wrong_relation():
@@ -1140,6 +1140,22 @@ def test_verify_tables_checks_the_depth_before_any_row(monkeypatch, depth):
     monkeypatch.setattr(theorems, "_check_row", check)
     with pytest.raises(ValueError, match="depth"):
         verify_tables(400, depth)
+
+
+@pytest.mark.parametrize("depth", [2.5, 16.0, True])
+@pytest.mark.parametrize("run", [
+    lambda depth: search_triples("x_plus_y_is_z", depth),
+    lambda depth: excludes_b2(Fraction(1, 3), Fraction(1, 2), depth),
+    lambda depth: verify_tables(2, depth),
+], ids=["search_triples", "excludes_b2", "verify_tables"])
+def test_a_depth_that_is_not_an_int_is_refused_before_any_work(monkeypatch, run, depth):
+    def work(*args):
+        raise AssertionError("a node or row was built")
+
+    for hook in ("convergents", "hull_pairs", "table_rows"):
+        monkeypatch.setattr(theorems, hook, work)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        run(depth)
 
 
 def test_verify_tables_carry_checks_row_endpoints(monkeypatch):
