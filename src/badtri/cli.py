@@ -326,11 +326,16 @@ def cmd_analyze(args):
 # ------------------------------------------------------------------ export
 
 
-def export_svg(patch, prev_patch=None):
-    """Stroke-only tile outlines plus one disk per point, 2% margin."""
+def export_svg(patch, prev_patch=None, texts=None):
+    """Stroke-only tile outlines plus one disk per point, 2% margin.
+
+    `texts` is the patch's entry of a gifs._text_table holding "vertices"
+    and "points", so a caller that also writes JSON formats each float
+    once; without one, export_svg builds its own.
+    """
     import numpy as np
 
-    from .gifs import _float_texts, _join_rows, recurs_in
+    from .gifs import _SVG_COLUMNS, _join_rows, _text_table, recurs_in
 
     polys, pts = patch.vertices, patch.points
     allv = np.concatenate([polys.reshape(-1, 2), pts])
@@ -352,12 +357,14 @@ def export_svg(patch, prev_patch=None):
         f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
         f".pt{{fill:#1a1a1a}}</style>",
     ]
-    v = _float_texts(polys)  # six coordinates per tile
+    if texts is None:
+        (texts,) = _text_table([patch], _SVG_COLUMNS)
+    v = texts["vertices"]  # six coordinates per tile
     lines.append(_join_rows([
         np.where(in_prev, '<path class="tile prev" d="M', '<path class="tile" d="M').tolist(),
         v[0::6], " ", v[1::6], " L", v[2::6], " ", v[3::6], " L", v[4::6], " ", v[5::6], ' Z"/>',
     ], "\n"))
-    xy = _float_texts(pts)
+    xy = texts["points"]
     lines.append(_join_rows(['<circle class="pt" cx="', xy[0::2], '" cy="', xy[1::2],
                              f'" r="{radius}"/>'], "\n"))
     lines.append("</svg>")
@@ -371,7 +378,7 @@ def export_csv(patch):
 
 
 def cmd_export(args):
-    from .gifs import patch_to_json
+    from .gifs import _JSON_COLUMNS, _SVG_COLUMNS, _text_table, patch_to_json
 
     patches, listed = _load_patches(args.infile)
     if not (args.svg or args.json_out or args.csv):
@@ -379,8 +386,12 @@ def cmd_export(args):
     # every request is checked against the file's shape before any write
     if args.csv and len(patches) > 1:
         raise ValueError("csv export takes a single-patch file")
+    # one table of float texts for both writers: each distinct float of the
+    # columns they write is formatted once for the whole command
+    names = (_JSON_COLUMNS if args.json_out else ()) + (_SVG_COLUMNS if args.svg else ())
+    table = _text_table(patches, tuple(dict.fromkeys(names)))
     if args.json_out:
-        text = patch_to_json(patches if listed else patches[0])
+        text = patch_to_json(patches if listed else patches[0], table)
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
         print(f"json -> {args.json_out}")
@@ -393,7 +404,8 @@ def cmd_export(args):
         for k, patch in enumerate(patches):
             name = f"{stem}-{k}{ext or '.svg'}" if listed else args.svg
             with open(name, "w") as fh:
-                fh.write(export_svg(patch, prev_patch=patches[k - 1] if k else None))
+                fh.write(export_svg(patch, prev_patch=patches[k - 1] if k else None,
+                                    texts=table[k]))
             print(f"svg -> {name}")
     return 0
 

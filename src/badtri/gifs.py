@@ -724,19 +724,46 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(values, spelling=None):
+def _float_texts(values):
     """repr of every entry of a float64 (or int64) array, flattened, as a
     list; each distinct 64-bit pattern is formatted once.  Keying on the
-    bits keeps 0.0 and -0.0 apart.  `spelling` maps a repr of a non-finite
-    float to the text to write in its place.
+    bits keeps 0.0 and -0.0 apart.
     """
     values = np.asarray(values).ravel()
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(values.dtype)
-    texts = list(map(repr, distinct.tolist()))
-    if spelling and not np.isfinite(distinct).all():
-        texts = [spelling.get(t, t) for t in texts]
+    texts = list(map(repr, bits.view(values.dtype).tolist()))
     return np.array(texts, dtype=object)[inverse].tolist()
+
+
+# the float columns patch_to_json writes, and those export_svg writes
+_JSON_COLUMNS = ("scale", "rotation", "tx", "ty", "points")
+_SVG_COLUMNS = ("vertices", "points")
+
+
+def _text_table(patches, names):
+    """The float texts a command writes: for each patch, a dict mapping each
+    named column (a tile field of _JSON_COLUMNS, "points" or "vertices") to
+    the repr of its entries, flattened in row order.
+
+    One _float_texts pass covers every column of every patch, so each
+    distinct 64-bit pattern is formatted once per table: a tile's first
+    vertex is its translation (each prototile's vertex 0 is the origin),
+    and the disks of an SVG are the points of the JSON.
+    """
+    cols = [np.ravel(getattr(p, n) if n in _SVG_COLUMNS else p.tiles[n])
+            for p in patches for n in names]
+    texts = _float_texts(np.concatenate(cols)) if cols else []
+    ends = np.cumsum([c.size for c in cols]).tolist()
+    slices = [texts[a:b] for a, b in zip([0] + ends, ends)]
+    return [dict(zip(names, slices[k * len(names):])) for k in range(len(patches))]
+
+
+def _json_spelling(texts, values):
+    """texts as json spells them: repr's nan, inf and -inf are NaN,
+    Infinity and -Infinity."""
+    if np.isfinite(values).all():
+        return texts
+    return [_JSON_NONFINITE.get(t, t) for t in texts]
 
 
 def _join_rows(parts, sep):
@@ -751,29 +778,38 @@ def _join_rows(parts, sep):
     return "".join(pieces)
 
 
-def _patch_text(patch):
-    """The compact JSON of patch_doc(patch), written column by column."""
+def _patch_text(patch, texts):
+    """The compact JSON of patch_doc(patch), written column by column from
+    its entry of a _text_table."""
     tiles = patch.tiles
     kind, depth = (_float_texts(tiles[c]) for c in ("kind", "depth"))
-    scale, rotation, tx, ty = (
-        _float_texts(tiles[c], _JSON_NONFINITE) for c in ("scale", "rotation", "tx", "ty"))
+    scale, rotation, tx, ty = (_json_spelling(texts[c], tiles[c])
+                               for c in ("scale", "rotation", "tx", "ty"))
     reflect = np.where(tiles["reflect"], "true", "false").tolist()
     rows = _join_rows([
         '{"kind":', kind, ',"scale":', scale, ',"rotation":', rotation, ',"reflect":', reflect,
         ',"translation":[', tx, ",", ty, '],"depth":', depth, "}",
     ], ",")
-    xy = _float_texts(patch.points, _JSON_NONFINITE)
+    xy = _json_spelling(texts["points"], patch.points)
     points = _join_rows(["[", xy[0::2], ",", xy[1::2], "]"], ",")
     epsilon, angles = map(_ENCODER.encode, (patch.epsilon, list(patch.gifs.angles.as_tuple())))
     return f'{{"epsilon":{epsilon},"angles":{angles},"tiles":[{rows}],"points":[{points}]}}'
 
 
-def patch_to_json(patches):
+def patch_to_json(patches, table=None):
     """A patch, or a list of patches, as compact JSON of patch_doc(...):
-    the text json.JSONEncoder(separators=(",", ":")) writes, byte for byte."""
-    if isinstance(patches, Patch):
-        return _patch_text(patches)
-    return "[" + ",".join(map(_patch_text, patches)) + "]"
+    the text json.JSONEncoder(separators=(",", ":")) writes, byte for byte.
+
+    `table` is a _text_table of the patches (of [patch] for one patch)
+    holding at least _JSON_COLUMNS, so a caller that also writes SVG
+    formats each float once; without one, patch_to_json builds its own.
+    """
+    one = isinstance(patches, Patch)
+    patches = [patches] if one else list(patches)
+    if table is None:
+        table = _text_table(patches, _JSON_COLUMNS)
+    texts = list(map(_patch_text, patches, table))
+    return texts[0] if one else "[" + ",".join(texts) + "]"
 
 
 _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")

@@ -60,8 +60,8 @@ class ForbiddenPattern:
 def forbidden_interval(form, k, ell, s):
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
-    if not all(isinstance(v, int) for v in (k, ell, s)) or k < 1 or ell < 0 or s < 3:
-        raise ValueError("need integers k >= 1, ell >= 0, s >= 3")
+    for name, value, least in (("k", k, 1), ("ell", ell, 0), ("s", s, 3)):
+        _check_int(name, value, least)
     twos = convergents((2,) * (2 * k - 1 if form == 1 else 2 * k))
     r1, r2 = _pattern_ends(ell, s, twos)
     return ForbiddenPattern(form, k, ell, s, Fraction(*r1), Fraction(*r2))
@@ -125,14 +125,20 @@ def excludes_b2(lo, hi, depth=30):
     return ExclusionResult("certified-empty")
 
 
+def _check_int(name, value, least):
+    """Refuse, with ValueError, a value that is not an int (a bool is not
+    one) or is below `least`; each caller checks its own cap after this."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _check_depth(depth):
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
+    _check_int("depth", depth, 1)
     if depth > 60:
         raise ValueError("depth capped at 60: a sweep that deep takes ~1.5 ms per interval, "
                          "and the time grows about as the depth squared")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
 
 
 # ------------------------------------------------------------------- tables
@@ -303,8 +309,7 @@ def verify_tables(n_max=20, exclusion_depth=30):
     before any row is.  Returns a report dict: per-(row, n) pass flags, one
     exclusion verdict per distinct pattern hull, and an overall `ok`.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_int("n_max", n_max, 0)
     if n_max > 400:
         raise ValueError("n_max capped at 400: that run takes ~0.3 s, "
                          "and the time grows about as n_max^1.3")
@@ -760,8 +765,7 @@ def scalene_sweep(l_max):
     (x and y share theirs), then continued by the suffix and applied to
     the period's value.  The classes are read once, by `_scalene_classes`.
     """
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
+    _check_int("l_max", l_max, 0)
     if l_max > 1000:
         raise ValueError("l_max capped at 1000: that run takes ~0.3 s, "
                          "and the time grows about as l_max^2.2")
@@ -805,15 +809,11 @@ def search_triples(relation, depth, first_digit_max=3):
     equal ones, digits in increasing order.  Survivors are the word triples
     alive at full depth.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
+    _check_int("depth", depth, 0)
     if depth > 16:
         raise ValueError("depth capped at 16: a depth-16 search takes ~3 ms, and the time "
                          "grows about linearly with the depth")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not isinstance(first_digit_max, int) or first_digit_max < 1:
-        raise ValueError(f"first_digit_max must be an integer >= 1, got {first_digit_max!r}")
+    _check_int("first_digit_max", first_digit_max, 1)
     if first_digit_max > 4:
         raise ValueError("first_digit_max capped at 4: a depth-16 x + y = z search at 4 takes "
                          "~9 s and keeps 234,281 survivors, against ~3 ms at 3")

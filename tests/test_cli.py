@@ -549,6 +549,107 @@ def test_export_svg_matches_the_f_string_writer():
         assert export_svg(mixed, prev_patch=prev) == _svg_oracle(mixed, prev)
 
 
+def test_one_text_table_serves_both_writers():
+    import dataclasses
+
+    import numpy as np
+
+    from badtri.cli import export_svg
+    from badtri.gifs import (_JSON_COLUMNS, _SVG_COLUMNS, _text_table, build_gifs, patch_doc,
+                             patch_to_json, stationary_sequence)
+
+    seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 2)
+    # tiles 0 and 1 put a vertex at x = -0.0 and at x = 0.0 (see above); tile
+    # 2's vertices and centroid overflow to inf, and tile 3's are nan
+    tiles = seq[2].tiles.copy()
+    tiles[["rotation", "tx", "ty"]][:2] = 0.0
+    tiles["reflect"][:2] = True, False
+    tiles["tx"][0] = -0.0
+    tiles["scale"][2] = tiles["tx"][2] = 1e308
+    tiles["ty"][3] = np.nan
+    with np.errstate(all="ignore"):
+        edge = dataclasses.replace(seq[2], tiles=tiles)
+    for col in (edge.tiles["tx"], edge.vertices[..., 0]):
+        assert set(np.signbit(col[col == 0]).tolist()) == {False, True}
+    for col in (edge.vertices, edge.points):
+        assert np.isinf(col).any() and np.isnan(col).any()
+    compact = dict(separators=(",", ":"))
+    # one table for one patch, and for a list with the edge patch between two
+    (table,) = _text_table([edge], _JSON_COLUMNS + _SVG_COLUMNS)
+    text = patch_to_json(edge, [table])
+    assert text == json.dumps(patch_doc(edge), **compact)
+    assert "Infinity" in text and "NaN" in text
+    with np.errstate(all="ignore"):
+        svg = export_svg(edge, texts=table)
+    assert svg == _svg_oracle(edge) and "inf" in svg and "nan" in svg
+    patches = [seq[1], edge, seq[0]]
+    table = _text_table(patches, _JSON_COLUMNS + _SVG_COLUMNS)
+    assert patch_to_json(patches, table) == json.dumps([patch_doc(p) for p in patches], **compact)
+    with np.errstate(all="ignore"):
+        for patch, texts in zip(patches, table):
+            assert export_svg(patch, texts=texts) == _svg_oracle(patch)
+
+
+def _stationary_file(tmp_path, capsys, preset):
+    seq = tmp_path / "seq.json"
+    code, _, err = run(capsys, "tile", "--preset", preset, "--stationary", "5", "--out", str(seq))
+    assert code == 0, err
+    return seq
+
+
+@pytest.mark.parametrize("outputs, columns, count", [
+    (["--svg", "s.svg", "--json", "s.json"], ("scale", "rotation", "tx", "ty", "points",
+                                              "vertices"), 19603),
+    (["--json", "s.json"], ("scale", "rotation", "tx", "ty", "points"), None),
+    (["--svg", "s.svg"], ("points", "vertices"), None),
+], ids=["svg+json", "json", "svg"])
+def test_export_formats_each_distinct_float_once(tmp_path, capsys, monkeypatch, outputs,
+                                                 columns, count):
+    import builtins
+
+    import numpy as np
+
+    import badtri.gifs as gifs
+    from badtri.cli import _load_patches
+
+    seq = _stationary_file(tmp_path, capsys, "optimal1")
+    formatted = []
+
+    def counting_repr(value):
+        if isinstance(value, float):
+            formatted.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(gifs, "repr", counting_repr, raising=False)
+    argv = [str(tmp_path / a) if "." in a else a for a in outputs]
+    code, _, err = run(capsys, "export", "--in", str(seq), *argv)
+    assert code == 0, err
+    monkeypatch.undo()
+    patches, _ = _load_patches(str(seq))
+    written = np.concatenate([
+        np.ravel(getattr(p, c) if c in ("points", "vertices") else p.tiles[c])
+        for p in patches for c in columns])
+    assert len(formatted) == len(np.unique(written.view(np.int64)))
+    if count is not None:
+        assert len(formatted) == count
+
+
+@pytest.mark.parametrize("preset, digest", [
+    ("optimal1", "ae94e6452d6ad344df645b7964e2e5907582acf92072a232925094eb422eeae8"),
+    ("optimal2", "cb52835c94a160da77632a52e158cb470361e0bb2a7be70aedf071a6b8a1ac09"),
+])
+def test_export_output_bytes(tmp_path, capsys, preset, digest):
+    seq = _stationary_file(tmp_path, capsys, preset)
+    code, out, err = run(capsys, "export", "--in", str(seq), "--svg", str(tmp_path / "seq.svg"),
+                         "--json", str(tmp_path / "seq2.json"))
+    assert code == 0, err
+    files = ["seq2.json"] + [f"seq-{k}.svg" for k in range(6)]
+    assert out == "".join(f"{f.rsplit('.')[-1]} -> {tmp_path / f}\n" for f in files)
+    # the JSON file, then the six SVG files, as one byte string
+    data = b"".join((tmp_path / f).read_bytes() for f in files)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_preset_names_match_gifs(capsys):
     parser = _build_parser()
     for name in PRESETS:

@@ -90,6 +90,9 @@ def test_forbidden_interval_rejects_non_integers():
     for args in ((1, 1, 0, 3.5), (1, 1.5, 0, 3), (1, 1, 0.5, 3)):
         with pytest.raises(ValueError):
             forbidden_interval(*args)
+    # a bool is not a count, though it is an int to isinstance
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        forbidden_interval(1, True, 0, 3)
 
 
 def test_excludes_b2_certified_empty():
@@ -1156,6 +1159,22 @@ def test_a_depth_that_is_not_an_int_is_refused_before_any_work(monkeypatch, run,
         monkeypatch.setattr(theorems, hook, work)
     with pytest.raises(ValueError, match="depth must be an integer"):
         run(depth)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize("run, name", [
+    (lambda v: verify_tables(v), "n_max"),
+    (lambda v: search_triples("x_plus_y_is_z", 4, first_digit_max=v), "first_digit_max"),
+    (lambda v: scalene_sweep(v), "l_max"),
+], ids=["verify_tables", "search_triples", "scalene_sweep"])
+def test_a_count_that_is_not_an_int_is_refused_before_any_work(monkeypatch, run, name, value):
+    def work(*args):
+        raise AssertionError("a node, row or l was built")
+
+    for hook in ("convergents", "table_rows", "_scalene_classes"):
+        monkeypatch.setattr(theorems, hook, work)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        run(value)
 
 
 def test_verify_tables_carry_checks_row_endpoints(monkeypatch):
