@@ -48,24 +48,20 @@ class FiniteCF:
     digits: tuple
 
     def __init__(self, digits):
+        """Store the canonical spelling: a trailing 1 is merged into its neighbour.
+
+        Every rational in (0, 1) has exactly two finite expansions,
+        [..., a] and [..., a-1, 1]; the stored one does not end in 1 (the
+        single word [1] is its own canonical form), so equal words are
+        equal values.
+        """
         digits = tuple(digits)
         if not digits:
             raise ValueError("empty continued fraction")
         _check_digits(digits)
+        if len(digits) > 1 and digits[-1] == 1:
+            digits = digits[:-2] + (digits[-2] + 1,)
         object.__setattr__(self, "digits", digits)
-
-    def canonical(self):
-        """Merge a trailing 1 so that structural equality matches value equality.
-
-        Every rational in (0, 1) has exactly two finite expansions,
-        [..., a] and [..., a-1, 1]; the canonical one does not end in 1
-        (the single word [1] is its own canonical form).
-        """
-        d = list(self.digits)
-        if len(d) > 1 and d[-1] == 1:
-            d.pop()
-            d[-1] += 1
-        return FiniteCF(d)
 
     def value(self):
         return word_map(self.digits, 0)
@@ -82,32 +78,33 @@ class PeriodicCF:
     period: tuple
 
     def __init__(self, pre, period):
+        """Store the canonical spelling: primitive period, then shortest preperiod.
+
+        A trailing preperiod digit equal to the period's last digit can be
+        absorbed by rotating the period, e.g. [3,2,per(2)] = [3,per(2)] and
+        [1,per(2,1)] = [per(1,2)].  The preperiod's trailing digits that
+        match the period read backwards cyclically are counted in one pass,
+        then the period is rotated once, so equal words are equal values.
+        """
         pre = tuple(pre)
         period = tuple(period)
         if not period:
             raise ValueError("period must be nonempty")
         _check_digits(pre)
         _check_digits(period)
+        n = len(period)
+        for p in range(1, n):
+            if n % p == 0 and period == period[:p] * (n // p):
+                period, n = period[:p], p
+                break
+        k = 0
+        while k < len(pre) and pre[-1 - k] == period[-1 - k % n]:
+            k += 1
+        if k:
+            r = k % n
+            pre, period = pre[:-k], period[n - r:] + period[:n - r]
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "period", period)
-
-    def canonical(self):
-        """Primitive period, then shortest preperiod.
-
-        A trailing preperiod digit equal to the period's last digit can be
-        absorbed by rotating the period, e.g. [3,2,per(2)] = [3,per(2)] and
-        [1,per(2,1)] = [per(1,2)].
-        """
-        period = list(self.period)
-        for p in range(1, len(period) + 1):
-            if len(period) % p == 0 and period == period[:p] * (len(period) // p):
-                period = period[:p]
-                break
-        pre = list(self.pre)
-        while pre and pre[-1] == period[-1]:
-            pre.pop()
-            period = [period[-1]] + period[:-1]
-        return PeriodicCF(pre, period)
 
     def value(self):
         """Exact value: fixed point of the period, pushed through the preperiod.
@@ -231,7 +228,7 @@ def expand_quadratic(x):
     for i in range(MAX_GAUSS_STEPS):
         if state in seen:
             start = seen[state]
-            return PeriodicCF(digits[:start], digits[start:]).canonical()
+            return PeriodicCF(digits[:start], digits[start:])
         seen[state] = i
         inv = state.inverse()
         a = inv.floor()
@@ -265,17 +262,15 @@ def one_minus(cf):
 
     [a1, ...] with a1 >= 2 becomes [1, a1-1, ...]; [1, a2, ...] becomes
     [1+a2, ...].  Works for finite and periodic words alike and is an
-    involution on canonical forms.
+    involution.
     """
     d1, rest = _uncons(cf)
     if d1 >= 2:
-        out = _cons(1, _cons(d1 - 1, rest))
-    else:
-        if rest is None:
-            raise ValueError("1 - [1,inf] = 0 is not in (0, 1)")
-        d2, rest2 = _uncons(rest)
-        out = _cons(d2 + 1, rest2)
-    return out.canonical()
+        return _cons(1, _cons(d1 - 1, rest))
+    if rest is None:
+        raise ValueError("1 - [1,inf] = 0 is not in (0, 1)")
+    d2, rest2 = _uncons(rest)
+    return _cons(d2 + 1, rest2)
 
 
 def cf_compare(x, y):
@@ -301,9 +296,7 @@ def bad_class(cf):
     """Smallest (B, j) with cf in B_{B,j}: digits <= B+1 up to position j, <= B after.
 
     The period pins B from below; preperiod digits may exceed B by one, and
-    j is the last position where that allowance is used (0 if never).  No
-    canonical form is needed: it only drops repeats of the period and moves
-    preperiod digits equal to a period digit, so <= B, into the period.
+    j is the last position where that allowance is used (0 if never).
     """
     b = max(cf.period)
     if cf.pre:
@@ -496,9 +489,9 @@ def parse_cf(text):
         else:
             digits.append(_int(tok, text))
     if period is not None:
-        return PeriodicCF(digits, period).canonical()
+        return PeriodicCF(digits, period)
     if finite:
-        return FiniteCF(digits).canonical()
+        return FiniteCF(digits)
     raise ValueError("word must end with per(...) or inf")
 
 

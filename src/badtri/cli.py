@@ -126,7 +126,7 @@ def cmd_cf_expand(args):
 
 
 def cmd_cf_eval(args):
-    cf = parse_cf(args.text).canonical()
+    cf = parse_cf(args.text)
     val = cf.value()
     try:
         decimal = val.to_decimal(30) if isinstance(cf, PeriodicCF) else f"{float(val):.17g}"
@@ -143,23 +143,16 @@ def cmd_cf_eval(args):
 # ------------------------------------------------------------------ verify
 
 
-def _word_text(cf):
-    return format_cf(cf.canonical())
-
-
 def cmd_verify_main(args):
     """Exact relation, ordering, CF round-trip and B_2 class for each triple."""
     failures = 0
     for triple in args.triples:
         exact, ordered, classes = _sum_verdict(triple, args.relation, b=2)
-        roundtrip = all(
-            expand_quadratic(w.value()).canonical() == w.canonical()
-            for w in (triple.x, triple.y, triple.z)
-        )
+        roundtrip = all(expand_quadratic(w.value()) == w for w in (triple.x, triple.y, triple.z))
         ok = exact and ordered and roundtrip and classes
         failures += not ok
         order = "" if ordered or not exact else " ordered=False"
-        words = ", ".join(_word_text(w) for w in (triple.x, triple.y, triple.z))
+        words = ", ".join(format_cf(w) for w in (triple.x, triple.y, triple.z))
         print(f"{'PASS' if ok else 'FAIL'} {args.label} exact={exact}{order} "
               f"roundtrip={roundtrip} class_B2={classes}  {words}")
     return 1 if failures else 0
@@ -210,7 +203,7 @@ def cmd_verify_family(args):
     for triple in B22_SOLUTIONS:
         ok = check_sum(triple, "sum_is_one", b=2, j=2)
         failures += not ok
-        words = ", ".join(_word_text(w) for w in (triple.x, triple.y, triple.z))
+        words = ", ".join(format_cf(w) for w in (triple.x, triple.y, triple.z))
         print(f"{'PASS' if ok else 'FAIL'} B22 {words}")
     for ell, (_, ok) in enumerate(sweep):
         failures += not ok
@@ -408,7 +401,3 @@ def cmd_export(args):
                                     texts=table[k]))
             print(f"svg -> {name}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

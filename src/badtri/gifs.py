@@ -84,6 +84,8 @@ class Angles:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError("angles must be finite")
         if min(self.alpha, self.beta, self.gamma) <= 0:
             raise ValueError("angles must be positive")
         if abs(self.alpha + self.beta + self.gamma - math.pi) > 1e-12:
@@ -589,7 +591,10 @@ def stationary_sequence(gifs, n):
         raise ValueError(
             f"n={n} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
         )
-    thresholds = [Fraction(eps0) ** k for k in range(n + 1)]
+    # tile areas are exact products of Fraction(scale) ** 2, so cut at the exact
+    # powers of f3's own: the rounded eps0 can sit below Fraction(f3.scale) ** 2,
+    # and P_k would then split the f3-image of P_(k-1)
+    thresholds = [(Fraction(f3.scale) ** 2) ** k for k in range(n + 1)]
     cuts = _subdivide(gifs, 1, thresholds)
     patches = []
     anchor = np.zeros(2)

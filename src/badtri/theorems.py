@@ -376,9 +376,7 @@ class SolutionTriple:
 
 
 def _triple(x, y, z):
-    return SolutionTriple(
-        PeriodicCF(*x).canonical(), PeriodicCF(*y).canonical(), PeriodicCF(*z).canonical()
-    )
+    return SolutionTriple(PeriodicCF(*x), PeriodicCF(*y), PeriodicCF(*z))
 
 
 # x + y + z = 1, components in B_{2,1}, x <= y <= z
@@ -729,7 +727,7 @@ _SCALENE = (
 
 def _scalene_word(template, ell):
     head, block, suffix, period = template
-    return PeriodicCF(head + block * ell + suffix, period).canonical()
+    return PeriodicCF(head + block * ell + suffix, period)
 
 
 def _scalene_classes(template):

@@ -1,10 +1,11 @@
 """Tests for the continued-fraction core."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from badtri.cf import (
     MAX_WORD_DIGITS,
@@ -41,7 +42,7 @@ def rand_valued(rng, n, **kw):
             v = w.value()
         except ValueError:
             continue
-        out.append((w.canonical(), v))
+        out.append((w, v))
     return out
 
 
@@ -56,10 +57,11 @@ def test_eval_finite_examples():
 
 
 def test_finite_canonical():
-    assert FiniteCF([2, 3, 1]).canonical().digits == (2, 4)
-    assert FiniteCF([2, 3, 1]).canonical().value() == Fraction(4, 9)
-    assert FiniteCF([1]).canonical().digits == (1,)
-    assert FiniteCF([1, 1]).canonical().digits == (2,)
+    assert FiniteCF([2, 3, 1]).digits == (2, 4)
+    assert FiniteCF([2, 3, 1]).value() == Fraction(4, 9)
+    assert FiniteCF([1]).digits == (1,)
+    assert FiniteCF([1, 1]).digits == (2,)
+    assert FiniteCF([2, 3, 1]) == FiniteCF([2, 4])
 
 
 def test_eval_periodic_pinned():
@@ -72,12 +74,18 @@ def test_eval_periodic_pinned():
     assert PeriodicCF([1], [2]).value() == s2 / 2
 
 
+def _spelling(w):
+    return w.pre, w.period
+
+
 def test_periodic_canonicalization():
     # absorb preperiod digits into a rotated period
-    assert PeriodicCF([3, 2], [2]).canonical() == PeriodicCF([3], [2])
-    assert PeriodicCF([1, 1, 1], [2, 1]).canonical() == PeriodicCF([1, 1], [1, 2])
+    assert _spelling(PeriodicCF([3, 2], [2])) == ((3,), (2,))
+    assert _spelling(PeriodicCF([1, 1, 1], [2, 1])) == ((1, 1), (1, 2))
+    assert _spelling(PeriodicCF([1, 2, 1], [2, 1])) == ((), (1, 2))
     # primitive period
-    assert PeriodicCF([], [2, 1, 2, 1]).canonical() == PeriodicCF([], [2, 1])
+    assert _spelling(PeriodicCF([], [2, 1, 2, 1])) == ((), (2, 1))
+    assert _spelling(PeriodicCF([2, 1], [2, 1, 2, 1])) == ((), (2, 1))
     # canonicalization preserves value
     rng = random.Random(5)
     for w, v in rand_valued(rng, 60):
@@ -132,7 +140,7 @@ def test_gauss_map_shift():
             if w.pre
             else (w.period[0], PeriodicCF((), w.period[1:] + w.period[:1]))
         )
-        assert tail == rest.canonical()
+        assert tail == rest
 
 
 # ------------------------------------------------------------------ 1 ancora
@@ -141,7 +149,7 @@ def test_gauss_map_shift():
 def test_one_minus_pinned():
     assert one_minus(PeriodicCF([], [2])) == PeriodicCF([1, 1], [2])
     assert one_minus(PeriodicCF([], [2, 1])).value() == (3 - sqrt3()) / 2
-    assert one_minus(PeriodicCF([], [2, 1])) == PeriodicCF([1, 1, 1], [2, 1]).canonical()
+    assert _spelling(one_minus(PeriodicCF([], [2, 1]))) == ((1, 1), (1, 2))
 
 
 def test_one_minus_value_law_and_involution():
@@ -158,7 +166,7 @@ def test_one_minus_value_law_and_involution():
     # finite words too
     for _ in range(200):
         digits = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
-        f = FiniteCF(digits).canonical()
+        f = FiniteCF(digits)
         if f.value() == 1:
             continue
         m = one_minus(f)
@@ -246,7 +254,7 @@ def test_compare_b2_extremes():
         w = PeriodicCF(
             [rng.randint(1, 2) for _ in range(rng.randint(0, 4))],
             [rng.randint(1, 2) for _ in range(rng.randint(1, 4))],
-        ).canonical()
+        )
         assert cf_compare(lo, w) <= 0
         assert cf_compare(w, hi) <= 0
 
@@ -277,12 +285,12 @@ def test_bad_class_minimal_and_monotone():
     for _ in range(300):
         w = rand_periodic(rng, max_pre=4, hi=5)
         b, j = bad_class(w)
-        assert in_bad_class(w.canonical(), b, j)
+        assert in_bad_class(w, b, j)
         if j > 0:
-            assert not in_bad_class(w.canonical(), b, j - 1)
-        assert not in_bad_class(w.canonical(), b - 1, j) or b == 1
+            assert not in_bad_class(w, b, j - 1)
+        assert not in_bad_class(w, b - 1, j) or b == 1
         # membership is monotone in j
-        assert in_bad_class(w.canonical(), b, j + 1)
+        assert in_bad_class(w, b, j + 1)
 
 
 _digit = st.integers(1, 6)
@@ -297,7 +305,6 @@ def test_in_bad_class_is_the_digit_scan(pre, period, b, j):
     scan = all(w.digit(k) <= (b + 1 if k <= j else b)
                for k in range(1, max(len(pre), j) + len(period) + 1))
     assert in_bad_class(w, b, j) == scan
-    assert bad_class(w) == bad_class(w.canonical())
     with pytest.raises(ValueError, match="j must be >= 0"):
         in_bad_class(w, b, -1)
 
@@ -352,7 +359,7 @@ def test_expand_real_reads_p_q_and_err_text():
 
 def test_parse_format_roundtrip():
     w = parse_cf("[3,(2)^4,1,per(1,2)]")
-    assert w == PeriodicCF([3, 2, 2, 2, 2, 1], [1, 2]).canonical()
+    assert _spelling(w) == ((3, 2, 2, 2, 2, 1), (1, 2))
     assert parse_cf("[2,3,inf]") == FiniteCF([2, 3])
     assert parse_cf("[ 2 , 3 , inf ]") == FiniteCF([2, 3])
     assert parse_cf(format_cf(w)) == w
@@ -361,7 +368,7 @@ def test_parse_format_roundtrip():
     rng = random.Random(2)
     for _ in range(100):
         w = rand_periodic(rng)
-        assert parse_cf(format_cf(w)) == w.canonical()
+        assert parse_cf(format_cf(w)) == w
 
 
 def test_parse_errors():
@@ -426,14 +433,79 @@ def test_value_matches_digit_fold(w):
 
 @given(words)
 def test_expand_and_text_roundtrip(w):
-    assert expand_quadratic(w.value()) == w.canonical()
-    assert parse_cf(format_cf(w)) == w.canonical()
+    assert expand_quadratic(w.value()) == w
+    assert parse_cf(format_cf(w)) == w
+
+
+_all_periods = [p for ps in PERIODS_BY_FIELD.values() for p in ps]
+
+
+@given(st.lists(st.integers(1, 4), max_size=8), st.sampled_from(_all_periods),
+       st.integers(0, 9), st.integers(1, 3))
+def test_periodic_respellings_are_one_word(pre, period, shift, reps):
+    # [pre, per(period)] respelled: `shift` digits of the tail unrolled into
+    # the preperiod, then the rotated period written `reps` times over
+    n = len(period)
+    unrolled = pre + [period[i % n] for i in range(shift)]
+    rotated = tuple(period[(shift + i) % n] for i in range(n))
+    w, respelled = PeriodicCF(pre, period), PeriodicCF(unrolled, rotated * reps)
+    assert respelled == w
+    assert hash(respelled) == hash(w)
+    assert respelled.value() == w.value() == word_map(unrolled, PeriodicCF((), rotated).value())
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+def test_finite_respellings_are_one_word(digits):
+    # [..., a] = [..., a-1, 1] for a final a >= 2
+    w = FiniteCF(digits)
+    if digits[-1] >= 2:
+        split = digits[:-1] + [digits[-1] - 1, 1]
+        assert FiniteCF(split) == w
+        assert hash(FiniteCF(split)) == hash(w)
+        assert FiniteCF(split).value() == w.value() == word_map(split, 0)
+    assert w.digits[-1] != 1 or w.digits == (1,)
+    assert w.value() == word_map(digits, 0)
+
+
+def _rotate_per_digit(pre, period):
+    """The earlier normaliser, kept as an oracle: after reducing the period
+    to its primitive block, absorb one preperiod digit at a time, rotating
+    the whole period each time (quadratic in the word's length)."""
+    period = list(period)
+    for p in range(1, len(period) + 1):
+        if len(period) % p == 0 and period == period[:p] * (len(period) // p):
+            period = period[:p]
+            break
+    pre = list(pre)
+    while pre and pre[-1] == period[-1]:
+        pre.pop()
+        period = [period[-1]] + period[:-1]
+    return tuple(pre), tuple(period)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 3), max_size=14),
+       st.lists(st.integers(1, 3), min_size=1, max_size=8))
+def test_normal_form_matches_rotate_per_digit(pre, period):
+    assert _spelling(PeriodicCF(pre, period)) == _rotate_per_digit(pre, period)
+
+
+def test_long_word_normalises_in_linear_time():
+    # [w, per(w)] with 20,000 random digits in w: every preperiod digit is
+    # absorbed; rotating the period per digit took seconds
+    rng = random.Random(7)
+    w = [rng.randint(1, 4) for _ in range(20_000)]
+    text = "[" + ",".join(map(str, w)) + ",per(" + ",".join(map(str, w)) + ")]"
+    start = time.perf_counter()
+    word = parse_cf(text)
+    assert time.perf_counter() - start < 0.5
+    assert _spelling(word) == ((), tuple(w))
 
 
 @given(words)
 def test_one_minus_involution_and_value(w):
     m = one_minus(w)
-    assert one_minus(m) == w.canonical()
+    assert one_minus(m) == w
     assert m.value() == 1 - w.value()
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from badtri.cli import export_svg
@@ -63,6 +63,11 @@ def test_angles_validation():
         Angles(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Angles(-0.5, math.pi - 0.5, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            Angles(bad, bad, bad)
+    with pytest.raises(ValueError, match="angles must be finite"):
+        Angles(math.nan, math.pi - 1.0, 1.0)
     a = Angles(0.7, 0.9, math.pi - 1.6)
     assert abs(sum(a.as_tuple()) - math.pi) <= 1e-12
 
@@ -425,8 +430,8 @@ def test_patches_of_equal_systems_compare_and_hash_equal():
 
 
 def test_stationary_sequence_nesting():
-    for name in ("optimal1", "equilateral"):
-        seq = stationary_sequence(build_gifs(PRESETS[name]), 4)
+    for name in ("optimal1", "equilateral", "angles"):
+        seq = stationary_sequence(build_gifs(SYSTEMS[name]), 4)
         assert len(seq) == 5
         assert len(seq[0].tiles) == 1
         assert orientation_angles(seq[0]) == [(0.0, False)]
@@ -436,6 +441,20 @@ def test_stationary_sequence_nesting():
         for prev, cur in zip(seq, seq[1:]):
             assert recurs_in(prev, cur) == _kd_recurs_in(prev, cur)
             assert recurs_in(cur, prev) == _kd_recurs_in(cur, prev)
+
+
+@settings(max_examples=30)
+@given(st.floats(0.2, 1.47), st.floats(0.0, 1.0), st.integers(1, 3))
+def test_stationary_sequence_nests_for_random_closing_systems(ga, share, n):
+    # alpha in [0.2, pi - gamma - 0.25], as random_angles draws it; cutting
+    # at the rounded float scale(f3)^2 broke the nesting for about half of these
+    al = 0.2 + share * (math.pi - ga - 0.45)
+    try:
+        g = build_gifs(Angles(al, math.pi - al - ga, ga))
+        seq = stationary_sequence(g, n)
+    except ValueError:  # not closing, or past the tile cap
+        assume(False)
+    assert stationary_nesting_ok(seq)
 
 
 def _centroid(record, gifs):
@@ -635,7 +654,7 @@ def _dfs_stationary_tiles(g, n):
     eps0 = f3.scale**2
     anchor, out = np.zeros(2), []
     for k in range(n + 1):
-        threshold = Fraction(eps0) ** k
+        threshold = (Fraction(f3.scale) ** 2) ** k
         lam = eps0 ** (-k / 2)
         rot = (-k * g.angles.gamma) % (2 * math.pi)
         c, s = math.cos(rot), math.sin(rot)

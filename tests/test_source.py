@@ -73,7 +73,7 @@ CLI_VERIFY_MAIN = """
 import runpy
 sys.argv = ["badtri", "verify", "main"]
 try:
-    runpy.run_module("badtri.cli", run_name="__main__", alter_sys=True)
+    runpy.run_module("badtri", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     if exc.code:
         raise
