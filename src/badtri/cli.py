@@ -262,21 +262,25 @@ def cmd_tile(args):
         patches = stationary_sequence(gifs, args.stationary)
         text = patch_to_json(patches)
         n = sum(len(p.tiles) for p in patches)
+        nested = stationary_nesting_ok(patches)
         summary = (f"stationary sequence P_0..P_{args.stationary}: {n} tiles, "
-                   f"nesting={'ok' if stationary_nesting_ok(patches) else 'BROKEN'}")
+                   f"nesting={'ok' if nested else 'BROKEN'}")
     else:
         if args.epsilon is None:
             raise ValueError("--epsilon is required unless --stationary is given")
         patch = epsilon_rule(args.start or 1, args.epsilon, gifs)
         text = patch_to_json(patch)
         summary = f"patch: {len(patch.tiles)} tiles, epsilon={args.epsilon}"
+        nested = True
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
         print(f"{summary} -> {args.out}")
     else:
-        print(text)
-    return 0
+        print(text)  # stdout stays the JSON alone
+        if not nested:
+            print("nesting=BROKEN: a tile of some P_(k-1) does not recur in P_k", file=sys.stderr)
+    return 0 if nested else 1
 
 
 # ------------------------------------------------------------------ analyze

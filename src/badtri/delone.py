@@ -13,6 +13,7 @@ balls about the origin, beside the orientation discrepancy from gifs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,11 @@ __all__ = [
 
 
 class PointSet:
-    """A finite planar point set; equal points (0.0 == -0.0) are rejected."""
+    """A finite planar point set; equal points (0.0 == -0.0) are rejected.
+
+    The points are read-only, so the KD-tree over them is built once, on
+    first use, and shared by every query.
+    """
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -52,6 +57,10 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
+
+    @functools.cached_property
+    def tree(self):
+        return cKDTree(self.points)
 
     def restrict(self, radius):
         """Points within the closed ball of the given radius about 0."""
@@ -119,7 +128,7 @@ def check_uniform_discrete(ps, r):
         raise ValueError("r must be positive")
     if len(ps) < 2:
         return UniformDiscreteResult("certified", None, math.inf)
-    d, idx = cKDTree(ps.points).query(ps.points, k=2)
+    d, idx = ps.tree.query(ps.points, k=2)
     i = int(np.argmin(d[:, 1]))
     dmin = float(d[i, 1])
     if dmin >= 2 * r:
@@ -215,7 +224,7 @@ def check_covering_radius(ps, R, region):
     if len(ps) == 0:
         raise ValueError("empty point set")
     cands = _covering_candidates(ps.points, region)
-    dist = cKDTree(ps.points).query(cands)[0]
+    dist = ps.tree.query(cands)[0]
     excess = region.excess(cands)
     radius = float(dist[excess <= _TAU].max())
     inside = np.where(excess <= _INSIDE_TOL, dist, -math.inf)
@@ -252,17 +261,19 @@ def chabauty_fell_distance(a, b):
     A point p of one set, at distance delta_p from the other, passes the
     windowed predicate exactly when eps >= delta_p or eps > 1/|p|.  So the
     infimum is the largest min(delta_p, 1/|p|) over both sets, with
-    1/0 = inf and delta_p = inf against an empty set.
+    1/0 = inf and delta_p = inf against an empty set.  An argument that
+    is not a PointSet is read as one, so it must hold distinct finite
+    points; each set's points are queried in the other set's KD-tree,
+    which that set builds once.
     """
-    a_pts = a.points if isinstance(a, PointSet) else np.asarray(a, float).reshape(-1, 2)
-    b_pts = b.points if isinstance(b, PointSet) else np.asarray(b, float).reshape(-1, 2)
+    a, b = (s if isinstance(s, PointSet) else PointSet(s) for s in (a, b))
     worst = 0.0
-    for s_pts, t_pts in ((a_pts, b_pts), (b_pts, a_pts)):
-        if len(s_pts) == 0:
+    for s, t in ((a, b), (b, a)):
+        if len(s) == 0:
             continue
-        delta = cKDTree(t_pts).query(s_pts)[0] if len(t_pts) else math.inf
+        delta = t.tree.query(s.points)[0] if len(t) else math.inf
         with np.errstate(divide="ignore"):
-            inv_norm = 1.0 / np.linalg.norm(s_pts, axis=1)
+            inv_norm = 1.0 / np.linalg.norm(s.points, axis=1)
         worst = max(worst, float(np.minimum(delta, inv_norm).max()))
     return min(1.0, worst)
 

@@ -10,7 +10,7 @@ its tile vertices and centroid point set once, when it is built.  The
 star discrepancy of a patch's tile orientations is measured here too.
 
 All geometry is double precision; subdivision decides each split on the
-tile's exact area, a Fraction product of the float scale factors, so
+tile's exact area, the product of its maps' squared float scales, so
 patch shape never depends on summation order.
 
 A patch's tiles are one numpy record array, one _TILE record per tile
@@ -20,8 +20,9 @@ over that array: each level replaces every tile whose area exceeds the
 threshold by its four children, in place, so the records stay in
 depth-first order.  A tile's area is the product of its maps' squared
 scales, so few values occur: subdivision keeps beside the tiles an
-integer *area class* per tile, one exact Fraction per class, and the
-exact `area > threshold` test runs once per class.  The classes stay
+integer *area class* per tile, one exact dyadic pair (m, e) = m / 2**e
+per class, and the exact `area > threshold` test, one integer
+comparison, runs once per class and threshold.  The classes stay
 inside subdivision; a patch is its tiles.  Child poses come from
 _compose, which repeats `Similitude.compose`'s arithmetic operation for
 operation, so they are bit-identical to the per-tile reference,
@@ -496,36 +497,48 @@ def _subdivide(gifs, start, thresholds):
     """Leaves of the subdivision tree of `start`, cut at each threshold.
 
     A tile splits while its exact area exceeds the threshold; thresholds
-    must not increase, so each cut refines the one before.  Returns the
-    cuts: cuts[i] is a _TILE array of the leaves for thresholds[i] in
-    depth-first order.  Beside the tiles runs `cls`, each tile's area
-    class: areas[cls[i]] is the exact area of tile i.
+    are rationals (anything with as_integer_ratio) and must not increase,
+    so each cut refines the one before.  Returns the cuts: cuts[i] is a
+    _TILE array of the leaves for thresholds[i] in depth-first order.
+
+    Beside the tiles runs `cls`, each tile's area class: areas[cls[i]] is
+    the exact area of tile i as a dyadic pair (m, e), the rational
+    m / 2**e.  A map's pair is its float scale's as_integer_ratio,
+    squared, and a child's pair is the product (m1*m2, e1+e2).  A float
+    below 1 has an odd numerator, so every m is odd: the pairs are in
+    lowest terms, and equal areas have equal pairs.  Against a threshold
+    p/q, area > threshold is the integer test m*q > p * 2**e, decided once
+    per class and threshold.
     """
     # the eight edge maps, each a record of its child's kind, in subdivision order
     edges = [(ck, gifs.maps[e]) for kind in (1, 2) for e, ck in gifs.edges(kind)]
     maps = _records(edges)
-    scale_sq = [Fraction(m) ** 2 for m in maps["scale"].tolist()]
-    areas = [Fraction(1)]
+    scale_sq = [(n * n, 2 * (d.bit_length() - 1))
+                for n, d in map(float.as_integer_ratio, maps["scale"].tolist())]
+    areas = [(1, 0)]
     index = {areas[0]: 0}
-    child_cls = {}  # (class, edge) -> class
+    child_cls = {}  # 8 * class + edge -> class
 
     def child_class(key):
-        c, edge = divmod(key, 8)
-        if (c, edge) not in child_cls:
-            area = areas[c] * scale_sq[edge]
+        if key not in child_cls:
+            c, edge = divmod(key, 8)
+            (m1, e1), (m2, e2) = areas[c], scale_sq[edge]
+            area = (m1 * m2, e1 + e2)
             if area not in index:
                 index[area] = len(areas)
                 areas.append(area)
-            child_cls[c, edge] = index[area]
-        return child_cls[c, edge]
+            child_cls[key] = index[area]
+        return child_cls[key]
 
     tiles = _records([(start, _IDENTITY)])
     cls = np.zeros(1, dtype=np.int64)
     cuts = []
     for threshold in thresholds:
+        num, den = threshold.as_integer_ratio()
+        over = []  # per class: does its area exceed the threshold?
         while True:
-            over = np.array([a > threshold for a in areas])
-            split = over[cls]
+            over += [m * den > num << e for m, e in areas[len(over):]]
+            split = np.array(over)[cls]
             if not split.any():
                 break
             counts = np.where(split, 4, 1)
@@ -578,7 +591,7 @@ def stationary_sequence(gifs, n):
     if n > 6:
         raise ValueError(
             "n capped at 6: a preset's P_0..P_6 hold up to 18,565 tiles, which tile --stationary "
-            "builds, checks and writes in ~0.1 s after start-up, and the count grows like e0^-n "
+            "builds, checks and writes in ~0.08 s after start-up, and the count grows like e0^-n "
             "(~4x per step)"
         )
     if n < 0:

@@ -361,6 +361,24 @@ def test_tile_stationary_refuses_epsilon_rule_flags(capsys, flag):
     assert err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_tile_exits_1_when_the_stationary_levels_do_not_nest(tmp_path, capsys, monkeypatch,
+                                                              to_file):
+    argv = ["tile", "--preset", "optimal1", "--stationary", "2"]
+    if to_file:
+        argv += ["--out", str(tmp_path / "seq.json")]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr("badtri.gifs.stationary_nesting_ok", lambda patches: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    if to_file:
+        assert out == f"stationary sequence P_0..P_2: 39 tiles, nesting=BROKEN -> {argv[-1]}\n"
+        assert err == ""
+    else:
+        assert len(json.loads(out)) == 3  # stdout is the JSON alone
+        assert err.startswith("nesting=BROKEN:")
+
+
 def test_tile_and_analyze(tmp_path, capsys):
     patch_file = tmp_path / "p.json"
     code, out, _ = run(capsys, "tile", "--preset", "optimal1",

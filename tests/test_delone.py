@@ -375,6 +375,26 @@ def test_analysis_report_shape():
     assert all(0 <= d <= 1 / r for d, r in zip(rep["cf_distances"], (5, 10, 20)))
 
 
+@pytest.mark.parametrize("preset", ["optimal1", "optimal2"])
+@pytest.mark.parametrize("start", [1, 2])
+def test_analysis_report_builds_one_tree_per_point_set(monkeypatch, preset, start):
+    patch = epsilon_rule(start, 0.003, build_gifs(PRESETS[preset]))
+    built = []
+
+    def counted(points):
+        built.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr("badtri.delone.cKDTree", counted)
+    report = analysis_report(patch)
+    assert len(built) == 4  # the patch and its three cuts
+    # a fresh tree for every query, eight in all, gives the same report
+    monkeypatch.setattr(PointSet, "tree", property(lambda ps: counted(ps.points)))
+    built.clear()
+    assert analysis_report(patch) == report
+    assert len(built) == 8
+
+
 def test_pointset_duplicates_are_equal_rows():
     # a tiny separation is still two points; its squared distance underflows
     ps = PointSet([(0, 0), (0, 1e-170)])

@@ -20,6 +20,7 @@ from badtri.gifs import (
     _IDENTITY,
     _TILE,
     _gifs_of,
+    _subdivide,
     POSE_TOL,
     PRESETS,
     Angles,
@@ -705,6 +706,36 @@ SYSTEMS = {**PRESETS, "angles": Angles(0.8, 1.1, 1.2415926535897931)}
 def test_level_subdivision_matches_depth_first(name, start, eps):
     g = build_gifs(SYSTEMS[name])
     assert _matches_reference(epsilon_rule(start, eps, g), _dfs_epsilon_tiles(g, start, eps))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("start", [1, 2])
+def test_subdivision_cuts_match_depth_first_at_ties_and_non_dyadic_thresholds(name, start):
+    g = build_gifs(SYSTEMS[name])
+    # an exact tile area, which the tiles of that area must not exceed
+    tie = max(t.area for t in _dfs_leaves(g, start, Fraction(0.02)))
+    thresholds = sorted([tie, Fraction(1, 3), Fraction(1, 300)], reverse=True)
+    cuts = _subdivide(g, start, thresholds)
+    assert any(t.area == tie for t in _dfs_leaves(g, start, tie))
+    for threshold in thresholds:
+        want = _dfs_leaves(g, start, threshold)
+        (alone,) = _subdivide(g, start, [threshold])
+        cut = cuts[thresholds.index(threshold)]
+        assert alone.tobytes() == cut.tobytes()
+        assert _matches_reference(Patch(1.0, g, cut), want)
+
+
+def test_subdivision_does_no_fraction_arithmetic(monkeypatch):
+    g = build_gifs(PRESETS["optimal1"])
+    patch, seq = epsilon_rule(1, 0.003, g), stationary_sequence(g, 5)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__mul__", "__gt__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert epsilon_rule(1, 0.003, g) == patch
+    assert stationary_sequence(g, 5) == seq
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
