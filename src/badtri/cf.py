@@ -237,40 +237,24 @@ def expand_quadratic(x):
     raise RuntimeError(f"no period detected within {MAX_GAUSS_STEPS} iterations")
 
 
-def _uncons(cf):
-    """Split off the first digit: cf = [d, rest...]."""
-    if isinstance(cf, FiniteCF):
-        if len(cf.digits) == 1:
-            return cf.digits[0], None
-        return cf.digits[0], FiniteCF(cf.digits[1:])
-    if cf.pre:
-        return cf.pre[0], PeriodicCF(cf.pre[1:], cf.period)
-    d = cf.period[0]
-    return d, PeriodicCF((), cf.period[1:] + cf.period[:1])
-
-
-def _cons(d, cf):
-    if cf is None:
-        return FiniteCF((d,))
-    if isinstance(cf, FiniteCF):
-        return FiniteCF((d,) + cf.digits)
-    return PeriodicCF((d,) + cf.pre, cf.period)
-
-
 def one_minus(cf):
     """Digit-level map realizing x -> 1-x.
 
     [a1, ...] with a1 >= 2 becomes [1, a1-1, ...]; [1, a2, ...] becomes
     [1+a2, ...].  Works for finite and periodic words alike and is an
-    involution.
+    involution.  A periodic word is read as its preperiod and two copies
+    of its period, so it has two leading digits; the constructors put the
+    result in canonical form.
     """
-    d1, rest = _uncons(cf)
-    if d1 >= 2:
-        return _cons(1, _cons(d1 - 1, rest))
-    if rest is None:
+    periodic = isinstance(cf, PeriodicCF)
+    digits = cf.pre + cf.period * 2 if periodic else cf.digits
+    if digits[0] >= 2:
+        head = (1, digits[0] - 1) + digits[1:]
+    elif len(digits) == 1:
         raise ValueError("1 - [1,inf] = 0 is not in (0, 1)")
-    d2, rest2 = _uncons(rest)
-    return _cons(d2 + 1, rest2)
+    else:
+        head = (digits[1] + 1,) + digits[2:]
+    return PeriodicCF(head, cf.period) if periodic else FiniteCF(head)
 
 
 def cf_compare(x, y):

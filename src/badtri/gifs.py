@@ -6,7 +6,8 @@ contractive similitudes whose unions reproduce the prototiles (a closure
 checked on every build, overlaps by separating axes), and runs the
 area-threshold subdivision that yields finite patches and the rotated
 stationary patch sequence.  A patch holds its tiling system and places
-its tile vertices and centroid point set once, when it is built.  The
+its tile vertices and centroid point set once, when it is built, and
+refuses to be built unless they are finite and bounded.  The
 star discrepancy of a patch's tile orientations is measured here too.
 
 All geometry is double precision; subdivision decides each split on the
@@ -71,7 +72,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 MAX_EPSILON_TILES = 10**6  # a priori tile count allowed in epsilon_rule and stationary_sequence
-# bound on a loaded tile's placed coordinates: the squared distance of two
+# bound on every patch's placed coordinates: the squared distance of two
 # points within it stays below the float range
 MAX_COORDINATE = 1e150
 
@@ -407,7 +408,9 @@ def _place(tiles, local):
     The arithmetic is apply's, operation for operation, so every coordinate
     is bit-identical to a per-tile apply.
     """
-    rot = tiles["rotation"].tolist()  # math's cos and sin, as apply takes them
+    # math's cos and sin, as apply takes them; they refuse +-inf, which is
+    # placed as nan instead, for Patch to refuse by name
+    rot = np.where(np.isinf(tiles["rotation"]), np.nan, tiles["rotation"]).tolist()
     c, s = (np.array(list(map(f, rot)))[:, None] for f in (math.cos, math.sin))
     scale, tx, ty = (tiles[f][:, None] for f in ("scale", "tx", "ty"))
     xs = np.where(tiles["reflect"][:, None], -local[..., 0], local[..., 0])
@@ -445,9 +448,12 @@ class Patch:
     `tiles` is a read-only _TILE record array.  `vertices` (N x 3 x 2) and
     `points` (N x 2, the tile centroids) are derived from the tiles at
     construction, so `dataclasses.replace` keeps them in step with the
-    tiles.  Patches compare and hash by epsilon, system and tile bytes, so
-    a patch written by patch_to_json and read back by patch_from_doc equals
-    the original.
+    tiles.  Every patch, however it is built, has tiles of kind 1 or 2
+    whose placed vertices and centroid are finite and within
+    +-MAX_COORDINATE; construction raises ValueError, naming the first
+    tile, otherwise.  Patches compare and hash by epsilon, system and tile
+    bytes, so a patch written by patch_to_json and read back by
+    patch_from_doc equals the original.
     """
 
     epsilon: float
@@ -460,9 +466,20 @@ class Patch:
         tiles = np.asarray(self.tiles, dtype=_TILE).view()
         tiles.flags.writeable = False
         object.__setattr__(self, "tiles", tiles)
+        kind = tiles["kind"]
+        known = (kind == 1) | (kind == 2)
+        if not known.all():
+            i = known.argmin()
+            raise ValueError(f"tile {i} has kind {kind[i]}, not 1 or 2")
         # each prototile's three vertices and its centroid, placed together
         local = np.stack([np.vstack([p.vertices, p.centroid]) for p in self.gifs.prototiles])
-        placed = _place(tiles, local[tiles["kind"] - 1])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            placed = _place(tiles, local[kind - 1])
+        inside = np.abs(placed) <= MAX_COORDINATE  # False for inf and nan
+        if not inside.all():
+            raise ValueError(f"tile {inside.all(axis=(1, 2)).argmin()} overflows: its placed "
+                             f"vertices and centroid must be finite and within "
+                             f"+-{MAX_COORDINATE:g}")
         placed.flags.writeable = False
         object.__setattr__(self, "vertices", placed[:, :3])
         object.__setattr__(self, "points", placed[:, 3])
@@ -645,8 +662,9 @@ def recurs_in(patch, other):
       (Where dx*dx underflows, |dx| is far below T anyway.)  The float test
       does pass offsets just above T, as (0, T) against (0, -1e-300), so
       the y-window reaches h, not T.
-    - h is a power of two and |x| <= MAX_COORDINATE, so x/h is exact and
-      finite, and |x/h - x'/h| < 1: the cells differ by at most one.
+    - h is a power of two and |x| <= MAX_COORDINATE, which every Patch
+      guarantees, so x/h is exact and finite, and |x/h - x'/h| < 1: the
+      cells differ by at most one.
     - The cell numbers are floats.  While |c| < 2**53, c-1 and c+1 are
       exact.  Past that, |x| > (2**53 - 1) h and |x'| > 2**52 h, where
       floats are spaced h or more apart, wider than T: the pair has
@@ -683,11 +701,16 @@ def stationary_nesting_ok(patches):
     return all(all(recurs_in(prev, cur)) for prev, cur in zip(patches, patches[1:]))
 
 
-def orientation_angles(patch):
-    """(rotation mod 2*pi, reflection parity) per tile, in patch order; a
+def _orientations(patch):
+    """Each tile's rotation mod 2*pi, in patch order, as an array; a
     rotation just below 0 rounds to 2*pi under the mod, and wraps to 0."""
     rot = patch.tiles["rotation"] % _TWO_PI
-    return list(zip(np.where(rot < _TWO_PI, rot, 0.0).tolist(), patch.tiles["reflect"].tolist()))
+    return np.where(rot < _TWO_PI, rot, 0.0)
+
+
+def orientation_angles(patch):
+    """(rotation mod 2*pi, reflection parity) per tile, in patch order."""
+    return list(zip(_orientations(patch).tolist(), patch.tiles["reflect"].tolist()))
 
 
 def star_discrepancy(xs):
@@ -718,7 +741,7 @@ def star_discrepancy_brute(xs):
 
 def orientation_discrepancy(patch):
     """(N, D*) of the tile orientations scaled to [0, 1)."""
-    xs = [rot / _TWO_PI for rot, _ in orientation_angles(patch)]
+    xs = _orientations(patch) / _TWO_PI
     return len(xs), star_discrepancy(xs)
 
 
@@ -738,8 +761,6 @@ def patch_doc(patch):
 
 # writes a patch's epsilon and angles as they are, int or float
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-# how json spells the floats that repr writes as nan, inf and -inf
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_texts(values):
@@ -776,14 +797,6 @@ def _text_table(patches, names):
     return [dict(zip(names, slices[k * len(names):])) for k in range(len(patches))]
 
 
-def _json_spelling(texts, values):
-    """texts as json spells them: repr's nan, inf and -inf are NaN,
-    Infinity and -Infinity."""
-    if np.isfinite(values).all():
-        return texts
-    return [_JSON_NONFINITE.get(t, t) for t in texts]
-
-
 def _join_rows(parts, sep):
     """The rows `parts` spell, joined by sep: parts holds fixed strings and
     equal-length lists of texts, one entry per row, in their row order."""
@@ -798,17 +811,17 @@ def _join_rows(parts, sep):
 
 def _patch_text(patch, texts):
     """The compact JSON of patch_doc(patch), written column by column from
-    its entry of a _text_table."""
+    its entry of a _text_table; a patch's floats are finite, so repr spells
+    each as json does."""
     tiles = patch.tiles
     kind, depth = (_float_texts(tiles[c]) for c in ("kind", "depth"))
-    scale, rotation, tx, ty = (_json_spelling(texts[c], tiles[c])
-                               for c in ("scale", "rotation", "tx", "ty"))
     reflect = np.where(tiles["reflect"], "true", "false").tolist()
     rows = _join_rows([
-        '{"kind":', kind, ',"scale":', scale, ',"rotation":', rotation, ',"reflect":', reflect,
-        ',"translation":[', tx, ",", ty, '],"depth":', depth, "}",
+        '{"kind":', kind, ',"scale":', texts["scale"], ',"rotation":', texts["rotation"],
+        ',"reflect":', reflect, ',"translation":[', texts["tx"], ",", texts["ty"],
+        '],"depth":', depth, "}",
     ], ",")
-    xy = _json_spelling(texts["points"], patch.points)
+    xy = texts["points"]
     points = _join_rows(["[", xy[0::2], ",", xy[1::2], "]"], ",")
     epsilon, angles = map(_ENCODER.encode, (patch.epsilon, list(patch.gifs.angles.as_tuple())))
     return f'{{"epsilon":{epsilon},"angles":{angles},"tiles":[{rows}],"points":[{points}]}}'
@@ -909,20 +922,11 @@ def patch_from_doc(doc):
 
     Raises ValueError, naming the first bad tile, unless the document has
     the shape and the JSON types patch_doc writes (json.load gives the same)
-    and every tile's placed vertices and centroid are finite and within
-    +-MAX_COORDINATE.
+    and the tiles make a Patch.
     """
     kind, reflect, depth, values = _check_patch_doc(doc)
     gifs = _gifs_of(*doc["angles"])
     tiles = np.empty(len(kind), dtype=_TILE)
     tiles["kind"], tiles["reflect"], tiles["depth"] = kind, reflect, depth
     tiles["scale"], tiles["rotation"], tiles["tx"], tiles["ty"] = values
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        patch = Patch(float(doc["epsilon"]), gifs, tiles)
-    # False for inf and nan
-    inside = ((np.abs(patch.vertices) <= MAX_COORDINATE).all(axis=(1, 2))
-              & (np.abs(patch.points) <= MAX_COORDINATE).all(axis=1))
-    if not inside.all():
-        raise ValueError(f"tile {inside.argmin()} overflows: its placed vertices and centroid "
-                         f"must be finite and within +-{MAX_COORDINATE:g}")
-    return patch
+    return Patch(float(doc["epsilon"]), gifs, tiles)

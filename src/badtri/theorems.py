@@ -765,8 +765,8 @@ def scalene_sweep(l_max):
     """
     _check_int("l_max", l_max, 0)
     if l_max > 1000:
-        raise ValueError("l_max capped at 1000: that run takes ~0.3 s, "
-                         "and the time grows about as l_max^2.2")
+        raise ValueError("l_max capped at 1000: that run takes ~0.2 s, "
+                         "and the time grows about as l_max^2.3")
     classes = [_scalene_classes(t) for t in _SCALENE]
     in_b2 = [all(b[k] <= 2 for b in classes) for k in (0, 1)]
     tails = [PeriodicCF((), period).value() for *_, period in _SCALENE]

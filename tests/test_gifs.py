@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from collections import OrderedDict
 from fractions import Fraction
 from types import SimpleNamespace
@@ -766,39 +767,50 @@ def test_patch_to_json_matches_json_dumps():
         text = patch_to_json(patches)
         assert text == json.dumps([patch_doc(x) for x in patches], **compact)
         assert patch_to_json([patch_from_doc(d) for d in json.loads(text)]) == text
-    # a centroid that overflows to inf is written as Infinity; such a file
-    # is refused on loading, so this patch is built in-process
+    # a centroid that would overflow to inf makes no patch, so none is written
     tiles = r.tiles.copy()
     tiles["scale"][0] = tiles["tx"][0] = 1e308
-    with np.errstate(over="ignore"):
-        s = dataclasses.replace(r, tiles=tiles)
-    assert not np.isfinite(s.points).all()
-    text = patch_to_json(s)
-    assert text == json.dumps(patch_doc(s), **compact) and "Infinity" in text
-    with pytest.raises(ValueError, match="tile 0 overflows"):
-        patch_from_doc(json.loads(text))
+    with pytest.raises(ValueError, match=_overflow(0)):
+        dataclasses.replace(r, tiles=tiles)
+
+
+def _overflow(i):
+    """The pattern of the error that refuses a patch whose tile i is placed
+    outside +-MAX_COORDINATE."""
+    return re.escape(f"tile {i} overflows: its placed vertices and centroid must be finite "
+                     "and within +-1e+150")
+
+
+_FIELDS = ("scale", "rotation", "tx", "ty")
 
 
 def _edge_float_patch():
-    """An optimal1 patch whose float columns each hold 0.0 and -0.0, NaN of
-    both signs, the least subnormal and +-1e308, and but for rotation (which
-    math.cos refuses) +-inf; built in-process, as the loader refuses most."""
+    """An optimal1 patch whose float columns each hold 0.0, -0.0 and the
+    least subnormal of both signs."""
     p = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal1"]))
-    specials = [0.0, -0.0, math.nan, -math.nan, 5e-324, 1e308, -1e308, math.inf, -math.inf]
+    specials = [0.0, -0.0, 5e-324, -5e-324]
     tiles = p.tiles.copy()
-    for k, f in enumerate(("scale", "rotation", "tx", "ty")):
-        column = specials[:-2] if f == "rotation" else specials
-        tiles[f][k : k + len(column)] = column
-    with np.errstate(all="ignore"):
-        return dataclasses.replace(p, tiles=tiles)
+    for k, f in enumerate(_FIELDS):
+        tiles[f][k : k + len(specials)] = specials
+    return dataclasses.replace(p, tiles=tiles)
 
 
 def test_patch_to_json_is_the_encoders_text_for_edge_floats():
     edge = _edge_float_patch()
-    for f in ("scale", "rotation", "tx", "ty"):
+    for f in _FIELDS:
         col = edge.tiles[f]
         assert set(np.signbit(col[col == 0]).tolist()) == {False, True}
-        assert set(np.signbit(col[np.isnan(col)]).tolist()) == {False, True}
+    # nan, +-inf and +-1e308 make no patch, so no writer meets them; a
+    # rotation of 1e308 is finite and places the tile within range
+    for f in _FIELDS:
+        for v in (math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308):
+            tiles = edge.tiles.copy()
+            tiles[f][3] = v
+            if f == "rotation" and math.isfinite(v):
+                assert dataclasses.replace(edge, tiles=tiles).tiles["rotation"][3] == v
+                continue
+            with pytest.raises(ValueError, match=_overflow(3)):
+                dataclasses.replace(edge, tiles=tiles)
     empty = dataclasses.replace(edge, tiles=edge.tiles[:0])
     seq = stationary_sequence(build_gifs(PRESETS["equilateral"]), 3)
     compact = dict(separators=(",", ":"))
@@ -806,6 +818,40 @@ def test_patch_to_json_is_the_encoders_text_for_edge_floats():
         assert patch_to_json(patch) == json.dumps(patch_doc(patch), **compact)
     for patches in ([edge], [edge, empty, *seq], seq, [empty]):
         assert patch_to_json(patches) == json.dumps([patch_doc(p) for p in patches], **compact)
+
+
+@pytest.mark.parametrize("kind", [0, 3, -1])
+def test_patch_refuses_a_kind_other_than_1_or_2(kind):
+    p = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal1"]))
+    tiles = p.tiles.copy()
+    tiles["kind"][[4, 6]] = kind
+    with pytest.raises(ValueError, match=f"^tile 4 has kind {kind}, not 1 or 2$"):
+        dataclasses.replace(p, tiles=tiles)
+    with pytest.raises(ValueError, match="tile 0 has kind"):
+        Patch(p.epsilon, p.gifs, tiles[4:])
+
+
+_WIDE = st.floats(-1e200, 1e200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 2]), st.floats(0, 1e200, exclude_min=True), _WIDE,
+                          st.booleans(), _WIDE, _WIDE, st.integers(0, 2**63 - 1)),
+                min_size=1, max_size=6))
+def test_patch_holds_only_bounded_geometry(records):
+    tiles = np.array(records, dtype=_TILE)
+    g = _gifs_of(*PRESETS["optimal1"].as_tuple())
+    # the reference: each tile's vertices and centroid under Similitude.apply
+    with np.errstate(over="ignore", invalid="ignore"):
+        placed = [_pose(t).apply(np.vstack([g.prototile(t["kind"]).vertices,
+                                             g.prototile(t["kind"]).centroid])) for t in tiles]
+    outside = [i for i, xy in enumerate(placed) if not (np.abs(xy) <= 1e150).all()]
+    if outside:
+        with pytest.raises(ValueError, match=_overflow(outside[0])):
+            Patch(0.01, g, tiles)
+    else:
+        p = Patch(0.01, g, tiles)
+        assert patch_from_doc(json.loads(patch_to_json(p))) == p
 
 
 def test_patch_from_doc_columns_are_the_documents_numbers():
