@@ -24,8 +24,6 @@ __all__ = [
     "word_map",
     "hull_pairs",
     "expand_quadratic",
-    "one_minus",
-    "cf_compare",
     "bad_class",
     "in_bad_class",
     "expand_real",
@@ -235,45 +233,6 @@ def expand_quadratic(x):
         digits.append(a)
         state = inv - a
     raise RuntimeError(f"no period detected within {MAX_GAUSS_STEPS} iterations")
-
-
-def one_minus(cf):
-    """Digit-level map realizing x -> 1-x.
-
-    [a1, ...] with a1 >= 2 becomes [1, a1-1, ...]; [1, a2, ...] becomes
-    [1+a2, ...].  Works for finite and periodic words alike and is an
-    involution.  A periodic word is read as its preperiod and two copies
-    of its period, so it has two leading digits; the constructors put the
-    result in canonical form.
-    """
-    periodic = isinstance(cf, PeriodicCF)
-    digits = cf.pre + cf.period * 2 if periodic else cf.digits
-    if digits[0] >= 2:
-        head = (1, digits[0] - 1) + digits[1:]
-    elif len(digits) == 1:
-        raise ValueError("1 - [1,inf] = 0 is not in (0, 1)")
-    else:
-        head = (digits[1] + 1,) + digits[2:]
-    return PeriodicCF(head, cf.period) if periodic else FiniteCF(head)
-
-
-def cf_compare(x, y):
-    """-1, 0, +1 ordering two periodic words by the alternating digit rule.
-
-    At the first disagreeing position n, x < y iff (-1)^n a_n < (-1)^n b_n.
-    If no disagreement occurs within the joint cycle bound the values are equal.
-    """
-    bound = (
-        max(len(x.pre), len(y.pre))
-        + math.lcm(len(x.period), len(y.period))
-        + 1
-    )
-    for n in range(1, bound + 1):
-        a, b = x.digit(n), y.digit(n)
-        if a != b:
-            s = 1 if a > b else -1
-            return -s if n % 2 == 1 else s
-    return 0
 
 
 def bad_class(cf):

@@ -32,7 +32,6 @@ __all__ = [
     "check_uniform_discrete",
     "check_covering_radius",
     "chabauty_fell_distance",
-    "cf_distance_brute",
     "analysis_report",
 ]
 
@@ -72,14 +71,16 @@ _INSIDE_TOL = 1e-12
 
 
 class ConvexRegion:
-    """Closed convex hull of a point set, e.g. of a patch's tile vertices."""
+    """Closed convex hull of a point set, e.g. of a patch's tile vertices;
+    ValueError, with qhull's reason, where qhull cannot build the hull."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         try:
             hull = ConvexHull(pts)
         except (QhullError, ValueError) as exc:
-            raise ValueError("region empty") from exc
+            n, reason = len(pts), str(exc).partition("\n")[0]  # qhull's first line: the failure
+            raise ValueError(f"the convex hull of {n} points could not be built: {reason}") from exc
         self.vertices = pts[hull.vertices]
         # rows (n_x, n_y, c) with unit outward normal n: n.p + c <= 0 inside
         self.equations = hull.equations
@@ -236,25 +237,6 @@ def check_covering_radius(ps, R, region):
     return CoveringResult("inconclusive", None, radius)
 
 
-def _cf_predicate(a_pts, a_norms, b_pts, b_norms, eps):
-    """A within the 1/eps window is eps-covered by B, and vice versa."""
-    window = 1.0 / eps
-    for s_pts, s_norms, t_pts in (
-        (a_pts, a_norms, b_pts),
-        (b_pts, b_norms, a_pts),
-    ):
-        sel = s_pts[s_norms <= window]
-        if len(sel) == 0:
-            continue
-        if len(t_pts) == 0:
-            return False
-        diff = sel[:, None, :] - t_pts[None, :, :]
-        dmin = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-        if float(dmin.max()) > eps:
-            return False
-    return True
-
-
 def chabauty_fell_distance(a, b):
     """Exact Chabauty-Fell distance between finite sets, capped at 1.
 
@@ -276,33 +258,6 @@ def chabauty_fell_distance(a, b):
             inv_norm = 1.0 / np.linalg.norm(s.points, axis=1)
         worst = max(worst, float(np.minimum(delta, inv_norm).max()))
     return min(1.0, worst)
-
-
-def cf_distance_brute(a, b):
-    """Exact infimum by probing between the epsilons where the predicate flips.
-
-    Flips happen where the fattening crosses a pair distance (a closed
-    flip, true at the candidate) or where the window crosses a point norm
-    (an open flip, true only strictly above it); either way the infimum
-    is a candidate value, located by testing the open interval above each.
-    """
-    a_pts = a.points if isinstance(a, PointSet) else np.asarray(a, float).reshape(-1, 2)
-    b_pts = b.points if isinstance(b, PointSet) else np.asarray(b, float).reshape(-1, 2)
-    a_norms = np.linalg.norm(a_pts, axis=1)
-    b_norms = np.linalg.norm(b_pts, axis=1)
-    cands = set()
-    if len(a_pts) and len(b_pts):
-        diff = a_pts[:, None, :] - b_pts[None, :, :]
-        cands.update(np.sqrt((diff**2).sum(axis=2)).ravel().tolist())
-    for n in np.concatenate([a_norms, b_norms]):
-        if n > 0:
-            cands.add(1.0 / float(n))
-    cands = sorted(x for x in cands if 0 < x < 1.0)
-    edges = [0.0] + cands + [1.0]
-    for lo, hi in zip(edges, edges[1:]):
-        if _cf_predicate(a_pts, a_norms, b_pts, b_norms, (lo + hi) / 2):
-            return lo
-    return 1.0
 
 
 def analysis_report(patch):

@@ -25,9 +25,8 @@ integer *area class* per tile, one exact dyadic pair (m, e) = m / 2**e
 per class, and the exact `area > threshold` test, one integer
 comparison, runs once per class and threshold.  The classes stay
 inside subdivision; a patch is its tiles.  Child poses come from
-_compose, which repeats `Similitude.compose`'s arithmetic operation for
-operation, so they are bit-identical to the per-tile reference,
-`subdivide` on `TileInstance`s.
+_compose, bit-identical to the per-tile subdivision that tests/oracles.py
+keeps as the reference.
 """
 
 from __future__ import annotations
@@ -49,23 +48,18 @@ __all__ = [
     "DerivedConstants",
     "Similitude",
     "Prototile",
-    "TileInstance",
     "Patch",
     "Gifs",
     "derive_constants",
     "build_prototiles",
     "build_gifs",
     "closure_report",
-    "subdivide",
     "epsilon_rule",
     "stationary_sequence",
     "recurs_in",
     "stationary_nesting_ok",
-    "orientation_angles",
     "star_discrepancy",
-    "star_discrepancy_brute",
     "orientation_discrepancy",
-    "patch_doc",
     "patch_to_json",
     "patch_from_doc",
 ]
@@ -156,18 +150,6 @@ class Similitude:
         out[..., 0] = self.scale * (c * xs - s * ys) + self.tx
         out[..., 1] = self.scale * (s * xs + c * ys) + self.ty
         return out
-
-    def compose(self, other):
-        """self after other (i.e. z -> self(other(z)))."""
-        rot = self.rotation + (-other.rotation if self.reflect else other.rotation)
-        tx, ty = self.apply(np.array([other.tx, other.ty]))
-        return Similitude(
-            self.scale * other.scale,
-            rot % _TWO_PI,
-            self.reflect != other.reflect,
-            float(tx),
-            float(ty),
-        )
 
 
 _IDENTITY = Similitude(1.0, 0.0, False, 0.0, 0.0)
@@ -372,26 +354,8 @@ def closure_report(gifs):
     }
 
 
-@dataclass(frozen=True)
-class TileInstance:
-    """A placed copy of a prototile: kind, composed transform, exact area."""
-
-    kind: int
-    transform: Similitude
-    depth: int
-    area: Fraction
-
-    @property
-    def orientation(self):
-        return self.transform.rotation % _TWO_PI
-
-    @property
-    def parity(self):
-        return self.transform.reflect
-
-
 # one record per tile: kind, the Similitude fields of its pose, and depth,
-# in the key order patch_doc writes them
+# in the key order a patch file holds them
 _TILE = np.dtype([
     ("kind", np.int64), ("scale", float), ("rotation", float), ("reflect", bool),
     ("tx", float), ("ty", float), ("depth", np.int64),
@@ -422,9 +386,10 @@ def _place(tiles, local):
 
 
 def _compose(outer, inner):
-    """Similitude.compose for many tiles at once: the pose of outer[i] (or of
-    one outer record) after that of inner[i], with inner's kind and depth;
-    compose's arithmetic, operation for operation, so bit-identical."""
+    """The pose of outer[i] (or of one outer record) after that of inner[i],
+    with inner's kind and depth: scales multiply, rotations add mod 2*pi
+    (inner's negated under a reflecting outer) and _place moves inner's
+    translation, bit-identical to the per-tile `compose` of tests/oracles.py."""
     out = inner.view(_TILE_BYTES).copy().view(_TILE)  # whole records; see _TILE_BYTES
     out["scale"] = outer["scale"] * inner["scale"]
     turn = np.where(outer["reflect"], -inner["rotation"], inner["rotation"])
@@ -492,22 +457,6 @@ class Patch:
 
     def __hash__(self):
         return hash(self._key())
-
-
-def subdivide(tile, gifs):
-    """The four children of a tile, in the deterministic edge order."""
-    children = []
-    for edge, child_kind in gifs.edges(tile.kind):
-        m = gifs.maps[edge]
-        children.append(
-            TileInstance(
-                child_kind,
-                tile.transform.compose(m),
-                tile.depth + 1,
-                tile.area * Fraction(m.scale) ** 2,
-            )
-        )
-    return children
 
 
 def _subdivide(gifs, start, thresholds):
@@ -708,14 +657,9 @@ def _orientations(patch):
     return np.where(rot < _TWO_PI, rot, 0.0)
 
 
-def orientation_angles(patch):
-    """(rotation mod 2*pi, reflection parity) per tile, in patch order."""
-    return list(zip(_orientations(patch).tolist(), patch.tiles["reflect"].tolist()))
-
-
 def star_discrepancy(xs):
     """Exact D*_N of a sample in [0,1) via the sorted-order formula."""
-    x = np.sort(np.asarray(list(xs), dtype=float))
+    x = np.sort(np.asarray(xs, dtype=float))
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
@@ -725,38 +669,10 @@ def star_discrepancy(xs):
     return float(np.maximum(i / n - x, x - (i - 1) / n).max())
 
 
-def star_discrepancy_brute(xs):
-    """O(N^2) scan over all anchored intervals [0, x_i] and [0, x_i)."""
-    x = np.asarray(list(xs), dtype=float)
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sample")
-    best = 0.0
-    for xi in x:
-        lt = float(np.count_nonzero(x < xi)) / n
-        le = float(np.count_nonzero(x <= xi)) / n
-        best = max(best, abs(lt - xi), abs(le - xi))
-    return best
-
-
 def orientation_discrepancy(patch):
     """(N, D*) of the tile orientations scaled to [0, 1)."""
     xs = _orientations(patch) / _TWO_PI
     return len(xs), star_discrepancy(xs)
-
-
-def patch_doc(patch):
-    """The patch as a JSON-ready dict (tile transforms plus centroid points);
-    a translation is an (x, y) tuple, cheaper to build than a list."""
-    return {
-        "epsilon": patch.epsilon,
-        "angles": list(patch.gifs.angles.as_tuple()),
-        "tiles": [
-            {"kind": k, "scale": m, "rotation": r, "reflect": f, "translation": (x, y), "depth": d}
-            for k, m, r, f, x, y, d in zip(*(patch.tiles[c].tolist() for c in _TILE.names))
-        ],
-        "points": patch.points.tolist(),
-    }
 
 
 # writes a patch's epsilon and angles as they are, int or float
@@ -810,7 +726,7 @@ def _join_rows(parts, sep):
 
 
 def _patch_text(patch, texts):
-    """The compact JSON of patch_doc(patch), written column by column from
+    """The compact JSON of one patch, written column by column from
     its entry of a _text_table; a patch's floats are finite, so repr spells
     each as json does."""
     tiles = patch.tiles
@@ -828,8 +744,11 @@ def _patch_text(patch, texts):
 
 
 def patch_to_json(patches, table=None):
-    """A patch, or a list of patches, as compact JSON of patch_doc(...):
-    the text json.JSONEncoder(separators=(",", ":")) writes, byte for byte.
+    """A patch, or a list of patches, as compact JSON, byte for byte the
+    text json.JSONEncoder(separators=(",", ":")) writes for the document:
+    {"epsilon", "angles", "tiles", "points"}, each tile {"kind", "scale",
+    "rotation", "reflect", "translation": [tx, ty], "depth"} and each
+    point a tile centroid [x, y].
 
     `table` is a _text_table of the patches (of [patch] for one patch)
     holding at least _JSON_COLUMNS, so a caller that also writes SVG
@@ -854,7 +773,7 @@ def _is_number(v):
 
 def _tile_columns(tiles):
     """(kind, reflect, depth, 4 x N float array of scale, rotation, tx, ty),
-    or None unless every tile has the keys and JSON types patch_doc writes.
+    or None unless every tile has the keys and JSON types patch_to_json writes.
 
     Every condition holds tile by tile, so a list passes exactly when each
     of its tiles passes.
@@ -883,7 +802,7 @@ def _tile_columns(tiles):
 
 def _check_patch_doc(doc):
     """_tile_columns(doc["tiles"]) for a document of the shape and JSON
-    types patch_doc writes; otherwise ValueError, naming the first bad tile.
+    types patch_to_json writes; otherwise ValueError, naming the first bad tile.
     """
     if not isinstance(doc, dict):
         raise ValueError("patch document must be a JSON object")
@@ -921,7 +840,7 @@ def patch_from_doc(doc):
     """Rebuild a Patch from its JSON dict.
 
     Raises ValueError, naming the first bad tile, unless the document has
-    the shape and the JSON types patch_doc writes (json.load gives the same)
+    the shape and the JSON types patch_to_json writes (json.load gives them)
     and the tiles make a Patch.
     """
     kind, reflect, depth, values = _check_patch_doc(doc)

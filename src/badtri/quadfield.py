@@ -12,7 +12,7 @@ import decimal
 import math
 from fractions import Fraction
 
-__all__ = ["QuadRat", "sqrt2", "sqrt3"]
+__all__ = ["QuadRat"]
 
 _ALLOWED_D = (2, 3, 5)
 
@@ -286,10 +286,3 @@ class QuadRat:
 _object_new = object.__new__
 _set_a, _set_b, _set_c, _set_d = (QuadRat.__dict__[k].__set__ for k in QuadRat.__slots__)
 
-
-def sqrt2() -> QuadRat:
-    return QuadRat(0, 1, 1, 2)
-
-
-def sqrt3() -> QuadRat:
-    return QuadRat(0, 1, 1, 3)

@@ -1,9 +1,10 @@
 """Exact verification of the sum relations among badly approximable numbers.
 
 Everything here reduces to exact rational or quadratic arithmetic: the
-17-row case tables, the forbidden-pattern exclusion argument, the two
-insertion transforms and their residual identities, the explicit solution
-families, and an independent branch-and-bound search over digit cylinders.
+17-row case tables, the forbidden-pattern exclusion argument, one table of
+the two insertion transforms' residual identities and the five auxiliary
+identities, the explicit solution triples, the scalene family's sweep, and
+an independent branch-and-bound search over digit cylinders.
 """
 
 from __future__ import annotations
@@ -12,17 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import PeriodicCF, _mobius_triple, bad_class, convergents, hull_pairs, in_bad_class
-from .quadfield import QuadRat, _sign, sqrt2
+from .quadfield import QuadRat, _sign
 
 __all__ = [
-    "ForbiddenPattern",
-    "forbidden_interval",
     "excludes_b2",
     "CaseRow",
     "table_rows",
-    "verify_case_row",
-    "case21_endpoints",
-    "verify_case21_symbolic",
     "verify_tables",
     "SolutionTriple",
     "MAIN_SOLUTIONS",
@@ -30,10 +26,6 @@ __all__ = [
     "B22_SOLUTIONS",
     "PRESET_TRIPLES",
     "check_sum",
-    "insertion",
-    "extra_identity",
-    "generate_solutions",
-    "scalene_family",
     "scalene_sweep",
     "search_triples",
 ]
@@ -41,36 +33,12 @@ __all__ = [
 # ------------------------------------------------------------------ patterns
 
 
-@dataclass(frozen=True)
-class ForbiddenPattern:
-    """A rational interval certified to contain no number with all digits <= 2.
-
-    Form 1 hull: [ [(2)^{2k-1},(2,1)^l,s,inf], [(2)^{2k-1},inf] ];
-    form 2 hull: [ [(2)^{2k},inf], [(2)^{2k},(2,1)^l,s,inf] ].
-    """
-
-    form: int
-    k: int
-    ell: int
-    s: int
-    r1: Fraction
-    r2: Fraction
-
-
-def forbidden_interval(form, k, ell, s):
-    if form not in (1, 2):
-        raise ValueError("form must be 1 or 2")
-    for name, value, least in (("k", k, 1), ("ell", ell, 0), ("s", s, 3)):
-        _check_int(name, value, least)
-    twos = convergents((2,) * (2 * k - 1 if form == 1 else 2 * k))
-    r1, r2 = _pattern_ends(ell, s, twos)
-    return ForbiddenPattern(form, k, ell, s, Fraction(*r1), Fraction(*r2))
-
-
 def _pattern_ends(ell, s, twos):
     """(r1, r2) as (P, Q) pairs in lowest terms: the values of the (2)^run
     prefix with convergent tuple `twos` and of that prefix continued by
-    (2,1)^ell, s, in increasing order."""
+    (2,1)^ell, s, in increasing order.  For s >= 3 no number with all
+    digits <= 2 lies in [r1, r2]: the forbidden pattern of form 1 (run =
+    2k - 1) or form 2 (run = 2k)."""
     plain = twos[2:]
     _, _, p, q = convergents((2, 1) * ell + (s,), twos)
     return ((p, q), plain) if p * plain[1] < plain[0] * q else (plain, (p, q))
@@ -191,7 +159,7 @@ def table_rows(parity):
 
 
 def _match_pattern(row, n):
-    """(form, k, ell, s): the ForbiddenPattern the row's endpoints instantiate at n.
+    """(form, k, ell, s): the forbidden pattern the row's endpoints instantiate at n.
 
     The pattern's s-bearing word is the left endpoint on the even table
     (form 1, odd run length) and the right endpoint on the odd table
@@ -213,7 +181,9 @@ def _match_pattern(row, n):
 
 
 def _check_row(row, n, twos, three):
-    """(left, right, pattern, ends, ok) for one table row at one n; see verify_case_row.
+    """(left, right, pattern, ends, ok) for one table row at one n: ok iff the
+    endpoint interval instantiates a forbidden pattern of the row's parity
+    and holds the closed hull of Z = 1 - X - Y over the row's cylinders.
 
     `twos` and `three` are the convergent tuples of (2)^(n+1) and (3,(2)^n),
     the prefixes of the row's endpoint words and of its X/Y words.  The
@@ -238,42 +208,6 @@ def _check_row(row, n, twos, three):
         # left <= 1 - X - Y <= right over the hulls' closed ends
         ok = _one_minus(right, hx[0], hy[0])[0] <= 0 <= _one_minus(left, hx[1], hy[1])[0]
     return left, right, pattern, ends, ok
-
-
-def verify_case_row(row, n):
-    """Exact containment check for one table row at one n.
-
-    The closed hull of Z = 1 - X - Y over the row's cylinders must land
-    inside the row's endpoint interval, which itself must instantiate a
-    forbidden pattern of the correct parity.
-    """
-    return _check_row(row, n, convergents((2,) * (n + 1)), convergents((3,) + (2,) * n))[-1]
-
-
-def case21_endpoints(n):
-    """Closed-form cylinder endpoints for row 2.1 in Q(sqrt 2), even n.
-
-    Returns (A, B, C, D): I(3,(2)^n,1,2) = (A, B] and I(3,(2)^n,2,2) = (C, D]
-    as exact quadratic expressions in powers of the fundamental unit 1+sqrt2.
-    """
-    if n < 0 or n % 2:
-        raise ValueError("closed forms are for even n")
-    s2 = sqrt2()
-    u = 1 + s2
-    base = 1 - s2 / 2
-    a = base + (12 - 19 * s2) / (-19 + 6 * s2 + 17 * u ** (2 * n + 4))
-    b = base + (10 + s2) / (1 + 5 * s2 - 7 * u ** (2 * n + 5))
-    c = base + s2 / (1 - u ** (2 * n + 8))
-    d = base + s2 / (1 + u ** (2 * n + 8))
-    return a, b, c, d
-
-
-def verify_case21_symbolic(n):
-    """Cross-check: the closed forms reproduce the exact cylinder endpoints."""
-    a, b, c, d = case21_endpoints(n)
-    hulls = [tuple(Fraction(*end) for end in hull_pairs(convergents((3,) + (2,) * n + tail)))
-             for tail in ((1, 2), (2, 2))]
-    return [(a, b), (c, d)] == hulls
 
 
 def _text(pair):
@@ -480,13 +414,6 @@ def _pair(v):
     return v.numerator, v.denominator
 
 
-def _value(n, d):
-    """The pair n/d as one Fraction, or one QuadRat division."""
-    if isinstance(n, QuadRat) or isinstance(d, QuadRat):
-        return n / d
-    return Fraction(n, d)
-
-
 def _inv(w):
     """1/w: the pair swapped; a zero numerator is a pole."""
     n, d = w
@@ -636,83 +563,7 @@ def _identity(ident, x, y):
     return _decide(*_IDENTITIES[ident](*_pair(x), *_pair(y)))
 
 
-def insertion(kind, x, y, z):
-    """Apply one insertion transform to a triple with x+y+z=1.
-
-    kind "2": a 2 goes in after the leading 3 of x and y, and foremost
-    into z.  kind "11211": 3,1,3 after the leading 3 of x and y, and
-    1,1,2,1,1 after the leading 2 of z.  As words that end in a real
-    entry w (the tail 1/w, see _bracket), kind "2" gives X = [3, 1/x-1]
-    and Z = [2, z], z's own word behind a 2; kind "11211" gives
-    X = [3, 3, 1+x] and Z = [2,1,1,2,1, 1/z-1].  Returns (X, Y, Z,
-    residual) where the residual 1-X-Y-Z equals a closed-form rational
-    function of x and y alone that vanishes iff x = y — so insertions map
-    equal-pair solutions of x+y+z=1 to new solutions.  The words are built
-    once, and their residual is checked against that form by `_decide`.
-    """
-    (a, b), (c, d), (e, f) = _pair(x), _pair(y), _pair(z)
-    if (a * d + b * c) * f + e * b * d != b * d * f:
-        raise ValueError("insertion requires x + y + z = 1")
-    if kind not in _INSERTIONS:
-        raise ValueError(f"unknown insertion kind {kind!r}")
-    try:
-        words = _INSERTIONS[kind](a, b, c, d)
-        residual, _, holds = _decide(_one_minus(*words), _RESIDUALS[kind](a, b, c, d))
-    except ZeroDivisionError as exc:
-        raise ValueError("insertion transform hit a pole") from exc
-    if not holds:
-        raise AssertionError("residual identity violated — arithmetic bug")
-    return (*(_value(*w) for w in words), _value(*residual))
-
-
-def extra_identity(ident, x, y):
-    """Evaluate both sides of one of the auxiliary identities exactly."""
-    if ident not in _IDENTITIES or ident in _INSERTIONS:
-        raise ValueError(f"unknown identity {ident!r}; "
-                         f"choose from {sorted(_IDENTITIES.keys() - _INSERTIONS.keys())}")
-    try:
-        lhs, rhs, _ = _identity(ident, x, y)
-    except ZeroDivisionError as exc:
-        raise ValueError("identity evaluated at a pole") from exc
-    return _value(*lhs), _value(*rhs)
-
-
 # ----------------------------------------------------------------- families
-
-
-_X_BLOCKS = {"2": (2,), "11211": (3, 1, 3)}
-_Z_BLOCKS = {"2": (2,), "11211": (1, 1, 2, 1, 1)}
-
-
-def generate_solutions(code=()):
-    """Compose insertions over the code alphabet {"2", "11211"}.
-
-    Starting from MAIN_SOLUTIONS[1] = ([3,per(2)], [3,per(2)], [per(2)]),
-    each symbol inserts its block just after the leading digit of the x, y
-    and z words; values are carried exactly through the Möbius transforms,
-    so the sum stays 1 exactly.  Digits never exceed 3, and a length-L
-    all-"2" code keeps the triple inside B_{2,L+1}.
-    """
-    code = tuple(code)
-    if len(code) > 40:
-        raise ValueError("code length capped at 40: a 40-symbol code takes ~8 ms, and the "
-                         "time grows about as its length squared")
-    if any(sym not in _X_BLOCKS for sym in code):
-        raise ValueError("code symbols must be '2' or '11211'")
-    x, y, z = MAIN_SOLUTIONS[1].values()
-    x_mid = ()
-    z_mid = ()
-    for sym in code:
-        x, y, z, _ = insertion(sym, x, y, z)
-        x_mid = _X_BLOCKS[sym] + x_mid
-        z_mid = _Z_BLOCKS[sym] + z_mid
-    triple = _triple(
-        ((3,) + x_mid, (2,)), ((3,) + x_mid, (2,)), ((2,) + z_mid, (2,))
-    )
-    vx, vy, vz = triple.values()
-    if (vx, vy, vz) != (x, y, z) or vx + vy + vz != 1:
-        raise AssertionError("insertion words and values drifted apart — bug")
-    return triple
 
 
 # The scalene family's words as (head, block, suffix, period): the word at l
@@ -737,20 +588,6 @@ def _scalene_classes(template):
     word holds the same ones, so the l = 1 word stands for every l >= 1.
     """
     return tuple(bad_class(_scalene_word(template, ell))[0] for ell in (0, 1))
-
-
-def scalene_family(ell):
-    """The sporadic scalene family: exact x+y+z=1 with x, y, z all distinct."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    cfs = [_scalene_word(t, ell) for t in _SCALENE]
-    vals = [w.value() for w in cfs]
-    if not _relation_holds("sum_is_one", vals):
-        raise AssertionError("scalene family sum failed — transcription bug")
-    order = sorted(range(3), key=lambda i: vals[i])
-    if vals[order[0]] == vals[order[1]] or vals[order[1]] == vals[order[2]]:
-        raise AssertionError("scalene family degenerated")
-    return SolutionTriple(*(cfs[i] for i in order))
 
 
 def scalene_sweep(l_max):

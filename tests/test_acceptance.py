@@ -17,7 +17,6 @@ from badtri.cf import PeriodicCF, expand_quadratic, expand_real, word_map
 from badtri.cli import main as cli_main
 from badtri.delone import (
     PointSet,
-    cf_distance_brute,
     chabauty_fell_distance,
     check_covering_radius,
     check_uniform_discrete,
@@ -32,23 +31,28 @@ from badtri.gifs import (
     epsilon_rule,
     orientation_discrepancy,
     star_discrepancy,
-    star_discrepancy_brute,
     stationary_nesting_ok,
     stationary_sequence,
 )
-from badtri.quadfield import QuadRat, sqrt2, sqrt3
 from badtri.theorems import (
+    _SCALENE,
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
     MAIN_SOLUTIONS,
+    _identity,
+    _scalene_word,
     check_sum,
-    extra_identity,
-    generate_solutions,
     in_bad_class,
-    insertion,
-    scalene_family,
     search_triples,
     verify_tables,
+)
+from oracles import (
+    cf_distance_brute,
+    generate_solutions,
+    insertion,
+    sqrt2,
+    sqrt3,
+    star_discrepancy_brute,
 )
 
 
@@ -134,15 +138,15 @@ def test_c04_insertion_and_auxiliary_identities():
         try:
             _, _, _, r2 = insertion("2", x, y, z)
             _, _, _, r11 = insertion("11211", x, y, z)
-            sides = [extra_identity(i, x, y)
+            sides = [_identity(i, x, y)[:2]
                      for i in ("A", "B", "C", "lucky1", "lucky2")]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):  # a pole
             continue
         ok &= r2 == (x - y) ** 2 / ((3 - 2 * x) * (3 - 2 * y) * (3 - x - y))
         ok &= r11 == -5 * (x - y) ** 2 / (
             (10 * x + 13) * (10 * y + 13) * (5 * x + 5 * y + 13)
         )
-        ok &= all(lhs == rhs for lhs, rhs in sides)
+        ok &= all(Fraction(*lhs) == Fraction(*rhs) for lhs, rhs in sides)
         done += 1
     _report(4, ok, t0, 5)
 
@@ -175,8 +179,7 @@ def test_c06_small_class_and_scalene_families():
         ok &= x + y + z == 1
         ok &= check_sum(triple, "sum_is_one", b=2, j=2)
     for ell in range(11):
-        triple = scalene_family(ell)
-        x, y, z = triple.values()
+        x, y, z = (_scalene_word(t, ell).value() for t in _SCALENE)
         ok &= x + y + z == 1
         ok &= len({x, y, z}) == 3  # pairwise distinct components
     _report(6, ok, t0, 2)

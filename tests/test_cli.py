@@ -14,7 +14,8 @@ import badtri.theorems as theorems
 from badtri.cf import MAX_DECIMAL_DIGITS, PeriodicCF
 from badtri.cli import _build_parser, cmd_verify_main, main
 from badtri.gifs import PRESETS
-from badtri.quadfield import QuadRat, sqrt2
+from badtri.quadfield import QuadRat
+from oracles import insertion, patch_doc, sqrt2
 
 
 def run(capsys, *argv):
@@ -122,7 +123,7 @@ def test_a_broken_insertion_residual_raises(capsys, monkeypatch):
     # insertion() and the identity table read the one closed form
     monkeypatch.setitem(theorems._RESIDUALS, "11211", off_by_one)
     with pytest.raises(AssertionError, match="residual identity violated"):
-        theorems.insertion("11211", Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
+        insertion("11211", Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
     # the CLI reports it as it does a broken auxiliary identity
     code, out, err = run(capsys, "verify", "identities", "--samples", "1")
     assert (code, err) == (1, "")
@@ -413,6 +414,23 @@ def test_analyze_wraps_a_rotation_just_below_zero(tmp_path, capsys, what):
     assert outs[0] == outs[1]
 
 
+def test_analyze_delone_names_a_hull_that_qhull_cannot_build(tmp_path, capsys):
+    # tile 4 moved to [1e150, 0], within MAX_COORDINATE: the file is a valid
+    # patch, but qhull fails on the mixed scales of its vertices
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.04", "--out", str(patch_file))
+    doc = json.loads(patch_file.read_text())
+    doc["tiles"][4]["translation"] = [1e150, 0]
+    patch_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", "delone", "--in", str(patch_file))
+    assert code == 2 and out == ""
+    n = 3 * len(doc["tiles"])
+    assert re.fullmatch(rf"error: the convex hull of {n} points could not be built: QH\d+ .+\n",
+                        err)
+    # the other readers of a patch file accept it
+    assert run(capsys, "analyze", "discrepancy", "--in", str(patch_file))[0] == 0
+
+
 def test_tile_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "tile", "--preset", "optimal2", "--epsilon", "0.1", "--out", str(a))
@@ -573,8 +591,8 @@ def test_one_text_table_serves_both_writers():
     import numpy as np
 
     from badtri.cli import export_svg
-    from badtri.gifs import (_JSON_COLUMNS, _SVG_COLUMNS, _text_table, build_gifs, patch_doc,
-                             patch_to_json, stationary_sequence)
+    from badtri.gifs import (_JSON_COLUMNS, _SVG_COLUMNS, _text_table, build_gifs, patch_to_json,
+                             stationary_sequence)
 
     seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 2)
     # tiles 0 and 1 put a vertex at x = -0.0 and at x = 0.0 (see above)

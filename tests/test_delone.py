@@ -12,7 +12,6 @@ from badtri.delone import (
     ConvexRegion,
     PointSet,
     analysis_report,
-    cf_distance_brute,
     chabauty_fell_distance,
     check_covering_radius,
     check_uniform_discrete,
@@ -25,9 +24,9 @@ from badtri.gifs import (
     epsilon_rule,
     orientation_discrepancy,
     star_discrepancy,
-    star_discrepancy_brute,
     stationary_sequence,
 )
+from oracles import _cf_predicate, cf_distance_brute, star_discrepancy_brute
 
 
 def random_points(rng, n, span=4.0):
@@ -289,8 +288,6 @@ def test_cf_distance_restriction_bound(a, radii):
 
 
 def test_cf_predicate_monotone():
-    from badtri.delone import _cf_predicate
-
     rng = random.Random(11)
     grid = np.linspace(0.02, 1.0, 50)
     for _ in range(50):

@@ -21,6 +21,7 @@ from badtri.gifs import (
     _IDENTITY,
     _TILE,
     _gifs_of,
+    _orientations,
     _subdivide,
     POSE_TOL,
     PRESETS,
@@ -28,23 +29,20 @@ from badtri.gifs import (
     Gifs,
     Patch,
     Similitude,
-    TileInstance,
     build_gifs,
     build_prototiles,
     closure_report,
     derive_constants,
     epsilon_rule,
-    orientation_angles,
     orientation_discrepancy,
-    patch_doc,
     patch_from_doc,
     patch_to_json,
     recurs_in,
     stationary_nesting_ok,
     stationary_sequence,
-    subdivide,
 )
 from badtri.theorems import MAIN_SOLUTIONS
+from oracles import TileInstance, compose, patch_doc, subdivide
 
 
 def cross2(u, v):
@@ -196,7 +194,7 @@ def test_similitude_compose_matches_pointwise():
             rng.uniform(-1, 1),
             rng.uniform(-1, 1),
         )
-        assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
+        assert np.allclose(compose(a, b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
 
 def test_closure_presets():
@@ -304,8 +302,6 @@ def test_subdivision_vertex_coincidences():
 
 def test_subdivide_child_kinds_and_areas():
     g = build_gifs(PRESETS["optimal2"])
-    from badtri.gifs import TileInstance, _IDENTITY
-
     for start, kinds in ((1, (2, 1, 1, 1)), (2, (2, 2, 1, 1))):
         root = TileInstance(start, _IDENTITY, 0, Fraction(1))
         kids = subdivide(root, g)
@@ -324,8 +320,6 @@ def test_orientation_additivity():
     # child orientation minus parent orientation depends only on the edge
     # label and the parent's parity
     g = build_gifs(PRESETS["optimal1"])
-    from badtri.gifs import TileInstance, _IDENTITY
-
     seen = {}
     frontier = [TileInstance(1, _IDENTITY, 0, Fraction(1))]
     for _ in range(3):
@@ -436,7 +430,7 @@ def test_stationary_sequence_nesting():
         seq = stationary_sequence(build_gifs(SYSTEMS[name]), 4)
         assert len(seq) == 5
         assert len(seq[0].tiles) == 1
-        assert orientation_angles(seq[0]) == [(0.0, False)]
+        assert _orientation_angles(seq[0]) == [(0.0, False)]
         sizes = [len(p.tiles) for p in seq]
         assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
         assert stationary_nesting_ok(seq)
@@ -597,9 +591,14 @@ def test_stationary_sequence_guard():
         stationary_sequence(skewed, 2)
 
 
+def _orientation_angles(patch):
+    """(rotation mod 2*pi, reflection parity) per tile, in patch order."""
+    return list(zip(_orientations(patch).tolist(), patch.tiles["reflect"].tolist()))
+
+
 def test_orientation_angles_range():
     p = epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal1"]))
-    for rot, parity in orientation_angles(p):
+    for rot, parity in _orientation_angles(p):
         assert 0 <= rot < 2 * math.pi
         assert isinstance(parity, bool)
 
@@ -622,8 +621,8 @@ def test_patch_json_roundtrip_and_stability():
     assert patch_to_json(patch_from_doc(doc)) == s1
 
 
-# the per-tile reference: depth-first subdivision by `subdivide` and
-# Similitude.compose, against which the level-by-level arrays must agree
+# the per-tile reference: depth-first subdivision by the oracles' `subdivide`
+# and `compose`, against which the level-by-level arrays must agree
 
 
 def _dfs_leaves(g, start, threshold):
@@ -663,7 +662,7 @@ def _dfs_stationary_tiles(g, n):
         off = lam * np.array([c * anchor[0] - s * anchor[1], s * anchor[0] + c * anchor[1]])
         world = Similitude(lam, rot, False, -float(off[0]), -float(off[1]))
         out.append([
-            TileInstance(t.kind, world.compose(t.transform), t.depth, t.area / threshold)
+            TileInstance(t.kind, compose(world, t.transform), t.depth, t.area / threshold)
             for t in _dfs_leaves(g, 1, threshold)
         ])
         anchor = f3.apply(anchor)

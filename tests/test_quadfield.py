@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from badtri.cf import convergents, word_map
-from badtri.quadfield import QuadRat, sqrt2, sqrt3
+from badtri.quadfield import QuadRat
+from oracles import sqrt2, sqrt3
 
 
 def rand_quadrat(rng, d=2, span=20):

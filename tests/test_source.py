@@ -147,6 +147,43 @@ def test_package_index_reads_the_geometry_modules():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def _top_level_names(tree):
+    """(name, statement) for each function, class and constant a module
+    defines at top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("__"))
+
+
+def test_the_package_holds_only_what_it_uses():
+    # every top-level name is used somewhere in the package outside its own
+    # definition: a reference implementation that only tests compare against
+    # lives in tests/oracles.py, and a superseded name is deleted.  An import
+    # or an __all__ entry alone is no use
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    uses = [(node, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))})
+            for tree in trees for node in tree.body]
+    unused = sorted(name for tree in trees for name, own in _top_level_names(tree)
+                    if not any(name in names for node, names in uses if node is not own))
+    assert not unused, f"top-level names the package never uses: {unused}"
+    # and no package module imports the oracles, or anything else under tests/
+    imported = [alias.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    tests = {path.stem for path in (PACKAGE.parents[1] / "tests").glob("*.py")}
+    from_tests = [m for m in imported if m.split(".")[0] in tests | {"tests"}]
+    assert not from_tests, f"package modules import from tests/: {from_tests}"
+
+
 def test_cap_messages_name_their_cost():
     # every "capped at" error names the measured cost of a run at the cap
     capped = {}

@@ -16,27 +16,29 @@ from hypothesis import assume, given, settings, strategies as st
 import badtri.theorems as theorems
 from badtri.cf import (FiniteCF, PeriodicCF, _mobius_triple, bad_class, convergents, hull_pairs,
                        word_map)
-from badtri.quadfield import QuadRat, _sign, sqrt2, sqrt3
+from badtri.quadfield import QuadRat, _sign
 from badtri.theorems import (
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
     MAIN_SOLUTIONS,
     CaseRow,
     SolutionTriple,
-    case21_endpoints,
     check_sum,
     excludes_b2,
-    extra_identity,
-    forbidden_interval,
-    generate_solutions,
-    insertion,
-    scalene_family,
     scalene_sweep,
     search_triples,
     table_rows,
+    verify_tables,
+)
+from oracles import (
+    _value,
+    case21_endpoints,
+    generate_solutions,
+    insertion,
+    sqrt2,
+    sqrt3,
     verify_case21_symbolic,
     verify_case_row,
-    verify_tables,
 )
 
 
@@ -53,16 +55,20 @@ def _in_hull(word, value):
 # ------------------------------------------------------------------ patterns
 
 
+def _forbidden_interval(form, k, ell, s):
+    """(r1, r2) of the forbidden pattern (form, k, ell, s), read from
+    theorems._pattern_ends on its run of 2s."""
+    run = 2 * k - 1 if form == 1 else 2 * k
+    return tuple(Fraction(*end) for end in theorems._pattern_ends(ell, s, convergents((2,) * run)))
+
+
 def test_forbidden_interval_pinned():
     # [2,3,inf] = 3/7, [2,inf] = 1/2
-    p = forbidden_interval(1, 1, 0, 3)
-    assert (p.r1, p.r2) == (Fraction(3, 7), Fraction(1, 2))
+    assert _forbidden_interval(1, 1, 0, 3) == (Fraction(3, 7), Fraction(1, 2))
     # [2,2,1,3,inf] = 11/26 (convergents 1/2, 2/5, 3/7, 11/26)
-    p = forbidden_interval(1, 1, 1, 3)
-    assert (p.r1, p.r2) == (Fraction(11, 26), Fraction(1, 2))
+    assert _forbidden_interval(1, 1, 1, 3) == (Fraction(11, 26), Fraction(1, 2))
     # [2,2,inf] = 2/5, [2,2,3,inf] = 7/17
-    p = forbidden_interval(2, 1, 0, 3)
-    assert (p.r1, p.r2) == (Fraction(2, 5), Fraction(7, 17))
+    assert _forbidden_interval(2, 1, 0, 3) == (Fraction(2, 5), Fraction(7, 17))
 
 
 def test_forbidden_interval_matches_eval():
@@ -73,26 +79,11 @@ def test_forbidden_interval_matches_eval():
         ell = rng.randint(0, 3)
         s = rng.randint(3, 9)
         run = 2 * k - 1 if form == 1 else 2 * k
-        p = forbidden_interval(form, k, ell, s)
+        r1, r2 = _forbidden_interval(form, k, ell, s)
         plain = FiniteCF((2,) * run).value()
         deep = FiniteCF((2,) * run + (2, 1) * ell + (s,)).value()
-        assert {p.r1, p.r2} == {plain, deep}
-        assert p.r1 < p.r2
-
-
-def test_forbidden_interval_rejects_bad_params():
-    for args in ((3, 1, 0, 3), (1, 0, 0, 3), (1, 1, -1, 3), (1, 1, 0, 2)):
-        with pytest.raises(ValueError):
-            forbidden_interval(*args)
-
-
-def test_forbidden_interval_rejects_non_integers():
-    for args in ((1, 1, 0, 3.5), (1, 1.5, 0, 3), (1, 1, 0.5, 3)):
-        with pytest.raises(ValueError):
-            forbidden_interval(*args)
-    # a bool is not a count, though it is an int to isinstance
-    with pytest.raises(ValueError, match="k must be an integer, got True"):
-        forbidden_interval(1, True, 0, 3)
+        assert {r1, r2} == {plain, deep}
+        assert r1 < r2
 
 
 def test_excludes_b2_certified_empty():
@@ -497,12 +488,10 @@ def test_insertion_pole_raises():
 
 
 def test_extra_identity_pinned():
-    lhs, rhs = extra_identity("A", Fraction(1, 4), Fraction(1, 5))
-    assert lhs == rhs
-    lhs, rhs = extra_identity("lucky2", Fraction(1, 7), Fraction(1, 7))
-    assert lhs == rhs
-    with pytest.raises(ValueError):
-        extra_identity("D", Fraction(1, 4), Fraction(1, 5))
+    lhs, rhs, _ = theorems._identity("A", Fraction(1, 4), Fraction(1, 5))
+    assert Fraction(*lhs) == Fraction(*rhs)
+    lhs, rhs, _ = theorems._identity("lucky2", Fraction(1, 7), Fraction(1, 7))
+    assert Fraction(*lhs) == Fraction(*rhs)
 
 
 def test_extra_identity_random():
@@ -513,10 +502,10 @@ def test_extra_identity_random():
             x = Fraction(rng.randint(1, 99), rng.randint(100, 400))
             y = Fraction(rng.randint(1, 99), rng.randint(100, 400))
             try:
-                lhs, rhs = extra_identity(ident, x, y)
-            except ValueError:
+                lhs, rhs, _ = theorems._identity(ident, x, y)
+            except ZeroDivisionError:  # a pole
                 continue
-            assert lhs == rhs, (ident, x, y)
+            assert Fraction(*lhs) == Fraction(*rhs), (ident, x, y)
             checked += 1
 
 
@@ -601,10 +590,11 @@ def _agree_with_reference(x, y, kind_type):
             expected = ref(x, y)
         except ZeroDivisionError:
             poles.append(ident)
-            with pytest.raises(ValueError, match="pole"):
-                extra_identity(ident, x, y)
+            with pytest.raises(ZeroDivisionError):
+                theorems._identity(ident, x, y)
         else:
-            got = extra_identity(ident, x, y)
+            lhs, rhs, _ = theorems._identity(ident, x, y)
+            got = _value(*lhs), _value(*rhs)
             assert got == expected and got[0] == got[1], ident
             assert all(type(v) is kind_type for v in got), ident
     z = 1 - x - y
@@ -718,10 +708,17 @@ def test_generate_rejects_bad_codes():
         generate_solutions(("2",) * 41)
 
 
+def _scalene_family(ell):
+    """The scalene family's words at l, from theorems._scalene_word, as a
+    SolutionTriple ordered by value."""
+    words = (theorems._scalene_word(t, ell) for t in theorems._SCALENE)
+    return SolutionTriple(*sorted(words, key=PeriodicCF.value))
+
+
 def test_scalene_family():
     prev = set()
     for ell in range(11):
-        t = scalene_family(ell)
+        t = _scalene_family(ell)
         vx, vy, vz = t.values()
         assert vx + vy + vz == 1
         assert vx < vy < vz
@@ -731,7 +728,7 @@ def test_scalene_family():
 
 
 def test_scalene_words_shape():
-    t = scalene_family(0)
+    t = _scalene_family(0)
     # [(2)^4, per(1,2)] absorbs one 2 into its period
     assert (t.z.pre, t.z.period) == ((2, 2, 2), (2, 1))
     assert {(w.pre, w.period) for w in (t.x, t.y)} == {((3, 1), (1, 2)), ((3, 3), (1, 2))}
@@ -742,7 +739,7 @@ def test_scalene_sweep_matches_scalene_family():
     assert len(sweep) == 41
     for ell, (values, ok) in enumerate(sweep):
         assert ok
-        assert tuple(sorted(values)) == scalene_family(ell).values()
+        assert tuple(sorted(values)) == _scalene_family(ell).values()
     with pytest.raises(ValueError):
         scalene_sweep(-1)
 
@@ -805,8 +802,6 @@ def test_scalene_family_refuses_values_from_two_fields(monkeypatch, word):
     head, block, suffix, _ = templates[word]
     templates[word] = (head, block, suffix, (2,))
     monkeypatch.setattr(theorems, "_SCALENE", tuple(templates))
-    with pytest.raises(AssertionError, match="sum failed"):
-        theorems.scalene_family(0)
     assert [ok for _, ok in scalene_sweep(2)] == [False] * 3
 
 
