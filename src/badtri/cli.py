@@ -147,7 +147,7 @@ def cmd_verify_main(args):
     """Exact relation, ordering, CF round-trip and B_2 class for each triple."""
     failures = 0
     for triple in args.triples:
-        exact, ordered, classes = _sum_verdict(triple, args.relation, b=2)
+        exact, ordered, classes = _sum_verdict(triple, args.relation)
         roundtrip = all(expand_quadratic(w.value()) == w for w in (triple.x, triple.y, triple.z))
         ok = exact and ordered and roundtrip and classes
         failures += not ok
@@ -201,7 +201,7 @@ def cmd_verify_family(args):
     sweep = scalene_sweep(args.l_max)  # refuses a bad l_max before any line prints
     failures = 0
     for triple in B22_SOLUTIONS:
-        ok = check_sum(triple, "sum_is_one", b=2, j=2)
+        ok = check_sum(triple, "sum_is_one", j=2)
         failures += not ok
         words = ", ".join(format_cf(w) for w in (triple.x, triple.y, triple.z))
         print(f"{'PASS' if ok else 'FAIL'} B22 {words}")
@@ -240,10 +240,12 @@ def _angles_from_args(args):
         raise ValueError("give exactly one of --preset or --angles")
     if args.preset:
         return PRESETS[args.preset]
-    parts = [float(v) for v in args.angles.split(",")]
-    if len(parts) != 3:
-        raise ValueError("--angles needs three comma-separated radians")
-    return Angles(*parts)
+    try:  # a count other than three, or a part that is not a number
+        alpha, beta, gamma = map(float, args.angles.split(","))
+    except ValueError:
+        raise ValueError("--angles needs three comma-separated radians, "
+                         f"got {args.angles!r}") from None
+    return Angles(alpha, beta, gamma)
 
 
 def cmd_tile(args):

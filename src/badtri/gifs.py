@@ -413,12 +413,12 @@ class Patch:
     `tiles` is a read-only _TILE record array.  `vertices` (N x 3 x 2) and
     `points` (N x 2, the tile centroids) are derived from the tiles at
     construction, so `dataclasses.replace` keeps them in step with the
-    tiles.  Every patch, however it is built, has tiles of kind 1 or 2
-    whose placed vertices and centroid are finite and within
-    +-MAX_COORDINATE; construction raises ValueError, naming the first
-    tile, otherwise.  Patches compare and hash by epsilon, system and tile
-    bytes, so a patch written by patch_to_json and read back by
-    patch_from_doc equals the original.
+    tiles.  Every patch, however it is built, has tiles of kind 1 or 2,
+    scale > 0 and depth >= 0 whose placed vertices and centroid are finite
+    and within +-MAX_COORDINATE; construction raises ValueError, naming the
+    first bad tile and its field, otherwise.  Patches compare and hash by
+    epsilon, system and tile bytes, so a patch written by patch_to_json and
+    read back by patch_from_doc equals the original.
     """
 
     epsilon: float
@@ -431,20 +431,24 @@ class Patch:
         tiles = np.asarray(self.tiles, dtype=_TILE).view()
         tiles.flags.writeable = False
         object.__setattr__(self, "tiles", tiles)
-        kind = tiles["kind"]
-        known = (kind == 1) | (kind == 2)
-        if not known.all():
-            i = known.argmin()
-            raise ValueError(f"tile {i} has kind {kind[i]}, not 1 or 2")
-        # each prototile's three vertices and its centroid, placed together
+        kind, scale, depth = tiles["kind"], tiles["scale"], tiles["depth"]
+        # each prototile's vertices and centroid, placed together; clip places a bad kind too
         local = np.stack([np.vstack([p.vertices, p.centroid]) for p in self.gifs.prototiles])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            placed = _place(tiles, local[kind - 1])
-        inside = np.abs(placed) <= MAX_COORDINATE  # False for inf and nan
-        if not inside.all():
-            raise ValueError(f"tile {inside.all(axis=(1, 2)).argmin()} overflows: its placed "
-                             f"vertices and centroid must be finite and within "
-                             f"+-{MAX_COORDINATE:g}")
+            placed = _place(tiles, local.take(kind - 1, axis=0, mode="clip"))
+        known = (kind == 1) | (kind == 2)
+        inside = (np.abs(placed) <= MAX_COORDINATE).all(axis=(1, 2))  # False for inf and nan
+        good = known & (scale > 0) & (depth >= 0) & inside
+        if not good.all():
+            i = good.argmin()
+            if not known[i]:
+                raise ValueError(f"tile {i} has kind {kind[i]}, not 1 or 2")
+            if not scale[i] > 0:
+                raise ValueError(f"tile {i} has scale {scale[i]}, not > 0")
+            if depth[i] < 0:
+                raise ValueError(f"tile {i} has depth {depth[i]}, not >= 0")
+            raise ValueError(f"tile {i} overflows: its placed vertices and centroid must be "
+                             f"finite and within +-{MAX_COORDINATE:g}")
         placed.flags.writeable = False
         object.__setattr__(self, "vertices", placed[:, :3])
         object.__setattr__(self, "points", placed[:, 3])
@@ -773,7 +777,8 @@ def _is_number(v):
 
 def _tile_columns(tiles):
     """(kind, reflect, depth, 4 x N float array of scale, rotation, tx, ty),
-    or None unless every tile has the keys and JSON types patch_to_json writes.
+    or None unless every tile has the keys and JSON types patch_to_json
+    writes, within the range of its int64 or float column.
 
     Every condition holds tile by tile, so a list passes exactly when each
     of its tiles passes.
@@ -785,19 +790,16 @@ def _tile_columns(tiles):
         return None
     numbers = scale, rotation, [p[0] for p in translation], [p[1] for p in translation]
     if not (
-        set(map(type, kind)) <= {int} and set(kind) <= {1, 2}
-        and set(map(type, depth)) <= {int} and 0 <= min(depth) and max(depth) < 2**63
+        all(set(map(type, col)) <= {int} and -2**63 <= min(col) and max(col) < 2**63
+            for col in (kind, depth))
         and set(map(type, reflect)) <= {bool}
         and all(set(map(type, col)) <= {int, float} for col in numbers)
     ):
         return None
     try:
-        values = np.array(numbers, dtype=float)
+        return kind, reflect, depth, np.array(numbers, dtype=float)
     except OverflowError:  # an int past the float range
         return None
-    if not (np.isfinite(values).all() and (values[0] > 0).all()):
-        return None
-    return kind, reflect, depth, values
 
 
 def _check_patch_doc(doc):
@@ -822,6 +824,8 @@ def _check_patch_doc(doc):
         # the first failing block of 1,024 tiles holds the first bad tile
         i = next(i for i in range(0, len(tiles), 1024) if _tile_columns(tiles[i : i + 1024]) is None)
         i = next(i for i in range(i, i + 1024) if _tile_columns(tiles[i : i + 1]) is None)
+        if i:  # a tile before i that no Patch holds is named first
+            patch_from_doc(dict(doc, tiles=tiles[:i]))
         t = tiles[i]
         if not (isinstance(t, dict) and _TILE_KEYS_SET.issubset(t)):
             raise ValueError(f"tile {i} needs the keys {', '.join(_TILE_KEYS)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import PeriodicCF, _mobius_triple, bad_class, convergents, hull_pairs, in_bad_class
-from .quadfield import QuadRat, _sign
+from .quadfield import _sign
 
 __all__ = [
     "excludes_b2",
@@ -342,57 +342,57 @@ PRESET_TRIPLES = {
 }
 
 
-def _relation_holds(relation, values):
-    """Is x + y + z = 1 (or x + y = z) exact?  Values from two quadratic
-    fields never are: one field then holds just one of them, irrational,
-    and 1, sqrt(d) over distinct squarefree d are linearly independent."""
-    if len({v.d for v in values if v.b}) > 1:
-        return False
-    vx, vy, vz = values
-    return vx + vy + vz == 1 if relation == "sum_is_one" else vx + vy == vz
+def _sum_sign(terms, d, k=0):
+    """The exact sign of the sum of the terms minus k.
 
-
-def _cleared_sum(terms, k=0):
-    """The sum of the terms minus k, as one unreduced triple (A, B, C).
-
-    A term (a, b, c) with c > 0 stands for (a + b sqrt d)/c.  Then
-    A = sum a_i prod_{j != i} c_j - k prod c_j, B = sum b_i prod_{j != i} c_j
-    and C = prod c_j > 0, so _sign(A, B, d) is the sign of the sum minus k,
-    and A = B = 0 says that it is 0.
+    A term (a, b, c) with c > 0 stands for (a + b sqrt d)/c.  Over the
+    common denominator C = prod c_j > 0 the sum minus k is (A + B sqrt d)/C
+    with A = sum a_i prod_{j != i} c_j - k C and B = sum b_i prod_{j != i} c_j,
+    so its sign is _sign(A, B, d), and 0 says that the sum is k.
     """
     big_a, big_b, big_c = 0, 0, 1
     for a, b, c in terms:
         big_a, big_b, big_c = big_a * c + a * big_c, big_b * c + b * big_c, big_c * c
-    return big_a - k * big_c, big_b, big_c
+    return _sign(big_a - k * big_c, big_b, d)
 
 
 def _neg(v):
-    """-v for a triple v, as _cleared_sum takes them."""
+    """-v for a triple v, as _sum_sign takes them."""
     a, b, c = v
     return -a, -b, c
 
 
-def _sum_verdict(triple, relation, b=2, j=None):
-    """check_sum's (exact, ordered, classes); only exact values are ordered."""
+def _sum_verdict(triple, relation, j=None):
+    """check_sum's (exact, ordered, classes), each test one _sum_sign; only
+    exact values are ordered.  The values are irrational, and values from
+    two quadratic fields satisfy neither relation: one field then holds just
+    one of them, and 1, sqrt(d) over distinct squarefree d are linearly
+    independent."""
     if relation not in ("sum_is_one", "x_plus_y_is_z"):
         raise ValueError(f"unknown relation {relation!r}")
-    vx, vy, vz = values = triple.values()
-    exact = _relation_holds(relation, values)
-    ordered = exact and vx <= vy and (relation == "x_plus_y_is_z" or vy <= vz)
-    classes = all(bad_class(w)[0] <= b if j is None else in_bad_class(w, b, j)
+    values = triple.values()
+    d, *others = {v.d for v in values}
+    x, y, z = ((v.a, v.b, v.c) for v in values)
+    if relation == "sum_is_one":
+        exact = not others and _sum_sign((x, y, z), d, 1) == 0
+        ordered = exact and _sum_sign((x, _neg(y)), d) <= 0 and _sum_sign((y, _neg(z)), d) <= 0
+    else:
+        exact = not others and _sum_sign((x, y, _neg(z)), d) == 0
+        ordered = exact and _sum_sign((x, _neg(y)), d) <= 0
+    classes = all(bad_class(w)[0] <= 2 if j is None else in_bad_class(w, 2, j)
                   for w in (triple.x, triple.y, triple.z))
     return exact, ordered, classes
 
 
-def check_sum(triple, relation, b=2, j=None):
+def check_sum(triple, relation, j=None):
     """Exact relation + ordering + digit-class check for a solution triple.
 
     relation is "sum_is_one" (x+y+z=1, x<=y<=z) or "x_plus_y_is_z"
     (x+y=z, x<=y).  By default components need only the eventual digit
-    bound b (membership in B_b for some finite j); pass j to demand the
-    sharper class B_{b,j}.
+    bound 2 (membership in B_2 for some finite j); pass j to demand the
+    sharper class B_{2,j}.
     """
-    return all(_sum_verdict(triple, relation, b, j))
+    return all(_sum_verdict(triple, relation, j))
 
 
 # --------------------------------------------------------------- insertions
@@ -400,18 +400,11 @@ def check_sum(triple, relation, b=2, j=None):
 
 # Both sides of every identity below are built as unreduced
 # numerator/denominator pairs: x = a/b and y = c/d enter as their integer
-# pairs (a QuadRat v as (v, 1)), each bracket is its word's integer
-# convergent matrix applied to a pair, and each right-hand side is written
-# homogeneously in (a, b, c, d).  `_identity` compares the two sides by
-# one cross-multiplication.  Every inversion on the way checks its
-# numerator, so a pole raises wherever the nested form divides by zero.
-
-
-def _pair(v):
-    """v as a numerator/denominator pair; a QuadRat enters as (v, 1)."""
-    if isinstance(v, QuadRat):
-        return v, 1
-    return v.numerator, v.denominator
+# pairs, each bracket is its word's integer convergent matrix applied to a
+# pair, and each right-hand side is written homogeneously in (a, b, c, d).
+# `_identity` compares the two sides by one cross-multiplication.  Every
+# inversion on the way checks its numerator, so a pole raises wherever the
+# nested form divides by zero.
 
 
 def _inv(w):
@@ -559,8 +552,8 @@ def _decide(lhs, rhs):
 
 
 def _identity(ident, x, y):
-    """_decide of _IDENTITIES[ident] at (x, y)."""
-    return _decide(*_IDENTITIES[ident](*_pair(x), *_pair(y)))
+    """_decide of _IDENTITIES[ident] at the rationals (x, y)."""
+    return _decide(*_IDENTITIES[ident](x.numerator, x.denominator, y.numerator, y.denominator))
 
 
 # ----------------------------------------------------------------- families
@@ -593,12 +586,14 @@ def _scalene_classes(template):
 def scalene_sweep(l_max):
     """[(values, ok)] for l = 0..l_max: the scalene family checked at each l.
 
-    values are the l-th x, y and z, and ok says that x + y + z = 1
-    exactly, that the three are distinct and that each word is in B_2.
-    No word is built as digits: each template's prefix [head, (block)^l]
-    is kept as its convergent tuple and stepped to l + 1 by one block
-    (x and y share theirs), then continued by the suffix and applied to
-    the period's value.  The classes are read once, by `_scalene_classes`.
+    values are the l-th x, y and z as unreduced integer triples (a, b, c)
+    for (a + b sqrt d)/c, d their tails' radicand, and ok says that
+    x + y + z = 1 exactly, that the three are distinct and that each word
+    is in B_2.  No word is built as digits: each template's prefix
+    [head, (block)^l] is kept as its convergent tuple and stepped to l + 1
+    by one block (x and y share theirs), then continued by the suffix and
+    applied to the period's value.  The classes are read once, by
+    `_scalene_classes`.
     """
     _check_int("l_max", l_max, 0)
     if l_max > 1000:
@@ -607,19 +602,19 @@ def scalene_sweep(l_max):
     classes = [_scalene_classes(t) for t in _SCALENE]
     in_b2 = [all(b[k] <= 2 for b in classes) for k in (0, 1)]
     tails = [PeriodicCF((), period).value() for *_, period in _SCALENE]
-    one_field = len({t.d for t in tails}) == 1  # else no l sums to 1, as in _relation_holds
+    d, *others = {t.d for t in tails}  # two fields: no l sums to 1, as in _sum_verdict
     prefixes = {(head, block): convergents(head) for head, block, _, _ in _SCALENE}
     out = []
     for ell in range(l_max + 1):
         # each value as an unreduced triple from the stepped matrices; the sum
-        # and the three differences are then integer zero tests
-        x, y, z = ends = [
+        # is one _sum_sign and the three differences are integer zero tests
+        x, y, z = ends = tuple(
             _mobius_triple(convergents(suffix, prefixes[head, block]), t.a, t.b, t.c, t.d)
-            for (head, block, suffix, _), t in zip(_SCALENE, tails)]
-        ok = (in_b2[ell > 0] and one_field and _cleared_sum(ends, 1)[:2] == (0, 0)
+            for (head, block, suffix, _), t in zip(_SCALENE, tails))
+        ok = (in_b2[ell > 0] and not others and _sum_sign(ends, d, 1) == 0
               and all(u[0] * v[2] != v[0] * u[2] or u[1] * v[2] != v[1] * u[2]
                       for u, v in ((x, y), (y, z), (x, z))))
-        out.append((tuple(QuadRat._new(*v, t.d) for v, t in zip(ends, tails)), ok))
+        out.append((ends, ok))
         prefixes = {(head, block): convergents(block, m)
                     for (head, block), m in prefixes.items()}
     return out
@@ -656,13 +651,12 @@ def search_triples(relation, depth, first_digit_max=3):
         raise ValueError(f"unknown relation {relation!r}")
     # A node is (word, m, lo, hi): a word, its convergent matrix, and the
     # ends of [word, t] over the tails t, as integer triples over Q(sqrt d).
-    # Every test is the sign of a _cleared_sum: no QuadRat is built.
+    # Every test is one _sum_sign of integer triples.
     d, tails = _TAIL_LO.d, [(t.a, t.b, t.c) for t in (_TAIL_LO, _TAIL_HI)]
     survivors = []
 
     def sign(terms, k=0):
-        big_a, big_b, _ = _cleared_sum(terms, k)
-        return _sign(big_a, big_b, d)
+        return _sum_sign(terms, d, k)
 
     def feasible(nodes):
         (_, _, xl, xh), (_, _, yl, yh), (_, _, zl, zh) = nodes

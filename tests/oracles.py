@@ -13,8 +13,8 @@ from badtri.cf import convergents, hull_pairs
 from badtri.delone import PointSet
 from badtri.gifs import _TILE, _TWO_PI, Similitude
 from badtri.quadfield import QuadRat
-from badtri.theorems import (MAIN_SOLUTIONS, _INSERTIONS, _RESIDUALS, _check_row, _decide,
-                             _one_minus, _pair, _triple)
+from badtri.theorems import (MAIN_SOLUTIONS, _IDENTITIES, _INSERTIONS, _RESIDUALS, _check_row,
+                             _decide, _one_minus, _triple)
 
 
 def sqrt2() -> QuadRat:
@@ -59,6 +59,16 @@ def verify_case21_symbolic(n):
     hulls = [tuple(Fraction(*end) for end in hull_pairs(convergents((3,) + (2,) * n + tail)))
              for tail in ((1, 2), (2, 2))]
     return [(a, b), (c, d)] == hulls
+
+
+def _pair(v):
+    """v as a numerator/denominator pair; a QuadRat enters as (v, 1)."""
+    return (v, 1) if isinstance(v, QuadRat) else (v.numerator, v.denominator)
+
+
+def identity(ident, x, y):
+    """theorems._identity, for rational or quadratic x and y."""
+    return _decide(*_IDENTITIES[ident](*_pair(x), *_pair(y)))
 
 
 def _value(n, d):

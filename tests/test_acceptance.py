@@ -177,7 +177,7 @@ def test_c06_small_class_and_scalene_families():
     for triple in B22_SOLUTIONS:
         x, y, z = triple.values()
         ok &= x + y + z == 1
-        ok &= check_sum(triple, "sum_is_one", b=2, j=2)
+        ok &= check_sum(triple, "sum_is_one", j=2)
     for ell in range(11):
         x, y, z = (_scalene_word(t, ell).value() for t in _SCALENE)
         ok &= x + y + z == 1

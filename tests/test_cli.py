@@ -39,6 +39,13 @@ def test_verify_main2(capsys):
     code, out, _ = run(capsys, "verify", "main2")
     assert code == 0
     assert out.count("PASS") == 4
+    assert out == (
+        "PASS x+y=z exact=True roundtrip=True class_B2=True  "
+        "[3,per(1,2)], [per(2,1)], [1,1,per(1,2)]\n"
+        "PASS x+y=z exact=True roundtrip=True class_B2=True  [per(2,1)], [per(2,1)], [per(1,2)]\n"
+        "PASS x+y=z exact=True roundtrip=True class_B2=True  [3,per(2)], [3,per(2)], [1,1,per(2)]\n"
+        "PASS x+y=z exact=True roundtrip=True class_B2=True  [3,per(2)], [per(2)], [1,per(2)]\n"
+    )
 
 
 def test_verify_tables_small(capsys):
@@ -448,6 +455,13 @@ def test_tile_argument_errors(capsys):
     assert code == 2  # angles don't sum to pi
     code, _, err = run(capsys, "tile", "--preset", "optimal1")
     assert code == 2  # epsilon missing
+
+
+@pytest.mark.parametrize("text", ["a,b,c", "1,1", "1,1,1,0.14", "1,1,x"])
+def test_tile_names_angles_it_cannot_read(capsys, text):
+    code, out, err = run(capsys, "tile", "--angles", text, "--epsilon", "0.1")
+    assert (code, out) == (2, "")
+    assert err == f"error: --angles needs three comma-separated radians, got {text!r}\n"
 
 
 def test_tile_rejects_runaway_epsilon(capsys):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from collections import OrderedDict
 from fractions import Fraction
 from types import SimpleNamespace
@@ -784,23 +785,26 @@ _FIELDS = ("scale", "rotation", "tx", "ty")
 
 
 def _edge_float_patch():
-    """An optimal1 patch whose float columns each hold 0.0, -0.0 and the
-    least subnormal of both signs."""
+    """An optimal1 patch whose rotation and translation columns each hold
+    0.0, -0.0 and the least subnormal of both signs, and whose scale column,
+    which holds only positive floats, the least subnormal and least normal."""
     p = epsilon_rule(1, 0.05, build_gifs(PRESETS["optimal1"]))
-    specials = [0.0, -0.0, 5e-324, -5e-324]
     tiles = p.tiles.copy()
     for k, f in enumerate(_FIELDS):
+        specials = [5e-324, sys.float_info.min] if f == "scale" else [0.0, -0.0, 5e-324, -5e-324]
         tiles[f][k : k + len(specials)] = specials
     return dataclasses.replace(p, tiles=tiles)
 
 
 def test_patch_to_json_is_the_encoders_text_for_edge_floats():
     edge = _edge_float_patch()
-    for f in _FIELDS:
+    for f in _FIELDS[1:]:
         col = edge.tiles[f]
         assert set(np.signbit(col[col == 0]).tolist()) == {False, True}
+    assert edge.tiles["scale"][:2].tolist() == [5e-324, sys.float_info.min]
     # nan, +-inf and +-1e308 make no patch, so no writer meets them; a
-    # rotation of 1e308 is finite and places the tile within range
+    # rotation of 1e308 is finite and places the tile within range, and a
+    # scale that is not > 0 is refused by name
     for f in _FIELDS:
         for v in (math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308):
             tiles = edge.tiles.copy()
@@ -808,7 +812,9 @@ def test_patch_to_json_is_the_encoders_text_for_edge_floats():
             if f == "rotation" and math.isfinite(v):
                 assert dataclasses.replace(edge, tiles=tiles).tiles["rotation"][3] == v
                 continue
-            with pytest.raises(ValueError, match=_overflow(3)):
+            refusal = (re.escape(f"tile 3 has scale {v}, not > 0") if f == "scale" and not v > 0
+                       else _overflow(3))
+            with pytest.raises(ValueError, match=refusal):
                 dataclasses.replace(edge, tiles=tiles)
     empty = dataclasses.replace(edge, tiles=edge.tiles[:0])
     seq = stationary_sequence(build_gifs(PRESETS["equilateral"]), 3)
@@ -828,6 +834,22 @@ def test_patch_refuses_a_kind_other_than_1_or_2(kind):
         dataclasses.replace(p, tiles=tiles)
     with pytest.raises(ValueError, match="tile 0 has kind"):
         Patch(p.epsilon, p.gifs, tiles[4:])
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("scale", -1.0, "scale -1.0, not > 0"),
+    ("scale", 0.0, "scale 0.0, not > 0"),
+    ("depth", -3, "depth -3, not >= 0"),
+])
+def test_patch_refuses_a_scale_not_above_0_or_a_negative_depth(field, value, text):
+    p = epsilon_rule(1, 0.1, build_gifs(PRESETS["optimal1"]))
+    tiles = p.tiles.copy()
+    tiles[field][[2, 5]] = value
+    tiles["kind"][4] = 0  # a later tile's kind is named after this one
+    with pytest.raises(ValueError, match=f"^tile 2 has {text}$"):
+        dataclasses.replace(p, tiles=tiles)
+    with pytest.raises(ValueError, match=f"^tile 0 has {text}$"):
+        Patch(p.epsilon, p.gifs, tiles[5:])
 
 
 _WIDE = st.floats(-1e200, 1e200)
@@ -903,8 +925,8 @@ def test_patch_from_doc_names_first_bad_tile():
             "translation": [0.0, 0.0], "depth": 0}
     angles = [1.0, 1.0, 1.1415926535897931]
     for bad, message in (
-        (dict(good, kind=3), "tile 1 is malformed"),
-        (dict(good, scale=float("nan")), "tile 1 is malformed"),
+        (dict(good, kind=3), "tile 1 has kind 3, not 1 or 2"),
+        (dict(good, scale=float("nan")), "tile 1 has scale nan, not > 0"),
         (dict(good, translation=[0.0, True]), "tile 1 is malformed"),
         (dict(good, depth=2**63), "tile 1 is malformed"),  # past the int64 depth column
         (dict(good, scale=10**400), "tile 1 is malformed"),  # past the float range
@@ -919,21 +941,27 @@ def test_patch_from_doc_names_first_bad_tile():
             patch_from_doc(doc)
 
 
-# values of the types json.load gives that patch_from_doc refuses, per tile key
+# values of the types json.load gives that patch_from_doc refuses, per tile
+# key and by the refusal's text: a value of another JSON type or past its
+# column's range is malformed, and Patch names the field of the others
 _BAD_TILE_VALUES = {
-    "kind": [0, 3, True, 1.0, "1", None, 10**400],
-    "scale": [0, -1.0, -0.0, float("nan"), float("inf"), 10**400, False, "1.0"],
-    "rotation": [float("nan"), float("-inf"), 10**400, True, "0", [0.0]],
-    "reflect": [0, 1, None, "false"],
-    "translation": [[0.0, 0.0, 0.0], [0.0], [float("nan"), 0.0], [0.0, 10**400],
-                    [True, 0.0], "xy", {"0": 0.0, "1": 0.0}],
-    "depth": [2**63, -1, False, 1.0, 10**400, "0"],
+    "kind": {"has kind": [0, 3], "is malformed": [True, 1.0, "1", None, 10**400]},
+    "scale": {"has scale": [0, -1.0, -0.0, float("nan")], "overflows": [float("inf")],
+              "is malformed": [10**400, False, "1.0"]},
+    "rotation": {"overflows": [float("nan"), float("-inf")],
+                 "is malformed": [10**400, True, "0", [0.0]]},
+    "reflect": {"is malformed": [0, 1, None, "false"]},
+    "translation": {"overflows": [[float("nan"), 0.0]],
+                    "is malformed": [[0.0, 0.0, 0.0], [0.0], [0.0, 10**400], [True, 0.0], "xy",
+                                     {"0": 0.0, "1": 0.0}]},
+    "depth": {"has depth": [-1], "is malformed": [2**63, False, 1.0, 10**400, "0"]},
 }
 _MISSING = object()
 # (key, value, error): set the key to the value, drop it, or (key None)
 # put the value in place of the whole tile
 _TILE_BREAKS = [
-    *((key, value, "is malformed") for key, values in _BAD_TILE_VALUES.items() for value in values),
+    *((key, value, error) for key, errors in _BAD_TILE_VALUES.items()
+      for error, values in errors.items() for value in values),
     *((key, _MISSING, "needs the keys") for key in _BAD_TILE_VALUES),
     *((None, value, "needs the keys") for value in (None, 1, "tile", [], [1, 2])),
 ]

@@ -184,6 +184,16 @@ def test_the_package_holds_only_what_it_uses():
     assert not from_tests, f"package modules import from tests/: {from_tests}"
 
 
+def test_theorems_reads_only_the_integer_sign_from_quadfield():
+    # every theorems verdict is decided by _sum_sign over integer triples,
+    # so no QuadRat arithmetic or comparison can take part in one
+    source = (PACKAGE / "theorems.py").read_text()
+    imports = [(node.module, [alias.name for alias in node.names])
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)]
+    assert [names for module, names in imports if module == "quadfield"] == [["_sign"]]
+    assert "QuadRat" not in source
+
+
 def test_cap_messages_name_their_cost():
     # every "capped at" error names the measured cost of a run at the cap
     capped = {}

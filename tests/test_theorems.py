@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import badtri.theorems as theorems
 from badtri.cf import (FiniteCF, PeriodicCF, _mobius_triple, bad_class, convergents, hull_pairs,
                        word_map)
-from badtri.quadfield import QuadRat, _sign
+from badtri.quadfield import QuadRat
 from badtri.theorems import (
     B22_SOLUTIONS,
     MAIN2_SOLUTIONS,
@@ -34,6 +34,7 @@ from oracles import (
     _value,
     case21_endpoints,
     generate_solutions,
+    identity,
     insertion,
     sqrt2,
     sqrt3,
@@ -585,15 +586,17 @@ def _agree_with_reference(x, y, kind_type):
     Returns the names of those that have a pole there.
     """
     poles = []
+    # theorems._identity reads rationals; the oracle's twin also reads quadratics
+    decide = theorems._identity if kind_type is Fraction else identity
     for ident, ref in _REF_IDENTITIES.items():
         try:
             expected = ref(x, y)
         except ZeroDivisionError:
             poles.append(ident)
             with pytest.raises(ZeroDivisionError):
-                theorems._identity(ident, x, y)
+                decide(ident, x, y)
         else:
-            lhs, rhs, _ = theorems._identity(ident, x, y)
+            lhs, rhs, _ = decide(ident, x, y)
             got = _value(*lhs), _value(*rhs)
             assert got == expected and got[0] == got[1], ident
             assert all(type(v) is kind_type for v in got), ident
@@ -739,7 +742,7 @@ def test_scalene_sweep_matches_scalene_family():
     assert len(sweep) == 41
     for ell, (values, ok) in enumerate(sweep):
         assert ok
-        assert tuple(sorted(values)) == _scalene_family(ell).values()
+        assert tuple(sorted(QuadRat(*v, 3) for v in values)) == _scalene_family(ell).values()
     with pytest.raises(ValueError):
         scalene_sweep(-1)
 
@@ -791,7 +794,7 @@ def test_scalene_sweep_checks_distinctness(monkeypatch):
     isosceles = (((3,), (2,), (), (2,)),) * 2 + (((), (2,), (), (2,)),)
     monkeypatch.setattr(theorems, "_SCALENE", isosceles)
     sweep = scalene_sweep(3)
-    assert all(sum(values[1:], values[0]) == 1 for values, _ in sweep)
+    assert all(sum(QuadRat(*v, 2) for v in values) == 1 for values, _ in sweep)
     assert [ok for _, ok in sweep] == [False] * 4
 
 
@@ -803,6 +806,53 @@ def test_scalene_family_refuses_values_from_two_fields(monkeypatch, word):
     templates[word] = (head, block, suffix, (2,))
     monkeypatch.setattr(theorems, "_SCALENE", tuple(templates))
     assert [ok for _, ok in scalene_sweep(2)] == [False] * 3
+
+
+_QUADRAT_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+                       "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_theorems_decides_with_integers_alone(monkeypatch):
+    # every sum, order and equality test is the sign of one cleared integer
+    # sum: with QuadRat's arithmetic and comparisons made to raise, every
+    # verdict, scalene value and search survivor is still the one pinned below
+    def arithmetic(*args):
+        raise AssertionError("theorems did QuadRat arithmetic")
+
+    mixed = (
+        SolutionTriple(PeriodicCF((), (1, 2)), PeriodicCF((), (2, 1)), PeriodicCF((), (2,))),
+        SolutionTriple(PeriodicCF((3,), (2,)), PeriodicCF((), (2, 1)), PeriodicCF((3,), (2,))),
+    )
+    triples = MAIN_SOLUTIONS + MAIN2_SOLUTIONS + B22_SOLUTIONS + mixed
+    for op in _QUADRAT_ARITHMETIC:
+        monkeypatch.setattr(QuadRat, op, arithmetic)
+    relations = ("sum_is_one", "x_plus_y_is_z")
+    verdicts = [[theorems._sum_verdict(t, relation, j=j) for relation in relations
+                 for j in (None, 1, 2)] for t in triples]
+    checks = [check_sum(t, "sum_is_one", j=2) for t in B22_SOLUTIONS]
+    sweep = scalene_sweep(3)
+    survivors = {relation: search_triples(relation, 8) for relation in relations}
+    monkeypatch.undo()
+    # per triple: sum_is_one at j = None, 1, 2, then x_plus_y_is_z at the same j
+    holds, fails = (True, True, True), (False, False, True)
+    b22 = [holds, (True, True, False), holds, fails, (False, False, False), fails]  # not B_{2,1}
+    assert verdicts == ([[holds] * 3 + [fails] * 3] * 2 + [[fails] * 3 + [holds] * 3] * 4
+                        + [b22] * 3 + [[fails] * 6] * 2)
+    assert checks == [True] * 3
+    assert [ok for _, ok in sweep] == [True] * 4
+    assert [tuple(QuadRat(*v, 3) for v in values) for values, _ in sweep] == [
+        (QuadRat(9, -1, 26, 3), QuadRat(5, 1, 22, 3), QuadRat(61, -1, 143, 3)),
+        (QuadRat(39, 1, 138, 3), QuadRat(43, -1, 142, 3), QuadRat(2031, -1, 4899, 3)),
+        (QuadRat(241, -1, 818, 3), QuadRat(237, 1, 814, 3), QuadRat(68953, -1, 166463, 3)),
+        (QuadRat(1391, 1, 4754, 3), QuadRat(1395, -1, 4758, 3),
+         QuadRat(2342331, -1, 5654883, 3)),
+    ]
+    # each depth-8 survivor holds one target solution's 8-digit prefixes
+    targets = {"sum_is_one": MAIN_SOLUTIONS,
+               "x_plus_y_is_z": [MAIN2_SOLUTIONS[i] for i in (1, 0, 3, 2)]}
+    for relation, words in survivors.items():
+        assert words == [tuple(w.digits_prefix(8) for w in (t.x, t.y, t.z))
+                         for t in targets[relation]]
 
 
 # ------------------------------------------------------------------- search
@@ -984,16 +1034,14 @@ def _search_ends(word):
 
 
 def _triple_sign(terms, k=0):
-    big_a, big_b, big_c = theorems._cleared_sum(terms, k)
-    assert big_c > 0
-    return _sign(big_a, big_b, 3)
+    return theorems._sum_sign(terms, 3, k)
 
 
 _SEARCH_WORDS = st.lists(st.integers(1, 4), min_size=1, max_size=24).map(tuple)
 
 
 @given(data=st.data())
-def test_cleared_sum_signs_match_quadrat_arithmetic(data):
+def test_sum_sign_matches_quadrat_arithmetic(data):
     words = data.draw(st.lists(_SEARCH_WORDS, min_size=3, max_size=3))
     if data.draw(st.booleans()):
         words[1] = words[0]  # equal operands: the signs must be 0
