@@ -5,10 +5,12 @@ here is an exact reduction over a finite candidate set: uniform
 discreteness from the closest pair, and relative denseness from the
 covering radius over the convex hull of a patch, which peaks at a
 Voronoi vertex, a hull vertex or a Voronoi edge's crossing of the hull
-boundary.  The Chabauty-Fell distance between finite sets is a measured
-value, not a verdict: its closed form takes one nearest-neighbour query
-per set, and a patch's report gives it from the patch to its cuts to
-balls about the origin, beside the orientation discrepancy from gifs.
+boundary; one Delaunay triangulation gives the candidates and a bound on
+each one's distance, so only the few that could decide the verdict are
+looked up in the KD-tree.  The Chabauty-Fell distance is a measured
+value, not a verdict: a patch's report gives it from the patch to its
+cuts to balls about the origin, beside the orientation discrepancy from
+gifs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "CoveringResult",
     "check_uniform_discrete",
     "check_covering_radius",
-    "chabauty_fell_distance",
     "analysis_report",
 ]
 
@@ -60,10 +61,6 @@ class PointSet:
     @functools.cached_property
     def tree(self):
         return cKDTree(self.points)
-
-    def restrict(self, radius):
-        """Points within the closed ball of the given radius about 0."""
-        return PointSet(self.points[np.linalg.norm(self.points, axis=1) <= radius])
 
 
 # a point is in a region when its excess is at most this (Region.contains)
@@ -137,8 +134,10 @@ def check_uniform_discrete(ps, r):
     return UniformDiscreteResult("violation", (i, int(idx[i, 1])), dmin)
 
 
-# location error of a covering candidate; see check_covering_radius
+# location error of a covering candidate, for points and region vertices
+# of size |x| < _TAU_RANGE; see check_covering_radius
 _TAU = 1e-9
+_TAU_RANGE = 1e4
 
 
 @dataclass(frozen=True)
@@ -148,13 +147,34 @@ class CoveringResult:
     radius: float
 
 
+def _distance(x, y):
+    """Row-wise distance, in the KD-tree's own arithmetic."""
+    return np.sqrt(((x - y) ** 2).sum(axis=-1))
+
+
 def _covering_candidates(pts, region):
-    """Every point where the distance to pts can peak on a convex region.
+    """Every point where the distance to pts can peak on a convex region,
+    with a bound no smaller than its distance to pts, and whether qhull's
+    triangulation holds every point: it leaves a point out as coplanar
+    where rounding hides it, and then the candidates are those of the
+    points it kept.  None where a simplex names qhull's point at infinity
+    (index len(pts)).
 
     On a Voronoi cell the distance is convex, so it peaks at a Voronoi
     vertex (a Delaunay circumcentre), a region vertex, or a crossing of a
     region edge with a Voronoi edge: the part of a Delaunay edge pq's
     bisector where w1 and w2, the vertices facing pq, are no nearer than p.
+    A circumcentre's bound is its least distance to its own triangle's
+    vertices and a crossing's is its distance to p, each a distance to a
+    point of pts; a region vertex has none (inf).
+
+    Only edges whose Voronoi edge can leave the region are crossed with its
+    boundary: those on the hull of pts, beside a flat triangle, or with a
+    circumcentre whose excess exceeds -tau.  Any other pq has two computed
+    circumcentres at least tau inside the region, and the true ones lie
+    within tau of them (check_covering_radius), so inside it.  Its Voronoi
+    edge is the segment between those two, inside the convex region too: it
+    meets the boundary at most at an end, and each end is a candidate.
     """
     try:
         tri = Delaunay(pts)
@@ -165,12 +185,15 @@ def _covering_candidates(pts, region):
         order = np.argsort(pts @ axis)
         p, q = pts[order[:-1]], pts[order[1:]]
         w1 = w2 = p  # w = p bounds nothing
-        centres = np.empty((0, 2))
+        centres, near, whole = np.empty((0, 2)), np.empty(0), True
     else:
         simp, nbr = tri.simplices, tri.neighbors
+        if simp.max() >= len(pts):
+            return None
+        whole = len(tri.coplanar) == 0
         # every Voronoi vertex is the circumcentre of a non-flat triangle
-        a, b, c = (pts[simp[:, k]] for k in range(3))
-        b, c = b - a, c - a
+        corners = pts[simp]
+        a, b, c = corners[:, 0], corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
         det = 2 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
         keep = det != 0
         a, b, c, det = a[keep], b[keep], c[keep], det[keep]
@@ -178,20 +201,25 @@ def _covering_candidates(pts, region):
         centres = a + np.column_stack(
             [c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2]
         ) / det[:, None]
+        with np.errstate(over="ignore"):  # a sliver's far circumcentre: an infinite bound
+            near = _distance(centres[:, None], corners[keep]).min(axis=1)
+        shallow = ~keep
+        shallow[keep] = region.excess(centres) > -_TAU
         # the edge facing vertex k of triangle s, once: from its lower
-        # triangle, or from its only one on the hull (nbr = -1)
+        # triangle, or from its only one on the hull (nbr = -1); crossed
+        # only where its Voronoi edge can leave the region
         s, k = np.divmod(np.arange(simp.size), 3)
         n = nbr[s, k]
-        once = (n < 0) | (s < n)
-        s, k, n = s[once], k[once], n[once]
+        cross = (n < 0) | ((s < n) & (shallow[s] | shallow[n]))
+        s, k, n = s[cross], k[cross], n[cross]
         i = simp[s, (k + 1) % 3]
         p, q, w1 = pts[i], pts[simp[s, (k + 2) % 3]], pts[simp[s, k]]
         w2 = pts[np.where(n < 0, i, simp[n, np.argmax(nbr[n] == s[:, None], axis=1)])]
     normal, mid = q - p, (p + q) / 2
-    cands = [centres, region.vertices]
+    cands, bound = [centres, region.vertices], [near, np.full(len(region.vertices), np.inf)]
     for v0, v1 in zip(region.vertices, np.roll(region.vertices, -1, axis=0)):
         # v0 + t (v1 - v0) on the bisector {x : normal . (x - mid) = 0}
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = ((mid - v0) * normal).sum(axis=1) / (normal @ (v1 - v0))
         on = (t >= 0) & (t <= 1)
         x = v0 + t[on, None] * (v1 - v0)
@@ -200,64 +228,99 @@ def _covering_candidates(pts, region):
             pw = w - p[on]
             keep &= ((x - (p[on] + w) / 2) * pw).sum(axis=1) <= _TAU * np.linalg.norm(pw, axis=1)
         cands.append(x[keep])
-    return np.concatenate(cands)
+        bound.append(_distance(x[keep], p[on][keep]))
+    return np.concatenate(cands), np.concatenate(bound), whole
 
 
 def check_covering_radius(ps, R, region):
     """Is every point of a convex region within R of the set?
 
-    One KD-tree query gives the true distance at each candidate.  One in
-    the region farther than R is a counterexample.  The set is certified
-    when `radius`, the largest distance over candidates with excess <= tau,
-    plus tau is at most R: distance and excess are 1-Lipschitz, so this is
-    sound while tau bounds each candidate's location error.  A candidate
-    solves a 2x2 system relative to a defining point, so its error is about
-    8u(|x| + k*rho) (u = 2**-53, size |x|, distance rho to that point,
-    condition number k), and tau = 1e-9 covers |x| + k*rho up to 10**6.
-    Patches under gifs.MAX_EPSILON_TILES have |x| < 10**4; a Delaunay
-    triangle with sides >= 2r and circumradius rho has k <= 16(rho/2r)**3,
-    which for the preset systems (r > 0.15) covers every rho below 6, six
-    times R; a crossing has k = 1/sin of the angle between its two lines.
-    Anything else is inconclusive.
+    Each candidate's distance is at most its bound, and equal to it where
+    qhull's triangulation is Delaunay; rounding on near-degenerate sets can
+    break that, so a bound alone never sets `radius`.  One KD-tree query
+    gives the region vertices' distances; the largest with excess <= tau is
+    a floor under the answer.  A second gives the distance of every
+    candidate with excess <= tau whose bound exceeds the floor, or R if
+    that is lower: no other can set `radius` or be a counterexample.  So
+    `radius` is the largest distance over candidates with excess <= tau,
+    and a candidate in the region farther than R is a counterexample.  The
+    set is certified when radius plus tau is at most R: distance and excess
+    are 1-Lipschitz, so this is sound while tau bounds each candidate's
+    location error.
+
+    A candidate solves a 2x2 system relative to a defining point, so its
+    error is about 8u(|x| + k*rho) (u = 2**-53, size |x|, distance rho to
+    that point, condition number k), and tau = 1e-9 covers |x| + k*rho up
+    to 10**6.  Patches under gifs.MAX_EPSILON_TILES have |x| < 10**4; a
+    Delaunay triangle with sides >= 2r and circumradius rho has
+    k <= 16(rho/2r)**3, which for the preset systems (r > 0.15) covers
+    every rho below 6, six times R; a crossing has k = 1/sin of the angle
+    between its two lines.  Anything else is inconclusive, with `radius`
+    inf: a point or region vertex with |x| >= 10**4 (every candidate that
+    counts lies within tau of the region, the hull of those vertices), or
+    a simplex naming qhull's point at infinity.  A triangulation that
+    leaves a point out as coplanar is not the set's, so it certifies
+    nothing; `radius` is then read off the kept points' candidates, and a
+    counterexample still stands, since its distance is queried.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     if len(ps) == 0:
         raise ValueError("empty point set")
-    cands = _covering_candidates(ps.points, region)
-    dist = ps.tree.query(cands)[0]
+    unknown = CoveringResult("inconclusive", None, math.inf)
+    size = np.linalg.norm(np.concatenate([ps.points, region.vertices]), axis=1)
+    if size.max() >= _TAU_RANGE:
+        return unknown
+    found = _covering_candidates(ps.points, region)
+    if found is None:
+        return unknown
+    cands, bound, whole = found
     excess = region.excess(cands)
-    radius = float(dist[excess <= _TAU].max())
-    inside = np.where(excess <= _INSIDE_TOL, dist, -math.inf)
+    counted = excess <= _TAU
+    vertex = np.isinf(bound)  # the region vertices, and any sliver's far circumcentre
+    bound[vertex] = ps.tree.query(cands[vertex])[0]
+    floor = min(R, bound[vertex & counted].max(initial=0.0))
+    ask = counted & ~vertex & (bound > floor)
+    if ask.any():
+        bound[ask] = ps.tree.query(cands[ask])[0]
+    radius = float(bound[counted].max())
+    inside = np.where(excess <= _INSIDE_TOL, bound, -math.inf)
     k = int(np.argmax(inside))
     if inside[k] > R:
         return CoveringResult("counterexample", tuple(cands[k].tolist()), radius)
-    if radius + _TAU <= R:
+    if whole and radius + _TAU <= R:
         return CoveringResult("certified", None, radius)
     return CoveringResult("inconclusive", None, radius)
 
 
-def chabauty_fell_distance(a, b):
-    """Exact Chabauty-Fell distance between finite sets, capped at 1.
+def _cut_distances(ps, radii):
+    """The Chabauty-Fell distance from ps to each cut ps ∩ B(0, R), from
+    one pass of norms.
 
     A point p of one set, at distance delta_p from the other, passes the
-    windowed predicate exactly when eps >= delta_p or eps > 1/|p|.  So the
-    infimum is the largest min(delta_p, 1/|p|) over both sets, with
-    1/0 = inf and delta_p = inf against an empty set.  An argument that
-    is not a PointSet is read as one, so it must hold distinct finite
-    points; each set's points are queried in the other set's KD-tree,
-    which that set builds once.
+    windowed predicate exactly when eps >= delta_p or eps > 1/|p|, so the
+    distance is the largest term min(delta_p, 1/|p|) over both sets,
+    capped at 1 (delta_p = inf against an empty set).  A point in the cut
+    is in both sets, with delta_p = 0, so only the points outside the cut
+    count, each queried in the cut's KD-tree.  A term is at most 1/|p|:
+    after the term w of the outside point nearest 0, only the points with
+    1/|p| > w can exceed it, and only they are queried.
     """
-    a, b = (s if isinstance(s, PointSet) else PointSet(s) for s in (a, b))
-    worst = 0.0
-    for s, t in ((a, b), (b, a)):
-        if len(s) == 0:
-            continue
-        delta = t.tree.query(s.points)[0] if len(t) else math.inf
-        with np.errstate(divide="ignore"):
-            inv_norm = 1.0 / np.linalg.norm(s.points, axis=1)
-        worst = max(worst, float(np.minimum(delta, inv_norm).max()))
-    return min(1.0, worst)
+    norms = np.linalg.norm(ps.points, axis=1)
+    out = []
+    for radius in radii:
+        inside = norms <= radius
+        far, inv = ps.points[~inside], 1.0 / norms[~inside]
+        w = 0.0
+        if len(far):
+            tree = cKDTree(ps.points[inside])  # an empty tree gives inf
+            first = int(np.argmax(inv))
+            w = min(float(tree.query(far[first])[0]), float(inv[first]))
+            rest = inv > w
+            if rest.any():
+                w = max(w, float(np.minimum(tree.query(far[rest])[0], inv[rest]).max()))
+        out.append(min(1.0, w))
+    return out
 
 
 def analysis_report(patch):
@@ -276,6 +339,6 @@ def analysis_report(patch):
         "R_certified": rd.status == "certified",
         "r": r,
         "R": big_r,
-        "cf_distances": [chabauty_fell_distance(ps, ps.restrict(radius)) for radius in (5, 10, 20)],
+        "cf_distances": _cut_distances(ps, (5, 10, 20)),
         "discrepancy": {"N": n, "Dstar": dstar},
     }

@@ -4,13 +4,15 @@ No `badtri` command calls these, so they live beside the tests; the
 package never imports this module.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from badtri.cf import convergents, hull_pairs
-from badtri.delone import PointSet
+from badtri.delone import _INSIDE_TOL, _TAU, CoveringResult, PointSet
 from badtri.gifs import _TILE, _TWO_PI, Similitude
 from badtri.quadfield import QuadRat
 from badtri.theorems import (MAIN_SOLUTIONS, _IDENTITIES, _INSERTIONS, _RESIDUALS, _check_row,
@@ -261,3 +263,108 @@ def cf_distance_brute(a, b):
         if _cf_predicate(a_pts, a_norms, b_pts, b_norms, (lo + hi) / 2):
             return lo
     return 1.0
+
+
+def restrict(ps, radius):
+    """The points of ps within the closed ball of the given radius about 0."""
+    return PointSet(ps.points[np.linalg.norm(ps.points, axis=1) <= radius])
+
+
+def chabauty_fell_distance(a, b):
+    """Exact Chabauty-Fell distance between finite sets, capped at 1.
+
+    A point p of one set, at distance delta_p from the other, passes the
+    windowed predicate exactly when eps >= delta_p or eps > 1/|p|.  So the
+    infimum is the largest min(delta_p, 1/|p|) over both sets, with
+    1/0 = inf and delta_p = inf against an empty set.  An argument that
+    is not a PointSet is read as one, so it must hold distinct finite
+    points; each set's points are queried in the other set's KD-tree,
+    which that set builds once.
+    """
+    a, b = (s if isinstance(s, PointSet) else PointSet(s) for s in (a, b))
+    worst = 0.0
+    for s, t in ((a, b), (b, a)):
+        if len(s) == 0:
+            continue
+        delta = t.tree.query(s.points)[0] if len(t) else math.inf
+        with np.errstate(divide="ignore"):
+            inv_norm = 1.0 / np.linalg.norm(s.points, axis=1)
+        worst = max(worst, float(np.minimum(delta, inv_norm).max()))
+    return min(1.0, worst)
+
+
+def covering_candidates(pts, region):
+    """Every point where the distance to pts can peak on a convex region.
+
+    On a Voronoi cell the distance is convex, so it peaks at a Voronoi
+    vertex (a Delaunay circumcentre), a region vertex, or a crossing of a
+    region edge with a Voronoi edge: the part of a Delaunay edge pq's
+    bisector where w1 and w2, the vertices facing pq, are no nearer than p.
+    Every Delaunay edge is crossed with every region edge.
+    """
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        # under 3 points, or all on one line: there are no Voronoi
+        # vertices, and the Voronoi edges bisect neighbours along the line
+        axis = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)[2][0]
+        order = np.argsort(pts @ axis)
+        p, q = pts[order[:-1]], pts[order[1:]]
+        w1 = w2 = p  # w = p bounds nothing
+        centres = np.empty((0, 2))
+    else:
+        simp, nbr = tri.simplices, tri.neighbors
+        # every Voronoi vertex is the circumcentre of a non-flat triangle
+        a, b, c = (pts[simp[:, k]] for k in range(3))
+        b, c = b - a, c - a
+        det = 2 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        keep = det != 0
+        a, b, c, det = a[keep], b[keep], c[keep], det[keep]
+        b2, c2 = (b**2).sum(axis=1), (c**2).sum(axis=1)
+        centres = a + np.column_stack(
+            [c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2]
+        ) / det[:, None]
+        # the edge facing vertex k of triangle s, once: from its lower
+        # triangle, or from its only one on the hull (nbr = -1)
+        s, k = np.divmod(np.arange(simp.size), 3)
+        n = nbr[s, k]
+        once = (n < 0) | (s < n)
+        s, k, n = s[once], k[once], n[once]
+        i = simp[s, (k + 1) % 3]
+        p, q, w1 = pts[i], pts[simp[s, (k + 2) % 3]], pts[simp[s, k]]
+        w2 = pts[np.where(n < 0, i, simp[n, np.argmax(nbr[n] == s[:, None], axis=1)])]
+    normal, mid = q - p, (p + q) / 2
+    cands = [centres, region.vertices]
+    for v0, v1 in zip(region.vertices, np.roll(region.vertices, -1, axis=0)):
+        # v0 + t (v1 - v0) on the bisector {x : normal . (x - mid) = 0}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((mid - v0) * normal).sum(axis=1) / (normal @ (v1 - v0))
+        on = (t >= 0) & (t <= 1)
+        x = v0 + t[on, None] * (v1 - v0)
+        keep = np.ones(len(x), dtype=bool)
+        for w in (w1[on], w2[on]):  # x within _TAU of p's side of the w-p bisector
+            pw = w - p[on]
+            keep &= ((x - (p[on] + w) / 2) * pw).sum(axis=1) <= _TAU * np.linalg.norm(pw, axis=1)
+        cands.append(x[keep])
+    return np.concatenate(cands)
+
+
+def check_covering_radius_queried(ps, R, region):
+    """delone.check_covering_radius with a KD-tree query at every candidate
+    of covering_candidates, and no check of the triangulation or of the
+    coordinate range."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    if len(ps) == 0:
+        raise ValueError("empty point set")
+    cands = covering_candidates(ps.points, region)
+    dist = ps.tree.query(cands)[0]
+    excess = region.excess(cands)
+    radius = float(dist[excess <= _TAU].max())
+    inside = np.where(excess <= _INSIDE_TOL, dist, -math.inf)
+    k = int(np.argmax(inside))
+    if inside[k] > R:
+        return CoveringResult("counterexample", tuple(cands[k].tolist()), radius)
+    if radius + _TAU <= R:
+        return CoveringResult("certified", None, radius)
+    return CoveringResult("inconclusive", None, radius)

@@ -17,7 +17,6 @@ from badtri.cf import PeriodicCF, expand_quadratic, expand_real, word_map
 from badtri.cli import main as cli_main
 from badtri.delone import (
     PointSet,
-    chabauty_fell_distance,
     check_covering_radius,
     check_uniform_discrete,
     delone_radii,
@@ -48,6 +47,7 @@ from badtri.theorems import (
 )
 from oracles import (
     cf_distance_brute,
+    chabauty_fell_distance,
     generate_solutions,
     insertion,
     sqrt2,

@@ -421,6 +421,37 @@ def test_analyze_wraps_a_rotation_just_below_zero(tmp_path, capsys, what):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("preset, start, digest", [
+    ("optimal1", "1", "4e8fa7f5bcdfe65a00f64bb69aed35d437abeedc3f12637fdd9c0acfbf906654"),
+    ("optimal1", "2", "226f9caf6653da491665a7f430bd61a8f1db5171d0969ec2c319f96c6828213d"),
+    ("optimal2", "1", "0aaca0363e31ca6508934b4095a1111034d0ae1df56a8cadb08b41eabba43827"),
+    ("optimal2", "2", "b58b65dabc30d8ac184847c8166e2fbb25da3d2f825bd4dbd70ef10eb5f3630d"),
+])
+def test_analyze_delone_output_bytes(tmp_path, capsys, preset, start, digest):
+    # the bench's four files: every verdict, radius and cut distance, byte for byte
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", preset, "--start", start, "--epsilon", "0.003",
+        "--out", str(patch_file))
+    code, out, _ = run(capsys, "analyze", "delone", "--in", str(patch_file))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shift", [1e8, 1e15])
+def test_analyze_delone_does_not_certify_a_far_translated_patch(tmp_path, capsys, shift):
+    # every tile moved by `shift` in x: qhull drops most centroids or names
+    # its point at infinity, and the coordinates are past tau's range
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.003", "--out", str(patch_file))
+    doc = json.loads(patch_file.read_text())
+    for tile in doc["tiles"]:
+        tile["translation"][0] += shift
+    patch_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", "delone", "--in", str(patch_file))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["R_certified"] is False
+
+
 def test_analyze_delone_names_a_hull_that_qhull_cannot_build(tmp_path, capsys):
     # tile 4 moved to [1e150, 0], within MAX_COORDINATE: the file is a valid
     # patch, but qhull fails on the mixed scales of its vertices

@@ -1,18 +1,19 @@
 """Tests for Delone certification, the Chabauty-Fell metric, discrepancy."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from scipy.spatial import cKDTree
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from badtri.delone import (
     ConvexRegion,
     PointSet,
+    _cut_distances,
     analysis_report,
-    chabauty_fell_distance,
     check_covering_radius,
     check_uniform_discrete,
     delone_radii,
@@ -26,7 +27,8 @@ from badtri.gifs import (
     star_discrepancy,
     stationary_sequence,
 )
-from oracles import _cf_predicate, cf_distance_brute, star_discrepancy_brute
+from oracles import (_cf_predicate, cf_distance_brute, chabauty_fell_distance,
+                     check_covering_radius_queried, restrict, star_discrepancy_brute)
 
 
 def random_points(rng, n, span=4.0):
@@ -55,7 +57,7 @@ def test_pointset_refuses_exactly_the_duplicates(points, radius):
         with pytest.raises(ValueError, match="duplicate points"):
             PointSet(pts)
         return
-    sub = PointSet(pts).restrict(radius)
+    sub = restrict(PointSet(pts), radius)
     assert isinstance(sub, PointSet)
     assert sub.points.tolist() == [[x, y] for x, y in points if x * x + y * y <= radius * radius]
 
@@ -231,6 +233,133 @@ def test_covering_radius_never_certifies_an_uncovered_node(points, corners, scal
         assert np.linalg.norm(ps.points - res.witness, axis=1).min() > R
 
 
+@pytest.fixture(scope="module")
+def bench_patch():
+    """The 778-tile optimal1 patch at epsilon 0.003."""
+    return epsilon_rule(1, 0.003, build_gifs(PRESETS["optimal1"]))
+
+
+def covering(patch):
+    return check_covering_radius(PointSet(patch.points), delone_radii(patch.gifs)[1],
+                                 patch_region(patch))
+
+
+@pytest.mark.parametrize("shift, status", [
+    (5e3, "certified"),
+    (1e5, "inconclusive"),  # a complete triangulation, beyond tau's |x| < 1e4
+    (1e6, "inconclusive"),
+    (1e7, "inconclusive"),  # qhull leaves 555 of 778 centroids out
+    (1e9, "inconclusive"),  # and 769 here
+    (1e15, "inconclusive"),  # a simplex names qhull's point at infinity
+])
+def test_covering_radius_holds_tau_to_its_coordinate_range(bench_patch, shift, status):
+    tiles = bench_patch.tiles.copy()
+    tiles["tx"] += shift
+    assert covering(dataclasses.replace(bench_patch, tiles=tiles)).status == status
+
+
+def test_covering_radius_is_inconclusive_where_qhull_drops_a_point():
+    pts = np.random.default_rng(0).uniform(-4, 4, (20, 2))
+    pts = np.vstack([pts, pts[0] + (1e-13, 0)])
+    assert len(Delaunay(pts).coplanar) == 1  # qhull keeps one of the close pair
+    res = check_covering_radius(PointSet(pts), 100.0, polygon(3))
+    assert res.status == "inconclusive"
+    # the radius is read off the kept points' triangulation, and a
+    # counterexample still stands
+    kept = PointSet(np.delete(pts, Delaunay(pts).coplanar[:, 0], axis=0))
+    assert abs(res.radius - check_covering_radius(kept, 100.0, polygon(3)).radius) <= 1e-12
+    res = check_covering_radius(PointSet(pts), res.radius / 2, polygon(3))
+    assert res.status == "counterexample"
+
+
+def test_covering_radius_is_inconclusive_where_a_simplex_names_the_point_at_infinity(
+        monkeypatch, bench_patch):
+    # qhull's Qz adds a point at infinity, index len(points), and a
+    # triangulation of far points can keep it in a simplex
+    def delaunay(pts):
+        tri = Delaunay(pts)
+        tri.simplices[0, 0] = len(pts)
+        return tri
+
+    monkeypatch.setattr("badtri.delone.Delaunay", delaunay)
+    assert covering(bench_patch).status == "inconclusive"
+
+
+def triangulation_is_complete(pts):
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        return True  # under 3 points, or all on one line: no triangles to lose
+    return len(tri.coplanar) == 0 and tri.simplices.max() < len(pts)
+
+
+# four families of point sets: random; on a grid, where many are cocircular;
+# near one line; and random with near-duplicates
+_near = st.sampled_from([0.0, 1e-15, 1e-13, 1e-11, 1e-9, 1e-6])
+_families = st.one_of(
+    point_lists,
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=30,
+             unique=True).map(lambda ij: [(i / 2, j / 2) for i, j in ij]),
+    st.tuples(st.lists(coord, min_size=1, max_size=20, unique=True), coord, _near).map(
+        lambda a: [(x, a[1] * x / 4 + a[2] * (-1) ** k) for k, x in enumerate(a[0])]),
+    st.tuples(point_lists, _near).map(
+        lambda a: a[0] + [(x + a[1], y) for x, y in a[0][:3] if x + a[1] != x]),
+)
+_regions = st.sampled_from([
+    UNIT_SQUARE, polygon(3), polygon(1.2, n=5), ConvexRegion([(-4, -1), (4, -0.5), (0, 3)]),
+    # the grid's Voronoi vertices lie on this square's edges
+    ConvexRegion([(-1.25, -1.25), (1.25, -1.25), (1.25, 1.25), (-1.25, 1.25)]),
+])
+
+
+_SLIVERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.5), (1e-13, 0.0), (1e-13, 1.0), (1.0000000000001, 1.5)]
+_TIES = [(0.0, 0.0), (0.0, -1.0), (1.0, 0.0), (1e-13, 0.0), (1e-13, -1.0), (1.0000000000001, 0.0)]
+_INVERTED = [(0.0, 2.0), (0.0, 8.945247398765848e-172), (3.0, 0.5), (-1.0, 0.0), (-2.0, 0.0),
+             (1e-13, 2.0), (1e-13, 8.945247398765848e-172), (3.0000000000001, 0.5)]
+
+
+# near-duplicates where a bound overshoots the distance, so the floor query
+# must set the radius: qhull's triangulation is not Delaunay (a sliver's
+# circumcircle holds (0, 0), or a sliver turns clockwise), a crossing is
+# kept by the tau slack alone, or qhull refuses points only near one line
+@example(_SLIVERS, UNIT_SQUARE, 1.125)
+@example(_TIES, polygon(3), 1.125)
+@example(_INVERTED, ConvexRegion([(-4, -1), (4, -0.5), (0, 3)]), 1.0)
+@example([(0.0, 0.0), (0.0, 1.0), (1e-15, 0.0), (1e-15, 1.0)], polygon(3), 1.25)
+@settings(max_examples=300, deadline=None)
+@given(_families, _regions, st.floats(0.5, 2.0))
+def test_covering_radius_reads_the_queried_verdict_off_the_triangulation(points, region, scale):
+    ps = PointSet(list(dict.fromkeys(points)))
+    with np.errstate(over="ignore"):  # the oracle's crossing with a subnormal denominator
+        R = check_covering_radius_queried(ps, 1.0, region).radius * scale
+        ref = check_covering_radius_queried(ps, R, region)
+    res = check_covering_radius(ps, R, region)
+    assert res.status != "certified" or ref.status == "certified"
+    if triangulation_is_complete(ps.points):
+        assert res.status == ref.status
+        assert ref.radius - 1e-12 <= res.radius <= ref.radius + 1e-12
+        if res.status == "counterexample":
+            assert res.witness == ref.witness
+
+
+def test_covering_radius_on_a_certified_patch_queries_only_the_region_vertices(
+        monkeypatch, bench_patch):
+    queried = []
+
+    class Counted:
+        def __init__(self, points):
+            self._tree = cKDTree(points)
+
+        def query(self, x):
+            queried.append(len(x))
+            return self._tree.query(x)
+
+    monkeypatch.setattr(PointSet, "tree", property(lambda ps: Counted(ps.points)))
+    region = patch_region(bench_patch)
+    assert covering(bench_patch).status == "certified"
+    assert sum(queried) <= len(region.vertices)
+
+
 def test_cf_distance_examples():
     ps = PointSet(random_points(random.Random(1), 8))
     assert chabauty_fell_distance(ps, ps) <= 1e-9
@@ -284,7 +413,13 @@ def test_cf_distance_closed_form_properties(a, b):
 @given(point_sets, st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4, unique=True))
 def test_cf_distance_restriction_bound(a, radii):
     for radius in radii:
-        assert chabauty_fell_distance(a, a.restrict(radius)) <= 1.0 / radius
+        assert chabauty_fell_distance(a, restrict(a, radius)) <= 1.0 / radius
+
+
+@given(point_sets, st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+def test_cut_distances_are_the_closed_form_bit_for_bit(a, radii):
+    # radius 0 keeps at most the origin, and 10 keeps every point
+    assert _cut_distances(a, radii) == [chabauty_fell_distance(a, restrict(a, r)) for r in radii]
 
 
 def test_cf_predicate_monotone():
@@ -368,7 +503,7 @@ def test_analysis_report_shape():
     assert rep["discrepancy"]["N"] == len(p.tiles)
     # the distances from the patch to its cuts to B(0, 5), B(0, 10), B(0, 20)
     ps = PointSet(p.points)
-    assert rep["cf_distances"] == [chabauty_fell_distance(ps, ps.restrict(r)) for r in (5, 10, 20)]
+    assert rep["cf_distances"] == [chabauty_fell_distance(ps, restrict(ps, r)) for r in (5, 10, 20)]
     assert all(0 <= d <= 1 / r for d, r in zip(rep["cf_distances"], (5, 10, 20)))
 
 
@@ -385,11 +520,12 @@ def test_analysis_report_builds_one_tree_per_point_set(monkeypatch, preset, star
     monkeypatch.setattr("badtri.delone.cKDTree", counted)
     report = analysis_report(patch)
     assert len(built) == 4  # the patch and its three cuts
-    # a fresh tree for every query, eight in all, gives the same report
+    # a fresh tree for every query gives the same report: five in all, the
+    # patch's for its closest pair and for the region vertices, and the cuts'
     monkeypatch.setattr(PointSet, "tree", property(lambda ps: counted(ps.points)))
     built.clear()
     assert analysis_report(patch) == report
-    assert len(built) == 8
+    assert len(built) == 5
 
 
 def test_pointset_duplicates_are_equal_rows():
