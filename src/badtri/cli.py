@@ -328,13 +328,17 @@ def cmd_analyze(args):
 def export_svg(patch, prev_patch=None, texts=None):
     """Stroke-only tile outlines plus one disk per point, 2% margin.
 
+    Tiles of `patch` that gifs.nested_in finds in `prev_patch` are drawn
+    with the prev class: all of the smaller patch's tiles are compared with
+    the tail block of the larger, in either order.
+
     `texts` is the patch's entry of a gifs._text_table holding "vertices"
     and "points", so a caller that also writes JSON formats each float
     once; without one, export_svg builds its own.
     """
     import numpy as np
 
-    from .gifs import _SVG_COLUMNS, _join_rows, _text_table, recurs_in
+    from .gifs import _SVG_COLUMNS, _join_rows, _text_table, nested_in
 
     polys, pts = patch.vertices, patch.points
     allv = np.concatenate([polys.reshape(-1, 2), pts])
@@ -345,10 +349,13 @@ def export_svg(patch, prev_patch=None, texts=None):
     span = max(x1 - x0, y1 - y0)
     stroke = 0.003 * span
     radius = 0.008 * span
+    n = len(patch.tiles)
     if prev_patch is None:
-        in_prev = [False] * len(patch.tiles)
+        in_prev = [False] * n
+    elif n <= len(prev_patch.tiles):
+        in_prev = nested_in(patch, prev_patch)
     else:
-        in_prev = recurs_in(patch, prev_patch)
+        in_prev = [False] * (n - len(prev_patch.tiles)) + nested_in(prev_patch, patch)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',

@@ -63,7 +63,7 @@ class PointSet:
         return cKDTree(self.points)
 
 
-# a point is in a region when its excess is at most this (Region.contains)
+# a counterexample lies in the region: its excess is at most this
 _INSIDE_TOL = 1e-12
 
 
@@ -87,9 +87,6 @@ class ConvexRegion:
         outside positive but at most the distance to the region."""
         eq = self.equations
         return (np.atleast_2d(pts) @ eq[:, :2].T + eq[:, 2]).max(axis=1)
-
-    def contains(self, pts):
-        return self.excess(pts) <= _INSIDE_TOL
 
 
 def patch_region(patch):
@@ -327,16 +324,23 @@ def analysis_report(patch):
     """Full Delone/metric/discrepancy report for one patch, JSON-shaped.
 
     cf_distances holds the Chabauty-Fell distance from the patch's point set
-    A to its cut A ∩ B(0, R), for R = 5, 10 and 20.
+    A to its cut A ∩ B(0, R), for R = 5, 10 and 20.  Where qhull cannot
+    build the patch's hull, as for vertices at widely mixed scales, R is
+    not certified.
     """
     ps = PointSet(patch.points)
     r, big_r = delone_radii(patch.gifs)
     ud = check_uniform_discrete(ps, r)
-    rd = check_covering_radius(ps, big_r, patch_region(patch))
+    try:
+        region = patch_region(patch)
+    except ValueError:
+        covering = "inconclusive"
+    else:
+        covering = check_covering_radius(ps, big_r, region).status
     n, dstar = orientation_discrepancy(patch)
     return {
         "r_certified": ud.status == "certified",
-        "R_certified": rd.status == "certified",
+        "R_certified": covering == "certified",
         "r": r,
         "R": big_r,
         "cf_distances": _cut_distances(ps, (5, 10, 20)),

@@ -56,7 +56,7 @@ __all__ = [
     "closure_report",
     "epsilon_rule",
     "stationary_sequence",
-    "recurs_in",
+    "nested_in",
     "stationary_nesting_ok",
     "star_discrepancy",
     "orientation_discrepancy",
@@ -554,9 +554,10 @@ def stationary_sequence(gifs, n):
 
     e0 = scale(f3)^2; P_k is the e0^k patch of the scalene tile, re-anchored
     at the k-fold f3-image of the origin, inflated by e0^(-k/2), and rotated
-    by -k*gamma — each P_(k-1) tile then recurs as a tile of P_k.  As in
-    epsilon_rule, P_k holds at most 1/(a_min*e0^k) tiles; the sum of these
-    over k = 0..n is capped at MAX_EPSILON_TILES.
+    by -k*gamma — the tiles of P_(k-1) then recur, in order, as the last
+    tiles of P_k (see nested_in).  As in epsilon_rule, P_k holds at most
+    1/(a_min*e0^k) tiles; the sum of these over k = 0..n is capped at
+    MAX_EPSILON_TILES.
     """
     if n > 6:
         raise ValueError(
@@ -591,53 +592,33 @@ def stationary_sequence(gifs, n):
     return patches
 
 
-POSE_TOL = 1e-6  # scale, orientation and centroid tolerance of recurs_in
-# recurs_in's cell width: the power of two in (2, 4] * POSE_TOL
-_CELL = math.ldexp(1.0, math.frexp(2 * POSE_TOL)[1])
+POSE_TOL = 1e-6  # scale, orientation and centroid tolerance of nested_in
 
 
-def recurs_in(patch, other):
-    """Per tile of `patch`: does `other` hold a tile in the same pose?
+def nested_in(small, big):
+    """Per tile i of `small`: is tile len(big) - len(small) + i of `big` in
+    the same pose?
 
     Same pose means the same kind and reflection parity, with scale and
     orientation (mod 2*pi) each within T = POSE_TOL, and centroids whose
-    offset (dx, dy) has dx*dx + dy*dy <= T*T in float arithmetic.  A sorted
-    cell search yields the candidate pairs, which are then compared column
-    by column.  `other`'s centroids (x', y') are sorted by x-cell
-    floor(x'/h), h = _CELL, then by y'; a centroid (x, y) of `patch` in
-    cell c takes, in each of the cells c-1, c and c+1, the sorted run with
-    y' in [fl(y - h), fl(y + h)].
+    offset (dx, dy) has dx*dx + dy*dy <= T*T in float arithmetic.
 
-    Every pair that passes the centroid test is a candidate (u = 2**-53):
-    - A rounded sum of non-negative floats is no less than either term, so
-      fl(dx*dx) <= fl(T*T); two roundings give |dx| <= T(1 + 2u), and the
-      subtraction's gives |x - x'| < T(1 + 4u) < h.  Likewise |y - y'| < h.
-      (Where dx*dx underflows, |dx| is far below T anyway.)  The float test
-      does pass offsets just above T, as (0, T) against (0, -1e-300), so
-      the y-window reaches h, not T.
-    - h is a power of two and |x| <= MAX_COORDINATE, which every Patch
-      guarantees, so x/h is exact and finite, and |x/h - x'/h| < 1: the
-      cells differ by at most one.
-    - The cell numbers are floats.  While |c| < 2**53, c-1 and c+1 are
-      exact.  Past that, |x| > (2**53 - 1) h and |x'| > 2**52 h, where
-      floats are spaced h or more apart, wider than T: the pair has
-      x' = x, and lies in cell c itself.
-    - Rounding is monotone and y' is a float, so y - h <= y' <= y + h gives
-      fl(y - h) <= y' <= fl(y + h).
+    The index is known for stationary patches.  The root is kind 1, whose
+    last edge in T1_EDGES is f3, and f3's child is kind 1 too.  Every area
+    in the f3 subtree is exactly e0 times the matching area of the root
+    tree, for e0 = Fraction(scale(f3))**2, the same dyadic pair that
+    _subdivide multiplies; so at the cut e0**k that subtree splits exactly
+    where the root tree splits at e0**(k-1).  _subdivide keeps depth-first
+    order, so the tiles of P_(k-1) are the last len(P_(k-1)) tiles of P_k,
+    in order.  A tile that matches at its own index matches somewhere, so
+    this check passes only where a search for a match anywhere would.
+    Where `small` holds more tiles than `big`, no tile is nested.
     """
-    x, y = other.points.T
-    keys = np.floor(x / _CELL) + 1j * y  # complex sorts by real, then imaginary part
-    order = keys.argsort()
-    keys = keys[order]
-    qx, qy = patch.points.T
-    cells = np.floor(qx / _CELL)[:, None] + (-1.0, 0.0, 1.0)
-    lo = np.searchsorted(keys, cells + 1j * (qy - _CELL)[:, None], "left").ravel()
-    n = np.searchsorted(keys, cells + 1j * (qy + _CELL)[:, None], "right").ravel() - lo
-    i = np.repeat(np.arange(len(qx)), n.reshape(-1, 3).sum(axis=1))
-    # the windows' sorted positions lo .. lo+n-1, laid end to end
-    j = order[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())]
-    dx, dy = (patch.points[i] - other.points[j]).T
-    a, b = patch.tiles.take(i), other.tiles.take(j)
+    tail = len(big.tiles) - len(small.tiles)
+    if tail < 0:
+        return [False] * len(small.tiles)
+    a, b = small.tiles, big.tiles[tail:]
+    dx, dy = (small.points - big.points[tail:]).T
     gap = np.abs(a["rotation"] % _TWO_PI - b["rotation"] % _TWO_PI) % _TWO_PI
     same = (
         (dx * dx + dy * dy <= POSE_TOL * POSE_TOL)
@@ -646,12 +627,13 @@ def recurs_in(patch, other):
         & (np.abs(a["scale"] - b["scale"]) <= POSE_TOL)
         & (np.minimum(gap, _TWO_PI - gap) <= POSE_TOL)
     )
-    return np.bincount(i[same], minlength=len(qx)).astype(bool).tolist()
+    return same.tolist()
 
 
 def stationary_nesting_ok(patches):
-    """Does every tile of P_(k-1) recur in P_k (kind, pose, position)?"""
-    return all(all(recurs_in(prev, cur)) for prev, cur in zip(patches, patches[1:]))
+    """Does every tile of P_(k-1) recur in P_k (kind, pose, position), at
+    the index nested_in reads it from?"""
+    return all(all(nested_in(prev, cur)) for prev, cur in zip(patches, patches[1:]))
 
 
 def _orientations(patch):

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from badtri.cf import convergents, hull_pairs
 from badtri.delone import _INSIDE_TOL, _TAU, CoveringResult, PointSet
-from badtri.gifs import _TILE, _TWO_PI, Similitude
+from badtri.gifs import _TILE, _TWO_PI, POSE_TOL, Similitude
 from badtri.quadfield import QuadRat
 from badtri.theorems import (MAIN_SOLUTIONS, _IDENTITIES, _INSERTIONS, _RESIDUALS, _check_row,
                              _decide, _one_minus, _triple)
@@ -189,6 +189,22 @@ def subdivide(tile, gifs):
             )
         )
     return children
+
+
+def kd_recurs_in(patch, other):
+    """Per tile of `patch`: does `other` hold a tile in the same pose,
+    anywhere?  The reference for gifs.nested_in, which compares one index:
+    a KD-tree over `other`'s centroids gives the pairs within POSE_TOL,
+    whose pose columns are then compared."""
+    near = cKDTree(other.points).query_ball_point(patch.points, POSE_TOL)
+    i = np.repeat(np.arange(len(near)), [len(js) for js in near])
+    j = np.array([j for js in near for j in js], dtype=np.int64)
+    a, b = patch.tiles[i], other.tiles[j]
+    gap = np.abs(a["rotation"] % _TWO_PI - b["rotation"] % _TWO_PI) % _TWO_PI
+    same = ((a["kind"] == b["kind"]) & (a["reflect"] == b["reflect"])
+            & (np.abs(a["scale"] - b["scale"]) <= POSE_TOL)
+            & (np.minimum(gap, _TWO_PI - gap) <= POSE_TOL))
+    return np.bincount(i[same], minlength=len(near)).astype(bool).tolist()
 
 
 def star_discrepancy_brute(xs):

@@ -15,7 +15,7 @@ from badtri.cf import MAX_DECIMAL_DIGITS, PeriodicCF
 from badtri.cli import _build_parser, cmd_verify_main, main
 from badtri.gifs import PRESETS
 from badtri.quadfield import QuadRat
-from oracles import insertion, patch_doc, sqrt2
+from oracles import insertion, kd_recurs_in, patch_doc, sqrt2
 
 
 def run(capsys, *argv):
@@ -452,21 +452,23 @@ def test_analyze_delone_does_not_certify_a_far_translated_patch(tmp_path, capsys
     assert json.loads(out)["R_certified"] is False
 
 
-def test_analyze_delone_names_a_hull_that_qhull_cannot_build(tmp_path, capsys):
-    # tile 4 moved to [1e150, 0], within MAX_COORDINATE: the file is a valid
-    # patch, but qhull fails on the mixed scales of its vertices
+def test_analyze_delone_does_not_certify_a_patch_whose_hull_qhull_refuses(tmp_path, capsys):
+    # tile 4 moved to [1e150, 0], within MAX_COORDINATE, or one tile of
+    # scale 1e-300: each file is a valid patch, but qhull cannot build the
+    # hull of its vertices, so R is not certified
     patch_file = tmp_path / "p.json"
     run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.04", "--out", str(patch_file))
     doc = json.loads(patch_file.read_text())
-    doc["tiles"][4]["translation"] = [1e150, 0]
-    patch_file.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "analyze", "delone", "--in", str(patch_file))
-    assert code == 2 and out == ""
-    n = 3 * len(doc["tiles"])
-    assert re.fullmatch(rf"error: the convex hull of {n} points could not be built: QH\d+ .+\n",
-                        err)
-    # the other readers of a patch file accept it
-    assert run(capsys, "analyze", "discrepancy", "--in", str(patch_file))[0] == 0
+    far = json.loads(json.dumps(doc))
+    far["tiles"][4]["translation"] = [1e150, 0]
+    tiny = dict(doc, tiles=[dict(doc["tiles"][0], scale=1e-300)])
+    for bad in (far, tiny):
+        patch_file.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "analyze", "delone", "--in", str(patch_file))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["R_certified"] is False
+        # the other readers of a patch file accept it
+        assert run(capsys, "analyze", "discrepancy", "--in", str(patch_file))[0] == 0
 
 
 def test_tile_deterministic(tmp_path, capsys):
@@ -574,8 +576,6 @@ def _svg_oracle(patch, prev_patch=None):
     """export_svg as one f-string per line, the reference for its text."""
     import numpy as np
 
-    from badtri.gifs import recurs_in
-
     polys, pts = patch.vertices, patch.points
     allv = np.concatenate([polys.reshape(-1, 2), pts])
     x0, y0 = allv.min(axis=0)
@@ -588,7 +588,7 @@ def _svg_oracle(patch, prev_patch=None):
     if prev_patch is None:
         in_prev = [False] * len(patch.tiles)
     else:
-        in_prev = recurs_in(patch, prev_patch)
+        in_prev = kd_recurs_in(patch, prev_patch)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',
@@ -628,6 +628,19 @@ def test_export_svg_matches_the_f_string_writer():
     assert set(np.signbit(x[x == 0]).tolist()) == {False, True}
     for prev in (None, seq[1]):
         assert export_svg(mixed, prev_patch=prev) == _svg_oracle(mixed, prev)
+
+
+@pytest.mark.parametrize("name", ["optimal1", "equilateral"])
+def test_export_svg_of_a_reversed_list_matches_the_f_string_writer(name):
+    from badtri.cli import export_svg
+    from badtri.gifs import build_gifs, stationary_sequence
+
+    # each patch then follows a larger one, and every one of its tiles is marked
+    seq = stationary_sequence(build_gifs(PRESETS[name]), 4)[::-1]
+    for k, patch in enumerate(seq[1:]):
+        svg = export_svg(patch, prev_patch=seq[k])
+        assert svg == _svg_oracle(patch, seq[k])
+        assert svg.count("tile prev") == len(patch.tiles)
 
 
 def test_one_text_table_serves_both_writers():

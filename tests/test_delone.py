@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from badtri.delone import (
+    _INSIDE_TOL,
     ConvexRegion,
     PointSet,
     _cut_distances,
@@ -139,12 +140,12 @@ def test_relatively_dense_covers_region_between_grid_nodes():
     reg, one = ConvexRegion([(0, 1), (1, 0), (1, 1)]), PointSet([(1, 1)])
     res = check_covering_radius(one, 0.95, reg)
     assert res.status == "counterexample"
-    assert reg.contains(res.witness).all()
+    assert (reg.excess(res.witness) <= _INSIDE_TOL).all()
 
 
 def test_triangle_union_region_membership():
     reg = ConvexRegion([(0, 0), (1, 0), (0, 1), (1, 0), (1, 1), (0, 1)])
-    inside = reg.contains([(0.5, 0.5), (0.1, 0.1), (0.9, 0.9), (1.5, 0.5)])
+    inside = reg.excess([(0.5, 0.5), (0.1, 0.1), (0.9, 0.9), (1.5, 0.5)]) <= _INSIDE_TOL
     assert inside.tolist() == [True, True, True, False]
 
 
@@ -168,7 +169,7 @@ def test_covering_radius_degenerate_sets(points, radius):
     assert abs(res.radius - radius) <= 1e-12
     res = check_covering_radius(ps, radius - 1e-6, UNIT_SQUARE)
     assert res.status == "counterexample"
-    assert UNIT_SQUARE.contains(res.witness).all()
+    assert (UNIT_SQUARE.excess(res.witness) <= _INSIDE_TOL).all()
     assert np.linalg.norm(ps.points - res.witness, axis=1).min() > radius - 1e-6
 
 
@@ -188,7 +189,7 @@ def grid_band(ps, region, n=300):
     margin = h * math.sqrt(2) / 2
     ex = region.excess(nodes)
     d = cKDTree(ps.points).query(nodes)[0]
-    lo = float(d[region.contains(nodes)].max())
+    lo = float(d[ex <= _INSIDE_TOL].max())
     return lo, float(d[ex <= margin].max()) + margin
 
 
@@ -229,7 +230,7 @@ def test_covering_radius_never_certifies_an_uncovered_node(points, corners, scal
     res = check_covering_radius(ps, R, region)
     assert res.status != "certified"
     if res.status == "counterexample":
-        assert region.contains(res.witness).all()
+        assert (region.excess(res.witness) <= _INSIDE_TOL).all()
         assert np.linalg.norm(ps.points - res.witness, axis=1).min() > R
 
 
@@ -505,6 +506,20 @@ def test_analysis_report_shape():
     ps = PointSet(p.points)
     assert rep["cf_distances"] == [chabauty_fell_distance(ps, restrict(ps, r)) for r in (5, 10, 20)]
     assert all(0 <= d <= 1 / r for d, r in zip(rep["cf_distances"], (5, 10, 20)))
+
+
+def test_analysis_report_does_not_certify_a_patch_whose_hull_qhull_refuses():
+    # one tile of the patch 1e150 away: qhull cannot build the hull of
+    # vertices at such mixed scales, and without a hull R is not certified
+    p = epsilon_rule(1, 0.04, build_gifs(PRESETS["optimal1"]))
+    tiles = p.tiles.copy()
+    tiles["tx"][4], tiles["ty"][4] = 1e150, 0.0
+    far = dataclasses.replace(p, tiles=tiles)
+    with pytest.raises(ValueError, match="could not be built"):
+        patch_region(far)
+    rep = analysis_report(far)
+    assert rep["R_certified"] is False
+    assert rep["discrepancy"] == analysis_report(p)["discrepancy"]
 
 
 @pytest.mark.parametrize("preset", ["optimal1", "optimal2"])

@@ -8,17 +8,14 @@ import re
 import sys
 from collections import OrderedDict
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from badtri.cli import export_svg
 from badtri.delone import analysis_report
 from badtri.gifs import (
-    _CELL,
     _IDENTITY,
     _TILE,
     _gifs_of,
@@ -35,15 +32,15 @@ from badtri.gifs import (
     closure_report,
     derive_constants,
     epsilon_rule,
+    nested_in,
     orientation_discrepancy,
     patch_from_doc,
     patch_to_json,
-    recurs_in,
     stationary_nesting_ok,
     stationary_sequence,
 )
 from badtri.theorems import MAIN_SOLUTIONS
-from oracles import TileInstance, compose, patch_doc, subdivide
+from oracles import TileInstance, compose, kd_recurs_in, patch_doc, subdivide
 
 
 def cross2(u, v):
@@ -435,9 +432,24 @@ def test_stationary_sequence_nesting():
         sizes = [len(p.tiles) for p in seq]
         assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
         assert stationary_nesting_ok(seq)
-        for prev, cur in zip(seq, seq[1:]):
-            assert recurs_in(prev, cur) == _kd_recurs_in(prev, cur)
-            assert recurs_in(cur, prev) == _kd_recurs_in(cur, prev)
+        _assert_marks_match_a_search(seq)
+
+
+def _assert_marks_match_a_search(seq):
+    """nested_in's marks, of P_(k-1) in P_k and of P_k in P_(k-1), equal
+    those of a search for a match anywhere: the tail block of P_k, and
+    nothing before it."""
+    for prev, cur in zip(seq, seq[1:]):
+        marks = nested_in(prev, cur)
+        assert marks == kd_recurs_in(prev, cur)
+        assert [False] * (len(cur.tiles) - len(prev.tiles)) + marks == kd_recurs_in(cur, prev)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_nested_in_marks_match_a_kd_tree_on_the_presets(name):
+    seq = stationary_sequence(build_gifs(PRESETS[name]), 6)
+    assert stationary_nesting_ok(seq)
+    _assert_marks_match_a_search(seq)
 
 
 @settings(max_examples=30)
@@ -452,6 +464,36 @@ def test_stationary_sequence_nests_for_random_closing_systems(ga, share, n):
     except ValueError:  # not closing, or past the tile cap
         assume(False)
     assert stationary_nesting_ok(seq)
+    _assert_marks_match_a_search(seq)
+
+
+def _tail_swapped():
+    """optimal1's P_0..P_2, and P_2 with its last two tiles swapped: the
+    same tiles, so every tile of P_1 matches somewhere, but not at the
+    index the subdivision order puts it at."""
+    seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 2)
+    tiles = seq[2].tiles.copy()
+    tiles[[-1, -2]] = tiles[[-2, -1]]
+    return seq, dataclasses.replace(seq[2], tiles=tiles)
+
+
+def test_a_stationary_patch_with_two_tail_tiles_swapped_does_not_nest():
+    seq, swapped = _tail_swapped()
+    assert all(kd_recurs_in(seq[1], swapped))
+    assert nested_in(seq[1], swapped)[-2:] == [False, False]
+    assert not stationary_nesting_ok(seq[:2] + [swapped])
+
+
+def test_export_marks_only_the_tail_index_matches_of_a_hand_made_list():
+    seq, swapped = _tail_swapped()
+    for a, b in ((swapped, seq[1]), (seq[1], swapped)):
+        assert export_svg(a, prev_patch=b).count("tile prev") == len(seq[1].tiles) - 2
+
+
+def test_nested_in_marks_nothing_when_the_small_patch_is_larger():
+    seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 2)
+    assert nested_in(seq[2], seq[1]) == [False] * len(seq[2].tiles)
+    assert not stationary_nesting_ok(seq[::-1])
 
 
 def _centroid(record, gifs):
@@ -484,7 +526,7 @@ def test_recurrence_rejects_changed_tile(change):
     g = build_gifs(PRESETS["optimal1"])
     seq = stationary_sequence(g, 2)
     prev, cur = seq[1], seq[2]
-    i = recurs_in(cur, prev).index(True)
+    i = len(cur.tiles) - len(prev.tiles)  # the first tile of P_1 in P_2
     bad = dataclasses.replace(cur, tiles=CHANGES[change](cur.tiles, i, g))
     assert stationary_nesting_ok(seq)
     assert not stationary_nesting_ok(seq[:2] + [bad])
@@ -501,83 +543,9 @@ def test_recurrence_orientation_wraps_at_zero():
         return Patch(1.0, g, _alter(p.tiles, 0, g, rotation=rotation)[:1])
 
     below, above = single(2 * math.pi - TOL / 4), single(TOL / 4)
-    assert recurs_in(below, above) == [True]
-    assert recurs_in(above, below) == [True]
-    assert recurs_in(single(2 * math.pi - 1.5 * TOL), above) == [False]
-
-
-def _kd_recurs_in(patch, other):
-    """recurs_in's reference: a KD-tree over `other`'s centroids gives the
-    pairs within POSE_TOL, whose pose columns are then compared."""
-    near = cKDTree(other.points).query_ball_point(patch.points, POSE_TOL)
-    i = np.repeat(np.arange(len(near)), [len(js) for js in near])
-    j = np.array([j for js in near for j in js], dtype=np.int64)
-    a, b = patch.tiles[i], other.tiles[j]
-    gap = np.abs(a["rotation"] % (2 * math.pi) - b["rotation"] % (2 * math.pi)) % (2 * math.pi)
-    same = ((a["kind"] == b["kind"]) & (a["reflect"] == b["reflect"])
-            & (np.abs(a["scale"] - b["scale"]) <= POSE_TOL)
-            & (np.minimum(gap, 2 * math.pi - gap) <= POSE_TOL))
-    return np.bincount(i[same], minlength=len(near)).astype(bool).tolist()
-
-
-def _cloud(points, kinds):
-    """A stand-in patch: recurs_in reads only `points` and `tiles`, so its
-    centroids can sit exactly on cell edges and past 1e15."""
-    tiles = np.zeros(len(kinds), dtype=_TILE)
-    tiles["kind"], tiles["scale"] = kinds, 1.0
-    return SimpleNamespace(points=np.array(points, dtype=float).reshape(-1, 2), tiles=tiles)
-
-
-# offsets at and around the tolerance, the cell width and underflow
-_JITTERS = [0.0, TOL, TOL * (1 + 2**-52), TOL * (1 - 2**-52), TOL / 2, 1.5 * TOL, _CELL, 1e-300]
-
-
-# (query, other) centroid pairs at the search's edges
-_EDGE_PAIRS = [
-    ((0.0, TOL), (0.0, -1e-300)),  # the float test passes an offset just above TOL
-    ((0.0, -TOL), (0.0, 1e-300)),
-    ((-1e-300, 0.0), (TOL, 0.0)),
-    ((_CELL, 0.0), (_CELL - TOL, 0.0)),  # on a cell edge, partner in the cell below
-    ((-_CELL, 5.0), (-_CELL + TOL, 5.0 - 1e-300)),
-    ((2.0**53 * _CELL, 1.0), (2.0**53 * _CELL + TOL, 1.0)),  # past 2**53 cells
-    ((1e15, -1e15), (1e15 + TOL, -1e15 + TOL)),  # float spacing above TOL
-    ((3.0, 7.0), (3.0 + TOL * (1 + 2**-52), 7.0)),
-]
-
-
-@pytest.mark.parametrize("query, partner", _EDGE_PAIRS)
-def test_recurs_in_matches_a_kd_tree_at_the_edges(query, partner):
-    for a, b in ((query, partner), (partner, query)):
-        patch, other = _cloud([a], [1]), _cloud([b, b], [2, 1])
-        assert recurs_in(patch, other) == _kd_recurs_in(patch, other)
-        assert recurs_in(other, patch) == _kd_recurs_in(other, patch)
-
-
-@settings(max_examples=100)
-@given(st.data())
-def test_recurs_in_matches_a_kd_tree(data):
-    origin = data.draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** data.draw(st.integers(0, 15))
-    edge = math.floor(origin / _CELL)
-    offsets = _JITTERS + [-d for d in _JITTERS]
-    coordinate = st.one_of(
-        st.integers(-3, 3).map(lambda m: (edge + m) * _CELL),  # a cell edge
-        st.sampled_from(offsets).map(lambda d: origin + d),
-        st.floats(-4 * TOL, 4 * TOL).map(lambda d: origin + d),
-    )
-    base = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=10))
-    # duplicated tiles, and a column of tiles sharing one x
-    others = base + data.draw(st.lists(st.sampled_from(base), max_size=5))
-    x0, y0 = base[0]
-    step = data.draw(st.sampled_from([TOL / 2, TOL, 2 * TOL]))
-    others += [(x0, y0 + m * step) for m in range(data.draw(st.integers(0, 40)))]
-    jitter = st.one_of(st.sampled_from(offsets), st.floats(-2 * TOL, 2 * TOL))
-    kind = st.sampled_from([1, 2])
-    moved = data.draw(st.lists(st.tuples(st.sampled_from(others), jitter, jitter, kind),
-                               min_size=1, max_size=20))
-    patch = _cloud([(x + dx, y + dy) for (x, y), dx, dy, _ in moved], [k for *_, k in moved])
-    other = _cloud(others, data.draw(st.lists(kind, min_size=len(others), max_size=len(others))))
-    assert recurs_in(patch, other) == _kd_recurs_in(patch, other)
-    assert recurs_in(other, patch) == _kd_recurs_in(other, patch)
+    assert nested_in(below, above) == [True]
+    assert nested_in(above, below) == [True]
+    assert nested_in(single(2 * math.pi - 1.5 * TOL), above) == [False]
 
 
 def test_stationary_sequence_guard():
@@ -1044,8 +1012,8 @@ def test_patch_paths_build_no_per_tile_objects(monkeypatch):
         text = patch_to_json(p)
         patch_to_json(seq)
         back = patch_from_doc(json.loads(text))
-        recurs_in(back, p)
-        recurs_in(seq[3], seq[4])
+        nested_in(back, p)
+        nested_in(seq[3], seq[4])
         orientation_discrepancy(back)
         analysis_report(p)
         return len(p.tiles), dict(built)

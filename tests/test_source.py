@@ -108,7 +108,7 @@ print(codes, sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy
       ["analyze", "discrepancy", "--in", "p.json"]], ["numpy"]),
 ], ids=["tile-stationary-export", "tile-analyze-delone", "tile-analyze-discrepancy"])
 def test_only_delone_loads_scipy(tmp_path, commands, loaded):
-    # recurs_in matches tiles and gifs measures the orientation discrepancy
+    # nested_in matches tiles and gifs measures the orientation discrepancy
     # with numpy alone; Delaunay, hulls and nearest neighbours in delone
     # need scipy
     done = subprocess.run([sys.executable, "-c", GEOMETRY_CLI.format(commands=commands)],
