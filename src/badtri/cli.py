@@ -289,7 +289,9 @@ def cmd_tile(args):
 
 
 def _load_patches(path):
-    """The file's patches, and whether the file holds a list of them."""
+    """The file's patches, and whether the file holds a list of them; an
+    error in a list names its patch by index from 0, as export's -k.svg
+    names do."""
     from .gifs import patch_from_doc
 
     with open(path) as fh:
@@ -302,7 +304,13 @@ def _load_patches(path):
     if isinstance(doc, list):
         if not doc:
             raise ValueError(f"{path} holds no patches")
-        return [patch_from_doc(d) for d in doc], True
+        patches = []
+        for k, d in enumerate(doc):
+            try:
+                patches.append(patch_from_doc(d))
+            except ValueError as exc:
+                raise ValueError(f"patch {k}: {exc}") from None
+        return patches, True
     return [patch_from_doc(doc)], False
 
 

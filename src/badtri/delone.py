@@ -118,6 +118,13 @@ def check_uniform_discrete(ps, r):
 
     Two points closer than 2r both lie in the open r-ball around their
     midpoint; at distance >= 2r no open r-ball holds both.
+
+    The check needs no premise on the coordinates' range: a coordinate
+    difference is one rounded subtraction, so each distance is the exact
+    distance of the stored points to within a few ulps, relatively.  A
+    patch placed far from the origin has its points rounded as they are
+    placed, and the verdict is then the one for those rounded points,
+    unless their least distance lies within those few ulps of 2r.
     """
     if r <= 0:
         raise ValueError("r must be positive")

@@ -27,6 +27,11 @@ comparison, runs once per class and threshold.  The classes stay
 inside subdivision; a patch is its tiles.  Child poses come from
 _compose, bit-identical to the per-tile subdivision that tests/oracles.py
 keeps as the reference.
+
+The eight maps are _TILE records too, each of its child's kind, so a
+pose has one form and one arithmetic: _place puts the closure check's
+child vertices, every tile's vertices and centroid, and the stationary
+anchor where they go, and _compose chains two poses through it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "Angles",
     "PRESETS",
     "DerivedConstants",
-    "Similitude",
     "Prototile",
     "Patch",
     "Gifs",
@@ -132,30 +136,6 @@ def derive_constants(angles):
 
 
 @dataclass(frozen=True)
-class Similitude:
-    """scale * R(rotation) * (reflect ? (-x, y) : (x, y)) + translation."""
-
-    scale: float
-    rotation: float
-    reflect: bool
-    tx: float
-    ty: float
-
-    def apply(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        xs = -pts[..., 0] if self.reflect else pts[..., 0]
-        ys = pts[..., 1]
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        out = np.empty_like(pts)
-        out[..., 0] = self.scale * (c * xs - s * ys) + self.tx
-        out[..., 1] = self.scale * (s * xs + c * ys) + self.ty
-        return out
-
-
-_IDENTITY = Similitude(1.0, 0.0, False, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class Prototile:
     """Unit-area prototile with centroid-based in/out radii.
 
@@ -228,8 +208,9 @@ T2_EDGES = (("g2", 2), ("g3", 2), ("f4", 1), ("f5", 1))
 class Gifs:
     """A tiling system: angles, constants, prototiles and the eight maps.
 
-    The prototiles (arrays) and maps (a dict) follow from the angles, so
-    equality and hashing leave them out; patches of equal systems and
+    The prototiles (arrays) and maps (a dict from edge name to a one-record
+    _TILE array of the child's kind) follow from the angles, so equality
+    and hashing leave them out; patches of equal systems and
     equal tile records then compare and hash by value.
     """
 
@@ -260,33 +241,28 @@ def build_gifs(angles):
     s, t, u, C, a, b = consts.s, consts.t, consts.u, consts.C, consts.a, consts.b
     rC = math.sqrt(C)
     f_scale = t / (1 + t * t)
-    maps = {
-        "f1": Similitude(1 / (1 + t * t), 0.0, False, 0.0, 0.0),
-        "f2": Similitude(
+    # each map's pose: scale, rotation, reflect, tx, ty
+    poses = {
+        "f1": (1 / (1 + t * t), 0.0, False, 0.0, 0.0),
+        "f2": (
             t / (s * (1 + t * t)),
             (math.pi - be) % _TWO_PI,
             True,
             a + a * t * math.cos(ga),
             a * t * math.sin(ga),
         ),
-        "f3": Similitude(f_scale, ga, False, a, 0.0),
-        "f4": Similitude(rC * f_scale, (math.pi + al) % _TWO_PI, True, b * u, 0.0),
-        "f5": Similitude(
-            rC * f_scale,
-            al,
-            True,
-            b * u + b * t * math.cos(al),
-            b * t * math.sin(al),
-        ),
-        "g1": Similitude(
+        "f3": (f_scale, ga, False, a, 0.0),
+        "f4": (rC * f_scale, (math.pi + al) % _TWO_PI, True, b * u, 0.0),
+        "f5": (rC * f_scale, al, True, b * u + b * t * math.cos(al), b * t * math.sin(al)),
+        "g1": (
             u / (rC * (s * t + u)),
             (math.pi - be) % _TWO_PI,
             False,
             a + a * t * math.cos(ga),
             a * t * math.sin(ga),
         ),
-        "g2": Similitude(u / (s * t + u), 0.0, False, 0.0, 0.0),
-        "g3": Similitude(
+        "g2": (u / (s * t + u), 0.0, False, 0.0, 0.0),
+        "g3": (
             s * t / (s * t + u),
             0.0,
             False,
@@ -294,12 +270,13 @@ def build_gifs(angles):
             b * s * t * t * math.sin(ga),
         ),
     }
+    maps = {e: _record(ck, *poses[e]) for e, ck in T1_EDGES + T2_EDGES}
     gifs = Gifs(
         angles,
         consts,
         build_prototiles(angles),
         maps,
-        min(m.scale**2 for m in maps.values()),
+        min(m["scale"].item() ** 2 for m in maps.values()),
     )
     report = closure_report(gifs)
     if not report["ok"]:
@@ -332,14 +309,10 @@ def closure_report(gifs):
     overlap_depth = -math.inf
     for kind in (1, 2):
         parent = gifs.prototile(kind)
-        edges = gifs.edges(kind)
-        area_defect = max(
-            area_defect,
-            abs(sum(gifs.maps[e].scale ** 2 for e, _ in edges) - 1.0),
-        )
-        polys = np.stack(
-            [gifs.maps[e].apply(gifs.prototile(ck).vertices) for e, ck in edges]
-        )
+        maps = np.concatenate([gifs.maps[e] for e, _ in gifs.edges(kind)])
+        area_defect = max(area_defect, abs(sum(v**2 for v in maps["scale"].tolist()) - 1.0))
+        # each child: its map's record places the prototile of the record's kind
+        polys = _place(maps, np.stack([gifs.prototile(k).vertices for k in maps["kind"].tolist()]))
         # how far a child vertex lies past a parent edge
         normals = _edge_normals(parent.vertices)
         past = polys @ normals.T - (normals * parent.vertices).sum(axis=1)
@@ -354,8 +327,10 @@ def closure_report(gifs):
     }
 
 
-# one record per tile: kind, the Similitude fields of its pose, and depth,
-# in the key order a patch file holds them
+# one record per tile, or per map of a system (of its child's kind): kind,
+# pose and depth, in the key order a patch file holds them.  The pose
+# (scale, rotation, reflect, tx, ty) places a local point (x, y) at
+# scale * R(rotation) * (reflect ? (-x, y) : (x, y)) + (tx, ty); see _place
 _TILE = np.dtype([
     ("kind", np.int64), ("scale", float), ("rotation", float), ("reflect", bool),
     ("tx", float), ("ty", float), ("depth", np.int64),
@@ -366,14 +341,17 @@ _TILE_BYTES = np.dtype((np.void, _TILE.itemsize))
 
 
 def _place(tiles, local):
-    """Similitude.apply for many tiles at once: local[i] (K x 2) under the
-    pose of tiles[i].
+    """local[i] (K x 2) under the pose of tiles[i], or of a one-record
+    tiles for every i: with x negated where the pose reflects, and c and s
+    math's cosine and sine of the rotation, the point goes to
+    (scale * (c*x - s*y) + tx, scale * (s*x + c*y) + ty), in that order of
+    operations.
 
-    The arithmetic is apply's, operation for operation, so every coordinate
-    is bit-identical to a per-tile apply.
+    Maps, tiles and the stationary anchor are all placed here, so this is
+    the one function whose rounding an error bound has to cover.
     """
-    # math's cos and sin, as apply takes them; they refuse +-inf, which is
-    # placed as nan instead, for Patch to refuse by name
+    # math's cos and sin refuse +-inf, which is placed as nan instead, for
+    # Patch to refuse by name
     rot = np.where(np.isinf(tiles["rotation"]), np.nan, tiles["rotation"]).tolist()
     c, s = (np.array(list(map(f, rot)))[:, None] for f in (math.cos, math.sin))
     scale, tx, ty = (tiles[f][:, None] for f in ("scale", "tx", "ty"))
@@ -400,10 +378,9 @@ def _compose(outer, inner):
     return out
 
 
-def _records(poses):
-    """Depth-0 _TILE records of (kind, Similitude) pairs."""
-    return np.array([(k, m.scale, m.rotation, m.reflect, m.tx, m.ty, 0) for k, m in poses],
-                    dtype=_TILE)
+def _record(kind, scale, rotation, reflect, tx, ty):
+    """A one-record _TILE array of depth 0."""
+    return np.array([(kind, scale, rotation, reflect, tx, ty, 0)], dtype=_TILE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,8 +458,7 @@ def _subdivide(gifs, start, thresholds):
     per class and threshold.
     """
     # the eight edge maps, each a record of its child's kind, in subdivision order
-    edges = [(ck, gifs.maps[e]) for kind in (1, 2) for e, ck in gifs.edges(kind)]
-    maps = _records(edges)
+    maps = np.concatenate([gifs.maps[e] for kind in (1, 2) for e, _ in gifs.edges(kind)])
     scale_sq = [(n * n, 2 * (d.bit_length() - 1))
                 for n, d in map(float.as_integer_ratio, maps["scale"].tolist())]
     areas = [(1, 0)]
@@ -500,7 +476,7 @@ def _subdivide(gifs, start, thresholds):
             child_cls[key] = index[area]
         return child_cls[key]
 
-    tiles = _records([(start, _IDENTITY)])
+    tiles = _record(start, 1.0, 0.0, False, 0.0, 0.0)
     cls = np.zeros(1, dtype=np.int64)
     cuts = []
     for threshold in thresholds:
@@ -569,26 +545,27 @@ def stationary_sequence(gifs, n):
         raise ValueError("n must be >= 0")
     ga = gifs.angles.gamma
     f3 = gifs.maps["f3"]
-    eps0 = f3.scale**2
+    f3_scale = f3["scale"].item()
+    eps0 = f3_scale**2
     bound = sum(1 / (gifs.a_min * eps0**k) for k in range(n + 1))
     if bound > MAX_EPSILON_TILES:
         raise ValueError(
             f"n={n} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
         )
     # tile areas are exact products of Fraction(scale) ** 2, so cut at the exact
-    # powers of f3's own: the rounded eps0 can sit below Fraction(f3.scale) ** 2,
+    # powers of f3's own: the rounded eps0 can sit below Fraction(f3_scale) ** 2,
     # and P_k would then split the f3-image of P_(k-1)
-    thresholds = [(Fraction(f3.scale) ** 2) ** k for k in range(n + 1)]
+    thresholds = [(Fraction(f3_scale) ** 2) ** k for k in range(n + 1)]
     cuts = _subdivide(gifs, 1, thresholds)
     patches = []
-    anchor = np.zeros(2)
+    anchor = np.zeros((1, 1, 2))  # the k-fold f3-image of the origin, one point for _place
     for k, t in enumerate(cuts):
         # scale by e0^(-k/2) and rotate by -k*gamma about the anchor
-        turn = _records([(0, Similitude(eps0 ** (-k / 2), (-k * ga) % _TWO_PI, False, 0.0, 0.0))])
-        shift = _records([(0, Similitude(1.0, 0.0, False, -anchor[0], -anchor[1]))])
+        turn = _record(0, eps0 ** (-k / 2), (-k * ga) % _TWO_PI, False, 0.0, 0.0)
+        shift = _record(0, 1.0, 0.0, False, *-anchor[0, 0])
         tiles = _compose(_compose(turn, shift), t)
         patches.append(Patch(float(eps0**k), gifs, tiles))
-        anchor = f3.apply(anchor)
+        anchor = _place(f3, anchor)
     return patches
 
 

@@ -13,7 +13,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from badtri.cf import convergents, hull_pairs
 from badtri.delone import _INSIDE_TOL, _TAU, CoveringResult, PointSet
-from badtri.gifs import _TILE, _TWO_PI, POSE_TOL, Similitude
+from badtri.gifs import _TILE, _TWO_PI, POSE_TOL
 from badtri.quadfield import QuadRat
 from badtri.theorems import (MAIN_SOLUTIONS, _IDENTITIES, _INSERTIONS, _RESIDUALS, _check_row,
                              _decide, _one_minus, _triple)
@@ -144,6 +144,36 @@ def generate_solutions(code=()):
     return triple
 
 
+@dataclass(frozen=True)
+class Similitude:
+    """scale * R(rotation) * (reflect ? (-x, y) : (x, y)) + translation."""
+
+    scale: float
+    rotation: float
+    reflect: bool
+    tx: float
+    ty: float
+
+    def apply(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        xs = -pts[..., 0] if self.reflect else pts[..., 0]
+        ys = pts[..., 1]
+        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        out = np.empty_like(pts)
+        out[..., 0] = self.scale * (c * xs - s * ys) + self.tx
+        out[..., 1] = self.scale * (s * xs + c * ys) + self.ty
+        return out
+
+
+IDENTITY = Similitude(1.0, 0.0, False, 0.0, 0.0)
+
+
+def similitude(record):
+    """The Similitude of one _TILE record, or of a one-record array such as
+    a map of gifs.build_gifs."""
+    return Similitude(*(record[f].item() for f in ("scale", "rotation", "reflect", "tx", "ty")))
+
+
 def compose(outer, inner):
     """outer after inner (i.e. z -> outer(inner(z)))."""
     rot = outer.rotation + (-inner.rotation if outer.reflect else inner.rotation)
@@ -179,7 +209,7 @@ def subdivide(tile, gifs):
     """The four children of a tile, in the deterministic edge order."""
     children = []
     for edge, child_kind in gifs.edges(tile.kind):
-        m = gifs.maps[edge]
+        m = similitude(gifs.maps[edge])
         children.append(
             TileInstance(
                 child_kind,

@@ -50,6 +50,7 @@ from oracles import (
     chabauty_fell_distance,
     generate_solutions,
     insertion,
+    similitude,
     sqrt2,
     sqrt3,
     star_discrepancy_brute,
@@ -264,7 +265,7 @@ def test_c11_stationary_nesting():
         gifs = build_gifs(PRESETS[name])
         t = gifs.consts.t
         eps0 = t**2 / (1 + t**2) ** 2
-        ok &= abs(gifs.maps["f3"].scale ** 2 - eps0) <= 1e-15
+        ok &= abs(similitude(gifs.maps["f3"]).scale ** 2 - eps0) <= 1e-15
         seq = stationary_sequence(gifs, 4)
         ok &= stationary_nesting_ok(seq)
     _report(11, ok, t0, 60)

@@ -742,6 +742,20 @@ def test_export_output_bytes(tmp_path, capsys, preset, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--preset", "equilateral", "--stationary", "6"],
+     "0ed7a10775223618f4b1bb37342e746d7bc1150e460a0308a96f7857bfbf6e9d"),
+    (["--angles", "0.8,1.1,1.2415926535897931", "--stationary", "4"],
+     "a6f37ee343be3d39b471ba2924e310bd7b70f2dd65e12644d3e5d9921acd7b32"),
+], ids=["equilateral", "angles"])
+def test_tile_stationary_file_bytes(tmp_path, capsys, argv, digest):
+    # systems beside the optimal presets: the patch file tile writes
+    seq = tmp_path / "seq.json"
+    code, out, err = run(capsys, "tile", *argv, "--out", str(seq))
+    assert code == 0 and "nesting=ok" in out, err
+    assert hashlib.sha256(seq.read_bytes()).hexdigest() == digest
+
+
 def test_preset_names_match_gifs(capsys):
     parser = _build_parser()
     for name in PRESETS:
@@ -914,6 +928,26 @@ def test_overflowing_tile_is_rejected(tmp_path, capsys, what, tile, field, value
     assert code == 2 and out == ""
     assert err == (f"error: tile {tile} overflows: its placed vertices and centroid must be "
                    "finite and within +-1e+150\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "discrepancy"], ["analyze", "delone"],
+                                  ["export", "--json", "{tmp}/out.json"]])
+def test_a_bad_tile_in_a_patch_list_names_its_patch(tmp_path, capsys, argv):
+    seq = tmp_path / "seq.json"
+    run(capsys, "tile", "--preset", "optimal1", "--stationary", "3", "--out", str(seq))
+    doc = json.loads(seq.read_text())
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--in", str(seq)]
+    for k, patch, message in ((2, dict(doc[2], tiles=doc[2]["tiles"][:3] + [
+            dict(doc[2]["tiles"][3], kind=7)]), "tile 3 has kind 7, not 1 or 2"),
+            (1, [doc[1]], "patch document must be a JSON object")):
+        seq.write_text(json.dumps(doc[:k] + [patch] + doc[k + 1:]))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: patch {k}: {message}\n")
+    # a single-patch file names the tile alone
+    seq.write_text(json.dumps(dict(doc[2], tiles=[dict(doc[2]["tiles"][0], kind=7)])))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: tile 0 has kind 7, not 1 or 2\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_one_patch_list_keeps_its_shape(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ def test_uniform_discrete_matches_midpoint_bruteforce():
         )
         res = check_uniform_discrete(ps, r)
         assert (res.status == "violation") == crowded
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e8, 1e15])
+def test_uniform_discrete_judges_the_stored_points_wherever_they_lie(shift):
+    # moved by 1e15, the placed points round to multiples of 0.125 in x and
+    # their closest pair truly comes within 2r; the check's least distance
+    # is the exact one of the stored floats, to a relative 1e-15, at any range
+    patch = epsilon_rule(1, 0.003, build_gifs(PRESETS["optimal1"]))
+    tiles = patch.tiles.copy()
+    tiles["tx"] += shift
+    ps = PointSet(dataclasses.replace(patch, tiles=tiles).points)
+    r, _ = delone_radii(patch.gifs)
+    res = check_uniform_discrete(ps, r)
+    pts = [tuple(map(Fraction, p)) for p in ps.points.tolist()]
+    # every pair within 1 holds the closest: it is nearer than 0.5 at each shift
+    exact = min((pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
+                for i, j in ps.tree.query_pairs(1.0))
+    assert abs(res.min_distance - math.sqrt(exact)) <= 1e-15 * math.sqrt(exact) < 0.5
+    assert res.status == ("certified" if exact >= 4 * Fraction(r) ** 2 else "violation")
+    assert res.status == ("violation" if shift == 1e15 else "certified")
 
 
 def polygon(radius, n=12):

@@ -1,6 +1,7 @@
 """Tests for the two-prototile graph-directed IFS engine."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -16,17 +17,17 @@ from hypothesis import assume, given, settings, strategies as st
 from badtri.cli import export_svg
 from badtri.delone import analysis_report
 from badtri.gifs import (
-    _IDENTITY,
     _TILE,
+    _compose,
     _gifs_of,
     _orientations,
+    _place,
     _subdivide,
     POSE_TOL,
     PRESETS,
     Angles,
     Gifs,
     Patch,
-    Similitude,
     build_gifs,
     build_prototiles,
     closure_report,
@@ -40,7 +41,8 @@ from badtri.gifs import (
     stationary_sequence,
 )
 from badtri.theorems import MAIN_SOLUTIONS
-from oracles import TileInstance, compose, kd_recurs_in, patch_doc, subdivide
+from oracles import (IDENTITY, Similitude, TileInstance, compose, kd_recurs_in, patch_doc,
+                     similitude, subdivide)
 
 
 def cross2(u, v):
@@ -170,7 +172,7 @@ def _inside(p, tri):
 def test_equilateral_scales_are_half():
     g = build_gifs(PRESETS["equilateral"])
     for name, m in g.maps.items():
-        assert abs(m.scale - 0.5) <= 1e-12, name
+        assert abs(similitude(m).scale - 0.5) <= 1e-12, name
     assert abs(g.a_min - 0.25) <= 1e-12
 
 
@@ -195,26 +197,92 @@ def test_similitude_compose_matches_pointwise():
         assert np.allclose(compose(a, b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
 
+# closure_report of the presets, and the sha256 of the repr of its reports
+# for the first 20 systems of random_angles(random.Random(42)): the values
+# that placing each child by oracles.Similitude.apply gives
+_CLOSURE = {
+    "equilateral": {"area_defect": 0.0, "containment_defect": 4.791804745166154e-16,
+                    "overlap_depth": 2.220446049250313e-16, "ok": True},
+    "optimal1": {"area_defect": 2.220446049250313e-16,
+                 "containment_defect": 2.220446049250313e-16,
+                 "overlap_depth": 2.220446049250313e-16, "ok": True},
+    "optimal2": {"area_defect": 0.0, "containment_defect": 2.452759331904165e-16,
+                 "overlap_depth": 3.3306690738754696e-16, "ok": True},
+}
+_RANDOM_CLOSURE_SHA256 = "790a82fbbffba0047d87292ba53c7409a45143d5bf665f2234338c983f2d98d7"
+
+
 def test_closure_presets():
     for name, ang in PRESETS.items():
         rep = closure_report(build_gifs(ang))
         assert rep["area_defect"] <= 1e-12, name
         assert rep["containment_defect"] <= 1e-9, name
         assert rep["overlap_depth"] <= 1e-9, name
+        assert rep == _CLOSURE[name], name
 
 
 def test_closure_random_triples():
     rng = random.Random(42)
+    reports = []
     for _ in range(20):
         ang = random_angles(rng)
         rep = closure_report(build_gifs(ang))
         assert rep["ok"], (ang, rep)
+        reports.append(rep)
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == _RANDOM_CLOSURE_SHA256
+
+
+_TWO_PI = 2 * math.pi
+# a pose (scale, rotation, reflect, tx, ty); rotations also within 1e-15 of 2*pi
+_POSES = st.tuples(
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, _TWO_PI, exclude_max=True) | st.floats(_TWO_PI - 1e-15, _TWO_PI + 1e-15),
+    st.booleans(),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6),
+)
+_LOCAL = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+def _float_bits(a):
+    """The 64-bit patterns of a float array: -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=300)
+@given(st.lists(_POSES, min_size=1, max_size=4),
+       st.lists(st.tuples(_LOCAL, _LOCAL), min_size=1, max_size=4))
+def test_place_is_similitude_apply_bit_for_bit(poses, points):
+    tiles = np.array([(1, *pose, 0) for pose in poses], dtype=_TILE)
+    local = np.array(points)
+    want = [similitude(t).apply(local) for t in tiles]
+    assert _float_bits(_place(tiles, np.stack([local] * len(tiles)))) == _float_bits(want)
+    # one record places every local point set
+    assert _float_bits(_place(tiles[:1], np.stack([local] * 2))) == _float_bits([want[0]] * 2)
+
+
+def _pose_bits(m):
+    """A Similitude's reflect flag and the bits of its four floats."""
+    return (m.reflect, *_float_bits([m.scale, m.rotation, m.tx, m.ty]))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_POSES, _POSES), min_size=1, max_size=4))
+def test_compose_is_the_oracles_compose_bit_for_bit(pairs):
+    outer = np.array([(1, *a, 0) for a, _ in pairs], dtype=_TILE)
+    inner = np.array([(2, *b, 3) for _, b in pairs], dtype=_TILE)
+    for out in (outer, outer[:1]):  # an outer record per inner one, or one for all
+        got = _compose(out, inner)
+        assert got[["kind", "depth"]].tolist() == inner[["kind", "depth"]].tolist()
+        for o, i, g in zip(np.resize(out, len(inner)), inner, got):
+            assert _pose_bits(similitude(g)) == _pose_bits(compose(similitude(o), similitude(i)))
 
 
 def _shifted(g, edge, dx, dy):
     maps = dict(g.maps)
-    m = maps[edge]
-    maps[edge] = dataclasses.replace(m, tx=m.tx + dx, ty=m.ty + dy)
+    m = maps[edge] = maps[edge].copy()
+    m["tx"] += dx
+    m["ty"] += dy
     return Gifs(g.angles, g.consts, g.prototiles, maps, g.a_min)
 
 
@@ -249,15 +317,8 @@ def test_closure_rejects_every_small_shift(name):
 def test_build_gifs_validation_raises_on_bad_map():
     g = build_gifs(PRESETS["optimal1"])
     maps = dict(g.maps)
-    maps["f3"] = Similitude(
-        maps["f3"].scale * 1.01,
-        maps["f3"].rotation,
-        maps["f3"].reflect,
-        maps["f3"].tx,
-        maps["f3"].ty,
-    )
-    from badtri.gifs import Gifs
-
+    f3 = maps["f3"] = maps["f3"].copy()
+    f3["scale"] *= 1.01
     bad = Gifs(g.angles, g.consts, g.prototiles, maps, g.a_min)
     assert not closure_report(bad)["ok"]
 
@@ -271,9 +332,8 @@ def test_subdivision_vertex_coincidences():
         t1, t2 = g.prototiles
         O, X, Y = t1.vertices
         O2, X2, Y2 = t2.vertices
-        f1, f2, f3 = g.maps["f1"], g.maps["f2"], g.maps["f3"]
-        f4, f5 = g.maps["f4"], g.maps["f5"]
-        g1, g2, g3 = g.maps["g1"], g.maps["g2"], g.maps["g3"]
+        f1, f2, f3, f4, f5, g1, g2, g3 = (
+            similitude(g.maps[e]) for e in ("f1", "f2", "f3", "f4", "f5", "g1", "g2", "g3"))
         P = np.array([c.a, 0.0])
         assert np.allclose(f1.apply(X), P, atol=1e-9)
         assert np.allclose(f3.apply(O), P, atol=1e-9)
@@ -301,7 +361,7 @@ def test_subdivision_vertex_coincidences():
 def test_subdivide_child_kinds_and_areas():
     g = build_gifs(PRESETS["optimal2"])
     for start, kinds in ((1, (2, 1, 1, 1)), (2, (2, 2, 1, 1))):
-        root = TileInstance(start, _IDENTITY, 0, Fraction(1))
+        root = TileInstance(start, IDENTITY, 0, Fraction(1))
         kids = subdivide(root, g)
         assert tuple(k.kind for k in kids) == kinds
         assert all(k.depth == 1 for k in kids)
@@ -319,7 +379,7 @@ def test_orientation_additivity():
     # label and the parent's parity
     g = build_gifs(PRESETS["optimal1"])
     seen = {}
-    frontier = [TileInstance(1, _IDENTITY, 0, Fraction(1))]
+    frontier = [TileInstance(1, IDENTITY, 0, Fraction(1))]
     for _ in range(3):
         nxt = []
         for tile in frontier:
@@ -332,7 +392,7 @@ def test_orientation_additivity():
                 else:
                     seen[key] = delta
                 assert child.parity == (
-                    tile.parity != g.maps[edge].reflect
+                    tile.parity != similitude(g.maps[edge]).reflect
                 )
                 nxt.append(child)
         frontier = nxt
@@ -378,11 +438,6 @@ def test_point_set_inside_tiles():
         assert _inside(point, poly)
 
 
-def _pose(record):
-    """The Similitude of one tile record."""
-    return Similitude(*(record[f].item() for f in ("scale", "rotation", "reflect", "tx", "ty")))
-
-
 def _assert_placed_exactly(patch):
     # the batched placement reproduces Similitude.apply bit for bit
     g = patch.gifs
@@ -390,8 +445,8 @@ def _assert_placed_exactly(patch):
     assert patch.vertices.shape == (len(patch.tiles), 3, 2)
     for t, point, verts in zip(patch.tiles, patch.points, patch.vertices):
         proto = g.prototile(t["kind"])
-        assert np.array_equal(point, _pose(t).apply(proto.centroid))
-        assert np.array_equal(verts, _pose(t).apply(proto.vertices))
+        assert np.array_equal(point, similitude(t).apply(proto.centroid))
+        assert np.array_equal(verts, similitude(t).apply(proto.vertices))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -497,7 +552,7 @@ def test_nested_in_marks_nothing_when_the_small_patch_is_larger():
 
 
 def _centroid(record, gifs):
-    return _pose(record).apply(gifs.prototile(record["kind"]).centroid)
+    return similitude(record).apply(gifs.prototile(record["kind"]).centroid)
 
 
 def _alter(tiles, i, gifs, shift=(0.0, 0.0), **fields):
@@ -595,7 +650,7 @@ def test_patch_json_roundtrip_and_stability():
 
 
 def _dfs_leaves(g, start, threshold):
-    out, stack = [], [TileInstance(start, _IDENTITY, 0, Fraction(1))]
+    out, stack = [], [TileInstance(start, IDENTITY, 0, Fraction(1))]
     while stack:
         tile = stack.pop()
         if tile.area > threshold:
@@ -620,7 +675,7 @@ def _dfs_epsilon_tiles(g, start, epsilon):
 
 
 def _dfs_stationary_tiles(g, n):
-    f3 = g.maps["f3"]
+    f3 = similitude(g.maps["f3"])
     eps0 = f3.scale**2
     anchor, out = np.zeros(2), []
     for k in range(n + 1):
@@ -832,8 +887,8 @@ def test_patch_holds_only_bounded_geometry(records):
     g = _gifs_of(*PRESETS["optimal1"].as_tuple())
     # the reference: each tile's vertices and centroid under Similitude.apply
     with np.errstate(over="ignore", invalid="ignore"):
-        placed = [_pose(t).apply(np.vstack([g.prototile(t["kind"]).vertices,
-                                             g.prototile(t["kind"]).centroid])) for t in tiles]
+        placed = [similitude(t).apply(np.vstack([g.prototile(t["kind"]).vertices,
+                                                 g.prototile(t["kind"]).centroid])) for t in tiles]
     outside = [i for i, xy in enumerate(placed) if not (np.abs(xy) <= 1e150).all()]
     if outside:
         with pytest.raises(ValueError, match=_overflow(outside[0])):
@@ -995,14 +1050,16 @@ def test_reloaded_patch_equals_the_original(name):
 
 
 def test_patch_paths_build_no_per_tile_objects(monkeypatch):
-    g = build_gifs(PRESETS["optimal1"])
-    built = {}
-    for cls in (TileInstance, Similitude):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] = built.get(_name, 0) + 1
-            _init(self, *args, **kwargs)
+    import badtri.gifs as gifs_module
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    g = build_gifs(PRESETS["optimal1"])
+    built = []  # the package's one record builder, counted by kind
+
+    def counting(kind, *pose, _record=gifs_module._record):
+        built.append(kind)
+        return _record(kind, *pose)
+
+    monkeypatch.setattr(gifs_module, "_record", counting)
 
     def constructions(eps):
         built.clear()
@@ -1016,8 +1073,9 @@ def test_patch_paths_build_no_per_tile_objects(monkeypatch):
         nested_in(seq[3], seq[4])
         orientation_discrepancy(back)
         analysis_report(p)
-        return len(p.tiles), dict(built)
+        return len(p.tiles), sorted(built)
 
     (small, few), (large, many) = constructions(0.2), constructions(0.01)
     assert large > 10 * small
-    assert few == many
+    # per run: two roots, one system's eight maps, and a turn and a shift per level
+    assert few == many and len(few) == 2 + 8 + 2 * 5
