@@ -3,11 +3,11 @@
 Given an angle triple (alpha, beta, gamma) with gamma < pi/2, this module
 builds the scalene/isosceles prototile pair of unit area, the eight
 contractive similitudes whose unions reproduce the prototiles (a closure
-checked on every build, overlaps by separating axes), and runs the
-area-threshold subdivision that yields finite patches and the rotated
-stationary patch sequence.  A patch holds its tiling system and places
-its tile vertices and centroid point set once, when it is built, and
-refuses to be built unless they are finite and bounded.  The
+checked on every build against the one split pattern all systems share),
+and runs the area-threshold subdivision that yields finite patches and
+the rotated stationary patch sequence.  A patch holds its tiling system
+and places its tile vertices and centroid point set once, when it is
+built, and refuses to be built unless they are finite and bounded.  The
 star discrepancy of a patch's tile orientations is measured here too.
 
 All geometry is double precision; subdivision decides each split on the
@@ -37,6 +37,7 @@ anchor where they go, and _compose chains two poses through it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -129,9 +130,6 @@ def derive_constants(angles):
     b = 2 * math.sqrt(cot_ga / (s * t * (s * t + u) * (2 * t * math.cos(ga) + 1)))
     if not all(math.isfinite(v) and v > 0 for v in (s, t, u, C, a, b)):
         raise ValueError("degenerate angles: constants not finite positive")
-    # C = (b/a)^2 is an algebraic consequence; drift means transcription rot
-    if abs(C - (b / a) ** 2) > 1e-9 * C:
-        raise AssertionError("C != (b/a)^2: constants drifted apart")
     return DerivedConstants(s, t, u, C, a, b)
 
 
@@ -228,14 +226,10 @@ class Gifs:
 
 
 def build_gifs(angles):
-    """Construct the eight similitudes and validate closure.
-
-    Validation checks, per parent: child scale^2 sums to 1 within 1e-12;
-    every child vertex lies in the closed parent (signed distance
-    >= -1e-9); and no two children overlap deeper than 1e-9 (see
-    closure_report).  Any defect raises with its magnitude — a failed
-    closure signals a bad placement, not a rendering quirk.
-    """
+    """Construct the eight similitudes and validate closure: each parent
+    split as _SPLIT says, to within closure_report's bounds.  A defect
+    raises with the report — a failed closure signals a bad placement,
+    not a rendering quirk."""
     consts = derive_constants(angles)
     al, be, ga = angles.as_tuple()
     s, t, u, C, a, b = consts.s, consts.t, consts.u, consts.C, consts.a, consts.b
@@ -284,47 +278,42 @@ def build_gifs(angles):
     return gifs
 
 
-def _edge_normals(tris):
-    """Unit normals of the edges of triangles (... x 3 x 2), outward for
-    counterclockwise ones such as the prototiles."""
-    edges = np.roll(tris, -1, axis=-2) - tris
-    normals = edges[..., ::-1] * [1.0, -1.0]
-    return normals / np.linalg.norm(normals, axis=-1, keepdims=True)
-
-
-def _overlap_depths(a, b):
-    """How deep triangle a[k] overlaps b[k] (K x 3 x 2 arrays): the least
-    overlap of their projections onto their six edge normals, which is <= 0
-    exactly when one normal separates them (the separating axis theorem)."""
-    tris = np.stack([a, b])
-    axes = np.concatenate(_edge_normals(tris), axis=1)
-    proj = np.einsum("tkvd,kad->tkav", tris, axes)
-    return (proj.max(axis=-1).min(axis=0) - proj.min(axis=-1).max(axis=0)).min(axis=1)
+# each child's vertices, in its prototile's order, as its parent's vertices
+# P0-P2 or split points E0-E2, E_i inside the edge from P_i to P_(i+1); f3
+# and f5 are the middle children, the ones nested_in relies on
+_SPLIT = {"g1": "E1 P2 E2", "f1": "P0 E0 E2", "f2": "E1 P1 E0", "f3": "E0 E1 E2",
+          "g2": "P0 E0 E2", "g3": "E2 E1 P2", "f4": "E0 E1 P1", "f5": "E1 E0 E2"}
 
 
 def closure_report(gifs):
-    """Measure how well the eight maps partition the two prototiles."""
-    area_defect = 0.0
-    containment_defect = 0.0
-    overlap_depth = -math.inf
+    """How far the maps are from splitting each prototile as _SPLIT says:
+    area_defect, the largest |sum of child scale^2 - 1|; delta, the largest
+    distance between two vertices _SPLIT puts at one point (a parent vertex
+    is at its P) or from a vertex at E_i to its edge's line; and whether
+    each vertex at an E_i is strictly inside its edge.  Children each within
+    delta of an exact split overlap by about 2*delta at most."""
+    areas, gaps, inside = [], [], True
     for kind in (1, 2):
-        parent = gifs.prototile(kind)
-        maps = np.concatenate([gifs.maps[e] for e, _ in gifs.edges(kind)])
-        area_defect = max(area_defect, abs(sum(v**2 for v in maps["scale"].tolist()) - 1.0))
+        edges = gifs.edges(kind)
+        maps = np.concatenate([gifs.maps[e] for e, _ in edges])
+        areas.append(abs(sum(v**2 for v in maps["scale"].tolist()) - 1.0))
         # each child: its map's record places the prototile of the record's kind
         polys = _place(maps, np.stack([gifs.prototile(k).vertices for k in maps["kind"].tolist()]))
-        # how far a child vertex lies past a parent edge
-        normals = _edge_normals(parent.vertices)
-        past = polys @ normals.T - (normals * parent.vertices).sum(axis=1)
-        containment_defect = max(containment_defect, float(past.max()))
-        i, j = np.triu_indices(4, 1)
-        overlap_depth = max(overlap_depth, float(_overlap_depths(polys[i], polys[j]).max()))
-    return {
-        "area_defect": area_defect,
-        "containment_defect": containment_defect,
-        "overlap_depth": overlap_depth,
-        "ok": area_defect <= 1e-12 and containment_defect <= 1e-9 and overlap_depth <= 1e-9,
-    }
+        parent = gifs.prototile(kind).vertices.tolist()
+        at = {f"P{i}": [p] for i, p in enumerate(parent)}
+        for (e, _), poly in zip(edges, polys.tolist()):
+            for name, p in zip(_SPLIT[e].split(), poly):
+                at.setdefault(name, []).append(p)
+        gaps += [math.dist(p, q) for pts in at.values() for p, q in itertools.combinations(pts, 2)]
+        for i, (x0, y0) in enumerate(parent):
+            dx, dy = parent[i - 2][0] - x0, parent[i - 2][1] - y0  # P_(i+1) - P_i, never 0
+            for x, y in at[f"E{i}"]:
+                gaps.append(abs(dx * (y - y0) - dy * (x - x0)) / math.hypot(dx, dy))
+                inside &= 0 < dx * (x - x0) + dy * (y - y0) < dx * dx + dy * dy
+    # numpy's max, unlike max(), keeps a nan
+    area_defect, delta = float(np.max(areas)), float(np.max(gaps))
+    return {"area_defect": area_defect, "delta": delta, "edge_points_inside": inside,
+            "ok": area_defect <= 1e-12 and delta <= 5e-10 and inside}
 
 
 # one record per tile, or per map of a system (of its child's kind): kind,

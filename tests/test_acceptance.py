@@ -222,8 +222,8 @@ def test_c08_gifs_partition():
     for ang in triples:
         rep = closure_report(build_gifs(ang))
         ok &= rep["area_defect"] <= 1e-12
-        ok &= rep["containment_defect"] <= 1e-9
-        ok &= rep["overlap_depth"] <= 1e-9
+        ok &= rep["delta"] <= 5e-10
+        ok &= rep["edge_points_inside"] is True
     _report(8, ok, t0, 10)
 
 

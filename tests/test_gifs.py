@@ -1,5 +1,6 @@
 """Tests for the two-prototile graph-directed IFS engine."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from badtri.cli import export_svg
 from badtri.delone import analysis_report
 from badtri.gifs import (
+    _SPLIT,
     _TILE,
     _compose,
     _gifs_of,
@@ -199,26 +201,28 @@ def test_similitude_compose_matches_pointwise():
 
 # closure_report of the presets, and the sha256 of the repr of its reports
 # for the first 20 systems of random_angles(random.Random(42)): the values
-# that placing each child by oracles.Similitude.apply gives
+# that placing each child by oracles.Similitude.apply gives.  The area
+# defects are those the area sum gave before delta replaced containment
+# and separating-axis overlap; the deltas are pinned from that change
 _CLOSURE = {
-    "equilateral": {"area_defect": 0.0, "containment_defect": 4.791804745166154e-16,
-                    "overlap_depth": 2.220446049250313e-16, "ok": True},
-    "optimal1": {"area_defect": 2.220446049250313e-16,
-                 "containment_defect": 2.220446049250313e-16,
-                 "overlap_depth": 2.220446049250313e-16, "ok": True},
-    "optimal2": {"area_defect": 0.0, "containment_defect": 2.452759331904165e-16,
-                 "overlap_depth": 3.3306690738754696e-16, "ok": True},
+    "equilateral": {"area_defect": 0.0, "delta": 7.021666937153402e-16,
+                    "edge_points_inside": True, "ok": True},
+    "optimal1": {"area_defect": 2.220446049250313e-16, "delta": 2.7119179988510344e-16,
+                 "edge_points_inside": True, "ok": True},
+    "optimal2": {"area_defect": 0.0, "delta": 5.07321899495461e-16,
+                 "edge_points_inside": True, "ok": True},
 }
-_RANDOM_CLOSURE_SHA256 = "790a82fbbffba0047d87292ba53c7409a45143d5bf665f2234338c983f2d98d7"
+_RANDOM_CLOSURE_SHA256 = "f3ae101fa761dd50efce6465f79100ffef1b6c70c60e668bc14fc15d8cc18a82"
+_RANDOM_AREA_DEFECTS_SHA256 = "56b17be4ca9f19985eba4848fa5a52301e7ae4cdd1459781bcef65212a1ed225"
 
 
 def test_closure_presets():
     for name, ang in PRESETS.items():
         rep = closure_report(build_gifs(ang))
         assert rep["area_defect"] <= 1e-12, name
-        assert rep["containment_defect"] <= 1e-9, name
-        assert rep["overlap_depth"] <= 1e-9, name
+        assert rep["delta"] <= 5e-10 and rep["edge_points_inside"] is True, name
         assert rep == _CLOSURE[name], name
+        assert all(type(v) in (float, bool) for v in rep.values()), name
 
 
 def test_closure_random_triples():
@@ -230,6 +234,8 @@ def test_closure_random_triples():
         assert rep["ok"], (ang, rep)
         reports.append(rep)
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == _RANDOM_CLOSURE_SHA256
+    areas = repr([rep["area_defect"] for rep in reports])
+    assert hashlib.sha256(areas.encode()).hexdigest() == _RANDOM_AREA_DEFECTS_SHA256
 
 
 _TWO_PI = 2 * math.pi
@@ -278,40 +284,107 @@ def test_compose_is_the_oracles_compose_bit_for_bit(pairs):
             assert _pose_bits(similitude(g)) == _pose_bits(compose(similitude(o), similitude(i)))
 
 
-def _shifted(g, edge, dx, dy):
+def _perturbed(g, edge, dx=0.0, dy=0.0, factor=1.0):
+    """g with the map of `edge` moved by (dx, dy) and its scale times factor."""
     maps = dict(g.maps)
     m = maps[edge] = maps[edge].copy()
     m["tx"] += dx
     m["ty"] += dy
+    m["scale"] *= factor
     return Gifs(g.angles, g.consts, g.prototiles, maps, g.a_min)
+
+
+def _report_of(exc):
+    """The closure report a 'GIFS closure validation failed' error holds."""
+    return ast.literal_eval(str(exc.value).split(": ", 1)[1])
 
 
 @pytest.mark.parametrize("name, dx", [("optimal1", 1e-5), ("optimal2", 1e-4)])
 def test_closure_rejects_thin_overlap(name, dx):
-    # areas stay exact and every child stays inside its parent, but f1's
-    # child now overlaps a sibling about dx deep
-    rep = closure_report(_shifted(build_gifs(PRESETS[name]), "f1", dx, 0.0))
+    # areas stay exact and every split point stays inside its edge, but
+    # f1's child now overlaps a sibling about dx deep: each of its vertices
+    # lies dx from the point the split puts it at
+    rep = closure_report(_perturbed(build_gifs(PRESETS[name]), "f1", dx, 0.0))
     assert rep["ok"] is False
-    assert rep["area_defect"] <= 1e-12 and rep["containment_defect"] <= 1e-9
-    assert rep["overlap_depth"] > 1e-9
+    assert rep["area_defect"] <= 1e-12 and rep["edge_points_inside"] is True
+    assert rep["delta"] >= dx * (1 - 1e-9)
 
 
 @pytest.mark.parametrize("name", ["optimal1", "optimal2"])
 def test_closure_rejects_every_small_shift(name):
-    # a child of an exact partition cannot move without leaving its parent
-    # or overlapping a sibling: 8 maps x 16 directions x 3 sizes
+    # a child of an exact split cannot move without taking each of its
+    # vertices off the point it shares: 8 maps x 16 directions x 5 sizes,
+    # from 1.5 times the delta bound of 5e-10 up; a move of half the bound
+    # is within it
     g = build_gifs(PRESETS[name])
-    contained = 0
     for edge in g.maps:
         for k in range(16):
-            for size in (1e-7, 1e-6, 1e-5):
-                th = k * math.pi / 8
-                rep = closure_report(_shifted(g, edge, size * math.cos(th), size * math.sin(th)))
+            th = k * math.pi / 8
+            for size in (7.5e-10, 1e-9, 1e-7, 1e-6, 1e-5):
+                rep = closure_report(_perturbed(g, edge, size * math.cos(th), size * math.sin(th)))
                 assert rep["ok"] is False, (edge, k, size, rep)
-                if rep["containment_defect"] <= 1e-9:
-                    contained += 1
-                    assert rep["overlap_depth"] > 1e-9, (edge, k, size, rep)
-    assert contained > 0
+                assert rep["area_defect"] <= 1e-12, (edge, k, size, rep)
+                assert rep["delta"] >= size * (1 - 1e-6), (edge, k, size, rep)
+            half = 2.5e-10
+            rep = closure_report(_perturbed(g, edge, half * math.cos(th), half * math.sin(th)))
+            assert rep["ok"] is True, (edge, k, rep)
+
+
+def test_closure_reports_a_nan_map():
+    # a nan anywhere in the vertices reaches delta, and fails the check
+    rep = closure_report(_perturbed(build_gifs(PRESETS["optimal1"]), "g3", math.nan, 0.0))
+    assert math.isnan(rep["delta"]) and rep["ok"] is False
+
+
+def test_closure_refuses_a_map_that_does_not_contract():
+    # t = sin(alpha) / sin(beta) is about 1.7e-9, so f1's scale 1 / (1 + t^2)
+    # rounds to 1: its child is the whole parent, and the split point on
+    # the first edge sits at that edge's end.  Areas and delta stay within
+    # their bounds; the split point's place alone refuses the system
+    ang = Angles(1e-9, 2.5, math.pi - 2.5 - 1e-9)
+    with pytest.raises(ValueError, match="GIFS closure validation failed") as exc:
+        build_gifs(ang)
+    rep = _report_of(exc)
+    assert rep["area_defect"] <= 1e-12 and rep["delta"] <= 5e-10
+    assert rep["edge_points_inside"] is False
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(_SPLIT)),
+       st.floats(-9, -3), st.floats(0, 2 * math.pi),
+       st.floats(-9, -2), st.booleans())
+def test_closure_accepts_a_system_and_rejects_its_moved_or_rescaled_maps(
+        rng, edge, log_shift, th, log_x, shrink):
+    g = build_gifs(random_angles(rng))
+    assert closure_report(g)["ok"]
+    # every vertex of the moved child lies s from its point
+    s = 10**log_shift
+    assert not closure_report(_perturbed(g, edge, s * math.cos(th), s * math.sin(th)))["ok"]
+    # the area sum moves by about 2 * |x| * scale^2, past 1e-12 since each
+    # scale^2 of a random_angles system exceeds 1e-3; a factor 1 + 1e-11
+    # on a map with scale^2 below 0.05 moves it less than that and passes
+    x = 10**log_x * (-1 if shrink else 1)
+    assert not closure_report(_perturbed(g, edge, factor=1 + x))["ok"]
+
+
+def test_closure_catches_drifted_constants(monkeypatch):
+    # C = (b/a)^2 holds by algebra; a drift of C in its 11th digit breaks
+    # the area sum, and one of a in its 9th digit moves the children
+    import badtri.gifs as gifs_module
+
+    derive = gifs_module.derive_constants
+    for field, factor, failed in (("C", 1 + 1e-11, "area_defect"), ("a", 1 + 1e-9, "delta")):
+        def drifted(angles, field=field, factor=factor):
+            consts = derive(angles)
+            return dataclasses.replace(consts, **{field: getattr(consts, field) * factor})
+
+        monkeypatch.setattr(gifs_module, "derive_constants", drifted)
+        with pytest.raises(ValueError, match="GIFS closure validation failed") as exc:
+            build_gifs(PRESETS["optimal1"])
+        rep = _report_of(exc)
+        bounds = {"area_defect": 1e-12, "delta": 5e-10}
+        assert [k for k, bound in bounds.items() if rep[k] > bound] == [failed], rep
+        assert rep["edge_points_inside"] is True
 
 
 def test_build_gifs_validation_raises_on_bad_map():

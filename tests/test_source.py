@@ -69,6 +69,22 @@ def test_python_m_badtri_runs_the_cli(tmp_path, argv, code, first):
     assert (done.stdout or done.stderr).startswith(first)
 
 
+@pytest.mark.parametrize("angles", ["2.17e-15,2.841592653589791,0.3",
+                                    "2.17e-15,2.4415926535897907,0.7"])
+def test_a_degenerate_triple_fails_closure_without_a_warning(tmp_path, angles):
+    # alpha rounds away beside beta; with gamma = 0.7 f1's scale rounds to 1,
+    # so the split point on the first edge sits at its end.  Under -W error
+    # a warning would turn into a traceback and exit 1
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "badtri", "tile",
+                           "--angles", angles, "--stationary", "0"], env=_source_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: GIFS closure validation failed")
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+
 CLI_VERIFY_MAIN = """
 import runpy
 sys.argv = ["badtri", "verify", "main"]
