@@ -1,16 +1,14 @@
 """Delone-parameter certification and Chabauty-Fell distances.
 
-Point sets produced by the tiling engine are finite, so each certificate
-here is an exact reduction over a finite candidate set: uniform
-discreteness from the closest pair, and relative denseness from the
-covering radius over the convex hull of a patch, which peaks at a
-Voronoi vertex, a hull vertex or a Voronoi edge's crossing of the hull
-boundary; one Delaunay triangulation gives the candidates and a bound on
-each one's distance, so only the few that could decide the verdict are
-looked up in the KD-tree.  The Chabauty-Fell distance is a measured
-value, not a verdict: a patch's report gives it from the patch to its
-cuts to balls about the origin, beside the orientation discrepancy from
-gifs.
+Uniform discreteness is decided exactly, by the closest pair.  Relative
+denseness follows from the tiling (Baake & Grimm, Aperiodic Order vol. 1,
+2013, section 2.1): every point of a patch's footprint lies in a tile, so
+it is within that tile's centroid-to-vertex reach of a point.  That holds
+for a patch its system builds, so a report rebuilds the patch
+(gifs._rebuilds) and bounds R by the largest reach plus the build's
+splitting and rounding error; a hand-edited patch gets no R.  The
+Chabauty-Fell distances from a patch to its cuts to balls about the
+origin are measured values, reported beside gifs' orientation discrepancy.
 """
 
 from __future__ import annotations
@@ -20,19 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
-from .gifs import orientation_discrepancy
+from .gifs import _rebuilds, closure_report, orientation_discrepancy
 
 __all__ = [
     "PointSet",
-    "ConvexRegion",
-    "patch_region",
     "delone_radii",
     "UniformDiscreteResult",
-    "CoveringResult",
     "check_uniform_discrete",
-    "check_covering_radius",
     "analysis_report",
 ]
 
@@ -61,41 +55,6 @@ class PointSet:
     @functools.cached_property
     def tree(self):
         return cKDTree(self.points)
-
-
-# a counterexample lies in the region: its excess is at most this
-_INSIDE_TOL = 1e-12
-
-
-class ConvexRegion:
-    """Closed convex hull of a point set, e.g. of a patch's tile vertices;
-    ValueError, with qhull's reason, where qhull cannot build the hull."""
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        try:
-            hull = ConvexHull(pts)
-        except (QhullError, ValueError) as exc:
-            n, reason = len(pts), str(exc).partition("\n")[0]  # qhull's first line: the failure
-            raise ValueError(f"the convex hull of {n} points could not be built: {reason}") from exc
-        self.vertices = pts[hull.vertices]
-        # rows (n_x, n_y, c) with unit outward normal n: n.p + c <= 0 inside
-        self.equations = hull.equations
-
-    def excess(self, pts):
-        """Largest signed distance past an edge line: <= 0 inside, and
-        outside positive but at most the distance to the region."""
-        eq = self.equations
-        return (np.atleast_2d(pts) @ eq[:, :2].T + eq[:, 2]).max(axis=1)
-
-
-def patch_region(patch):
-    """Convex hull of the tile vertices, a superset of the footprint.
-
-    Epsilon-rule and stationary patches tile one prototile image, so for them
-    the hull is the footprint itself.
-    """
-    return ConvexRegion(patch.vertices)
 
 
 def delone_radii(gifs):
@@ -138,165 +97,6 @@ def check_uniform_discrete(ps, r):
     return UniformDiscreteResult("violation", (i, int(idx[i, 1])), dmin)
 
 
-# location error of a covering candidate, for points and region vertices
-# of size |x| < _TAU_RANGE; see check_covering_radius
-_TAU = 1e-9
-_TAU_RANGE = 1e4
-
-
-@dataclass(frozen=True)
-class CoveringResult:
-    status: str  # "certified" | "counterexample" | "inconclusive"
-    witness: tuple | None
-    radius: float
-
-
-def _distance(x, y):
-    """Row-wise distance, in the KD-tree's own arithmetic."""
-    return np.sqrt(((x - y) ** 2).sum(axis=-1))
-
-
-def _covering_candidates(pts, region):
-    """Every point where the distance to pts can peak on a convex region,
-    with a bound no smaller than its distance to pts, and whether qhull's
-    triangulation holds every point: it leaves a point out as coplanar
-    where rounding hides it, and then the candidates are those of the
-    points it kept.  None where a simplex names qhull's point at infinity
-    (index len(pts)).
-
-    On a Voronoi cell the distance is convex, so it peaks at a Voronoi
-    vertex (a Delaunay circumcentre), a region vertex, or a crossing of a
-    region edge with a Voronoi edge: the part of a Delaunay edge pq's
-    bisector where w1 and w2, the vertices facing pq, are no nearer than p.
-    A circumcentre's bound is its least distance to its own triangle's
-    vertices and a crossing's is its distance to p, each a distance to a
-    point of pts; a region vertex has none (inf).
-
-    Only edges whose Voronoi edge can leave the region are crossed with its
-    boundary: those on the hull of pts, beside a flat triangle, or with a
-    circumcentre whose excess exceeds -tau.  Any other pq has two computed
-    circumcentres at least tau inside the region, and the true ones lie
-    within tau of them (check_covering_radius), so inside it.  Its Voronoi
-    edge is the segment between those two, inside the convex region too: it
-    meets the boundary at most at an end, and each end is a candidate.
-    """
-    try:
-        tri = Delaunay(pts)
-    except QhullError:
-        # under 3 points, or all on one line: there are no Voronoi
-        # vertices, and the Voronoi edges bisect neighbours along the line
-        axis = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)[2][0]
-        order = np.argsort(pts @ axis)
-        p, q = pts[order[:-1]], pts[order[1:]]
-        w1 = w2 = p  # w = p bounds nothing
-        centres, near, whole = np.empty((0, 2)), np.empty(0), True
-    else:
-        simp, nbr = tri.simplices, tri.neighbors
-        if simp.max() >= len(pts):
-            return None
-        whole = len(tri.coplanar) == 0
-        # every Voronoi vertex is the circumcentre of a non-flat triangle
-        corners = pts[simp]
-        a, b, c = corners[:, 0], corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-        det = 2 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        keep = det != 0
-        a, b, c, det = a[keep], b[keep], c[keep], det[keep]
-        b2, c2 = (b**2).sum(axis=1), (c**2).sum(axis=1)
-        centres = a + np.column_stack(
-            [c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2]
-        ) / det[:, None]
-        with np.errstate(over="ignore"):  # a sliver's far circumcentre: an infinite bound
-            near = _distance(centres[:, None], corners[keep]).min(axis=1)
-        shallow = ~keep
-        shallow[keep] = region.excess(centres) > -_TAU
-        # the edge facing vertex k of triangle s, once: from its lower
-        # triangle, or from its only one on the hull (nbr = -1); crossed
-        # only where its Voronoi edge can leave the region
-        s, k = np.divmod(np.arange(simp.size), 3)
-        n = nbr[s, k]
-        cross = (n < 0) | ((s < n) & (shallow[s] | shallow[n]))
-        s, k, n = s[cross], k[cross], n[cross]
-        i = simp[s, (k + 1) % 3]
-        p, q, w1 = pts[i], pts[simp[s, (k + 2) % 3]], pts[simp[s, k]]
-        w2 = pts[np.where(n < 0, i, simp[n, np.argmax(nbr[n] == s[:, None], axis=1)])]
-    normal, mid = q - p, (p + q) / 2
-    cands, bound = [centres, region.vertices], [near, np.full(len(region.vertices), np.inf)]
-    for v0, v1 in zip(region.vertices, np.roll(region.vertices, -1, axis=0)):
-        # v0 + t (v1 - v0) on the bisector {x : normal . (x - mid) = 0}
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = ((mid - v0) * normal).sum(axis=1) / (normal @ (v1 - v0))
-        on = (t >= 0) & (t <= 1)
-        x = v0 + t[on, None] * (v1 - v0)
-        keep = np.ones(len(x), dtype=bool)
-        for w in (w1[on], w2[on]):  # x within _TAU of p's side of the w-p bisector
-            pw = w - p[on]
-            keep &= ((x - (p[on] + w) / 2) * pw).sum(axis=1) <= _TAU * np.linalg.norm(pw, axis=1)
-        cands.append(x[keep])
-        bound.append(_distance(x[keep], p[on][keep]))
-    return np.concatenate(cands), np.concatenate(bound), whole
-
-
-def check_covering_radius(ps, R, region):
-    """Is every point of a convex region within R of the set?
-
-    Each candidate's distance is at most its bound, and equal to it where
-    qhull's triangulation is Delaunay; rounding on near-degenerate sets can
-    break that, so a bound alone never sets `radius`.  One KD-tree query
-    gives the region vertices' distances; the largest with excess <= tau is
-    a floor under the answer.  A second gives the distance of every
-    candidate with excess <= tau whose bound exceeds the floor, or R if
-    that is lower: no other can set `radius` or be a counterexample.  So
-    `radius` is the largest distance over candidates with excess <= tau,
-    and a candidate in the region farther than R is a counterexample.  The
-    set is certified when radius plus tau is at most R: distance and excess
-    are 1-Lipschitz, so this is sound while tau bounds each candidate's
-    location error.
-
-    A candidate solves a 2x2 system relative to a defining point, so its
-    error is about 8u(|x| + k*rho) (u = 2**-53, size |x|, distance rho to
-    that point, condition number k), and tau = 1e-9 covers |x| + k*rho up
-    to 10**6.  Patches under gifs.MAX_EPSILON_TILES have |x| < 10**4; a
-    Delaunay triangle with sides >= 2r and circumradius rho has
-    k <= 16(rho/2r)**3, which for the preset systems (r > 0.15) covers
-    every rho below 6, six times R; a crossing has k = 1/sin of the angle
-    between its two lines.  Anything else is inconclusive, with `radius`
-    inf: a point or region vertex with |x| >= 10**4 (every candidate that
-    counts lies within tau of the region, the hull of those vertices), or
-    a simplex naming qhull's point at infinity.  A triangulation that
-    leaves a point out as coplanar is not the set's, so it certifies
-    nothing; `radius` is then read off the kept points' candidates, and a
-    counterexample still stands, since its distance is queried.
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if len(ps) == 0:
-        raise ValueError("empty point set")
-    unknown = CoveringResult("inconclusive", None, math.inf)
-    size = np.linalg.norm(np.concatenate([ps.points, region.vertices]), axis=1)
-    if size.max() >= _TAU_RANGE:
-        return unknown
-    found = _covering_candidates(ps.points, region)
-    if found is None:
-        return unknown
-    cands, bound, whole = found
-    excess = region.excess(cands)
-    counted = excess <= _TAU
-    vertex = np.isinf(bound)  # the region vertices, and any sliver's far circumcentre
-    bound[vertex] = ps.tree.query(cands[vertex])[0]
-    floor = min(R, bound[vertex & counted].max(initial=0.0))
-    ask = counted & ~vertex & (bound > floor)
-    if ask.any():
-        bound[ask] = ps.tree.query(cands[ask])[0]
-    radius = float(bound[counted].max())
-    inside = np.where(excess <= _INSIDE_TOL, bound, -math.inf)
-    k = int(np.argmax(inside))
-    if inside[k] > R:
-        return CoveringResult("counterexample", tuple(cands[k].tolist()), radius)
-    if whole and radius + _TAU <= R:
-        return CoveringResult("certified", None, radius)
-    return CoveringResult("inconclusive", None, radius)
-
-
 def _cut_distances(ps, radii):
     """The Chabauty-Fell distance from ps to each cut ps ∩ B(0, R), from
     one pass of norms.
@@ -327,29 +127,69 @@ def _cut_distances(ps, radii):
     return out
 
 
+def _covering_bound(patch):
+    """reach + eta: no point of the footprint of a patch its system builds
+    (the start prototile under the build's root pose, inflated by
+    lam = epsilon**-0.5) is farther than this from the patch's points.
+
+    reach, the largest distance from a tile's vertex to its centroid, is
+    read off patch.vertices and patch.points: a triangle lies in the disc
+    of that radius about its centroid.  eta bounds how far a point of the
+    footprint can be from every tile, with D the greatest tile depth:
+
+    - splitting, 2*delta*lam*D.  _SPLIT splits a parent at its corners and
+      at one point strictly inside each edge (closure_report checks this),
+      so ideal children with their vertices on those points tile it
+      exactly.  Each child vertex is within 2*delta of its ideal point
+      (within delta of a sibling's vertex there, and that one within delta
+      of the edge line), so each point of an ideal child, a convex
+      combination of its vertices, is within 2*delta of the child's same
+      combination: 2*delta*s for a parent of scale s <= 1, and over D
+      levels, after inflation, at most 2*delta*lam*D.
+    - rounding, 32*u*size*(D + 3), u = 2**-53, with size lam times the
+      prototiles' largest coordinate (which bounds every coordinate before
+      inflation) plus the patch's.  Each _compose rounds a translation (cos,
+      sin, four products, two sums) and an angle below 4*pi, which turns
+      the subtree inside its tile by a few ulps: it puts a point within 32
+      ulps of size of the exact composition, as do the inflation (or the
+      stationary turn and shift), the last _place and reach's own rounding.
+    """
+    gifs, depth = patch.gifs, int(patch.tiles["depth"].max())
+    reach = float(np.sqrt(((patch.vertices - patch.points[:, None]) ** 2).sum(axis=2)).max())
+    lam = patch.epsilon**-0.5
+    size = lam * max(float(np.abs(p.vertices).max()) for p in gifs.prototiles)
+    size += float(np.abs(patch.vertices).max())
+    eta = 2 * closure_report(gifs)["delta"] * lam * depth + 32 * 2.0**-53 * size * (depth + 3)
+    return reach + eta
+
+
 def analysis_report(patch):
     """Full Delone/metric/discrepancy report for one patch, JSON-shaped.
 
-    cf_distances holds the Chabauty-Fell distance from the patch's point set
-    A to its cut A ∩ B(0, R), for R = 5, 10 and 20.  Where qhull cannot
-    build the patch's hull, as for vertices at widely mixed scales, R is
-    not certified.
+    r is certified by the closest pair.  R is certified for a patch its
+    system rebuilds whose _covering_bound is at most R; otherwise the
+    report adds R_reason, which says which of the two failed.
+    cf_distances holds the Chabauty-Fell distance from the patch's point
+    set A to its cut A ∩ B(0, R), for R = 5, 10 and 20.
     """
     ps = PointSet(patch.points)
     r, big_r = delone_radii(patch.gifs)
     ud = check_uniform_discrete(ps, r)
-    try:
-        region = patch_region(patch)
-    except ValueError:
-        covering = "inconclusive"
+    if not _rebuilds(patch):
+        reason = "not a patch this system builds"
+    elif _covering_bound(patch) > big_r:
+        reason = "largest tile reach plus rounding bound exceeds R"
     else:
-        covering = check_covering_radius(ps, big_r, region).status
+        reason = None
     n, dstar = orientation_discrepancy(patch)
-    return {
+    report = {
         "r_certified": ud.status == "certified",
-        "R_certified": covering == "certified",
+        "R_certified": reason is None,
         "r": r,
         "R": big_r,
         "cf_distances": _cut_distances(ps, (5, 10, 20)),
         "discrepancy": {"N": n, "Dstar": dstar},
     }
+    if reason is not None:
+        report["R_reason"] = reason
+    return report

@@ -125,7 +125,17 @@ def derive_constants(angles):
     t = math.sin(al) / math.sin(be)
     u = 2 * s * t * t * math.cos(ga)
     cot_ga = math.cos(ga) / math.sin(ga)
-    C = 2 * (1 + t * t) ** 2 * math.sin(al) * cot_ga / (t * (s * t + u) * (1 + 2 * t * math.cos(ga)))
+    # a tiny alpha or beta takes t*t out of the float range: refuse by name
+    # before a division by 0 or a float power past the range raises
+    for name, den in (("t*(s*t + u)", t * (s * t + u)), ("s*t*(s*t + u)", s * t * (s * t + u)),
+                      ("s*sin(alpha)", s * math.sin(al))):
+        if den == 0:
+            raise ValueError(f"degenerate angles: {name} underflows to 0")
+    try:
+        square = (1 + t * t) ** 2
+    except OverflowError:
+        raise ValueError("degenerate angles: (1 + t*t)**2 overflows") from None
+    C = 2 * square * math.sin(al) * cot_ga / (t * (s * t + u) * (1 + 2 * t * math.cos(ga)))
     a = math.sqrt(2 / (s * math.sin(al))) / (1 + t * t)
     b = 2 * math.sqrt(cot_ga / (s * t * (s * t + u) * (2 * t * math.cos(ga) + 1)))
     if not all(math.isfinite(v) and v > 0 for v in (s, t, u, C, a, b)):
@@ -175,7 +185,10 @@ def build_prototiles(angles):
     al, be, ga = angles.as_tuple()
     if ga >= math.pi / 2:
         raise ValueError("gamma must be acute")
-    k = math.sqrt(2 / (math.sin(al) * math.sin(be) * math.sin(ga)))
+    product = math.sin(al) * math.sin(be) * math.sin(ga)
+    if product == 0:  # two tiny angles: refuse by name before dividing
+        raise ValueError("degenerate angles: sin(alpha)*sin(beta)*sin(gamma) underflows to 0")
+    k = math.sqrt(2 / product)
     w = k * math.sin(ga)
     v = k * math.sin(be)
     t1 = _make_prototile(
@@ -556,6 +569,29 @@ def stationary_sequence(gifs, n):
         patches.append(Patch(float(eps0**k), gifs, tiles))
         anchor = _place(f3, anchor)
     return patches
+
+
+def _rebuilds(patch):
+    """Does the patch's own system build it from its own epsilon?
+
+    A file does not say which generator wrote it, so each one that could
+    have is run and its patch compared with Patch.__eq__ (epsilon, system
+    and tile bytes): epsilon_rule from either start, and stationary P_k
+    for each k <= 6 whose float(e0**k) is the epsilon, as
+    stationary_sequence spells it.  A generator that refuses the epsilon
+    builds nothing.
+    """
+    eps, gifs = patch.epsilon, patch.gifs
+    e0 = gifs.maps["f3"]["scale"].item() ** 2
+    builds = [lambda s=s: epsilon_rule(s, eps, gifs) for s in (1, 2)]
+    builds += [lambda k=k: stationary_sequence(gifs, k)[k] for k in range(7) if float(e0**k) == eps]
+    for build in builds:
+        try:
+            if build() == patch:
+                return True
+        except ValueError:
+            pass
+    return False
 
 
 POSE_TOL = 1e-6  # scale, orientation and centroid tolerance of nested_in

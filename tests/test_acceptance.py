@@ -15,13 +15,7 @@ import numpy as np
 
 from badtri.cf import PeriodicCF, expand_quadratic, expand_real, word_map
 from badtri.cli import main as cli_main
-from badtri.delone import (
-    PointSet,
-    check_covering_radius,
-    check_uniform_discrete,
-    delone_radii,
-    patch_region,
-)
+from badtri.delone import PointSet, analysis_report, check_uniform_discrete, delone_radii
 from badtri.gifs import (
     PRESETS,
     Angles,
@@ -48,8 +42,10 @@ from badtri.theorems import (
 from oracles import (
     cf_distance_brute,
     chabauty_fell_distance,
+    check_covering_radius,
     generate_solutions,
     insertion,
+    patch_region,
     similitude,
     sqrt2,
     sqrt3,
@@ -253,6 +249,8 @@ def test_c10_delone_certification():
             patch = epsilon_rule(1, eps, gifs)
             ps = PointSet(patch.points)
             ok &= check_uniform_discrete(ps, r).status == "certified"
+            # R by structure, and the measured covering radius within it
+            ok &= analysis_report(patch)["R_certified"]
             dense = check_covering_radius(ps, big_r, patch_region(patch))
             ok &= dense.status == "certified"
     _report(10, ok, t0, 60)

@@ -407,7 +407,9 @@ def test_tile_and_analyze(tmp_path, capsys):
 
 @pytest.mark.parametrize("what", ["discrepancy", "delone"])
 def test_analyze_wraps_a_rotation_just_below_zero(tmp_path, capsys, what):
-    # -1e-17 mod 2*pi rounds to exactly 2*pi; as an angle it is 0
+    # -1e-17 mod 2*pi rounds to exactly 2*pi; as an angle it is 0.  The
+    # system builds neither edited file, so analyze delone certifies no R
+    # for either, and exits 1
     patch_file = tmp_path / "p.json"
     run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.1", "--out", str(patch_file))
     doc = json.loads(patch_file.read_text())
@@ -416,9 +418,11 @@ def test_analyze_wraps_a_rotation_just_below_zero(tmp_path, capsys, what):
         doc["tiles"][0]["rotation"] = rotation
         patch_file.write_text(json.dumps(doc))
         code, out, err = run(capsys, "analyze", what, "--in", str(patch_file))
-        assert code == 0 and err == ""
+        assert code == (1 if what == "delone" else 0) and err == ""
         outs.append(out)
     assert outs[0] == outs[1]
+    if what == "delone":
+        assert json.loads(outs[0])["R_reason"] == "not a patch this system builds"
 
 
 @pytest.mark.parametrize("preset, start, digest", [
@@ -439,8 +443,7 @@ def test_analyze_delone_output_bytes(tmp_path, capsys, preset, start, digest):
 
 @pytest.mark.parametrize("shift", [1e8, 1e15])
 def test_analyze_delone_does_not_certify_a_far_translated_patch(tmp_path, capsys, shift):
-    # every tile moved by `shift` in x: qhull drops most centroids or names
-    # its point at infinity, and the coordinates are past tau's range
+    # every tile moved by `shift` in x: not a patch the system builds
     patch_file = tmp_path / "p.json"
     run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.003", "--out", str(patch_file))
     doc = json.loads(patch_file.read_text())
@@ -449,13 +452,13 @@ def test_analyze_delone_does_not_certify_a_far_translated_patch(tmp_path, capsys
     patch_file.write_text(json.dumps(doc))
     code, out, err = run(capsys, "analyze", "delone", "--in", str(patch_file))
     assert (code, err) == (1, "")
-    assert json.loads(out)["R_certified"] is False
+    assert json.loads(out)["R_reason"] == "not a patch this system builds"
 
 
 def test_analyze_delone_does_not_certify_a_patch_whose_hull_qhull_refuses(tmp_path, capsys):
     # tile 4 moved to [1e150, 0], within MAX_COORDINATE, or one tile of
-    # scale 1e-300: each file is a valid patch, but qhull cannot build the
-    # hull of its vertices, so R is not certified
+    # scale 1e-300: each file is a valid patch, which qhull cannot take the
+    # hull of and the system does not build, so R is not certified
     patch_file = tmp_path / "p.json"
     run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.04", "--out", str(patch_file))
     doc = json.loads(patch_file.read_text())
@@ -466,7 +469,7 @@ def test_analyze_delone_does_not_certify_a_patch_whose_hull_qhull_refuses(tmp_pa
         patch_file.write_text(json.dumps(bad))
         code, out, err = run(capsys, "analyze", "delone", "--in", str(patch_file))
         assert (code, err) == (1, "")
-        assert json.loads(out)["R_certified"] is False
+        assert json.loads(out)["R_reason"] == "not a patch this system builds"
         # the other readers of a patch file accept it
         assert run(capsys, "analyze", "discrepancy", "--in", str(patch_file))[0] == 0
 
@@ -495,6 +498,32 @@ def test_tile_names_angles_it_cannot_read(capsys, text):
     code, out, err = run(capsys, "tile", "--angles", text, "--epsilon", "0.1")
     assert (code, out) == (2, "")
     assert err == f"error: --angles needs three comma-separated radians, got {text!r}\n"
+
+
+@pytest.mark.parametrize("angles, message", [
+    # t = sin(alpha)/sin(beta) squares to 0, so t*(s*t + u) is 0
+    ("1e-300,2.5,0.6415926535897931", "t*(s*t + u) underflows to 0"),
+    ("5e-324,2.5,0.6415926535897931", "t*(s*t + u) underflows to 0"),
+    # t is about 1e100, so (1 + t*t)**2 is past the float range
+    ("1.6,1e-100,1.5415926535897931", "(1 + t*t)**2 overflows"),
+    # two tiny angles: the prototiles' sine product is 0
+    ("2.225934649730733e-254,3.141592653589793,5.767086715119677e-296",
+     "sin(alpha)*sin(beta)*sin(gamma) underflows to 0"),
+])
+def test_tile_and_analyze_refuse_angles_whose_constants_leave_the_float_range(
+        tmp_path, capsys, angles, message):
+    code, out, err = run(capsys, "tile", "--angles", angles, "--stationary", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: degenerate angles: {message}\n"
+    # a patch file with these angles fails the same way when it is read
+    patch_file = tmp_path / "p.json"
+    run(capsys, "tile", "--preset", "optimal1", "--epsilon", "0.2", "--out", str(patch_file))
+    doc = json.loads(patch_file.read_text())
+    patch_file.write_text(json.dumps(dict(doc, angles=list(map(float, angles.split(","))))))
+    for what in ("delone", "discrepancy"):
+        code, out, err = run(capsys, "analyze", what, "--in", str(patch_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: degenerate angles: {message}\n"
 
 
 def test_tile_rejects_runaway_epsilon(capsys):

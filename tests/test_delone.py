@@ -11,26 +11,26 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from badtri.delone import (
-    _INSIDE_TOL,
-    ConvexRegion,
     PointSet,
+    _covering_bound,
     _cut_distances,
     analysis_report,
-    check_covering_radius,
     check_uniform_discrete,
     delone_radii,
-    patch_region,
 )
 from badtri.gifs import (
     PRESETS,
+    Angles,
+    _rebuilds,
     build_gifs,
     epsilon_rule,
     orientation_discrepancy,
     star_discrepancy,
     stationary_sequence,
 )
-from oracles import (_cf_predicate, cf_distance_brute, chabauty_fell_distance,
-                     check_covering_radius_queried, restrict, star_discrepancy_brute)
+from oracles import (_INSIDE_TOL, ConvexRegion, _cf_predicate, cf_distance_brute,
+                     chabauty_fell_distance, check_covering_radius, check_covering_radius_queried,
+                     patch_region, restrict, star_discrepancy_brute)
 
 
 def random_points(rng, n, span=4.0):
@@ -303,7 +303,7 @@ def test_covering_radius_is_inconclusive_where_a_simplex_names_the_point_at_infi
         tri.simplices[0, 0] = len(pts)
         return tri
 
-    monkeypatch.setattr("badtri.delone.Delaunay", delaunay)
+    monkeypatch.setattr("oracles.Delaunay", delaunay)
     assert covering(bench_patch).status == "inconclusive"
 
 
@@ -531,7 +531,8 @@ def test_analysis_report_shape():
 
 def test_analysis_report_does_not_certify_a_patch_whose_hull_qhull_refuses():
     # one tile of the patch 1e150 away: qhull cannot build the hull of
-    # vertices at such mixed scales, and without a hull R is not certified
+    # vertices at such mixed scales, and the system does not build the
+    # patch, so R is not certified
     p = epsilon_rule(1, 0.04, build_gifs(PRESETS["optimal1"]))
     tiles = p.tiles.copy()
     tiles["tx"][4], tiles["ty"][4] = 1e150, 0.0
@@ -540,7 +541,58 @@ def test_analysis_report_does_not_certify_a_patch_whose_hull_qhull_refuses():
         patch_region(far)
     rep = analysis_report(far)
     assert rep["R_certified"] is False
+    assert rep["R_reason"] == "not a patch this system builds"
     assert rep["discrepancy"] == analysis_report(p)["discrepancy"]
+
+
+def _nudged(patch):
+    tiles = patch.tiles.copy()
+    tiles["tx"][3] += 1e-12
+    return dataclasses.replace(patch, tiles=tiles)
+
+
+_OPTIMAL1 = build_gifs(PRESETS["optimal1"])
+
+
+@pytest.mark.parametrize("mutant, reason", [
+    # one tile moved by 1e-12: the covering radius barely moves, but the
+    # tiles are no longer the ones the system builds
+    (_nudged, "not a patch this system builds"),
+    # the same tiles under another epsilon, or another system
+    (lambda p: dataclasses.replace(p, epsilon=0.05), "not a patch this system builds"),
+    (lambda p: dataclasses.replace(p, gifs=build_gifs(PRESETS["optimal2"])),
+     "not a patch this system builds"),
+    # P_1 holds a kind-2 tile of scale exactly 1.0, whose reach is R: no margin
+    (lambda p: stationary_sequence(_OPTIMAL1, 1)[1],
+     "largest tile reach plus rounding bound exceeds R"),
+], ids=["nudged-tile", "replaced-epsilon", "replaced-system", "optimal1-stationary-P1"])
+def test_analysis_report_does_not_certify_R_of_a_mutant(mutant, reason):
+    patch = epsilon_rule(1, 0.04, _OPTIMAL1)
+    assert analysis_report(patch)["R_certified"] is True
+    rep = analysis_report(mutant(patch))
+    assert rep["R_certified"] is False
+    assert rep["R_reason"] == reason
+    assert rep["r_certified"] is True  # the closest pair still decides r
+
+
+@st.composite
+def closing_angles(draw):
+    """Angle triples with gamma acute, drawn as test_gifs.random_angles draws them."""
+    ga = draw(st.floats(0.2, 1.47))
+    al = draw(st.floats(0.2, math.pi - ga - 0.25))
+    assume(math.pi - al - ga > 0.15)
+    return Angles(al, math.pi - al - ga, ga)
+
+
+@settings(max_examples=30)
+@given(closing_angles(), st.sampled_from([1, 2]), st.floats(0.01, 0.3))
+def test_structural_bound_holds_the_measured_covering_radius(angles, start, eps):
+    gifs = build_gifs(angles)
+    assume(1 / (gifs.a_min * eps) <= 3000)  # the oracle queries every candidate
+    patch = epsilon_rule(start, eps, gifs)
+    assert _rebuilds(patch)
+    measured = check_covering_radius_queried(PointSet(patch.points), 100.0, patch_region(patch))
+    assert measured.radius <= _covering_bound(patch)
 
 
 @pytest.mark.parametrize("preset", ["optimal1", "optimal2"])
@@ -556,12 +608,12 @@ def test_analysis_report_builds_one_tree_per_point_set(monkeypatch, preset, star
     monkeypatch.setattr("badtri.delone.cKDTree", counted)
     report = analysis_report(patch)
     assert len(built) == 4  # the patch and its three cuts
-    # a fresh tree for every query gives the same report: five in all, the
-    # patch's for its closest pair and for the region vertices, and the cuts'
+    # a fresh tree for every query gives the same report: four in all, the
+    # patch's for its closest pair and the cuts'
     monkeypatch.setattr(PointSet, "tree", property(lambda ps: counted(ps.points)))
     built.clear()
     assert analysis_report(patch) == report
-    assert len(built) == 5
+    assert len(built) == 4
 
 
 def test_pointset_duplicates_are_equal_rows():

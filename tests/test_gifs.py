@@ -1150,5 +1150,6 @@ def test_patch_paths_build_no_per_tile_objects(monkeypatch):
 
     (small, few), (large, many) = constructions(0.2), constructions(0.01)
     assert large > 10 * small
-    # per run: two roots, one system's eight maps, and a turn and a shift per level
-    assert few == many and len(few) == 2 + 8 + 2 * 5
+    # per run: three roots (analysis_report rebuilds the patch from its own),
+    # one system's eight maps, and a turn and a shift per level
+    assert few == many and len(few) == 3 + 8 + 2 * 5

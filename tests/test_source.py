@@ -125,8 +125,7 @@ print(codes, sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy
 ], ids=["tile-stationary-export", "tile-analyze-delone", "tile-analyze-discrepancy"])
 def test_only_delone_loads_scipy(tmp_path, commands, loaded):
     # nested_in matches tiles and gifs measures the orientation discrepancy
-    # with numpy alone; Delaunay, hulls and nearest neighbours in delone
-    # need scipy
+    # with numpy alone; the nearest neighbours in delone need scipy
     done = subprocess.run([sys.executable, "-c", GEOMETRY_CLI.format(commands=commands)],
                           env=_source_env(), cwd=tmp_path, capture_output=True, text=True,
                           timeout=60)
