@@ -11,7 +11,7 @@ from .cf import *
 from .theorems import *
 
 
-# The geometry layer needs numpy and scipy, so gifs and delone load on the
+# The geometry layer needs numpy, so gifs and delone load on the
 # first public name, __all__ or dir() asked of the package (PEP 562), and
 # the exact layer imports without them.
 def _load_geometry():

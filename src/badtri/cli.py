@@ -1,7 +1,7 @@
 """Command-line interface: verification runs, tiling exports, analysis.
 
-numpy loads only in the tile, analyze and export handlers, and scipy only
-in `analyze delone` (through delone), so the exact commands start fast."""
+numpy loads only in the tile, analyze and export handlers, so the exact
+commands start fast."""
 
 from __future__ import annotations
 

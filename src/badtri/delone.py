@@ -9,16 +9,19 @@ for a patch its system builds, so a report rebuilds the patch
 splitting and rounding error; a hand-edited patch gets no R.  The
 Chabauty-Fell distances from a patch to its cuts to balls about the
 origin are measured values, reported beside gifs' orientation discrepancy.
+
+Both nearest-point questions, the closest pair and the cut distances,
+are answered exactly on uniform grids with numpy alone.  A distance is
+always sqrt(dx*dx + dy*dy) of a coordinate difference, the arithmetic of
+a KD-tree query, so each equals that query's answer bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .gifs import _rebuilds, closure_report, orientation_discrepancy
 
@@ -32,11 +35,8 @@ __all__ = [
 
 
 class PointSet:
-    """A finite planar point set; equal points (0.0 == -0.0) are rejected.
-
-    The points are read-only, so the KD-tree over them is built once, on
-    first use, and shared by every query.
-    """
+    """A finite planar point set, stored read-only; equal points
+    (0.0 == -0.0) are rejected."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -52,10 +52,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    @functools.cached_property
-    def tree(self):
-        return cKDTree(self.points)
-
 
 def delone_radii(gifs):
     """(r, R) certified for every patch of this system: r = sqrt(a_min)*r0."""
@@ -63,6 +59,164 @@ def delone_radii(gifs):
     r0 = min(t1.r0, t2.r0)
     R0 = max(t1.R0, t2.R0)
     return math.sqrt(gifs.a_min) * r0, R0
+
+
+# The grids.  A cell is an integer pair (i, j) and a block is a list of
+# rows (i, j): the cells (ci + i, cj - j .. cj + j) about a point's cell
+# (ci, cj).  _BLOCK is the 3 x 3 block.
+_BLOCK = ((-1, 1), (0, 1), (1, 1))
+_K = 32  # the most points a cell of the final closest-pair grid may hold
+_CHUNK = 1 << 20  # pair distances computed at once
+_MAX_PAIRS = 1 << 27  # pair distances one cut may list
+_TINY = 2.0**-500  # below this a squared distance may lose bits to underflow
+
+
+def _side(d):
+    """A cell side s >= d such that two points whose dx*dx + dy*dy is at
+    most d*d, as computed, lie within s of each other along each axis:
+    the computed square is the exact one to a relative 4 ulps, except
+    for an absolute 2**-1074 of underflow, which 2**-16 covers above
+    _TINY and a fixed side covers below it."""
+    return d * (1 + 2.0**-16) if d >= _TINY else 2 * _TINY
+
+
+def _cells(v, side, reach):
+    """Integer cells of this side along one axis.
+
+    The sorted values split into runs wherever a gap exceeds reach*side.
+    Each run is floored from its own least value and starts 2*reach + 2
+    cells past the previous one: values in one run keep their cells'
+    offsets, values in two runs are more than reach*side apart and their
+    cells more than 2*reach apart, and no quotient or index passes
+    (3*reach + 3)*len(v), so each is exact however far the values spread.
+    """
+    order = np.argsort(v)
+    s = v[order]
+    new = np.empty(len(s), dtype=bool)
+    new[0] = True
+    np.greater(np.diff(s), reach * side, out=new[1:])
+    first = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    c = np.floor((s - s[first][run]) / side)
+    span = c[np.append(first[1:], len(s)) - 1] + 2 * reach + 2
+    base = np.cumsum(span) - span
+    cells = np.empty(len(v), dtype=np.int64)
+    cells[order] = c + base[run]
+    return cells
+
+
+def _grid(pts, side, reach):
+    """(keys, width): each point's cell (i, j) as the key i*width + j, with
+    width wide enough that a block row of half-width up to reach is one
+    range of keys.  Two points within reach*side along each axis have
+    cells at most that many apart."""
+    ci, cj = _cells(pts[:, 0], side, reach), _cells(pts[:, 1], side, reach)
+    width = int(cj.max()) + 2 * reach + 1
+    return ci * width + cj, width
+
+
+def _ranges(sorted_keys, keys, width, rows):
+    """lo, hi, one row per block row: sorted_keys[lo[r, p]:hi[r, p]] are
+    the keys in row r of the block about the cell of keys[p]."""
+    lo = np.array([np.searchsorted(sorted_keys, keys + (i * width - j)) for i, j in rows])
+    hi = np.array([np.searchsorted(sorted_keys, keys + (i * width + j), "right")
+                   for i, j in rows])
+    return lo, hi
+
+
+def _disc(k):
+    """The block of cells of side w/k whose points are all within
+    w*sqrt(1 - 1/k**2) < w of every point of the middle cell: it holds
+    every point within about (1 - 3/k)*w of a point of the middle cell."""
+    return tuple((i, math.isqrt(k * k - 1 - (abs(i) + 1) ** 2) - 1) for i in range(2 - k, k - 1))
+
+
+_NEAR_K = 16
+_NEAR = _disc(_NEAR_K)  # it reaches _NEAR_K - 2 cells each way
+
+
+def _d2(pts, p):
+    """dx*dx + dy*dy from p to each point of pts."""
+    dx, dy = pts[:, 0] - p[0], pts[:, 1] - p[1]
+    return dx * dx + dy * dy
+
+
+def _block_min(q, b, lo, hi, own=None):
+    """For each point of q, the least dx*dx + dy*dy to the points
+    b[lo[r]:hi[r]] of its block rows r, inf where the rows are empty.
+    own, if given, is each point's own index in b, which is skipped.  The
+    pairs are computed about _CHUNK at a time, each point's in one chunk."""
+    n, nrows = len(q), len(lo)
+    best = np.full(n, np.inf)
+    lens, starts = (hi - lo).T.ravel(), lo.T.ravel()  # point-major
+    per = lens.reshape(n, nrows).sum(axis=1)
+    ends = np.cumsum(per)
+    s = 0
+    while s < n:
+        e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
+        ln, cnt = lens[s * nrows:e * nrows], per[s:e]
+        idx = np.arange(cnt.sum()) - np.repeat(np.cumsum(ln) - ln - starts[s * nrows:e * nrows], ln)
+        dx = np.repeat(q[s:e, 0], cnt) - b[idx, 0]
+        dy = np.repeat(q[s:e, 1], cnt) - b[idx, 1]
+        d2 = dx * dx + dy * dy
+        if own is not None:
+            d2[idx == np.repeat(own[s:e], cnt)] = np.inf
+        has = cnt > 0
+        if has.any():
+            best[s:e][has] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[has])
+        s = e
+    return best
+
+
+def _closest_pair(pts):
+    """(d2, i, j): the least dx*dx + dy*dy over the pairs of two or more
+    points, exactly, and a pair i < j at that distance.
+
+    Khuller & Matias' sieve (Information and Computation 118, 1995) sets
+    the grid.  A random live point's nearest live distance d is a pair's,
+    so no less than the least, and a grid of side _side(d) holds every
+    pair at the least distance in adjacent cells.  While a cell of that
+    grid holds more than _K points, each live point alone in its 3 x 3
+    block of cells of side d/3, so with no live point within d/3, leaves,
+    and d is drawn again.  A point that stays has a live point within
+    2*sqrt(2)*d/3, so d falls by a twentieth or more each round, and, the
+    point being random, a fixed share of the live points leaves in
+    expectation.  Once none is live, no two points are within d/3 of
+    each other, and a cell holds at most 20.
+    The sieve counts its blocks' points and lists no pair; only the
+    final grid's 3 x 3 blocks are listed, at most 9*_K pairs a point.
+    """
+    n = len(pts)
+    rng = np.random.default_rng(0)
+    live = np.arange(n)
+    while True:
+        x = live[rng.integers(len(live))]
+        d2 = _d2(pts[live], pts[x])
+        d2[live == x] = np.inf
+        k = int(np.argmin(d2))
+        if d2[k] == 0:
+            return 0.0, *sorted((int(x), int(live[k])))
+        d = min(math.sqrt(d2[k]), 2.0**512)  # a finite d2 is below 2**1024
+        keys, width = _grid(pts, _side(d), 1)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if not np.any(keys[_K:] == keys[:-_K]):  # no cell holds more than _K
+            break
+        sub, sub_width = _grid(pts[live], d / 3, 1)
+        sub_order = np.argsort(sub, kind="stable")
+        sub = sub[sub_order]
+        lo, hi = _ranges(sub, sub, sub_width, _BLOCK)
+        live = np.sort(live[sub_order[(hi - lo).sum(axis=0) > 1]])
+        if len(live) < 2:
+            break
+    # in key order, each block row's search runs along the keys
+    lo, hi = _ranges(keys, keys, width, _BLOCK)
+    best = np.empty(n)
+    best[order] = _block_min(pts[order], pts[order], lo, hi, np.arange(n))
+    i = int(np.argmin(best))
+    d2 = _d2(pts, pts[i])
+    d2[i] = np.inf
+    return float(best[i]), i, int(np.argmin(d2))
 
 
 @dataclass(frozen=True)
@@ -89,12 +243,12 @@ def check_uniform_discrete(ps, r):
         raise ValueError("r must be positive")
     if len(ps) < 2:
         return UniformDiscreteResult("certified", None, math.inf)
-    d, idx = ps.tree.query(ps.points, k=2)
-    i = int(np.argmin(d[:, 1]))
-    dmin = float(d[i, 1])
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        d2, i, j = _closest_pair(ps.points)
+    dmin = math.sqrt(d2)
     if dmin >= 2 * r:
         return UniformDiscreteResult("certified", None, dmin)
-    return UniformDiscreteResult("violation", (i, int(idx[i, 1])), dmin)
+    return UniformDiscreteResult("violation", (i, j), dmin)
 
 
 def _cut_distances(ps, radii):
@@ -106,25 +260,68 @@ def _cut_distances(ps, radii):
     distance is the largest term min(delta_p, 1/|p|) over both sets,
     capped at 1 (delta_p = inf against an empty set).  A point in the cut
     is in both sets, with delta_p = 0, so only the points outside the cut
-    count, each queried in the cut's KD-tree.  A term is at most 1/|p|:
-    after the term w of the outside point nearest 0, only the points with
-    1/|p| > w can exceed it, and only they are queried.
+    count: _farthest finds their largest term.
     """
-    norms = np.linalg.norm(ps.points, axis=1)
     out = []
-    for radius in radii:
-        inside = norms <= radius
-        far, inv = ps.points[~inside], 1.0 / norms[~inside]
-        w = 0.0
-        if len(far):
-            tree = cKDTree(ps.points[inside])  # an empty tree gives inf
-            first = int(np.argmax(inv))
-            w = min(float(tree.query(far[first])[0]), float(inv[first]))
-            rest = inv > w
-            if rest.any():
-                w = max(w, float(np.minimum(tree.query(far[rest])[0], inv[rest]).max()))
-        out.append(min(1.0, w))
+    with np.errstate(over="ignore"):  # a norm or distance past the float range is inf
+        norms = np.linalg.norm(ps.points, axis=1)
+        for radius in radii:
+            inside = norms <= radius
+            far, inv = ps.points[~inside], 1.0 / norms[~inside]
+            out.append(min(1.0, _farthest(ps.points[inside], far, inv)))
     return out
+
+
+def _farthest(inside, far, inv):
+    """The largest term min(delta_q, inv_q) over the points q of far, with
+    delta_q the distance from q to inside; 0 if far is empty.
+
+    A term is at most inv_q.  So after the term w of the point nearest 0,
+    only the points with inv_q > w can exceed it, and only they are kept.
+    Of those, a point with a point of inside in its _NEAR block of cells
+    of side w/_NEAR_K is within w of it and leaves too.  The kept points' terms are
+    then found on one grid of side max inv_q: q's 3 x 3 block there holds
+    every point of inside within inv_q of q, so the least distance to
+    those, or inv_q if it is less, is q's term.  While that grid would
+    list more than _K pairs a point, the exact terms of 16 random kept
+    points raise w, the points that can no longer exceed it leave, and
+    the count is taken again; once a round leaves w where it was, the
+    grid is listed unless it holds more than _MAX_PAIRS pairs.
+    """
+    if not len(far) or not len(inside):
+        return float(inv.max(initial=0.0))  # delta_q = inf against no points
+    n = len(inside)
+    first = int(np.argmax(inv))
+    w = min(math.sqrt(_d2(inside, far[first]).min()), float(inv[first]))
+    rng = np.random.default_rng(0)
+    raised = True
+    while True:
+        keep = inv > w
+        if w >= _TINY and keep.any():
+            keys, width = _grid(np.concatenate([inside, far[keep]]), w / _NEAR_K, _NEAR_K - 2)
+            lo, hi = _ranges(np.sort(keys[:n]), keys[n:], width, _NEAR)
+            keep[keep] = (hi - lo).sum(axis=0) == 0
+        far, inv = far[keep], inv[keep]
+        if not len(far):
+            return w
+        keys, width = _grid(np.concatenate([inside, far]), _side(float(inv.max())), 1)
+        order = np.argsort(keys[:n], kind="stable")
+        lo, hi = _ranges(keys[:n][order], keys[n:], width, _BLOCK)
+        pairs = int((hi - lo).sum())
+        if pairs <= _K * (n + len(far)) or not raised:
+            break
+        pick = rng.choice(len(far), min(16, len(far)), replace=False)
+        t = max(min(math.sqrt(_d2(inside, far[p]).min()), float(inv[p])) for p in pick)
+        raised = t > w
+        w = max(w, t)
+        keep = np.ones(len(far), dtype=bool)
+        keep[pick] = False
+        far, inv = far[keep], inv[keep]
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"cut distance capped at {_MAX_PAIRS} pair distances, which take ~3 s: "
+                         f"this cut lists {pairs}")
+    best = _block_min(far, inside[order], lo, hi)
+    return max(w, float(np.minimum(np.sqrt(best), inv).max()))
 
 
 def _covering_bound(patch):

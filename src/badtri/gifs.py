@@ -191,13 +191,12 @@ def build_prototiles(angles):
     k = math.sqrt(2 / product)
     w = k * math.sin(ga)
     v = k * math.sin(be)
-    t1 = _make_prototile(
-        1, [(0.0, 0.0), (w, 0.0), (v * math.cos(al), v * math.sin(al))]
-    )
     w2 = 2 / math.sqrt(math.tan(ga))
-    t2 = _make_prototile(
-        2, [(0.0, 0.0), (w2, 0.0), (w2 / 2, (w2 / 2) * math.tan(ga))]
-    )
+    v1 = [(0.0, 0.0), (w, 0.0), (v * math.cos(al), v * math.sin(al))]
+    v2 = [(0.0, 0.0), (w2, 0.0), (w2 / 2, (w2 / 2) * math.tan(ga))]
+    if not all(math.isfinite(c) for p in v1 + v2 for c in p):  # a subnormal product
+        raise ValueError("degenerate angles: prototile vertices are not finite")
+    t1, t2 = _make_prototile(1, v1), _make_prototile(2, v2)
     for tile in (t1, t2):
         area = _triangle_area(tile.vertices)
         if abs(area - 1.0) > 1e-12:

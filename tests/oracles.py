@@ -324,15 +324,14 @@ def chabauty_fell_distance(a, b):
     infimum is the largest min(delta_p, 1/|p|) over both sets, with
     1/0 = inf and delta_p = inf against an empty set.  An argument that
     is not a PointSet is read as one, so it must hold distinct finite
-    points; each set's points are queried in the other set's KD-tree,
-    which that set builds once.
+    points; each set's points are queried in a KD-tree over the other's.
     """
     a, b = (s if isinstance(s, PointSet) else PointSet(s) for s in (a, b))
     worst = 0.0
     for s, t in ((a, b), (b, a)):
         if len(s) == 0:
             continue
-        delta = t.tree.query(s.points)[0] if len(t) else math.inf
+        delta = cKDTree(t.points).query(s.points)[0] if len(t) else math.inf
         with np.errstate(divide="ignore"):
             inv_norm = 1.0 / np.linalg.norm(s.points, axis=1)
         worst = max(worst, float(np.minimum(delta, inv_norm).max()))
@@ -518,11 +517,12 @@ def check_covering_radius(ps, R, region):
     excess = region.excess(cands)
     counted = excess <= _TAU
     vertex = np.isinf(bound)  # the region vertices, and any sliver's far circumcentre
-    bound[vertex] = ps.tree.query(cands[vertex])[0]
+    tree = cKDTree(ps.points)
+    bound[vertex] = tree.query(cands[vertex])[0]
     floor = min(R, bound[vertex & counted].max(initial=0.0))
     ask = counted & ~vertex & (bound > floor)
     if ask.any():
-        bound[ask] = ps.tree.query(cands[ask])[0]
+        bound[ask] = tree.query(cands[ask])[0]
     radius = float(bound[counted].max())
     inside = np.where(excess <= _INSIDE_TOL, bound, -math.inf)
     k = int(np.argmax(inside))
@@ -598,7 +598,7 @@ def check_covering_radius_queried(ps, R, region):
     if len(ps) == 0:
         raise ValueError("empty point set")
     cands = covering_candidates(ps.points, region)
-    dist = ps.tree.query(cands)[0]
+    dist = cKDTree(ps.points).query(cands)[0]
     excess = region.excess(cands)
     radius = float(dist[excess <= _TAU].max())
     inside = np.where(excess <= _INSIDE_TOL, dist, -math.inf)

@@ -509,7 +509,11 @@ def test_tile_names_angles_it_cannot_read(capsys, text):
     # two tiny angles: the prototiles' sine product is 0
     ("2.225934649730733e-254,3.141592653589793,5.767086715119677e-296",
      "sin(alpha)*sin(beta)*sin(gamma) underflows to 0"),
+    # the sine product is subnormal, so the scalene tile's size is inf
+    ("4.3950305706737876e-167,3.141592653589793,1.935939163271626e-133",
+     "prototile vertices are not finite"),
 ])
+@pytest.mark.filterwarnings("error")  # as under python -W error: a numpy warning fails
 def test_tile_and_analyze_refuse_angles_whose_constants_leave_the_float_range(
         tmp_path, capsys, angles, message):
     code, out, err = run(capsys, "tile", "--angles", angles, "--stationary", "0")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_uniform_discrete_judges_the_stored_points_wherever_they_lie(shift):
     pts = [tuple(map(Fraction, p)) for p in ps.points.tolist()]
     # every pair within 1 holds the closest: it is nearer than 0.5 at each shift
     exact = min((pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-                for i, j in ps.tree.query_pairs(1.0))
+                for i, j in cKDTree(ps.points).query_pairs(1.0))
     assert abs(res.min_distance - math.sqrt(exact)) <= 1e-15 * math.sqrt(exact) < 0.5
     assert res.status == ("certified" if exact >= 4 * Fraction(r) ** 2 else "violation")
     assert res.status == ("violation" if shift == 1e15 else "certified")
@@ -376,7 +377,7 @@ def test_covering_radius_on_a_certified_patch_queries_only_the_region_vertices(
             queried.append(len(x))
             return self._tree.query(x)
 
-    monkeypatch.setattr(PointSet, "tree", property(lambda ps: Counted(ps.points)))
+    monkeypatch.setattr("oracles.cKDTree", Counted)
     region = patch_region(bench_patch)
     assert covering(bench_patch).status == "certified"
     assert sum(queried) <= len(region.vertices)
@@ -597,23 +598,139 @@ def test_structural_bound_holds_the_measured_covering_radius(angles, start, eps)
 
 @pytest.mark.parametrize("preset", ["optimal1", "optimal2"])
 @pytest.mark.parametrize("start", [1, 2])
-def test_analysis_report_builds_one_tree_per_point_set(monkeypatch, preset, start):
+def test_analysis_report_matches_the_kd_tree_oracle(preset, start):
+    # the closest pair and the cut distances equal a KD-tree's, bit for bit
     patch = epsilon_rule(start, 0.003, build_gifs(PRESETS[preset]))
-    built = []
-
-    def counted(points):
-        built.append(len(points))
-        return cKDTree(points)
-
-    monkeypatch.setattr("badtri.delone.cKDTree", counted)
+    ps = PointSet(patch.points)
+    r, _ = delone_radii(patch.gifs)
+    least = kd_least(ps)
+    assert check_uniform_discrete(ps, r).min_distance == least
     report = analysis_report(patch)
-    assert len(built) == 4  # the patch and its three cuts
-    # a fresh tree for every query gives the same report: four in all, the
-    # patch's for its closest pair and the cuts'
-    monkeypatch.setattr(PointSet, "tree", property(lambda ps: counted(ps.points)))
-    built.clear()
-    assert analysis_report(patch) == report
-    assert len(built) == 4
+    assert report["r_certified"] is (least >= 2 * r)
+    assert report["cf_distances"] == [chabauty_fell_distance(ps, restrict(ps, R))
+                                      for R in (5, 10, 20)]
+
+
+def kd_least(ps):
+    """The oracle's closest-pair distance: each point's second-nearest in
+    a KD-tree over the set is its nearest other point."""
+    return float(cKDTree(ps.points).query(ps.points, k=2)[0][:, 1].min())
+
+
+def assert_kernel_matches_the_kd_tree(ps, radii, r=1e-300):
+    least = kd_least(ps)
+    res = check_uniform_discrete(ps, r)
+    assert res.min_distance == least
+    assert res.status == ("violation" if least < 2 * r else "certified")
+    if res.pair is not None:
+        i, j = res.pair
+        (dx, dy) = ps.points[i] - ps.points[j]
+        assert i < j and math.sqrt(dx * dx + dy * dy) == least
+    assert _cut_distances(ps, radii) == [chabauty_fell_distance(ps, restrict(ps, R))
+                                         for R in radii]
+
+
+unit = st.floats(-1, 1)
+
+
+@st.composite
+def scaled_clustered_sets(draw):
+    """Up to 30 sparse points in [-8, 8]^2 and up to 30 in a box of side
+    down to 1e-9 about the first, all scaled by 10**k and shifted by up
+    to 1e15, with cut radii over the scaled set's norms."""
+    sparse = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=30))
+    dense = draw(st.lists(st.tuples(unit, unit), max_size=30))
+    side = draw(st.floats(1e-9, 1.0))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    shift = draw(st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)))
+    pts = np.array(sparse) * 8
+    pts = np.vstack([pts, pts[0] + side * np.array(dense).reshape(-1, 2)]) * scale + shift
+    pts = np.unique(pts, axis=0)
+    top = float(np.linalg.norm(pts, axis=1).max())
+    radii = draw(st.lists(st.floats(0, 1.2), min_size=1, max_size=3))
+    return PointSet(pts), [top * x for x in radii] + [5, 10, 20]
+
+
+@settings(max_examples=300)
+@given(scaled_clustered_sets())
+def test_grid_kernel_matches_the_kd_tree_at_every_scale(case):
+    assert_kernel_matches_the_kd_tree(*case)
+
+
+def test_grid_kernel_on_an_underflowing_pair():
+    # dx*dx + dy*dy underflows to 0, so the first nearest distance is 0
+    # and gives no grid side: the pair is the closest, at distance 0
+    ps = PointSet([(0, 0), (0, 1e-170)])
+    res = check_uniform_discrete(ps, 1e-300)
+    assert (res.status, res.pair, res.min_distance) == ("violation", (0, 1), 0.0)
+    assert_kernel_matches_the_kd_tree(ps, [1e-171, 1e-170, 1])
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1e-3, 0), (1e300, 0), (1e300, 1)],
+    [(1e300, 1), (0, 0), (1e300, 0), (-1e300, 1e300), (1e-3, 0)],
+    # every distance overflows to inf
+    [(-1e308, 0), (1e308, 0), (0, 1e308)],
+], ids=["spread", "spread-shuffled", "overflowing"])
+def test_grid_kernel_on_a_set_spread_past_2_to_the_52_times_its_closest_pair(points):
+    # floor((x - xmin)/side) is not exact at 1e300/1e-3: each cell index
+    # counts from its own run of coordinates
+    ps = PointSet(points)
+    with np.errstate(over="ignore"):  # the oracle's norms overflow
+        assert_kernel_matches_the_kd_tree(ps, [1, 1e300, math.inf])
+
+
+def test_grid_kernel_on_pairs_one_cell_side_apart_across_a_rounding():
+    # (1 - 2**-53, y) and (2, y) differ by 1 as computed, the least
+    # distance; x/1 floors to cells 0 and 2, so only a side a little
+    # above the least distance keeps each pair in adjacent cells
+    a = 1 - 2.0**-53
+    pts = [(0.0, -10.0)] + [p for k in range(50) for p in ((a, 10.0 * k), (2.0, 10.0 * k))]
+    assert_kernel_matches_the_kd_tree(PointSet(pts), [5, 10, 20])
+
+
+def timed_match(ps, radii):
+    start = time.perf_counter()
+    res = check_uniform_discrete(ps, 1e-300)
+    cuts = _cut_distances(ps, radii)
+    elapsed = time.perf_counter() - start
+    assert res.min_distance == kd_least(ps)
+    assert cuts == [chabauty_fell_distance(ps, restrict(ps, R)) for R in radii]
+    return elapsed
+
+
+def test_grid_kernel_on_two_scales():
+    # 50k points in a 1e-3 box and 50k in a 1000 box: the sieve counts the
+    # points in each 3 x 3 block and never lists their pairs
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(0, 1e-3, (50_000, 2)), rng.uniform(-500, 500, (50_000, 2))])
+    assert timed_match(PointSet(pts), [5, 10, 20]) < 2.0
+
+
+def test_grid_kernel_on_a_cluster_across_a_cut():
+    # 20k points in a 0.01 box at (5, 0), half of them outside B(0, 5):
+    # one cell of side 1/5 would list 10^8 pairs
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-0.005, 0.005, (20_000, 2)) + (5, 0)
+    assert timed_match(PointSet(pts), [5, 5.003, 10]) < 2.0
+
+
+def test_cut_distance_refuses_a_ring_about_a_dense_cluster_by_name():
+    # 20k points of B(0, 5) within 1e-3 of (4.9, 0), and 28k outside it on
+    # the circle of radius 0.15 about that point: every outside point's
+    # term is about 0.15, so no sample prunes the others, and each one's
+    # 3 x 3 block holds the whole cluster
+    rng = np.random.default_rng(0)
+    centre = np.array([4.9, 0.0])
+    th = rng.uniform(-1.2, 1.2, 40_000)
+    ring = centre + 0.15 * np.column_stack([np.cos(th), np.sin(th)])
+    pts = np.vstack([centre + rng.uniform(-7e-4, 7e-4, (20_000, 2)),
+                     ring[np.linalg.norm(ring, axis=1) > 5]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"capped at 134217728 pair distances, which take "
+                                         r"~3 s: this cut lists \d+$"):
+        _cut_distances(PointSet(pts), [5])
+    assert time.perf_counter() - start < 2.0
 
 
 def test_pointset_duplicates_are_equal_rows():

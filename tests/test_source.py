@@ -115,22 +115,35 @@ print(codes, sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy
 """
 
 
-@pytest.mark.parametrize("commands, loaded", [
-    ([["tile", "--preset", "optimal1", "--stationary", "2", "--out", "seq.json"],
-      ["export", "--in", "seq.json", "--svg", "seq.svg", "--json", "seq2.json"]], ["numpy"]),
-    ([["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
-      ["analyze", "delone", "--in", "p.json"]], ["numpy", "scipy"]),
-    ([["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
-      ["analyze", "discrepancy", "--in", "p.json"]], ["numpy"]),
+@pytest.mark.parametrize("commands", [
+    [["tile", "--preset", "optimal1", "--stationary", "2", "--out", "seq.json"],
+     ["export", "--in", "seq.json", "--svg", "seq.svg", "--json", "seq2.json"]],
+    [["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
+     ["analyze", "delone", "--in", "p.json"]],
+    [["tile", "--preset", "optimal1", "--epsilon", "0.05", "--out", "p.json"],
+     ["analyze", "discrepancy", "--in", "p.json"]],
 ], ids=["tile-stationary-export", "tile-analyze-delone", "tile-analyze-discrepancy"])
-def test_only_delone_loads_scipy(tmp_path, commands, loaded):
-    # nested_in matches tiles and gifs measures the orientation discrepancy
-    # with numpy alone; the nearest neighbours in delone need scipy
+def test_no_command_loads_scipy(tmp_path, commands):
+    # nested_in matches tiles, gifs measures the orientation discrepancy
+    # and delone finds nearest points on grids, all with numpy alone
     done = subprocess.run([sys.executable, "-c", GEOMETRY_CLI.format(commands=commands)],
                           env=_source_env(), cwd=tmp_path, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"[0, 0] {loaded}"
+    assert done.stdout.splitlines()[-1] == "[0, 0] ['numpy']"
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency: the oracles' KD-tree and qhull
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert imported
+    assert [(name, m) for name, m in imported if m.split(".")[0] == "scipy"] == []
 
 
 def test_package_exports_each_modules_all():
