@@ -285,11 +285,14 @@ def expand_real(value, err=None, terms=64):
     emitted once and the result is flagged `terminated`: the expansion is
     exact iff the input was exactly that rational.
     """
-    v, default = _read_real(value) if isinstance(value, str) else (Fraction(value), None)
-    if isinstance(err, str):
-        err = _read_real(err)[0]
-    elif err is None:
-        err = default
+    try:
+        v, default = _read_real(value) if isinstance(value, str) else (Fraction(value), None)
+        if isinstance(err, str):
+            err = _read_real(err)[0]
+        else:  # Fraction(err) is exact for a finite float; Fraction - float would be a float
+            err = default if err is None else Fraction(err)
+    except OverflowError:  # Fraction of an infinite float
+        raise ValueError("value and err must be finite") from None
     if err is None:
         raise ValueError("an explicit error bound is required for non-string input")
     if err < 0:

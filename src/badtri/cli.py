@@ -288,34 +288,10 @@ def cmd_tile(args):
 # ------------------------------------------------------------------ analyze
 
 
-def _load_patches(path):
-    """The file's patches, and whether the file holds a list of them; an
-    error in a list names its patch by index from 0, as export's -k.svg
-    names do."""
-    from .gifs import patch_from_doc
-
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path} nests too deeply to be a patch file") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not JSON: {exc}") from None
-    if isinstance(doc, list):
-        if not doc:
-            raise ValueError(f"{path} holds no patches")
-        patches = []
-        for k, d in enumerate(doc):
-            try:
-                patches.append(patch_from_doc(d))
-            except ValueError as exc:
-                raise ValueError(f"patch {k}: {exc}") from None
-        return patches, True
-    return [patch_from_doc(doc)], False
-
-
 def cmd_analyze(args):
-    patches, listed = _load_patches(args.infile)
+    from .gifs import read_patch_file
+
+    patches, listed = read_patch_file(args.infile)
     if args.what == "delone":
         from .delone import analysis_report
 
@@ -333,92 +309,28 @@ def cmd_analyze(args):
 # ------------------------------------------------------------------ export
 
 
-def export_svg(patch, prev_patch=None, texts=None):
-    """Stroke-only tile outlines plus one disk per point, 2% margin.
-
-    Tiles of `patch` that gifs.nested_in finds in `prev_patch` are drawn
-    with the prev class: all of the smaller patch's tiles are compared with
-    the tail block of the larger, in either order.
-
-    `texts` is the patch's entry of a gifs._text_table holding "vertices"
-    and "points", so a caller that also writes JSON formats each float
-    once; without one, export_svg builds its own.
-    """
-    import numpy as np
-
-    from .gifs import _SVG_COLUMNS, _join_rows, _text_table, nested_in
-
-    polys, pts = patch.vertices, patch.points
-    allv = np.concatenate([polys.reshape(-1, 2), pts])
-    x0, y0 = allv.min(axis=0)
-    x1, y1 = allv.max(axis=0)
-    mx, my = 0.02 * (x1 - x0), 0.02 * (y1 - y0)
-    x0, y0, x1, y1 = x0 - mx, y0 - my, x1 + mx, y1 + my
-    span = max(x1 - x0, y1 - y0)
-    stroke = 0.003 * span
-    radius = 0.008 * span
-    n = len(patch.tiles)
-    if prev_patch is None:
-        in_prev = [False] * n
-    elif n <= len(prev_patch.tiles):
-        in_prev = nested_in(patch, prev_patch)
-    else:
-        in_prev = [False] * (n - len(prev_patch.tiles)) + nested_in(prev_patch, patch)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',
-        f"<style>.tile{{fill:none;stroke:#000;stroke-width:{stroke}}}"
-        f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
-        f".pt{{fill:#1a1a1a}}</style>",
-    ]
-    if texts is None:
-        (texts,) = _text_table([patch], _SVG_COLUMNS)
-    v = texts["vertices"]  # six coordinates per tile
-    lines.append(_join_rows([
-        np.where(in_prev, '<path class="tile prev" d="M', '<path class="tile" d="M').tolist(),
-        v[0::6], " ", v[1::6], " L", v[2::6], " ", v[3::6], " L", v[4::6], " ", v[5::6], ' Z"/>',
-    ], "\n"))
-    xy = texts["points"]
-    lines.append(_join_rows(['<circle class="pt" cx="', xy[0::2], '" cy="', xy[1::2],
-                             f'" r="{radius}"/>'], "\n"))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def export_csv(patch):
-    """Point set as x,y rows with 17-significant-digit decimals."""
-    rows = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in patch.points]
-    return "\n".join(rows) + "\n"
-
-
 def cmd_export(args):
-    from .gifs import _JSON_COLUMNS, _SVG_COLUMNS, _text_table, patch_to_json
+    from .gifs import patch_texts, read_patch_file
 
-    patches, listed = _load_patches(args.infile)
-    if not (args.svg or args.json_out or args.csv):
+    patches, listed = read_patch_file(args.infile)
+    paths = {"json": args.json_out, "csv": args.csv, "svg": args.svg}
+    if not any(paths.values()):
         raise ValueError("choose at least one of --svg/--json/--csv")
     # every request is checked against the file's shape before any write
-    if args.csv and len(patches) > 1:
-        raise ValueError("csv export takes a single-patch file")
-    # one table of float texts for both writers: each distinct float of the
-    # columns they write is formatted once for the whole command
-    names = (_JSON_COLUMNS if args.json_out else ()) + (_SVG_COLUMNS if args.svg else ())
-    table = _text_table(patches, tuple(dict.fromkeys(names)))
+    texts = patch_texts(patches if listed else patches[0], [f for f in paths if paths[f]])
     if args.json_out:
-        text = patch_to_json(patches if listed else patches[0], table)
         with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(texts["json"] + "\n")
         print(f"json -> {args.json_out}")
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(export_csv(patches[0]))
+            fh.write(texts["csv"])
         print(f"csv -> {args.csv}")
     if args.svg:
         stem, ext = os.path.splitext(args.svg)
-        for k, patch in enumerate(patches):
+        for k in range(len(patches)):  # one drawing alive at a time
             name = f"{stem}-{k}{ext or '.svg'}" if listed else args.svg
             with open(name, "w") as fh:
-                fh.write(export_svg(patch, prev_patch=patches[k - 1] if k else None,
-                                    texts=table[k]))
+                fh.write(next(texts["svg"]))
             print(f"svg -> {name}")
     return 0

@@ -239,7 +239,7 @@ def check_uniform_discrete(ps, r):
     placed, and the verdict is then the one for those rounded points,
     unless their least distance lies within those few ulps of 2r.
     """
-    if r <= 0:
+    if not r > 0:  # nan too
         raise ValueError("r must be positive")
     if len(ps) < 2:
         return UniformDiscreteResult("certified", None, math.inf)

@@ -65,8 +65,10 @@ __all__ = [
     "stationary_nesting_ok",
     "star_discrepancy",
     "orientation_discrepancy",
+    "patch_texts",
     "patch_to_json",
     "patch_from_doc",
+    "read_patch_file",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -532,9 +534,9 @@ def stationary_sequence(gifs, n):
     e0 = scale(f3)^2; P_k is the e0^k patch of the scalene tile, re-anchored
     at the k-fold f3-image of the origin, inflated by e0^(-k/2), and rotated
     by -k*gamma — the tiles of P_(k-1) then recur, in order, as the last
-    tiles of P_k (see nested_in).  As in epsilon_rule, P_k holds at most
-    1/(a_min*e0^k) tiles; the sum of these over k = 0..n is capped at
-    MAX_EPSILON_TILES.
+    tiles of P_k (see nested_in).  P_0 is the start tile alone, and as in
+    epsilon_rule, P_k for k >= 1 holds at most 1/(a_min*e0^k) tiles; one
+    plus the sum of these over k = 1..n is capped at MAX_EPSILON_TILES.
     """
     if n > 6:
         raise ValueError(
@@ -548,7 +550,7 @@ def stationary_sequence(gifs, n):
     f3 = gifs.maps["f3"]
     f3_scale = f3["scale"].item()
     eps0 = f3_scale**2
-    bound = sum(1 / (gifs.a_min * eps0**k) for k in range(n + 1))
+    bound = 1 + sum(1 / (gifs.a_min * eps0**k) for k in range(1, n + 1))
     if bound > MAX_EPSILON_TILES:
         raise ValueError(
             f"n={n} allows up to {bound:.3g} tiles, above the cap of {MAX_EPSILON_TILES}"
@@ -650,7 +652,7 @@ def star_discrepancy(xs):
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
-    if x[0] < 0 or x[-1] >= 1:
+    if not (x[0] >= 0 and x[-1] < 1):  # np.sort puts a nan last
         raise ValueError("values must lie in [0, 1)")
     i = np.arange(1, n + 1)
     return float(np.maximum(i / n - x, x - (i - 1) / n).max())
@@ -677,7 +679,7 @@ def _float_texts(values):
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-# the float columns patch_to_json writes, and those export_svg writes
+# the float columns the JSON writes, and those the SVG writes
 _JSON_COLUMNS = ("scale", "rotation", "tx", "ty", "points")
 _SVG_COLUMNS = ("vertices", "points")
 
@@ -730,23 +732,81 @@ def _patch_text(patch, texts):
     return f'{{"epsilon":{epsilon},"angles":{angles},"tiles":[{rows}],"points":[{points}]}}'
 
 
-def patch_to_json(patches, table=None):
-    """A patch, or a list of patches, as compact JSON, byte for byte the
-    text json.JSONEncoder(separators=(",", ":")) writes for the document:
-    {"epsilon", "angles", "tiles", "points"}, each tile {"kind", "scale",
-    "rotation", "reflect", "translation": [tx, ty], "depth"} and each
-    point a tile centroid [x, y].
+def _svg_text(patch, prev_patch, texts):
+    """Stroke-only tile outlines plus one disk per point, 2% margin, from
+    the patch's entry of a _text_table holding _SVG_COLUMNS.
 
-    `table` is a _text_table of the patches (of [patch] for one patch)
-    holding at least _JSON_COLUMNS, so a caller that also writes SVG
-    formats each float once; without one, patch_to_json builds its own.
+    Tiles of `patch` that nested_in finds in `prev_patch` (if not None)
+    are drawn with the prev class: all of the smaller patch's tiles are
+    compared with the tail block of the larger, in either order.
+    """
+    polys, pts = patch.vertices, patch.points
+    allv = np.concatenate([polys.reshape(-1, 2), pts])
+    x0, y0 = allv.min(axis=0)
+    x1, y1 = allv.max(axis=0)
+    mx, my = 0.02 * (x1 - x0), 0.02 * (y1 - y0)
+    x0, y0, x1, y1 = x0 - mx, y0 - my, x1 + mx, y1 + my
+    span = max(x1 - x0, y1 - y0)
+    stroke = 0.003 * span
+    radius = 0.008 * span
+    n = len(patch.tiles)
+    if prev_patch is None:
+        in_prev = [False] * n
+    elif n <= len(prev_patch.tiles):
+        in_prev = nested_in(patch, prev_patch)
+    else:
+        in_prev = [False] * (n - len(prev_patch.tiles)) + nested_in(prev_patch, patch)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',
+        f"<style>.tile{{fill:none;stroke:#000;stroke-width:{stroke}}}"
+        f".prev{{stroke:#b00020;stroke-width:{2 * stroke}}}"
+        f".pt{{fill:#1a1a1a}}</style>",
+    ]
+    v = texts["vertices"]  # six coordinates per tile
+    lines.append(_join_rows([
+        np.where(in_prev, '<path class="tile prev" d="M', '<path class="tile" d="M').tolist(),
+        v[0::6], " ", v[1::6], " L", v[2::6], " ", v[3::6], " L", v[4::6], " ", v[5::6], ' Z"/>',
+    ], "\n"))
+    xy = texts["points"]
+    lines.append(_join_rows(['<circle class="pt" cx="', xy[0::2], '" cy="', xy[1::2],
+                             f'" r="{radius}"/>'], "\n"))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def patch_texts(patches, formats):
+    """A patch, or a list of patches, in each format named in `formats`:
+    "json" maps to compact JSON, byte for byte json.JSONEncoder(separators=
+    (",", ":")) on {"epsilon", "angles", "tiles", "points"}, each tile
+    {"kind", "scale", "rotation", "reflect", "translation": [tx, ty],
+    "depth"} and each point a tile centroid [x, y]; "svg" to an iterator
+    drawing each patch after the one before it (_svg_text) as it is read;
+    "csv", of a single patch, to x,y rows of its points with 17 significant
+    digits.  One _text_table serves JSON and SVG, so each distinct float
+    they write is formatted once per call.
     """
     one = isinstance(patches, Patch)
     patches = [patches] if one else list(patches)
-    if table is None:
-        table = _text_table(patches, _JSON_COLUMNS)
-    texts = list(map(_patch_text, patches, table))
-    return texts[0] if one else "[" + ",".join(texts) + "]"
+    if "csv" in formats and len(patches) > 1:
+        raise ValueError("csv export takes a single-patch file")
+    names = (_JSON_COLUMNS if "json" in formats else ()) + (_SVG_COLUMNS if "svg" in formats else ())
+    table = _text_table(patches, tuple(dict.fromkeys(names)))
+    out = {}
+    if "json" in formats:
+        texts = list(map(_patch_text, patches, table))
+        out["json"] = texts[0] if one else "[" + ",".join(texts) + "]"
+    if "svg" in formats:
+        out["svg"] = (_svg_text(p, patches[k - 1] if k else None, t)
+                      for k, (p, t) in enumerate(zip(patches, table)))
+    if "csv" in formats:
+        out["csv"] = "".join(["x,y\n"] + [f"{x:.17g},{y:.17g}\n" for x, y in patches[0].points])
+    return out
+
+
+def patch_to_json(patches):
+    """A patch, or a list of patches, as patch_texts' compact JSON."""
+    return patch_texts(patches, ("json",))["json"]
 
 
 _TILE_KEYS = ("kind", "scale", "rotation", "reflect", "translation", "depth")
@@ -836,3 +896,27 @@ def patch_from_doc(doc):
     tiles["kind"], tiles["reflect"], tiles["depth"] = kind, reflect, depth
     tiles["scale"], tiles["rotation"], tiles["tx"], tiles["ty"] = values
     return Patch(float(doc["epsilon"]), gifs, tiles)
+
+
+def read_patch_file(path):
+    """The patches of a patch file, and whether the file holds a list of
+    them; an error in a list names its patch by index from 0, as export's
+    -k.svg names do."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to be a patch file") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+    if isinstance(doc, list):
+        if not doc:
+            raise ValueError(f"{path} holds no patches")
+        patches = []
+        for k, d in enumerate(doc):
+            try:
+                patches.append(patch_from_doc(d))
+            except ValueError as exc:
+                raise ValueError(f"patch {k}: {exc}") from None
+        return patches, True
+    return [patch_from_doc(doc)], False

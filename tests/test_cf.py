@@ -325,6 +325,23 @@ def test_expand_real_reads_p_q_and_err_text():
     assert expand_real("0.25", "1/1000") == expand_real("0.25", Fraction(1, 1000))
 
 
+def test_expand_real_keeps_a_float_error_bound_exact():
+    # Fraction - float is a float: a float bound must not turn the interval
+    # arithmetic into float arithmetic, which rounds v to 1/3 and then
+    # certifies 1/3's expansion
+    v = Fraction(1, 3) + Fraction(1, 10**20)
+    exact = ExpandResult((2, 1, 11111111111111111110, 2, 4), True)
+    assert expand_real(v, err=0) == expand_real(v, err=0.0) == exact
+    r = expand_real(v, err=1e-30)
+    assert r == expand_real(v, err=Fraction(1e-30))
+    assert r.digits == exact.digits[:len(r.digits)] and not r.terminated
+    with pytest.raises(ValueError):
+        expand_real(v, err=float("nan"))
+    for value, err in ((v, float("inf")), (float("inf"), 0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            expand_real(value, err)
+
+
 # ------------------------------------------------------------- text syntax
 
 

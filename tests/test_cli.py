@@ -13,7 +13,7 @@ import pytest
 import badtri.theorems as theorems
 from badtri.cf import MAX_DECIMAL_DIGITS, PeriodicCF
 from badtri.cli import _build_parser, cmd_verify_main, main
-from badtri.gifs import PRESETS
+from badtri.gifs import PRESETS, patch_texts
 from badtri.quadfield import QuadRat
 from oracles import insertion, kd_recurs_in, patch_doc, sqrt2
 
@@ -22,6 +22,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def export_svg(patch, prev_patch=None):
+    """The SVG that `export` writes for `patch` as the step after `prev_patch`."""
+    steps = [patch] if prev_patch is None else [prev_patch, patch]
+    return list(patch_texts(steps, ("svg",))["svg"])[-1]
 
 
 def test_verify_main(capsys):
@@ -643,7 +649,6 @@ def test_export_svg_matches_the_f_string_writer():
 
     import numpy as np
 
-    from badtri.cli import export_svg
     from badtri.gifs import build_gifs, stationary_sequence
 
     seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 3)
@@ -665,7 +670,6 @@ def test_export_svg_matches_the_f_string_writer():
 
 @pytest.mark.parametrize("name", ["optimal1", "equilateral"])
 def test_export_svg_of_a_reversed_list_matches_the_f_string_writer(name):
-    from badtri.cli import export_svg
     from badtri.gifs import build_gifs, stationary_sequence
 
     # each patch then follows a larger one, and every one of its tiles is marked
@@ -681,9 +685,7 @@ def test_one_text_table_serves_both_writers():
 
     import numpy as np
 
-    from badtri.cli import export_svg
-    from badtri.gifs import (_JSON_COLUMNS, _SVG_COLUMNS, _text_table, build_gifs, patch_to_json,
-                             stationary_sequence)
+    from badtri.gifs import build_gifs, stationary_sequence
 
     seq = stationary_sequence(build_gifs(PRESETS["optimal1"]), 2)
     # tiles 0 and 1 put a vertex at x = -0.0 and at x = 0.0 (see above)
@@ -695,15 +697,18 @@ def test_one_text_table_serves_both_writers():
     for col in (edge.tiles["tx"], edge.vertices[..., 0]):
         assert set(np.signbit(col[col == 0]).tolist()) == {False, True}
     compact = dict(separators=(",", ":"))
-    # one table for one patch, and for a list with the edge patch between two
-    (table,) = _text_table([edge], _JSON_COLUMNS + _SVG_COLUMNS)
-    assert patch_to_json(edge, [table]) == json.dumps(patch_doc(edge), **compact)
-    assert export_svg(edge, texts=table) == _svg_oracle(edge)
+    # one call for one patch, and for a list with the edge patch between two
+    texts = patch_texts(edge, ("json", "svg", "csv"))
+    assert texts["json"] == json.dumps(patch_doc(edge), **compact)
+    assert list(texts["svg"]) == [_svg_oracle(edge)]
+    header, *rows = texts["csv"].splitlines()
+    assert header == "x,y" and [list(map(float, r.split(","))) for r in rows] == edge.points.tolist()
     patches = [seq[1], edge, seq[0]]
-    table = _text_table(patches, _JSON_COLUMNS + _SVG_COLUMNS)
-    assert patch_to_json(patches, table) == json.dumps([patch_doc(p) for p in patches], **compact)
-    for patch, texts in zip(patches, table):
-        assert export_svg(patch, texts=texts) == _svg_oracle(patch)
+    texts = patch_texts(patches, ("svg", "json"))
+    assert texts["json"] == json.dumps([patch_doc(p) for p in patches], **compact)
+    assert list(texts["svg"]) == [_svg_oracle(p, prev) for p, prev in zip(patches, [None, *patches])]
+    with pytest.raises(ValueError, match="csv export takes a single-patch file"):
+        patch_texts(patches, ("csv",))
     # vertices that would overflow to inf (tile 2), or be nan (tile 3), make
     # no patch, so neither writer meets them
     for tile, fields, value in ((2, ["scale", "tx"], 1e308), (3, ["ty"], np.nan)):
@@ -735,7 +740,7 @@ def test_export_formats_each_distinct_float_once(tmp_path, capsys, monkeypatch, 
     import numpy as np
 
     import badtri.gifs as gifs
-    from badtri.cli import _load_patches
+    from badtri.gifs import read_patch_file
 
     seq = _stationary_file(tmp_path, capsys, "optimal1")
     formatted = []
@@ -750,7 +755,7 @@ def test_export_formats_each_distinct_float_once(tmp_path, capsys, monkeypatch, 
     code, _, err = run(capsys, "export", "--in", str(seq), *argv)
     assert code == 0, err
     monkeypatch.undo()
-    patches, _ = _load_patches(str(seq))
+    patches, _ = read_patch_file(str(seq))
     written = np.concatenate([
         np.ravel(getattr(p, c) if c in ("points", "vertices") else p.tiles[c])
         for p in patches for c in columns])
@@ -1039,6 +1044,15 @@ def test_tile_stationary_refuses_a_runaway_tile_count(capsys, monkeypatch):
                          "--stationary", "6")
     assert code == 2 and out == ""
     assert re.fullmatch(r"error: n=6 allows up to [\d.e+]+ tiles, above the cap of 1000000\n", err)
+
+
+def test_tile_stationary_0_is_one_tile_for_any_closing_system(capsys):
+    # P_0 is the start tile alone: a tiny a_min does not refuse it
+    code, out, err = run(capsys, "tile", "--angles", "0.4534,1.1174176535897928,1.570775",
+                         "--stationary", "0")
+    assert (code, err) == (0, "")
+    (doc,) = json.loads(out)
+    assert len(doc["tiles"]) == 1
 
 
 @pytest.mark.parametrize("word, message", [

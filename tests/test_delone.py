@@ -76,6 +76,12 @@ def test_uniform_discrete_examples():
         check_uniform_discrete(ps, 0.0)
 
 
+def test_uniform_discrete_refuses_a_nan_radius():
+    # nan <= 0 is false, so a test written as r <= 0 lets nan through
+    with pytest.raises(ValueError, match="r must be positive"):
+        check_uniform_discrete(PointSet([(0, 0), (0.3, 0)]), float("nan"))
+
+
 def test_uniform_discrete_matches_midpoint_bruteforce():
     # certified iff no open r-ball around any midpoint holds two points
     rng = random.Random(42)
@@ -467,6 +473,13 @@ def test_star_discrepancy_examples():
         star_discrepancy([0.2, 1.0])
     with pytest.raises(ValueError):
         star_discrepancy([-0.1, 0.5])
+
+
+def test_star_discrepancy_refuses_nan():
+    # np.sort puts nan last, and every comparison with it is false
+    for xs in ([float("nan"), 0.5], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="values must lie in"):
+            star_discrepancy(xs)
 
 
 def test_star_discrepancy_kronecker_golden():

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from badtri.cli import export_svg
 from badtri.delone import analysis_report
 from badtri.gifs import (
     _SPLIT,
@@ -28,6 +27,7 @@ from badtri.gifs import (
     POSE_TOL,
     PRESETS,
     Angles,
+    MAX_EPSILON_TILES,
     Gifs,
     Patch,
     build_gifs,
@@ -38,6 +38,7 @@ from badtri.gifs import (
     nested_in,
     orientation_discrepancy,
     patch_from_doc,
+    patch_texts,
     patch_to_json,
     stationary_nesting_ok,
     stationary_sequence,
@@ -45,6 +46,12 @@ from badtri.gifs import (
 from badtri.theorems import MAIN_SOLUTIONS
 from oracles import (IDENTITY, Similitude, TileInstance, compose, kd_recurs_in, patch_doc,
                      similitude, subdivide)
+
+
+def export_svg(patch, prev_patch=None):
+    """The SVG that `export` writes for `patch` as the step after `prev_patch`."""
+    steps = [patch] if prev_patch is None else [prev_patch, patch]
+    return list(patch_texts(steps, ("svg",))["svg"])[-1]
 
 
 def cross2(u, v):
@@ -686,6 +693,14 @@ def test_stationary_sequence_guard():
     assert sum(len(q.tiles) for q in stationary_sequence(skewed, 1)) == 131
     with pytest.raises(ValueError, match=r"n=2 allows up to [\d.e+]+ tiles, above the cap"):
         stationary_sequence(skewed, 2)
+
+
+def test_stationary_sequence_0_is_the_start_tile_alone():
+    # P_0 holds one tile, however small a_min is: the bound counts it as one
+    thin = build_gifs(Angles(0.4534, 1.1174176535897928, 1.570775))
+    assert 1 / thin.a_min > MAX_EPSILON_TILES
+    (p0,) = stationary_sequence(thin, 0)
+    assert len(p0.tiles) == 1
 
 
 def _orientation_angles(patch):

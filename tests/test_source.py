@@ -212,6 +212,21 @@ def test_the_package_holds_only_what_it_uses():
     assert not from_tests, f"package modules import from tests/: {from_tests}"
 
 
+def test_patch_file_format_has_one_owner():
+    # the patch-file writers' private names live in gifs alone, and the CLI
+    # reaches gifs only through public names
+    private = {"_text_table", "_JSON_COLUMNS", "_SVG_COLUMNS", "_join_rows"}
+    named = {path.name for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if private & {getattr(node, field, None) for field in ("id", "attr", "name")}}
+    assert named == {"gifs.py"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    from_gifs = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "gifs"
+                 for alias in node.names]
+    assert from_gifs and not [name for name in from_gifs if name.startswith("_")]
+
+
 def test_theorems_reads_only_the_integer_sign_from_quadfield():
     # every theorems verdict is decided by _sum_sign over integer triples,
     # so no QuadRat arithmetic or comparison can take part in one
